@@ -19,7 +19,8 @@
 
 use crate::CountEstimator;
 use neursc_core::config::NeurScConfig;
-use neursc_core::extraction::extract_substructures;
+use neursc_core::extraction::extract_substructures_with;
+use neursc_core::GraphContext;
 use neursc_gnn::{init_features, row_softmax, EdgeList, FeatureConfig, GinConfig, GinStack};
 use neursc_graph::Graph;
 use neursc_nn::init::xavier_uniform;
@@ -255,7 +256,7 @@ impl Nsic {
     /// extracted substructures for `w/ SE`.
     fn data_side(&self, q: &Graph, g: &Graph) -> Vec<Graph> {
         if self.config.with_extraction {
-            let ex = extract_substructures(q, g, &self.extraction_cfg);
+            let ex = extract_substructures_with(q, g, &self.extraction_cfg, &GraphContext::new());
             ex.substructures.into_iter().map(|s| s.graph).collect()
         } else {
             vec![g.clone()]

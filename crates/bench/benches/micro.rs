@@ -5,9 +5,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use neursc_core::config::NeurScConfig;
-use neursc_core::extraction::extract_substructures;
-use neursc_core::train::prepare_query;
-use neursc_core::NeurSc;
+use neursc_core::extraction::extract_substructures_with;
+use neursc_core::train::prepare_query_with;
+use neursc_core::{GraphContext, NeurSc};
 use neursc_gnn::{init_features, EdgeList, FeatureConfig, GinConfig, GinStack};
 use neursc_graph::sample::{sample_query, QuerySampler};
 use neursc_graph::Graph;
@@ -49,7 +49,7 @@ fn bench_extraction(c: &mut Criterion) {
         b.iter(|| {
             let q = &queries[i % queries.len()];
             i += 1;
-            extract_substructures(q, &g, &cfg)
+            extract_substructures_with(q, &g, &cfg, &GraphContext::new())
         });
     });
 }
@@ -99,9 +99,10 @@ fn bench_features_and_gin(c: &mut Criterion) {
 fn bench_west_estimate(c: &mut Criterion) {
     let (g, queries) = yeast_with_queries(8, 4);
     let model = NeurSc::new(NeurScConfig::small(), 1);
+    let ctx = GraphContext::new();
     let prepared: Vec<_> = queries
         .iter()
-        .map(|q| prepare_query(q, &g, &model.config, 0).unwrap())
+        .map(|q| prepare_query_with(q, &g, &model.config, 0, &ctx).unwrap())
         .collect();
     c.bench_function("west_estimate/yeast_q8", |b| {
         let mut i = 0;

@@ -7,8 +7,8 @@ use neursc_bench::harness::{build_workload_sizes, fit_and_evaluate, header, Harn
 use neursc_bench::methods;
 use neursc_bench::BoxStats;
 use neursc_core::loss::signed_q_error;
-use neursc_core::train::prepare_query;
-use neursc_core::NeurSc;
+use neursc_core::train::prepare_query_with;
+use neursc_core::{GraphContext, NeurSc};
 use neursc_workloads::datasets::DatasetId;
 use neursc_workloads::split::{take, train_test_split};
 use rand::SeedableRng;
@@ -47,9 +47,13 @@ fn main() {
         let mut model = NeurSc::new(methods::neursc_config(&cfg), cfg.seed);
         model.fit(&w.graph, &train).expect("non-empty training set");
         // Pre-extract test queries once; sampling varies per rate.
+        let ctx = GraphContext::new();
         let prepared: Vec<_> = test
             .iter()
-            .map(|(q, c)| (prepare_query(q, &w.graph, &model.config, *c).unwrap(), *c))
+            .map(|(q, c)| {
+                let pq = prepare_query_with(q, &w.graph, &model.config, *c, &ctx).unwrap();
+                (pq, *c)
+            })
             .collect();
         for rate in [0.1, 0.2, 0.3, 0.4, 0.5, 1.0] {
             let mut rng = rand::rngs::StdRng::seed_from_u64(42);

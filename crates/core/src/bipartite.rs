@@ -171,7 +171,8 @@ fn pick_from_component(
 mod tests {
     use super::*;
     use crate::config::NeurScConfig;
-    use crate::extraction::extract_substructures;
+    use crate::context::GraphContext;
+    use crate::extraction::extract_substructures_with;
     use neursc_match::profile::{paper_data_graph, paper_query_graph};
     use rand::SeedableRng;
 
@@ -202,7 +203,7 @@ mod tests {
     fn paper_example_bipartite_edges() {
         let q = paper_query_graph();
         let g = paper_data_graph();
-        let ex = extract_substructures(&q, &g, &NeurScConfig::small());
+        let ex = extract_substructures_with(&q, &g, &NeurScConfig::small(), &GraphContext::new());
         let sub = &ex.substructures[0];
         let mut rng = StdRng::seed_from_u64(1);
         let e = build_bipartite_edges(&q, sub, &mut rng);
@@ -220,7 +221,7 @@ mod tests {
     fn every_candidate_pair_becomes_an_edge() {
         let q = paper_query_graph();
         let g = paper_data_graph();
-        let ex = extract_substructures(&q, &g, &NeurScConfig::small());
+        let ex = extract_substructures_with(&q, &g, &NeurScConfig::small(), &GraphContext::new());
         let sub = &ex.substructures[0];
         let mut rng = StdRng::seed_from_u64(2);
         let e = build_bipartite_edges(&q, sub, &mut rng);

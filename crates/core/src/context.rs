@@ -11,7 +11,7 @@
 //! Both key by graph content fingerprint, so one context can serve any
 //! number of data graphs and a rebuilt graph can never see stale entries.
 //! The context is `Sync`; the batched entry points
-//! ([`crate::NeurSc::estimate_batch`], [`crate::NeurSc::fit`]) share one
+//! ([`crate::Estimator::estimate_batch`], [`crate::NeurSc::fit`]) share one
 //! across their worker threads.
 //!
 //! It also carries the two cross-cutting plumbing handles of the pipeline:
@@ -134,7 +134,9 @@ impl GraphContext {
     /// counters (`cache.profile.hit`/`.miss`) and, on a miss, a
     /// `filter.profile_build` span delivered to the sink.
     pub fn profiles_for(&self, g: &Graph, r: u32) -> (Arc<Vec<Profile>>, bool) {
-        let (profiles, hit, build_ns) = self.profiles.profiles_traced(g, r);
+        let (profiles, hit, build_ns) = self
+            .profiles
+            .get_or_build(g, &r, || neursc_match::profile::all_profiles(g, r));
         if hit {
             self.obs.counter_add("cache.profile.hit", 1);
         } else {
@@ -154,7 +156,9 @@ impl GraphContext {
     /// The Eq. 1 feature matrix of `g` from the cache, with hit/miss
     /// counters (`cache.feature.hit`/`.miss`) delivered to the sink.
     pub fn features_for(&self, g: &Graph, cfg: &FeatureConfig) -> (Arc<Tensor>, bool) {
-        let (features, hit, build_ns) = self.features.features_traced(g, cfg);
+        let (features, hit, build_ns) = self
+            .features
+            .get_or_build(g, cfg, || neursc_gnn::init_features(g, cfg));
         if hit {
             self.obs.counter_add("cache.feature.hit", 1);
         } else {

@@ -86,7 +86,7 @@ impl ConfidenceInterval {
 }
 
 /// Counter name for a query-level error outcome.
-pub(crate) fn outcome_counter(e: &NeurScError) -> &'static str {
+fn outcome_counter(e: &NeurScError) -> &'static str {
     match e {
         NeurScError::Budget { .. } => "query.error.budget",
         NeurScError::InvalidQuery { .. } => "query.error.invalid_query",
@@ -95,23 +95,80 @@ pub(crate) fn outcome_counter(e: &NeurScError) -> &'static str {
     }
 }
 
-/// Bumps the per-query outcome counters for one finished slot.
-pub(crate) fn count_outcome(
+/// Bumps the per-query outcome counters for one finished slot; `flags`
+/// reads an `Ok` slot's `(degraded, trivially_zero)` ([`detail_flags`] for
+/// estimates), so prepared queries count the same way.
+pub(crate) fn count_outcome<T>(
     sink: &dyn crate::obs::ObsSink,
-    r: &Result<EstimateDetail, NeurScError>,
+    r: &Result<T, NeurScError>,
+    flags: impl FnOnce(&T) -> (bool, bool),
 ) {
-    match r {
-        Ok(d) => {
+    match r.as_ref().map(flags) {
+        Ok((degraded, trivially_zero)) => {
             sink.counter_add("query.ok", 1);
-            if d.degraded {
+            if degraded {
                 sink.counter_add("query.degraded", 1);
             }
-            if d.trivially_zero {
+            if trivially_zero {
                 sink.counter_add("query.trivially_zero", 1);
             }
         }
         Err(e) => sink.counter_add(outcome_counter(e), 1),
     }
+}
+
+/// The `(degraded, trivially_zero)` outcome flags of a finished estimate.
+pub(crate) fn detail_flags(d: &EstimateDetail) -> (bool, bool) {
+    (d.degraded, d.trivially_zero)
+}
+
+/// The batch fan-out shared by [`Estimator::estimate_batch_budgeted`] and
+/// [`crate::NeurSc::prepare_batch`]: warms the backend's caches once, runs
+/// `item(i, starve)` for every slot on [`Estimator::threads`] workers —
+/// each on its own observability lane under a `pipeline.query` span, with
+/// [`crate::FaultPlan`] panics tripped first and `starve` carrying the
+/// injected zero budget of a starved slot — contains per-slot panics as
+/// typed errors, and bumps the outcome counters ([`count_outcome`] with
+/// `flags`). Results are in input order.
+pub(crate) fn fan_out<E: Estimator + ?Sized, T: Send>(
+    backend: &E,
+    n: usize,
+    g: &Graph,
+    ctx: &GraphContext,
+    item: impl Fn(usize, Option<FilterBudget>) -> Result<T, NeurScError> + Sync,
+    flags: impl Fn(&T) -> (bool, bool),
+) -> Vec<Result<T, NeurScError>> {
+    obs::scope(&ctx.obs, obs::lane::ROOT, || {
+        if n > 0 {
+            let _sp = Span::enter("pipeline.warmup");
+            backend.warm(g, ctx);
+        }
+        let caught = parallel_map_caught(n, backend.threads(), |i| {
+            obs::scope(&ctx.obs, obs::lane::item(i), || {
+                let mut sp = Span::enter("pipeline.query");
+                ctx.faults.trip_panic(i);
+                let starve = ctx.faults.starved(i).then(|| FilterBudget::steps(0));
+                let r = item(i, starve);
+                if let Err(e) = &r {
+                    sp.set_tag(obs::error_tag(e));
+                }
+                r
+            })
+        });
+        caught
+            .into_iter()
+            .map(|r| {
+                let slot = r.unwrap_or_else(|p| {
+                    Err(NeurScError::Panicked {
+                        item: p.index,
+                        message: p.message,
+                    })
+                });
+                count_outcome(ctx.obs.as_ref(), &slot, &flags);
+                slot
+            })
+            .collect()
+    })
 }
 
 /// The §6.1 component-product reduction shared by [`Estimator::estimate_routed`]
@@ -258,7 +315,7 @@ pub trait Estimator: Send + Sync {
             if let Err(e) = &r {
                 sp.set_tag(obs::error_tag(e));
             }
-            count_outcome(ctx.obs.as_ref(), &r);
+            count_outcome(ctx.obs.as_ref(), &r, detail_flags);
             r
         })
     }
@@ -296,47 +353,21 @@ pub trait Estimator: Send + Sync {
         ctx: &GraphContext,
         budgets: &[Option<FilterBudget>],
     ) -> Vec<Result<EstimateDetail, NeurScError>> {
-        obs::scope(&ctx.obs, obs::lane::ROOT, || {
-            if !queries.is_empty() {
-                let _sp = Span::enter("pipeline.warmup");
-                self.warm(g, ctx);
-            }
-            let caught = parallel_map_caught(queries.len(), self.threads(), |i| {
-                obs::scope(&ctx.obs, obs::lane::item(i), || {
-                    let mut sp = Span::enter("pipeline.query");
-                    ctx.faults.trip_panic(i);
-                    let budget = if ctx.faults.starved(i) {
-                        Some(FilterBudget::steps(0))
-                    } else {
-                        budgets.get(i).copied().flatten()
-                    };
-                    // Intra-query fan-out stays sequential here
-                    // (threads = 1): the per-query fan-out already
-                    // occupies the configured workers, and nesting
-                    // scopes would oversubscribe without changing
-                    // results.
-                    let r = self.estimate_routed(&queries[i], g, ctx, budget, 1, false);
-                    if let Err(e) = &r {
-                        sp.set_tag(obs::error_tag(e));
-                    }
-                    r
-                })
-            });
-            caught
-                .into_iter()
-                .map(|r| {
-                    let slot = match r {
-                        Ok(inner) => inner,
-                        Err(p) => Err(NeurScError::Panicked {
-                            item: p.index,
-                            message: p.message,
-                        }),
-                    };
-                    count_outcome(ctx.obs.as_ref(), &slot);
-                    slot
-                })
-                .collect()
-        })
+        fan_out(
+            self,
+            queries.len(),
+            g,
+            ctx,
+            |i, starve| {
+                let budget = starve.or_else(|| budgets.get(i).copied().flatten());
+                // Intra-query fan-out stays sequential here (threads = 1):
+                // the per-query fan-out already occupies the configured
+                // workers, and nesting scopes would oversubscribe without
+                // changing results.
+                self.estimate_routed(&queries[i], g, ctx, budget, 1, false)
+            },
+            detail_flags,
+        )
     }
 }
 

@@ -11,10 +11,7 @@ use crate::obs::{self, PipelineReport, Span};
 use neursc_graph::induced::{connected_components, induced_subgraph};
 use neursc_graph::types::VertexId;
 use neursc_graph::Graph;
-use neursc_match::{
-    filter_candidates_budgeted_profiled, filter_candidates_timed, CandidateSets, FilterBudget,
-    FilterError, StageBreakdown,
-};
+use neursc_match::{filter_candidates_budgeted, CandidateSets, FilterBudget, FilterError};
 
 /// One connected candidate substructure with local candidate sets.
 #[derive(Debug, Clone)]
@@ -53,7 +50,7 @@ pub struct Extraction {
     pub trivially_zero: bool,
     /// True when a filtering budget ran out during refinement: the
     /// candidate sets are sound but looser than an unbudgeted run's, so the
-    /// substructures may be larger. Always `false` on unbudgeted paths.
+    /// substructures may be larger. Always `false` under an unlimited budget.
     pub degraded: bool,
     /// Per-stage wall timings of this extraction (wall-clock fields — not
     /// covered by any determinism guarantee; see [`crate::obs`]).
@@ -70,39 +67,23 @@ impl Extraction {
     }
 }
 
-/// Runs filtering + extraction for `(q, G)` under `cfg`.
-pub fn extract_substructures(q: &Graph, g: &Graph, cfg: &NeurScConfig) -> Extraction {
-    let t0 = std::time::Instant::now();
-    let profiles = neursc_match::profile::all_profiles(g, cfg.filter.profile_radius);
-    let profile_build_ns = t0.elapsed().as_nanos() as u64;
-    let (candidates, stages) = filter_candidates_timed(q, g, &cfg.filter, &profiles);
-    let mut report = report_from_stages(&stages);
-    report.profile_build_ns = profile_build_ns;
-    extract_from_candidates(q, g, cfg, candidates, false, report)
-}
-
-/// [`extract_substructures`] with the data-graph profiles served from a
-/// shared [`GraphContext`] — identical output, but the `all_profiles(G, r)`
-/// precomputation is paid once per `(G, r)` instead of once per query.
+/// Runs filtering + extraction for `(q, G)` under `cfg`, with the
+/// data-graph profiles served from a shared [`GraphContext`] (the
+/// `all_profiles(G, r)` precomputation is paid once per `(G, r)`, not once
+/// per query) and no filtering budget.
 pub fn extract_substructures_with(
     q: &Graph,
     g: &Graph,
     cfg: &NeurScConfig,
     ctx: &GraphContext,
 ) -> Extraction {
-    let (profiles, hit) = ctx.profiles_for(g, cfg.filter.profile_radius);
-    let (candidates, stages) = {
-        let _sp = Span::enter("filter.candidates");
-        let out = filter_candidates_timed(q, g, &cfg.filter, &profiles);
-        emit_stage_spans(&out.1);
-        out
-    };
-    let mut report = report_from_stages(&stages);
-    report.profile_cache_hit = hit;
-    extract_from_candidates(q, g, cfg, candidates, false, report)
+    extract_substructures_budgeted(q, g, cfg, ctx, &FilterBudget::UNBOUNDED)
+        .unwrap_or_else(|e| unreachable!("unbounded budget cannot be exhausted: {e}"))
 }
 
-/// [`extract_substructures_with`] under a [`FilterBudget`].
+/// The extraction stage: filtering under a [`FilterBudget`] against cached
+/// profiles, then the component split. [`FilterBudget::UNBOUNDED`] and a
+/// context without a sink are the plain case.
 ///
 /// Budget exhaustion during refinement degrades gracefully — the returned
 /// extraction is built from sound-but-looser candidate sets and carries
@@ -118,12 +99,20 @@ pub fn extract_substructures_budgeted(
     let (profiles, hit) = ctx.profiles_for(g, cfg.filter.profile_radius);
     let (out, stages) = {
         let _sp = Span::enter("filter.candidates");
-        let r = filter_candidates_budgeted_profiled(q, g, &cfg.filter, &profiles, budget)?;
-        emit_stage_spans(&r.1);
-        r
+        let (out, stages) = filter_candidates_budgeted(q, g, &cfg.filter, &profiles, budget)?;
+        // The filter crate's plain-data timings become child spans of the
+        // open `filter.candidates` span.
+        obs::span_with_ns("filter.local_prune", stages.local_prune_ns);
+        obs::span_with_ns("filter.refine", stages.refine_ns);
+        (out, stages)
     };
-    let mut report = report_from_stages(&stages);
-    report.profile_cache_hit = hit;
+    let report = PipelineReport {
+        local_prune_ns: stages.local_prune_ns,
+        refine_ns: stages.refine_ns,
+        filter_steps: out.steps,
+        profile_cache_hit: hit,
+        ..PipelineReport::default()
+    };
     Ok(extract_from_candidates(
         q,
         g,
@@ -132,22 +121,6 @@ pub fn extract_substructures_budgeted(
         out.degraded,
         report,
     ))
-}
-
-fn report_from_stages(stages: &StageBreakdown) -> PipelineReport {
-    PipelineReport {
-        local_prune_ns: stages.local_prune_ns,
-        refine_ns: stages.refine_ns,
-        filter_steps: stages.steps,
-        ..PipelineReport::default()
-    }
-}
-
-/// Converts the filter crate's plain-data timings into child spans of the
-/// currently-open `filter.candidates` span.
-fn emit_stage_spans(stages: &StageBreakdown) {
-    obs::span_with_ns("filter.local_prune", stages.local_prune_ns);
-    obs::span_with_ns("filter.refine", stages.refine_ns);
 }
 
 /// Extraction from already-filtered candidate sets — the stage shared by
@@ -305,7 +278,7 @@ mod tests {
     fn paper_example_extraction() {
         let q = paper_query_graph();
         let g = paper_data_graph();
-        let ex = extract_substructures(&q, &g, &cfg());
+        let ex = extract_substructures_with(&q, &g, &cfg(), &GraphContext::new());
         assert!(!ex.trivially_zero);
         // Final CS = {v1} ∪ {v4} ∪ {v5,v6} ∪ {v10,v11} = 6 vertices, and the
         // induced subgraph on them is connected (v1-v4, v4-v5/v6/v10/v11).
@@ -322,7 +295,7 @@ mod tests {
     fn local_candidates_map_back_correctly() {
         let q = paper_query_graph();
         let g = paper_data_graph();
-        let ex = extract_substructures(&q, &g, &cfg());
+        let ex = extract_substructures_with(&q, &g, &cfg(), &GraphContext::new());
         let sub = &ex.substructures[0];
         for u in q.vertices() {
             for &local in &sub.local_cs[u as usize] {
@@ -338,7 +311,7 @@ mod tests {
     fn missing_label_short_circuits() {
         let g = paper_data_graph();
         let q = neursc_graph::Graph::from_edges(2, &[0, 9], &[(0, 1)]).unwrap();
-        let ex = extract_substructures(&q, &g, &cfg());
+        let ex = extract_substructures_with(&q, &g, &cfg(), &GraphContext::new());
         assert!(ex.trivially_zero);
         assert!(ex.substructures.is_empty());
     }
@@ -351,7 +324,7 @@ mod tests {
             neursc_graph::Graph::from_edges(5, &[0, 1, 2, 0, 1], &[(0, 1), (1, 2), (0, 2), (3, 4)])
                 .unwrap();
         let q = neursc_graph::Graph::from_edges(3, &[0, 1, 2], &[(0, 1), (1, 2), (0, 2)]).unwrap();
-        let ex = extract_substructures(&q, &g, &cfg());
+        let ex = extract_substructures_with(&q, &g, &cfg(), &GraphContext::new());
         assert_eq!(ex.substructures.len(), 1);
         assert_eq!(ex.substructures[0].origin, vec![0, 1, 2]);
     }
@@ -367,7 +340,7 @@ mod tests {
         let q = neursc_graph::Graph::from_edges(2, &[0, 1], &[(0, 1)]).unwrap();
         let mut c = cfg();
         c.max_substructure_vertices = Some(10);
-        let ex = extract_substructures(&q, &g, &c);
+        let ex = extract_substructures_with(&q, &g, &c, &GraphContext::new());
         assert_eq!(ex.substructures.len(), 1);
         let sub = &ex.substructures[0];
         assert!(sub.graph.n_vertices() <= 10);
@@ -376,39 +349,39 @@ mod tests {
         assert!(sub.origin.contains(&0));
     }
 
-    #[test]
-    fn cached_extraction_is_identical_to_uncached() {
-        let q = paper_query_graph();
-        let g = paper_data_graph();
-        let ctx = GraphContext::new();
-        let plain = extract_substructures(&q, &g, &cfg());
-        let cached = extract_substructures_with(&q, &g, &cfg(), &ctx);
-        // Second call hits the warmed cache and must still agree.
-        let cached2 = extract_substructures_with(&q, &g, &cfg(), &ctx);
-        for ex in [&cached, &cached2] {
-            assert_eq!(ex.candidates, plain.candidates);
-            assert_eq!(ex.trivially_zero, plain.trivially_zero);
-            assert_eq!(ex.substructures.len(), plain.substructures.len());
-            for (a, b) in ex.substructures.iter().zip(&plain.substructures) {
-                assert_eq!(a.graph, b.graph);
-                assert_eq!(a.origin, b.origin);
-                assert_eq!(a.local_cs, b.local_cs);
-            }
+    fn assert_same_extraction(a: &Extraction, b: &Extraction) {
+        assert_eq!(a.candidates, b.candidates);
+        assert_eq!(a.trivially_zero, b.trivially_zero);
+        assert_eq!(a.degraded, b.degraded);
+        assert_eq!(a.substructures.len(), b.substructures.len());
+        for (x, y) in a.substructures.iter().zip(&b.substructures) {
+            assert_eq!(x.graph, y.graph);
+            assert_eq!(x.origin, y.origin);
+            assert_eq!(x.local_cs, y.local_cs);
         }
-        assert_eq!(ctx.profiles.len(), 1);
     }
 
     #[test]
-    fn budgeted_extraction_matches_unbudgeted_when_generous() {
+    fn every_extraction_door_gives_the_same_extraction_and_step_count() {
         let q = paper_query_graph();
         let g = paper_data_graph();
         let ctx = GraphContext::new();
-        let plain = extract_substructures(&q, &g, &cfg());
-        let budgeted =
+        let plain = extract_substructures_with(&q, &g, &cfg(), &ctx);
+        // The second call hits the warmed cache and must still agree.
+        let warm = extract_substructures_with(&q, &g, &cfg(), &ctx);
+        let unbounded =
             extract_substructures_budgeted(&q, &g, &cfg(), &ctx, &FilterBudget::UNBOUNDED).unwrap();
-        assert!(!budgeted.degraded);
-        assert_eq!(budgeted.candidates, plain.candidates);
-        assert_eq!(budgeted.substructures.len(), plain.substructures.len());
+        let generous =
+            extract_substructures_budgeted(&q, &g, &cfg(), &ctx, &FilterBudget::steps(1 << 40))
+                .unwrap();
+        assert!(!plain.degraded && !plain.report.profile_cache_hit);
+        assert!(warm.report.profile_cache_hit);
+        assert!(plain.report.filter_steps > 0, "steps are always metered");
+        for ex in [&warm, &unbounded, &generous] {
+            assert_same_extraction(ex, &plain);
+            assert_eq!(ex.report.filter_steps, plain.report.filter_steps);
+        }
+        assert_eq!(ctx.profiles.len(), 1);
     }
 
     #[test]
@@ -427,7 +400,7 @@ mod tests {
         let g = paper_data_graph();
         let mut c = cfg();
         c.max_substructure_vertices = None;
-        let ex = extract_substructures(&q, &g, &c);
+        let ex = extract_substructures_with(&q, &g, &c, &GraphContext::new());
         assert_eq!(ex.total_substructure_vertices(), 6);
     }
 }

@@ -47,7 +47,7 @@
 //! ```
 //!
 //! Every fallible entry point returns [`NeurScError`]; the batched APIs
-//! ([`NeurSc::estimate_batch`], [`NeurSc::prepare_batch`]) contain
+//! ([`Estimator::estimate_batch`], [`NeurSc::prepare_batch`]) contain
 //! per-query panics and budget exhaustion to the offending slot — see
 //! DESIGN.md "Failure semantics".
 
@@ -75,8 +75,7 @@ pub use context::GraphContext;
 pub use error::NeurScError;
 pub use estimator::{ConfidenceInterval, Estimator};
 pub use extraction::{
-    extract_substructures, extract_substructures_budgeted, extract_substructures_with, Extraction,
-    Substructure,
+    extract_substructures_budgeted, extract_substructures_with, Extraction, Substructure,
 };
 pub use faults::FaultPlan;
 pub use loss::q_error;

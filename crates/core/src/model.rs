@@ -4,19 +4,15 @@ use crate::config::NeurScConfig;
 use crate::context::GraphContext;
 use crate::discriminator::Discriminator;
 use crate::error::NeurScError;
-use crate::estimator::{outcome_counter, ConfidenceInterval, Estimator};
+use crate::estimator::{fan_out, ConfidenceInterval, Estimator};
 use crate::loss::q_error;
 use crate::obs::{self, ObsSink, PipelineReport, Span};
-use crate::parallel::parallel_map_caught;
-use crate::train::{
-    prepare_query, prepare_query_budgeted, prepare_query_with, run_training_obs, PreparedQuery,
-    TrainReport,
-};
+use crate::train::{prepare_query_budgeted, run_training_obs, PreparedQuery, TrainReport};
 use crate::west::WEst;
 use neursc_graph::Graph;
 use neursc_match::FilterBudget;
 use neursc_nn::infer::{Arena, InferCtx, InferWeights, QuantMode};
-use neursc_nn::{ParamStore, Tape};
+use neursc_nn::ParamStore;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -68,9 +64,6 @@ pub struct NeurSc {
     pub disc: Option<Discriminator>,
     /// Quantization mode of the inference fast path (DESIGN.md §15).
     quant: QuantMode,
-    /// Whether `estimate*` runs the fused tape-free forward (default) or
-    /// the tape path (escape hatch, and the baseline `bench_infer` times).
-    fused_infer: bool,
     /// Lazily built inference state; reset whenever weights or `quant`
     /// change (`fit*`, [`NeurSc::set_quantization`]).
     infer_state: OnceLock<InferState>,
@@ -123,7 +116,6 @@ impl NeurSc {
             west,
             disc,
             quant: QuantMode::F32,
-            fused_infer: true,
             infer_state: OnceLock::new(),
         }
     }
@@ -143,18 +135,6 @@ impl NeurSc {
             self.quant = mode;
             self.infer_state = OnceLock::new();
         }
-    }
-
-    /// Whether `estimate*` uses the fused tape-free forward.
-    pub fn fused_infer(&self) -> bool {
-        self.fused_infer
-    }
-
-    /// Toggles the fused inference path (on by default). The tape path is
-    /// kept as an escape hatch and as the baseline `bench_infer` measures
-    /// against; both produce bit-identical estimates at f32.
-    pub fn set_fused_infer(&mut self, on: bool) {
-        self.fused_infer = on;
     }
 
     /// The lazily built inference state for the current weights + mode.
@@ -224,70 +204,18 @@ impl NeurSc {
         batch: &[(Graph, u64)],
         ctx: &GraphContext,
     ) -> Vec<Result<PreparedQuery, NeurScError>> {
-        obs::scope(&ctx.obs, obs::lane::ROOT, || {
-            self.warm_caches(batch.is_empty(), g, ctx);
-            let caught = parallel_map_caught(batch.len(), self.config.parallelism.threads, |i| {
-                obs::scope(&ctx.obs, obs::lane::item(i), || {
-                    let mut sp = Span::enter("pipeline.query");
-                    let r = {
-                        ctx.faults.trip_panic(i);
-                        let (q, c) = &batch[i];
-                        if ctx.faults.starved(i) {
-                            prepare_query_budgeted(
-                                q,
-                                g,
-                                &self.config,
-                                *c,
-                                ctx,
-                                &FilterBudget::steps(0),
-                            )
-                        } else {
-                            prepare_query_with(q, g, &self.config, *c, ctx)
-                        }
-                    };
-                    if let Err(e) = &r {
-                        sp.set_tag(obs::error_tag(e));
-                    }
-                    r
-                })
-            });
-            caught
-                .into_iter()
-                .map(|r| {
-                    let slot = match r {
-                        Ok(inner) => inner,
-                        Err(p) => Err(NeurScError::Panicked {
-                            item: p.index,
-                            message: p.message,
-                        }),
-                    };
-                    match &slot {
-                        Ok(pq) => {
-                            ctx.obs.counter_add("query.ok", 1);
-                            if pq.degraded {
-                                ctx.obs.counter_add("query.degraded", 1);
-                            }
-                            if pq.trivially_zero {
-                                ctx.obs.counter_add("query.trivially_zero", 1);
-                            }
-                        }
-                        Err(e) => ctx.obs.counter_add(outcome_counter(e), 1),
-                    }
-                    slot
-                })
-                .collect()
-        })
-    }
-
-    /// Warms the per-`(G, r)` cache once so workers don't race to compute
-    /// the same profiles (the cache tolerates that, but the duplicated work
-    /// would waste exactly the time the cache exists to save).
-    fn warm_caches(&self, batch_empty: bool, g_for: &Graph, ctx: &GraphContext) {
-        if batch_empty {
-            return;
-        }
-        let _sp = Span::enter("pipeline.warmup");
-        <Self as Estimator>::warm(self, g_for, ctx);
+        fan_out(
+            self,
+            batch.len(),
+            g,
+            ctx,
+            |i, starve| {
+                let (q, c) = &batch[i];
+                let budget = starve.unwrap_or_else(|| self.config.budget.filter_budget());
+                prepare_query_budgeted(q, g, &self.config, *c, ctx, &budget)
+            },
+            |pq| (pq.degraded, pq.trivially_zero),
+        )
     }
 
     /// Trains on queries that are already prepared (lets benchmark
@@ -315,23 +243,19 @@ impl NeurSc {
     }
 
     /// Estimates `c(q, G)` (Algorithm 1): extraction, WEst on every
-    /// substructure, summation.
+    /// substructure, summation — against a throwaway context. Disconnected
+    /// queries are estimated as the product of their connected components'
+    /// estimates (paper §6.1, [`Estimator::estimate_routed`]).
     pub fn estimate(&self, q: &Graph, g: &Graph) -> Result<f64, NeurScError> {
-        Ok(self.estimate_detailed(q, g)?.count)
+        <Self as Estimator>::estimate(self, q, g)
     }
 
-    /// Estimation with diagnostics. Disconnected queries are estimated as
-    /// the product of their connected components' estimates (paper §6.1) —
-    /// see [`NeurSc::estimate_disconnected`].
-    pub fn estimate_detailed(&self, q: &Graph, g: &Graph) -> Result<EstimateDetail, NeurScError> {
-        <Self as Estimator>::estimate_detailed(self, q, g)
-    }
-
-    /// [`NeurSc::estimate_detailed`] against a caller-provided
+    /// Estimation with diagnostics against a caller-provided
     /// [`GraphContext`]: precomputations come from the shared caches and,
     /// when the context carries a sink ([`GraphContext::with_obs`]), the
     /// run emits `pipeline.query`/`filter.*`/`extract.*`/`gnn.*` spans and
-    /// per-query outcome counters. Identical value.
+    /// per-query outcome counters. The batched, budgeted and context-free
+    /// forms are the [`Estimator`] trait's provided methods.
     pub fn estimate_detailed_with(
         &self,
         q: &Graph,
@@ -341,51 +265,8 @@ impl NeurSc {
         <Self as Estimator>::estimate_detailed_with(self, q, g, ctx)
     }
 
-    /// Prepares one **connected** query (or component) under an optional
-    /// per-call budget override, falling back to `config.budget`.
-    fn prepare_routed(
-        &self,
-        q: &Graph,
-        g: &Graph,
-        ctx: &GraphContext,
-        budget: Option<FilterBudget>,
-    ) -> Result<PreparedQuery, NeurScError> {
-        match budget {
-            Some(b) => prepare_query_budgeted(q, g, &self.config, 0, ctx, &b),
-            None => prepare_query_with(q, g, &self.config, 0, ctx),
-        }
-    }
-
-    /// [`NeurSc::estimate`] with data-graph precomputations served from a
-    /// shared [`GraphContext`] — the single-query entry point of the cached
-    /// pipeline. Identical value; repeated queries against one `G` skip the
-    /// graph-wide profile computation.
-    pub fn estimate_with(
-        &self,
-        q: &Graph,
-        g: &Graph,
-        ctx: &GraphContext,
-    ) -> Result<f64, NeurScError> {
-        Ok(self.estimate_detailed_with(q, g, ctx)?.count)
-    }
-
-    /// Estimates one **connected** query (or component): prepare, then WEst
-    /// over every substructure. The [`Estimator::estimate_component`] hook.
-    fn estimate_component_impl(
-        &self,
-        q: &Graph,
-        g: &Graph,
-        ctx: &GraphContext,
-        budget: Option<FilterBudget>,
-        threads: usize,
-        sub_lanes: bool,
-    ) -> Result<EstimateDetail, NeurScError> {
-        let pq = self.prepare_routed(q, g, ctx, budget)?;
-        Ok(self.estimate_prepared_obs(&pq, threads, &ctx.obs, sub_lanes))
-    }
-
     /// Estimation over a prepared query. Per-substructure WEst forwards are
-    /// independent (each runs on its own fresh tape), so they fan out over
+    /// independent (each runs in its own arena), so they fan out over
     /// `config.parallelism.threads` workers; the per-substructure log
     /// counts are reduced in substructure order, making the sum — and hence
     /// `ĉ(q)` — bit-identical at any thread count.
@@ -414,47 +295,28 @@ impl NeurSc {
                 report: pq.report.clone(),
             };
         }
-        // Fused fast path: snapshot weights once, precompute the query's
-        // intra-GIN once (it is substructure-independent), then run each
-        // pair through arena-backed kernels. The tape path remains as the
-        // escape hatch ([`NeurSc::set_fused_infer`]) and for training.
-        let state = if self.fused_infer {
-            Some(self.infer_state())
-        } else {
-            None
-        };
-        let hq_intra = state.map(|st| {
+        // Tape-free fused forward: snapshot weights once, precompute the
+        // query's intra-GIN once (it is substructure-independent), then run
+        // each pair through arena-backed kernels. The tape forward lives on
+        // in training ([`crate::train::forward_prepared`]).
+        let st = self.infer_state();
+        let hq_intra = {
             let mut ictx = InferCtx::new(&st.weights, st.checkout());
             let hq = self.west.infer_query_intra(&mut ictx, &pq.x_q, &pq.q_edges);
             st.checkin(ictx.into_arena());
             hq
-        });
+        };
         let logs = crate::parallel::parallel_map_indexed(pq.subs.len(), threads, |i| {
             let run = || {
                 let _sp = Span::enter("gnn.forward");
                 let t0 = std::time::Instant::now();
                 let sub = &pq.subs[i];
-                let z = if let (Some(st), Some(hq)) = (state, hq_intra.as_ref()) {
-                    let mut ictx = InferCtx::new(&st.weights, st.checkout());
-                    let z = self
-                        .west
-                        .forward_pair_infer(&mut ictx, &pq.x_q, hq, &sub.x, &sub.edges, &sub.gb)
-                        as f64;
-                    st.checkin(ictx.into_arena());
-                    z
-                } else {
-                    let mut tape = Tape::new();
-                    let out = self.west.forward_pair(
-                        &mut tape,
-                        &self.store,
-                        &pq.x_q,
-                        &pq.q_edges,
-                        &sub.x,
-                        &sub.edges,
-                        &sub.gb,
-                    );
-                    tape.value(out.log_count).item() as f64
-                };
+                let mut ictx = InferCtx::new(&st.weights, st.checkout());
+                let z = self
+                    .west
+                    .forward_pair_infer(&mut ictx, &pq.x_q, &hq_intra, &sub.x, &sub.edges, &sub.gb)
+                    as f64;
+                st.checkin(ictx.into_arena());
                 (z, t0.elapsed().as_nanos() as u64)
             };
             if sub_lanes {
@@ -478,68 +340,6 @@ impl NeurSc {
         }
     }
 
-    /// Batched estimation: prepares and estimates every query against `g`
-    /// with `config.parallelism.threads` workers sharing the context's
-    /// caches. Returns one result per query, in input order; with a fixed
-    /// seed the `Ok` values are bit-identical to calling
-    /// [`NeurSc::estimate_with`] per query sequentially, at any thread
-    /// count. A query that panics, exhausts its budget, or is invalid
-    /// yields a typed `Err` in its slot without disturbing the others.
-    pub fn estimate_batch(
-        &self,
-        queries: &[Graph],
-        g: &Graph,
-        ctx: &GraphContext,
-    ) -> Vec<Result<EstimateDetail, NeurScError>> {
-        self.estimate_batch_budgeted(queries, g, ctx, &[])
-    }
-
-    /// [`NeurSc::estimate_batch`] with an optional per-item filtering-budget
-    /// override — the batch-handoff hook a serving layer uses to map
-    /// per-request deadlines and step caps onto the degradation ladder
-    /// without touching the shared model config. `budgets[i] = Some(b)`
-    /// filters item `i` under `b`; `None` (or a `budgets` slice shorter
-    /// than `queries`) falls back to `config.budget`. Fault-plan budget
-    /// starvation still takes precedence, so injected faults behave
-    /// identically on both entry points.
-    pub fn estimate_batch_budgeted(
-        &self,
-        queries: &[Graph],
-        g: &Graph,
-        ctx: &GraphContext,
-        budgets: &[Option<FilterBudget>],
-    ) -> Vec<Result<EstimateDetail, NeurScError>> {
-        <Self as Estimator>::estimate_batch_budgeted(self, queries, g, ctx, budgets)
-    }
-
-    /// The §5.8 trade-off: estimates from a uniform substructure sample of
-    /// rate `r_s`, rescaled by `|G_sub| / |G'_sub|` (unbiased, Eq. 12).
-    pub fn estimate_sampled(
-        &self,
-        q: &Graph,
-        g: &Graph,
-        r_s: f64,
-        rng: &mut StdRng,
-    ) -> Result<f64, NeurScError> {
-        let pq = prepare_query(q, g, &self.config, 0)?;
-        Ok(crate::sampling::estimate_with_sample_rate(
-            self, &pq, r_s, rng,
-        ))
-    }
-
-    /// Estimation for possibly **disconnected** queries: "the subgraph
-    /// counts of a disconnected graph can be obtained by multiplying the
-    /// estimated counts of its connected components" (paper §6.1).
-    ///
-    /// Every estimation entry point now applies this split internally, so
-    /// this is an alias for [`NeurSc::estimate`], kept for callers that
-    /// want the routing to be explicit at the call site. (The product
-    /// ignores the injectivity interaction between components, exactly as
-    /// the paper's approximation does.)
-    pub fn estimate_disconnected(&self, q: &Graph, g: &Graph) -> Result<f64, NeurScError> {
-        self.estimate(q, g)
-    }
-
     /// Mean q-error over a labeled test set (evaluation convenience).
     pub fn mean_q_error(&self, g: &Graph, test: &[(Graph, u64)]) -> Result<f64, NeurScError> {
         if test.is_empty() {
@@ -553,10 +353,9 @@ impl NeurSc {
     }
 }
 
-/// WEst is the first [`Estimator`] backend: the inherent `estimate*`
-/// methods above forward to the trait's provided entry points, so the
-/// trait and the historical public API are the same code path (and share
-/// the same determinism and fault-containment guarantees).
+/// WEst is the first [`Estimator`] backend: the two inherent `estimate*`
+/// conveniences above forward to the trait's provided entry points, which
+/// own routing, batching, budgets and fault containment for every backend.
 impl Estimator for NeurSc {
     fn name(&self) -> &'static str {
         "west"
@@ -587,7 +386,9 @@ impl Estimator for NeurSc {
         threads: usize,
         sub_lanes: bool,
     ) -> Result<EstimateDetail, NeurScError> {
-        self.estimate_component_impl(q, g, ctx, budget, threads, sub_lanes)
+        let budget = budget.unwrap_or_else(|| self.config.budget.filter_budget());
+        let pq = prepare_query_budgeted(q, g, &self.config, 0, ctx, &budget)?;
+        Ok(self.estimate_prepared_obs(&pq, threads, &ctx.obs, sub_lanes))
     }
 }
 
@@ -807,7 +608,7 @@ mod disconnected_tests {
 
         // Disconnected query: two independent labeled edges.
         let q = Graph::from_edges(4, &[0, 1, 2, 0], &[(0, 1), (2, 3)]).unwrap();
-        let e = model.estimate_disconnected(&q, &g).unwrap();
+        let e = model.estimate(&q, &g).unwrap();
         let e1 = model
             .estimate(&Graph::from_edges(2, &[0, 1], &[(0, 1)]).unwrap(), &g)
             .unwrap();
@@ -815,17 +616,6 @@ mod disconnected_tests {
             .estimate(&Graph::from_edges(2, &[2, 0], &[(0, 1)]).unwrap(), &g)
             .unwrap();
         assert!((e - e1 * e2).abs() <= 1e-6 * (e1 * e2).abs().max(1.0));
-    }
-
-    #[test]
-    fn connected_query_falls_through_to_plain_estimate() {
-        let g = erdos_renyi(60, 150, 3, 10);
-        let model = NeurSc::new(NeurScConfig::small(), 10);
-        let q = Graph::from_edges(3, &[0, 1, 2], &[(0, 1), (1, 2)]).unwrap();
-        assert_eq!(
-            model.estimate_disconnected(&q, &g).unwrap(),
-            model.estimate(&q, &g).unwrap()
-        );
     }
 
     #[test]

@@ -978,8 +978,6 @@ impl TraceTime {
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PipelineReport {
-    /// Building `all_profiles(G, r)` (0 on a profile-cache hit).
-    pub profile_build_ns: u64,
     /// Local pruning (candidate filtering phase 1).
     pub local_prune_ns: u64,
     /// Global refinement (candidate filtering phase 2).
@@ -990,7 +988,7 @@ pub struct PipelineReport {
     pub featurize_ns: u64,
     /// All WEst forward passes (intra + inter GNN + readout).
     pub gnn_ns: u64,
-    /// Candidate-pair tests spent by budgeted filtering (0 when unmetered).
+    /// Candidate-pair tests spent by filtering (always metered).
     pub filter_steps: u64,
     /// Whether the data-graph profiles came from the [`crate::GraphContext`]
     /// cache.
@@ -1000,17 +998,11 @@ pub struct PipelineReport {
 impl PipelineReport {
     /// Sum of every timed stage, in nanoseconds.
     pub fn total_ns(&self) -> u64 {
-        self.profile_build_ns
-            + self.local_prune_ns
-            + self.refine_ns
-            + self.extract_ns
-            + self.featurize_ns
-            + self.gnn_ns
+        self.local_prune_ns + self.refine_ns + self.extract_ns + self.featurize_ns + self.gnn_ns
     }
 
     /// Accumulates another report (used to aggregate a training batch).
     pub fn merge(&mut self, other: &PipelineReport) {
-        self.profile_build_ns += other.profile_build_ns;
         self.local_prune_ns += other.local_prune_ns;
         self.refine_ns += other.refine_ns;
         self.extract_ns += other.extract_ns;

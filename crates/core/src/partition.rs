@@ -44,7 +44,7 @@ use std::time::Instant;
 
 use crate::context::GraphContext;
 use crate::error::NeurScError;
-use crate::estimator::{component_product, count_outcome, Estimator};
+use crate::estimator::{component_product, count_outcome, detail_flags, Estimator};
 use crate::model::EstimateDetail;
 use crate::obs::{self, PipelineReport, Span};
 use crate::parallel::parallel_map_caught;
@@ -112,7 +112,7 @@ pub fn estimate_partitioned(
         if let Err(e) = &r {
             sp.set_tag(obs::error_tag(e));
         }
-        count_outcome(ctx.obs.as_ref(), &r);
+        count_outcome(ctx.obs.as_ref(), &r, detail_flags);
         r
     })
 }

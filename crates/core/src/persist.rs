@@ -15,8 +15,8 @@
 //! The checksum sits in the header (not the tail) so *truncation* — the
 //! most common corruption of an interrupted write — changes the covered
 //! bytes and fails verification, instead of silently removing a trailer.
-//! Files written before the checksum existed have a `<key> = <value>` line
-//! in its place and still load. Runtime knobs (`budget`, `grad_clip`,
+//! The line is mandatory: a file without it is rejected as corrupt, never
+//! loaded unverified. Runtime knobs (`budget`, `grad_clip`,
 //! `fail_on_divergence`) are deliberately not persisted: they describe the
 //! serving environment, not the model.
 
@@ -24,21 +24,11 @@ use crate::config::{DiscriminatorMetric, NeurScConfig, Parallelism, Variant};
 use crate::error::NeurScError;
 use crate::model::NeurSc;
 use neursc_gnn::{AttentionConfig, FeatureConfig, GinConfig};
+use neursc_graph::hash::fnv1a64;
 use neursc_match::FilterConfig;
 use neursc_nn::serialize::{copy_values, store_from_string, store_to_string, SerializeError};
 use std::fmt::Write as _;
 use std::path::Path;
-
-/// FNV-1a 64-bit over raw bytes — tiny, dependency-free, and plenty to
-/// catch truncation and bit rot (this is an integrity check, not a MAC).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// The FNV-1a-64 checksum of a model's serialized body — the same value
 /// the `checksum` header line of a saved file carries, so a live model can
@@ -144,34 +134,30 @@ fn corrupt(detail: impl Into<String>) -> NeurScError {
     }
 }
 
-/// Parses a model back. The checksum (when present) is verified before any
-/// field is interpreted; the architecture is rebuilt from the config lines
-/// and the stored parameter values are copied in.
+/// Parses a model back. The checksum is verified before any field is
+/// interpreted; the architecture is rebuilt from the config lines and the
+/// stored parameter values are copied in.
 pub fn model_from_string(text: &str) -> Result<NeurSc, NeurScError> {
     let Some(after_header) = text.strip_prefix("neursc-model v1\n") else {
         return Err(NeurScError::Persist(SerializeError::Parse(
             "bad model header".into(),
         )));
     };
-    // Checksummed files carry `checksum <hex>` as their second line;
-    // earlier files go straight into `key = value` lines.
-    let body = if let Some(rest) = after_header.strip_prefix("checksum ") {
-        let Some((hex, body)) = rest.split_once('\n') else {
-            return Err(corrupt("checksum line is not terminated"));
-        };
-        let stored = u64::from_str_radix(hex.trim(), 16)
-            .map_err(|_| corrupt(format!("unreadable checksum {hex:?}")))?;
-        let actual = fnv1a64(body.as_bytes());
-        if stored != actual {
-            return Err(corrupt(format!(
-                "checksum mismatch: file says {stored:016x}, contents hash to {actual:016x} \
-                 (truncated or bit-flipped?)"
-            )));
-        }
-        body
-    } else {
-        after_header
+    let Some(rest) = after_header.strip_prefix("checksum ") else {
+        return Err(corrupt("missing checksum line"));
     };
+    let Some((hex, body)) = rest.split_once('\n') else {
+        return Err(corrupt("checksum line is not terminated"));
+    };
+    let stored = u64::from_str_radix(hex.trim(), 16)
+        .map_err(|_| corrupt(format!("unreadable checksum {hex:?}")))?;
+    let actual = fnv1a64(body.as_bytes());
+    if stored != actual {
+        return Err(corrupt(format!(
+            "checksum mismatch: file says {stored:016x}, contents hash to {actual:016x} \
+             (truncated or bit-flipped?)"
+        )));
+    }
 
     let mut kv = std::collections::HashMap::new();
     let mut params_text = String::new();
@@ -387,19 +373,32 @@ mod tests {
         assert_eq!(restored.config.parallelism.threads, 4);
         assert_eq!(restored.config.parallelism.min_parallel_rows, 64);
 
-        // A file written before the parallelism keys (and the checksum line)
-        // existed must still load.
+        // A file written before the parallelism keys existed must still load.
         let stripped: String = text
             .lines()
-            .filter(|l| {
-                !l.starts_with("threads")
-                    && !l.starts_with("min_parallel_rows")
-                    && !l.starts_with("checksum")
-            })
+            .skip(2)
+            .filter(|l| !l.starts_with("threads") && !l.starts_with("min_parallel_rows"))
             .map(|l| format!("{l}\n"))
             .collect();
-        let old = model_from_string(&stripped).unwrap();
+        let old = format!(
+            "neursc-model v1\nchecksum {:016x}\n{stripped}",
+            fnv1a64(stripped.as_bytes())
+        );
+        let old = model_from_string(&old).unwrap();
         assert_eq!(old.config.parallelism, Parallelism::default());
+    }
+
+    #[test]
+    fn file_without_its_checksum_line_is_rejected_as_corrupt() {
+        let text = model_to_string(&NeurSc::new(NeurScConfig::small(), 25));
+        let stripped: String = text
+            .lines()
+            .filter(|l| !l.starts_with("checksum"))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        let err = model_from_string(&stripped).err().unwrap();
+        assert!(err.is_corruption(), "expected corruption, got: {err}");
+        assert!(err.to_string().contains("missing checksum"), "{err}");
     }
 
     #[test]

@@ -96,20 +96,10 @@ pub fn validate_query(q: &Graph, cfg: &NeurScConfig) -> Result<(), NeurScError> 
     Ok(())
 }
 
-/// Featurizes one query against the data graph under `cfg`.
-pub fn prepare_query(
-    q: &Graph,
-    g: &Graph,
-    cfg: &NeurScConfig,
-    truth: u64,
-) -> Result<PreparedQuery, NeurScError> {
-    prepare_query_impl(q, g, cfg, truth, None, None)
-}
-
-/// [`prepare_query`] with the data-graph precomputations (vertex profiles,
-/// whole-graph features) served from a shared [`GraphContext`]. Identical
-/// output; the graph-wide work is paid once per data graph instead of once
-/// per query. This is the entry point the batched pipeline uses.
+/// Featurizes one query against the data graph under `cfg`, with the
+/// data-graph precomputations (vertex profiles, whole-graph features)
+/// served from a shared [`GraphContext`] — paid once per data graph, not
+/// once per query — and the filtering budget `cfg.budget` configures.
 pub fn prepare_query_with(
     q: &Graph,
     g: &Graph,
@@ -117,12 +107,13 @@ pub fn prepare_query_with(
     truth: u64,
     ctx: &GraphContext,
 ) -> Result<PreparedQuery, NeurScError> {
-    prepare_query_impl(q, g, cfg, truth, Some(ctx), None)
+    prepare_query_budgeted(q, g, cfg, truth, ctx, &cfg.budget.filter_budget())
 }
 
-/// [`prepare_query_with`] under an explicit filtering budget (overriding
-/// `cfg.budget`) — the hook the batched pipeline uses for per-item budget
-/// starvation (fault injection) and future per-tenant budgets.
+/// The preparation stage: validation, extraction under an explicit
+/// filtering budget (overriding `cfg.budget` — the hook for per-request
+/// deadlines, per-item starvation faults and per-tenant budgets), then
+/// featurization.
 pub fn prepare_query_budgeted(
     q: &Graph,
     g: &Graph,
@@ -131,56 +122,18 @@ pub fn prepare_query_budgeted(
     ctx: &GraphContext,
     budget: &FilterBudget,
 ) -> Result<PreparedQuery, NeurScError> {
-    prepare_query_impl(q, g, cfg, truth, Some(ctx), Some(*budget))
-}
-
-fn prepare_query_impl(
-    q: &Graph,
-    g: &Graph,
-    cfg: &NeurScConfig,
-    truth: u64,
-    ctx: Option<&GraphContext>,
-    budget_override: Option<FilterBudget>,
-) -> Result<PreparedQuery, NeurScError> {
     validate_query(q, cfg)?;
-    if cfg.uses_extraction() {
-        // Extraction's component-split count arithmetic (skip rule,
-        // `covers_all`) assumes every embedding lives inside one connected
-        // substructure — true only for connected queries. Estimation entry
-        // points split disconnected queries into components *before*
-        // preparing (paper §6.1, `NeurSc::estimate_disconnected`); reaching
-        // here with one is a caller error, reported as a typed rejection
-        // rather than silently producing an unsound preparation.
-        let n_components = neursc_graph::induced::connected_components(q).len();
-        if n_components > 1 {
-            return Err(NeurScError::InvalidQuery {
-                reason: format!(
-                    "query is disconnected ({n_components} components); estimate it via the \
-                     component product (every `estimate*` entry point does this) — it cannot \
-                     be prepared as a single extraction query"
-                ),
-            });
-        }
-    }
-    let budget = budget_override.unwrap_or_else(|| cfg.budget.filter_budget());
-
     if !cfg.uses_extraction() {
-        let x_q = init_features(q, &cfg.features);
-        let q_edges = EdgeList::from_graph(q);
         // NeurSC w/o SE: the "substructure" is the entire data graph.
-        let x_g = match ctx {
-            Some(ctx) => (*ctx.features_for(g, &cfg.features).0).clone(),
-            None => init_features(g, &cfg.features),
-        };
         let sub = PreparedSub {
-            x: x_g,
+            x: (*ctx.features_for(g, &cfg.features).0).clone(),
             edges: EdgeList::from_graph(g),
             gb: EdgeList::from_pairs(&[], q.n_vertices() + g.n_vertices()),
             local_cs: vec![Vec::new(); q.n_vertices()],
         };
         return Ok(PreparedQuery {
-            x_q,
-            q_edges,
+            x_q: init_features(q, &cfg.features),
+            q_edges: EdgeList::from_graph(q),
             subs: vec![sub],
             truth,
             trivially_zero: false,
@@ -188,25 +141,24 @@ fn prepare_query_impl(
             report: PipelineReport::default(),
         });
     }
-
-    let ex = if budget == FilterBudget::UNBOUNDED {
-        match ctx {
-            Some(ctx) => crate::extraction::extract_substructures_with(q, g, cfg, ctx),
-            None => crate::extraction::extract_substructures(q, g, cfg),
-        }
-    } else {
-        // The budgeted pipeline needs a profile cache; borrow the shared
-        // one or use a throwaway for the uncached entry point.
-        let local_ctx;
-        let ctx = match ctx {
-            Some(ctx) => ctx,
-            None => {
-                local_ctx = GraphContext::new();
-                &local_ctx
-            }
-        };
-        crate::extraction::extract_substructures_budgeted(q, g, cfg, ctx, &budget)?
-    };
+    // Extraction's component-split count arithmetic (skip rule,
+    // `covers_all`) assumes every embedding lives inside one connected
+    // substructure — true only for connected queries. Estimation entry
+    // points split disconnected queries into components *before* preparing
+    // (paper §6.1, `Estimator::estimate_routed`); reaching here with one is
+    // a caller error, reported as a typed rejection rather than silently
+    // producing an unsound preparation.
+    let n_components = neursc_graph::induced::connected_components(q).len();
+    if n_components > 1 {
+        return Err(NeurScError::InvalidQuery {
+            reason: format!(
+                "query is disconnected ({n_components} components); estimate it via the \
+                 component product (every `estimate*` entry point does this) — it cannot \
+                 be prepared as a single extraction query"
+            ),
+        });
+    }
+    let ex = crate::extraction::extract_substructures_budgeted(q, g, cfg, ctx, budget)?;
     Ok(prepared_from_extraction(q, cfg, &ex, truth))
 }
 
@@ -763,7 +715,7 @@ mod tests {
         let g = erdos_renyi(100, 300, 3, 1);
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
         let q = sample_query(&g, &QuerySampler::induced(4), &mut rng).unwrap();
-        let pq = prepare_query(&q, &g, &quick_cfg(), 5).unwrap();
+        let pq = prepare_query_with(&q, &g, &quick_cfg(), 5, &GraphContext::new()).unwrap();
         assert_eq!(pq.truth, 5);
         assert_eq!(pq.x_q.rows(), 4);
         assert!(!pq.trivially_zero);
@@ -780,7 +732,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(2);
         let q = sample_query(&g, &QuerySampler::induced(4), &mut rng).unwrap();
         let cfg = quick_cfg().with_variant(Variant::NoExtraction);
-        let pq = prepare_query(&q, &g, &cfg, 0).unwrap();
+        let pq = prepare_query_with(&q, &g, &cfg, 0, &GraphContext::new()).unwrap();
         assert_eq!(pq.subs.len(), 1);
         assert_eq!(pq.subs[0].x.rows(), g.n_vertices());
     }
@@ -789,7 +741,7 @@ mod tests {
     fn prepare_query_marks_impossible_queries() {
         let g = erdos_renyi(50, 150, 3, 3);
         let q = neursc_graph::Graph::from_edges(2, &[0, 42], &[(0, 1)]).unwrap();
-        let pq = prepare_query(&q, &g, &quick_cfg(), 0).unwrap();
+        let pq = prepare_query_with(&q, &g, &quick_cfg(), 0, &GraphContext::new()).unwrap();
         assert!(pq.trivially_zero);
         assert!(pq.subs.is_empty());
     }
@@ -840,7 +792,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(6);
         let q = sample_query(&g, &QuerySampler::induced(4), &mut rng).unwrap();
         let model = NeurSc::new(quick_cfg(), 6);
-        let pq = prepare_query(&q, &g, &model.config, 0).unwrap();
+        let pq = prepare_query_with(&q, &g, &model.config, 0, &GraphContext::new()).unwrap();
         let mut tape = Tape::new();
         let (outs, zs) = forward_prepared(&model, &mut tape, &pq).unwrap();
         assert_eq!(outs.len(), pq.subs.len());
@@ -866,7 +818,7 @@ pub fn prepare_query_perfect(
 ) -> Result<PreparedQuery, NeurScError> {
     validate_query(q, cfg)?;
     let Some(matched) = neursc_match::enumerate::matched_vertex_set(q, g, oracle_budget) else {
-        return prepare_query(q, g, cfg, truth); // oracle too expensive
+        return prepare_query_with(q, g, cfg, truth, &GraphContext::new()); // oracle too expensive
     };
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x7065_7266);
     let x_q = init_features(q, &cfg.features);
@@ -951,7 +903,7 @@ mod perfect_tests {
             if count_embeddings(&q, &g, 100_000_000).exact().is_none() {
                 continue;
             }
-            let regular = prepare_query(&q, &g, &cfg, 0).unwrap();
+            let regular = prepare_query_with(&q, &g, &cfg, 0, &GraphContext::new()).unwrap();
             let perfect = prepare_query_perfect(&q, &g, &cfg, 0, 200_000_000).unwrap();
             let reg_vertices: usize = regular.subs.iter().map(|s| s.x.rows()).sum();
             let perf_vertices: usize = perfect.subs.iter().map(|s| s.x.rows()).sum();
@@ -978,7 +930,7 @@ mod perfect_tests {
         let q = sample_query(&g, &QuerySampler::induced(4), &mut rng).unwrap();
         let cfg = NeurScConfig::small();
         let fallback = prepare_query_perfect(&q, &g, &cfg, 3, 0).unwrap(); // budget 0
-        let regular = prepare_query(&q, &g, &cfg, 3).unwrap();
+        let regular = prepare_query_with(&q, &g, &cfg, 3, &GraphContext::new()).unwrap();
         assert_eq!(fallback.subs.len(), regular.subs.len());
     }
 }

@@ -287,7 +287,8 @@ mod tests {
     use super::*;
     use crate::bipartite::build_bipartite_edges;
     use crate::config::Variant;
-    use crate::extraction::extract_substructures;
+    use crate::context::GraphContext;
+    use crate::extraction::extract_substructures_with;
     use neursc_gnn::init_features;
     use neursc_match::profile::{paper_data_graph, paper_query_graph};
     use rand::SeedableRng;
@@ -296,7 +297,7 @@ mod tests {
         let cfg = NeurScConfig::small().with_variant(variant);
         let q = paper_query_graph();
         let g = paper_data_graph();
-        let ex = extract_substructures(&q, &g, &cfg);
+        let ex = extract_substructures_with(&q, &g, &cfg, &GraphContext::new());
         let sub = &ex.substructures[0];
         let mut rng = StdRng::seed_from_u64(4);
         let mut store = ParamStore::new();

@@ -16,7 +16,8 @@
 
 use neursc_core::obs::TraceTime;
 use neursc_core::{
-    FaultPlan, GraphContext, MetricsSnapshot, NeurSc, NeurScConfig, ObsSink, Parallelism, Recorder,
+    Estimator, FaultPlan, GraphContext, MetricsSnapshot, NeurSc, NeurScConfig, ObsSink,
+    Parallelism, Recorder,
 };
 use neursc_graph::generate::erdos_renyi;
 use neursc_graph::sample::{sample_query, QuerySampler};

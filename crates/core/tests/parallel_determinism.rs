@@ -14,7 +14,7 @@
 //! Everything runs in ONE test function: the kernel thread settings are
 //! process-global, and the test harness runs `#[test]`s concurrently.
 
-use neursc_core::{GraphContext, NeurSc, NeurScConfig, Parallelism};
+use neursc_core::{Estimator, GraphContext, NeurSc, NeurScConfig, Parallelism};
 use neursc_graph::generate::erdos_renyi;
 use neursc_graph::sample::{sample_query, QuerySampler};
 use neursc_graph::Graph;

@@ -5,8 +5,9 @@
 //! in some retained substructure, inside the right local candidate set.
 
 use neursc_core::config::NeurScConfig;
-use neursc_core::extraction::extract_substructures;
-use neursc_core::train::prepare_query;
+use neursc_core::extraction::extract_substructures_with;
+use neursc_core::train::prepare_query_with;
+use neursc_core::GraphContext;
 use neursc_graph::{Graph, GraphBuilder};
 use proptest::prelude::*;
 
@@ -111,7 +112,7 @@ proptest! {
     ) {
         let cfg = NeurScConfig::small();
         let embeddings = all_embeddings(&q, &g);
-        let ex = extract_substructures(&q, &g, &cfg);
+        let ex = extract_substructures_with(&q, &g, &cfg, &GraphContext::new());
         if !embeddings.is_empty() {
             prop_assert!(!ex.trivially_zero, "nonzero count marked trivially zero");
         }
@@ -135,7 +136,7 @@ proptest! {
         g in arb_graph(6, 14, 3),
         q in arb_connected_query(3),
     ) {
-        let ex = extract_substructures(&q, &g, &NeurScConfig::small());
+        let ex = extract_substructures_with(&q, &g, &NeurScConfig::small(), &GraphContext::new());
         for sub in &ex.substructures {
             for e in sub.graph.edges() {
                 prop_assert!(g.has_edge(sub.origin[e.u as usize], sub.origin[e.v as usize]));
@@ -157,7 +158,7 @@ proptest! {
         q in arb_connected_query(3),
     ) {
         let cfg = NeurScConfig::small();
-        let pq = prepare_query(&q, &g, &cfg, 0).unwrap();
+        let pq = prepare_query_with(&q, &g, &cfg, 0, &GraphContext::new()).unwrap();
         let nq = q.n_vertices();
         for sub in &pq.subs {
             let n = nq + sub.x.rows();

@@ -26,6 +26,13 @@ pub struct FeatureConfig {
     pub k_hops: u32,
 }
 
+/// Shared `(graph, feature config) → init_features` cache. Query graphs are
+/// tiny and always distinct, but the *data* graph's `O(n · d^k)` matrix
+/// recurs — the `NeurSC w/o SE` variant featurizes all of `G` for every
+/// query — so it is built once per `(G, cfg)`: `cache.get_or_build(g, cfg,
+/// || init_features(g, cfg))`.
+pub type FeatureCache = neursc_graph::cache::GraphCache<FeatureConfig, Tensor>;
+
 impl Default for FeatureConfig {
     fn default() -> Self {
         // 16 + 16 + 1·(16+16) = 64 = the paper's dim_0.

@@ -13,7 +13,6 @@
 //! * [`readout`] — permutation-invariant sum pooling (Eq. 6).
 
 pub mod attention;
-pub mod cache;
 pub mod edges;
 pub mod features;
 pub mod gin;
@@ -22,8 +21,7 @@ pub mod readout;
 pub mod softmax;
 
 pub use attention::{AttentionConfig, BipartiteAttention};
-pub use cache::{FeatureCache, FeatureExport};
 pub use edges::EdgeList;
-pub use features::{init_features, FeatureConfig};
+pub use features::{init_features, FeatureCache, FeatureConfig};
 pub use gin::{GinConfig, GinStack};
 pub use softmax::row_softmax;

@@ -257,15 +257,8 @@ impl Graph {
     /// can never be served another graph's cached results. `O(n + m)`,
     /// orders of magnitude cheaper than the computations it guards.
     pub fn content_fingerprint(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        let mut mix = |word: u64| {
-            for shift in [0u32, 8, 16, 24, 32, 40, 48, 56] {
-                h ^= (word >> shift) & 0xff;
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        };
+        let mut h = crate::hash::Fnv64::new();
+        let mut mix = |word: u64| h.update(&word.to_le_bytes());
         mix(self.n_vertices() as u64);
         for &l in &self.labels {
             mix(l as u64);
@@ -276,7 +269,7 @@ impl Graph {
         for &v in &self.neighbors {
             mix(v as u64);
         }
-        h
+        h.finish()
     }
 
     /// Validates internal CSR invariants; used by tests and asserted after

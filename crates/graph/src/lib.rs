@@ -23,10 +23,15 @@
 //!   datasets which are not redistributable here (see DESIGN.md §3).
 //! * [`sample`] — random-walk extraction of connected query graphs from a data
 //!   graph, the standard way the paper's query sets (Table 3) were produced.
+//! * [`hash`] — FNV-1a-64, the one integrity/fingerprint hash of the
+//!   workspace, and [`cache`] — the content-fingerprint-keyed LRU cache of
+//!   per-graph derived data (profiles, feature matrices) built on it.
 
+pub mod cache;
 pub mod error;
 pub mod generate;
 pub mod graph;
+pub mod hash;
 pub mod induced;
 pub mod io;
 pub mod motifs;

@@ -5,7 +5,8 @@
 //! under-approximate. Local pruning admits `v` into `CS(u)` iff
 //! `f_l(v) = f_l(u)`, `d(v) ≥ d(u)`, and profile(u) ⊑ profile(v).
 
-use crate::profile::{all_profiles, subsumes};
+use crate::budget::{FilterBudget, FilterError, FilterPhase, WorkMeter};
+use crate::profile::{all_profiles, subsumes, Profile};
 use neursc_graph::types::VertexId;
 use neursc_graph::Graph;
 
@@ -70,21 +71,14 @@ pub fn local_pruning(q: &Graph, g: &Graph, r: u32) -> CandidateSets {
 }
 
 /// [`local_pruning`] with the data-graph profiles supplied by the caller —
-/// the entry point used with a [`crate::cache::ProfileCache`], which makes
+/// the entry point used with a [`crate::ProfileCache`], which makes
 /// the `all_profiles(G, r)` term (the only `O(|G|)` precomputation here)
 /// amortizable across a query batch. Query profiles are still computed per
 /// call; they are `O(|q|)` and query-specific.
-pub fn local_pruning_with(
-    q: &Graph,
-    g: &Graph,
-    r: u32,
-    g_profiles: &[crate::profile::Profile],
-) -> CandidateSets {
-    let mut meter = crate::budget::FilterBudget::UNBOUNDED.meter();
-    match local_pruning_metered(q, g, r, g_profiles, &mut meter) {
-        Ok(cs) => cs,
-        Err(_) => unreachable!("unbounded meter cannot trip"),
-    }
+pub fn local_pruning_with(q: &Graph, g: &Graph, r: u32, g_profiles: &[Profile]) -> CandidateSets {
+    let mut meter = FilterBudget::UNBOUNDED.meter();
+    local_pruning_metered(q, g, r, g_profiles, &mut meter)
+        .unwrap_or_else(|e| unreachable!("unbounded meter cannot trip: {e}"))
 }
 
 /// [`local_pruning_with`] charging one step per candidate-pair test to the
@@ -94,10 +88,42 @@ pub fn local_pruning_metered(
     q: &Graph,
     g: &Graph,
     r: u32,
-    g_profiles: &[crate::profile::Profile],
-    meter: &mut crate::budget::WorkMeter,
-) -> Result<CandidateSets, crate::budget::FilterError> {
-    use crate::budget::{FilterError, FilterPhase};
+    g_profiles: &[Profile],
+    meter: &mut WorkMeter,
+) -> Result<CandidateSets, FilterError> {
+    admit_candidates(q, g, r, g_profiles, None, meter)
+}
+
+/// [`local_pruning_with`] restricted to the data vertices accepted by
+/// `keep` — the per-partition core filter of the out-of-core store's deep
+/// (radius ≥ 2) path. Admission predicate and per-set ascending-id ordering
+/// are identical to the unscoped pass, so concatenating the results of
+/// `keep`-disjoint scopes that cover ascending ranges of `V(G)` reproduces
+/// `local_pruning_with(q, g, r, g_profiles)` exactly. Work metering is the
+/// caller's responsibility (the store pre-charges the whole-graph cost).
+pub fn local_pruning_scoped(
+    q: &Graph,
+    g: &Graph,
+    r: u32,
+    g_profiles: &[Profile],
+    keep: &dyn Fn(VertexId) -> bool,
+) -> CandidateSets {
+    let mut meter = FilterBudget::UNBOUNDED.meter();
+    admit_candidates(q, g, r, g_profiles, Some(keep), &mut meter)
+        .unwrap_or_else(|e| unreachable!("unbounded meter cannot trip: {e}"))
+}
+
+/// The one label-partitioned admission loop behind every `local_pruning*`
+/// door: `v ∈ CS(u)` iff `keep(v)` (when scoped), `f_l(v) = f_l(u)`,
+/// `d(v) ≥ d(u)` and profile(u) ⊑ profile(v); one meter step per pair test.
+fn admit_candidates(
+    q: &Graph,
+    g: &Graph,
+    r: u32,
+    g_profiles: &[Profile],
+    keep: Option<&dyn Fn(VertexId) -> bool>,
+    meter: &mut WorkMeter,
+) -> Result<CandidateSets, FilterError> {
     debug_assert_eq!(g_profiles.len(), g.n_vertices());
     let q_profiles = all_profiles(q, r);
 
@@ -105,7 +131,9 @@ pub fn local_pruning_metered(
     let n_labels = g.n_labels().max(q.n_labels());
     let mut by_label: Vec<Vec<VertexId>> = vec![Vec::new(); n_labels];
     for v in g.vertices() {
-        by_label[g.label(v) as usize].push(v);
+        if keep.is_none_or(|keep| keep(v)) {
+            by_label[g.label(v) as usize].push(v);
+        }
     }
 
     let mut sets = Vec::with_capacity(q.n_vertices());
@@ -130,49 +158,6 @@ pub fn local_pruning_metered(
         sets.push(set);
     }
     Ok(CandidateSets { sets })
-}
-
-/// [`local_pruning_with`] restricted to the data vertices accepted by
-/// `keep` — the per-partition core filter of the out-of-core store's deep
-/// (radius ≥ 2) path. Admission predicate and per-set ascending-id ordering
-/// are identical to the unscoped pass, so concatenating the results of
-/// `keep`-disjoint scopes that cover ascending ranges of `V(G)` reproduces
-/// `local_pruning_with(q, g, r, g_profiles)` exactly. Work metering is the
-/// caller's responsibility (the store pre-charges the whole-graph cost).
-pub fn local_pruning_scoped(
-    q: &Graph,
-    g: &Graph,
-    r: u32,
-    g_profiles: &[crate::profile::Profile],
-    keep: &dyn Fn(VertexId) -> bool,
-) -> CandidateSets {
-    debug_assert_eq!(g_profiles.len(), g.n_vertices());
-    let q_profiles = all_profiles(q, r);
-    let n_labels = g.n_labels().max(q.n_labels());
-    let mut by_label: Vec<Vec<VertexId>> = vec![Vec::new(); n_labels];
-    for v in g.vertices() {
-        if keep(v) {
-            by_label[g.label(v) as usize].push(v);
-        }
-    }
-    let mut sets = Vec::with_capacity(q.n_vertices());
-    for u in q.vertices() {
-        let lu = q.label(u) as usize;
-        if lu >= by_label.len() {
-            sets.push(Vec::new());
-            continue;
-        }
-        let mut set = Vec::new();
-        for &v in &by_label[lu] {
-            if g.degree(v) >= q.degree(u)
-                && subsumes(&g_profiles[v as usize], &q_profiles[u as usize])
-            {
-                set.push(v);
-            }
-        }
-        sets.push(set);
-    }
-    CandidateSets { sets }
 }
 
 #[cfg(test)]

@@ -4,8 +4,8 @@
 //! the best pruning power among the surveyed filters.
 
 use crate::budget::{FilterBudget, FilterError};
-use crate::candidates::{local_pruning_metered, local_pruning_with, CandidateSets};
-use crate::refinement::{global_refinement, global_refinement_metered};
+use crate::candidates::{local_pruning_metered, CandidateSets};
+use crate::refinement::global_refinement_metered;
 use neursc_graph::Graph;
 
 /// Filtering configuration.
@@ -27,27 +27,6 @@ impl Default for FilterConfig {
     }
 }
 
-/// Runs the full pipeline and returns `CS(u)` for every query vertex.
-pub fn filter_candidates(q: &Graph, g: &Graph, cfg: &FilterConfig) -> CandidateSets {
-    filter_candidates_with(
-        q,
-        g,
-        cfg,
-        &crate::profile::all_profiles(g, cfg.profile_radius),
-    )
-}
-
-/// [`filter_candidates`] with precomputed data-graph profiles (from a
-/// [`crate::cache::ProfileCache`]); identical output by construction.
-pub fn filter_candidates_with(
-    q: &Graph,
-    g: &Graph,
-    cfg: &FilterConfig,
-    g_profiles: &[crate::profile::Profile],
-) -> CandidateSets {
-    filter_candidates_timed(q, g, cfg, g_profiles).0
-}
-
 /// Per-phase wall timings of one filtering run, as plain data.
 ///
 /// This crate stays observability-agnostic: the core layer turns these
@@ -60,40 +39,9 @@ pub struct StageBreakdown {
     pub local_prune_ns: u64,
     /// Wall time of global refinement (phase 2), nanoseconds.
     pub refine_ns: u64,
-    /// Candidate-pair tests spent, when metered (0 on the unmetered path).
-    pub steps: u64,
 }
 
-/// [`filter_candidates_with`] plus a per-phase [`StageBreakdown`].
-///
-/// The unmetered hot path: timing costs two `Instant::now` calls per phase,
-/// `steps` is reported as 0 (counting pair tests is what the budgeted path
-/// is for).
-pub fn filter_candidates_timed(
-    q: &Graph,
-    g: &Graph,
-    cfg: &FilterConfig,
-    g_profiles: &[crate::profile::Profile],
-) -> (CandidateSets, StageBreakdown) {
-    let t0 = std::time::Instant::now();
-    let mut cs = local_pruning_with(q, g, cfg.profile_radius, g_profiles);
-    let local_prune_ns = t0.elapsed().as_nanos() as u64;
-    let t1 = std::time::Instant::now();
-    if !cs.any_empty() {
-        global_refinement(q, g, &mut cs, cfg.refinement_rounds);
-    }
-    let refine_ns = t1.elapsed().as_nanos() as u64;
-    (
-        cs,
-        StageBreakdown {
-            local_prune_ns,
-            refine_ns,
-            steps: 0,
-        },
-    )
-}
-
-/// Result of a budgeted filtering run.
+/// Result of a filtering run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FilterOutput {
     /// The candidate sets — always complete (Definition 2) when returned.
@@ -105,27 +53,29 @@ pub struct FilterOutput {
     pub steps: u64,
 }
 
-/// [`filter_candidates_with`] under a [`FilterBudget`].
+/// Runs the full pipeline — unlimited budget, profiles computed on the spot
+/// — and returns `CS(u)` for every query vertex.
+pub fn filter_candidates(q: &Graph, g: &Graph, cfg: &FilterConfig) -> CandidateSets {
+    let profiles = crate::profile::all_profiles(g, cfg.profile_radius);
+    match filter_candidates_budgeted(q, g, cfg, &profiles, &FilterBudget::UNBOUNDED) {
+        Ok((out, _)) => out.candidates,
+        Err(e) => unreachable!("unbounded budget cannot be exhausted: {e}"),
+    }
+}
+
+/// The filtering pipeline: local pruning then global refinement against
+/// precomputed data-graph profiles (from a [`crate::ProfileCache`]), under a
+/// [`FilterBudget`], with per-phase timings. [`FilterBudget::UNBOUNDED`] is
+/// the plain case — the meter then costs one add and one compare per pair
+/// test.
 ///
 /// The degradation ladder (DESIGN.md, "Failure semantics"):
-/// - budget survives both phases → identical to the unbudgeted pipeline;
+/// - budget survives both phases → the full pipeline's candidate sets;
 /// - budget dies during *refinement* → `Ok` with `degraded: true`, the
 ///   pre-cutoff candidate sets (complete, merely less tight);
 /// - budget dies during *local pruning* → `Err(BudgetExhausted)`, because a
 ///   partially-built candidate set admits no sound estimate at all.
 pub fn filter_candidates_budgeted(
-    q: &Graph,
-    g: &Graph,
-    cfg: &FilterConfig,
-    g_profiles: &[crate::profile::Profile],
-    budget: &FilterBudget,
-) -> Result<FilterOutput, FilterError> {
-    filter_candidates_budgeted_profiled(q, g, cfg, g_profiles, budget).map(|(out, _)| out)
-}
-
-/// [`filter_candidates_budgeted`] plus a per-phase [`StageBreakdown`]
-/// (here `steps` is the real metered count, equal to `FilterOutput::steps`).
-pub fn filter_candidates_budgeted_profiled(
     q: &Graph,
     g: &Graph,
     cfg: &FilterConfig,
@@ -144,17 +94,15 @@ pub fn filter_candidates_budgeted_profiled(
         degraded = exhausted;
     }
     let refine_ns = t1.elapsed().as_nanos() as u64;
-    let steps = meter.spent();
     Ok((
         FilterOutput {
             candidates: cs,
             degraded,
-            steps,
+            steps: meter.spent(),
         },
         StageBreakdown {
             local_prune_ns,
             refine_ns,
-            steps,
         },
     ))
 }
@@ -195,17 +143,15 @@ mod tests {
         assert!(cs.any_empty());
     }
 
-    #[test]
-    fn cached_profiles_give_identical_candidates() {
-        let q = paper_query_graph();
-        let g = paper_data_graph();
-        let cfg = FilterConfig::default();
-        let cache = crate::cache::ProfileCache::new();
-        let profiles = cache.profiles(&g, cfg.profile_radius);
-        assert_eq!(
-            filter_candidates_with(&q, &g, &cfg, &profiles),
-            filter_candidates(&q, &g, &cfg)
-        );
+    /// The body with the timing half of its return dropped.
+    fn budgeted(
+        q: &Graph,
+        g: &Graph,
+        cfg: &FilterConfig,
+        profiles: &[crate::profile::Profile],
+        budget: &FilterBudget,
+    ) -> Result<FilterOutput, FilterError> {
+        filter_candidates_budgeted(q, g, cfg, profiles, budget).map(|(out, _)| out)
     }
 
     #[test]
@@ -214,8 +160,7 @@ mod tests {
         let g = paper_data_graph();
         let cfg = FilterConfig::default();
         let profiles = crate::profile::all_profiles(&g, cfg.profile_radius);
-        let out =
-            filter_candidates_budgeted(&q, &g, &cfg, &profiles, &FilterBudget::UNBOUNDED).unwrap();
+        let out = budgeted(&q, &g, &cfg, &profiles, &FilterBudget::UNBOUNDED).unwrap();
         assert!(!out.degraded);
         assert!(out.steps > 0);
         assert_eq!(out.candidates, filter_candidates(&q, &g, &cfg));
@@ -227,8 +172,7 @@ mod tests {
         let g = paper_data_graph();
         let cfg = FilterConfig::default();
         let profiles = crate::profile::all_profiles(&g, cfg.profile_radius);
-        let err = filter_candidates_budgeted(&q, &g, &cfg, &profiles, &FilterBudget::steps(0))
-            .unwrap_err();
+        let err = budgeted(&q, &g, &cfg, &profiles, &FilterBudget::steps(0)).unwrap_err();
         assert!(matches!(
             err,
             FilterError::BudgetExhausted {
@@ -246,7 +190,7 @@ mod tests {
         let profiles = crate::profile::all_profiles(&g, cfg.profile_radius);
         // Find the cost of local pruning alone, then allow just one more
         // step so refinement is cut off almost immediately.
-        let pruning_steps = filter_candidates_budgeted(
+        let pruning_steps = budgeted(
             &q,
             &g,
             &FilterConfig {
@@ -258,7 +202,7 @@ mod tests {
         )
         .unwrap()
         .steps;
-        let out = filter_candidates_budgeted(
+        let out = budgeted(
             &q,
             &g,
             &cfg,
@@ -290,8 +234,8 @@ mod tests {
         let cfg = FilterConfig::default();
         let profiles = crate::profile::all_profiles(&g, cfg.profile_radius);
         let budget = FilterBudget::steps(40);
-        let a = filter_candidates_budgeted(&q, &g, &cfg, &profiles, &budget);
-        let b = filter_candidates_budgeted(&q, &g, &cfg, &profiles, &budget);
+        let a = budgeted(&q, &g, &cfg, &profiles, &budget);
+        let b = budgeted(&q, &g, &cfg, &profiles, &budget);
         assert_eq!(a, b);
     }
 

@@ -17,7 +17,6 @@
 
 pub mod bipartite;
 pub mod budget;
-pub mod cache;
 pub mod candidates;
 pub mod enumerate;
 pub mod filter;
@@ -28,10 +27,9 @@ pub mod refinement;
 pub mod treedp;
 
 pub use budget::{FilterBudget, FilterError, FilterPhase, WorkMeter};
-pub use cache::{ProfileCache, ProfileExport};
 pub use candidates::CandidateSets;
 pub use enumerate::{count_embeddings, CountOutcome, CountResult};
 pub use filter::{
-    filter_candidates, filter_candidates_budgeted, filter_candidates_budgeted_profiled,
-    filter_candidates_timed, filter_candidates_with, FilterConfig, FilterOutput, StageBreakdown,
+    filter_candidates, filter_candidates_budgeted, FilterConfig, FilterOutput, StageBreakdown,
 };
+pub use profile::ProfileCache;

@@ -15,6 +15,13 @@ use neursc_graph::Graph;
 /// The sorted label multiset of a vertex's r-ball.
 pub type Profile = Vec<Label>;
 
+/// Shared `(graph, radius) → all_profiles` cache: [`all_profiles`] is by far
+/// the most expensive graph-wide precomputation of the filtering pipeline
+/// (a BFS per vertex for `r > 1`) and depends only on `(G, r)`, so across a
+/// query batch it is computed once — `cache.get_or_build(g, &r, ||
+/// all_profiles(g, r))` — and shared.
+pub type ProfileCache = neursc_graph::cache::GraphCache<u32, Vec<Profile>>;
+
 /// Computes the radius-`r` profile of one vertex.
 pub fn vertex_profile(g: &Graph, v: VertexId, r: u32) -> Profile {
     let mut labels: Vec<Label> = khop_ball(g, v, r).into_iter().map(|u| g.label(u)).collect();
@@ -155,6 +162,20 @@ pub fn paper_query_graph() -> Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn paper_graph_fingerprints_are_pinned() {
+        // Golden values: every persisted snapshot, cache key and request
+        // digest derives from `content_fingerprint`, so it must never move.
+        assert_eq!(
+            paper_data_graph().content_fingerprint(),
+            0x907b_1c70_c410_5cef
+        );
+        assert_eq!(
+            paper_query_graph().content_fingerprint(),
+            0x96e5_68f1_ce1a_e223
+        );
+    }
 
     #[test]
     fn profile_contains_self_and_neighbors() {

@@ -2,8 +2,10 @@
 //!
 //! The contract, on the standard 32-query workload:
 //!
-//! * the fused tape-free inference path produces **bit-identical** f32
-//!   estimates to the tape path, at every worker thread count;
+//! * the fused tape-free inference path (the only one `estimate*` runs)
+//!   produces **bit-identical** f32 estimates to the tape forward that
+//!   training uses, at every worker thread count;
+//! * the tape forward itself is bit-stable across kernel thread counts;
 //! * quantized variants (f16, int8) stay within empirically calibrated
 //!   q-error drift bounds of the f32 estimates — quantization trades a
 //!   bounded accuracy drift for a smaller effective weight precision,
@@ -12,10 +14,12 @@
 //! This lives in `neursc-nn` (dev-depending on `neursc-core`) so the
 //! crate that owns the fused kernels also owns their end-to-end gate.
 
-use neursc_core::{q_error, NeurSc, NeurScConfig, QuantMode};
+use neursc_core::train::{forward_prepared, prepare_query_with};
+use neursc_core::{q_error, GraphContext, NeurSc, NeurScConfig, Parallelism, QuantMode};
 use neursc_graph::generate::erdos_renyi;
 use neursc_graph::sample::{sample_query, QuerySampler};
 use neursc_graph::Graph;
+use neursc_nn::Tape;
 use rand::SeedableRng;
 
 /// The serve-suite workload: a 150-vertex Erdős–Rényi data graph and 32
@@ -36,16 +40,10 @@ fn small_config(threads: usize) -> NeurScConfig {
     cfg
 }
 
-/// Estimates every query with a fresh seed-42 model in the given mode.
-fn estimates(
-    g: &Graph,
-    queries: &[Graph],
-    threads: usize,
-    fused: bool,
-    quant: QuantMode,
-) -> Vec<f64> {
+/// Estimates every query with a fresh seed-42 model through the public
+/// (fused) estimation path.
+fn estimates(g: &Graph, queries: &[Graph], threads: usize, quant: QuantMode) -> Vec<f64> {
     let mut model = NeurSc::new(small_config(threads), 42);
-    model.set_fused_infer(fused);
     model.set_quantization(quant);
     queries
         .iter()
@@ -53,12 +51,44 @@ fn estimates(
         .collect()
 }
 
+/// The tape reference: the same seed-42 model's estimates computed from
+/// the training forward (`forward_prepared`) — `Σ exp(log-count)` over the
+/// prepared substructures, exactly the reduction `estimate_prepared` does —
+/// with the tape's row-blocked kernels forced on at `threads` workers.
+fn tape_estimates(g: &Graph, queries: &[Graph], threads: usize) -> Vec<f64> {
+    let model = NeurSc::new(small_config(1), 42);
+    Parallelism {
+        threads,
+        min_parallel_rows: 1,
+    }
+    .apply_to_kernels();
+    let ctx = GraphContext::new();
+    let est = queries
+        .iter()
+        .map(|q| {
+            let pq = prepare_query_with(q, g, &model.config, 0, &ctx).expect("prepare");
+            let mut tape = Tape::new();
+            forward_prepared(&model, &mut tape, &pq).map_or(0.0, |(_, zs)| {
+                zs.iter()
+                    .map(|&z| (tape.value(z).item() as f64).exp())
+                    .sum()
+            })
+        })
+        .collect();
+    Parallelism::default().apply_to_kernels();
+    est
+}
+
+fn bits(est: &[f64]) -> Vec<u64> {
+    est.iter().map(|e| e.to_bits()).collect()
+}
+
 #[test]
 fn fused_f32_is_bit_identical_to_tape_across_threads() {
     let (g, queries) = workload(7);
-    let tape = estimates(&g, &queries, 1, false, QuantMode::F32);
+    let tape = tape_estimates(&g, &queries, 1);
     for threads in [1, 2, 4] {
-        let fused = estimates(&g, &queries, threads, true, QuantMode::F32);
+        let fused = estimates(&g, &queries, threads, QuantMode::F32);
         for (i, (f, t)) in fused.iter().zip(&tape).enumerate() {
             assert_eq!(
                 f.to_bits(),
@@ -75,12 +105,11 @@ fn tape_path_itself_is_thread_stable() {
     // tape(threads=1); this pins the tape at other thread counts so a
     // regression in either path's blocking cannot hide in the other.
     let (g, queries) = workload(7);
-    let base = estimates(&g, &queries, 1, false, QuantMode::F32);
+    let base = tape_estimates(&g, &queries, 1);
     for threads in [2, 4] {
-        let est = estimates(&g, &queries, threads, false, QuantMode::F32);
         assert_eq!(
-            est.iter().map(|e| e.to_bits()).collect::<Vec<_>>(),
-            base.iter().map(|e| e.to_bits()).collect::<Vec<_>>(),
+            bits(&tape_estimates(&g, &queries, threads)),
+            bits(&base),
             "tape path drifted at threads={threads}"
         );
     }
@@ -89,13 +118,13 @@ fn tape_path_itself_is_thread_stable() {
 #[test]
 fn quantized_estimates_stay_within_drift_bounds() {
     let (g, queries) = workload(7);
-    let f32_est = estimates(&g, &queries, 1, true, QuantMode::F32);
+    let f32_est = estimates(&g, &queries, 1, QuantMode::F32);
 
     // Drift bounds calibrated on this workload with margin: f16 keeps 11
     // significand bits (relative weight error <= 2^-11), int8 rounds each
     // tensor to 255 levels. Both land far below the model's own q-error.
     for (mode, bound) in [(QuantMode::F16, 1.05), (QuantMode::Int8, 2.0)] {
-        let est = estimates(&g, &queries, 1, true, mode);
+        let est = estimates(&g, &queries, 1, mode);
         let mut worst = 1.0_f64;
         for (i, (&q, &b)) in est.iter().zip(&f32_est).enumerate() {
             let drift = q_error(q, b);
@@ -111,10 +140,10 @@ fn quantized_estimates_stay_within_drift_bounds() {
             "{mode}: quantization changed nothing"
         );
         // Determinism: a second pass reproduces the drifted estimates.
-        let again = estimates(&g, &queries, 4, true, mode);
+        let again = estimates(&g, &queries, 4, mode);
         assert_eq!(
-            est.iter().map(|e| e.to_bits()).collect::<Vec<_>>(),
-            again.iter().map(|e| e.to_bits()).collect::<Vec<_>>(),
+            bits(&est),
+            bits(&again),
             "{mode}: quantized estimates not thread-stable"
         );
     }

@@ -355,7 +355,7 @@ fn check_filter_soundness(case: &Case) -> Result<(), Violation> {
     for steps in [1u64, 7, 31, 257, 4096] {
         match filter_candidates_budgeted(q, g, &cfg, &profiles, &FilterBudget::steps(steps)) {
             Err(_) => {} // local-pruning exhaustion is a typed error, fine
-            Ok(out) => embedding_in_sets(
+            Ok((out, _)) => embedding_in_sets(
                 inv,
                 &out.candidates,
                 &brute.sample,
@@ -373,7 +373,7 @@ fn check_degraded_superset(case: &Case) -> Result<(), Violation> {
     let full = filter_candidates(q, g, &cfg);
     let profiles = all_profiles(g, cfg.profile_radius);
     for steps in [1u64, 7, 31, 257, 4096, u64::MAX] {
-        let Ok(out) =
+        let Ok((out, _)) =
             filter_candidates_budgeted(q, g, &cfg, &profiles, &FilterBudget::steps(steps))
         else {
             continue;
@@ -459,7 +459,12 @@ fn check_extraction(case: &Case, oracle: &Oracle) -> Result<(), Violation> {
     let Some(exact) = count_embeddings(q, g, ENUM_BUDGET).exact() else {
         return Ok(()); // too heavy for this case
     };
-    let ex = neursc_core::extraction::extract_substructures(q, g, &oracle.config);
+    let ex = neursc_core::extraction::extract_substructures_with(
+        q,
+        g,
+        &oracle.config,
+        &GraphContext::new(),
+    );
     if ex.trivially_zero {
         if exact != 0 {
             return Err(Violation::new(

@@ -72,9 +72,7 @@ use neursc_core::{
 use neursc_graph::types::VertexId;
 use neursc_graph::Graph;
 use neursc_match::ordering::{build_order, MatchingOrder};
-use neursc_match::{
-    filter_candidates_budgeted_profiled, CandidateSets, FilterBudget, FilterConfig,
-};
+use neursc_match::{filter_candidates_budgeted, CandidateSets, FilterBudget, FilterConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -269,13 +267,12 @@ impl Estimator for SampleEstimator {
         let (profiles, cache_hit) = ctx.profiles_for(g, self.config.filter.profile_radius);
         let fb = budget.unwrap_or_else(|| self.config.budget.filter_budget());
         let filter_span = Span::enter("filter.candidates");
-        let (fo, stages) =
-            filter_candidates_budgeted_profiled(q, g, &self.config.filter, &profiles, &fb)?;
+        let (fo, stages) = filter_candidates_budgeted(q, g, &self.config.filter, &profiles, &fb)?;
         drop(filter_span);
         let report = PipelineReport {
             local_prune_ns: stages.local_prune_ns,
             refine_ns: stages.refine_ns,
-            filter_steps: stages.steps,
+            filter_steps: fo.steps,
             profile_cache_hit: cache_hit,
             ..PipelineReport::default()
         };

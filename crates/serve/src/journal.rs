@@ -22,6 +22,7 @@
 //! reset when the worker restarts, but the same poison query resubmitted
 //! by a retrying client hashes to the same digest in every incarnation.
 
+use neursc_graph::hash::Fnv64;
 use std::collections::HashMap;
 use std::io::Write as _;
 use std::path::Path;
@@ -45,14 +46,11 @@ pub const JOURNAL_HEADER: &str = "neursc-journal v2";
 pub fn digest_queries(fingerprints: &[u64]) -> u64 {
     let mut sorted = fingerprints.to_vec();
     sorted.sort_unstable();
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = Fnv64::new();
     for fp in sorted {
-        for b in fp.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        h.update(&fp.to_le_bytes());
     }
-    h
+    h.finish()
 }
 
 /// The worker-side journal writer. All methods take `&self`; the file

@@ -14,7 +14,7 @@
 //! Guarantees, in terms of the rest of the stack:
 //!
 //! * **Bit-stable results** — a served estimate is bit-identical to the
-//!   offline [`neursc_core::NeurSc::estimate_batch`] path at any thread
+//!   offline [`neursc_core::Estimator::estimate_batch`] path at any thread
 //!   count and any micro-batch split (the per-item pipeline is
 //!   deterministic and batch-composition-independent).
 //! * **Fault isolation** — a request that panics, blows its budget, or is

@@ -57,6 +57,7 @@ use neursc_core::{
     EstimateDetail, Estimator, FaultPlan, GraphContext, NeurSc, NeurScError, ObsSink, QuantMode,
     Recorder,
 };
+use neursc_graph::hash::Fnv64;
 use neursc_graph::Graph;
 use neursc_match::FilterBudget;
 use parking_lot::RwLock;
@@ -212,18 +213,15 @@ type IdemKey = (bool, u64, u64, u64);
 /// query under different budgets: a tighter deadline can legitimately
 /// produce a different (budget-exceeded) reply.
 fn replay_digest(digest: u64, deadline_ms: Option<u64>, max_filter_steps: Option<u64>) -> u64 {
-    let mut h = digest;
+    let mut h = Fnv64::resume(digest);
     // +1 keeps `Some(0)` distinct from `None`.
     for word in [
         deadline_ms.map_or(0, |v| v.wrapping_add(1)),
         max_filter_steps.map_or(0, |v| v.wrapping_add(1)),
     ] {
-        for b in word.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        h.update(&word.to_le_bytes());
     }
-    h
+    h.finish()
 }
 
 /// Poison-tolerant lock: a panicking holder already contained its panic

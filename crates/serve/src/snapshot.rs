@@ -44,6 +44,7 @@
 //! under.
 
 use neursc_gnn::{FeatureCache, FeatureConfig};
+use neursc_graph::hash::fnv1a64;
 use neursc_match::profile::Profile;
 use neursc_match::ProfileCache;
 use neursc_nn::Tensor;
@@ -56,17 +57,6 @@ use std::sync::Arc;
 const MAGIC: &[u8; 8] = b"NSCSNAP\n";
 /// Current format version; bumped on any layout change.
 const VERSION: u32 = 1;
-
-/// FNV-1a 64-bit (same parameters as the model-file checksum): an
-/// integrity check against truncation and bit rot, not a MAC.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Why a snapshot could not be restored. Every variant degrades the
 /// daemon to a cold rebuild — a bad snapshot can cost time, never
@@ -200,7 +190,7 @@ impl Snapshot {
         }
         profiles.restore_evicted_total(self.profile_evicted);
         for (fp, cfg, t) in &self.feature_entries {
-            features.import(*fp, cfg, Arc::clone(t));
+            features.import(*fp, *cfg, Arc::clone(t));
         }
         features.restore_evicted_total(self.feature_evicted);
     }
@@ -249,11 +239,11 @@ pub fn encode(
     put_u64(&mut body, profiles.evicted_total());
     let entries = profiles.export_entries();
     put_u32(&mut body, entries.len() as u32);
-    for e in &entries {
-        put_u64(&mut body, e.fingerprint);
-        put_u32(&mut body, e.radius);
-        put_u32(&mut body, e.profiles.len() as u32);
-        for p in e.profiles.iter() {
+    for (fingerprint, radius, per_vertex) in &entries {
+        put_u64(&mut body, *fingerprint);
+        put_u32(&mut body, *radius);
+        put_u32(&mut body, per_vertex.len() as u32);
+        for p in per_vertex.iter() {
             put_u32(&mut body, p.len() as u32);
             for &label in p {
                 put_u32(&mut body, label);
@@ -265,14 +255,14 @@ pub fn encode(
     put_u64(&mut body, features.evicted_total());
     let entries = features.export_entries();
     put_u32(&mut body, entries.len() as u32);
-    for e in &entries {
-        put_u64(&mut body, e.fingerprint);
-        put_u32(&mut body, e.config.degree_bits as u32);
-        put_u32(&mut body, e.config.label_bits as u32);
-        put_u32(&mut body, e.config.k_hops);
-        put_u32(&mut body, e.features.rows() as u32);
-        put_u32(&mut body, e.features.cols() as u32);
-        for &v in e.features.data() {
+    for (fingerprint, config, features) in &entries {
+        put_u64(&mut body, *fingerprint);
+        put_u32(&mut body, config.degree_bits as u32);
+        put_u32(&mut body, config.label_bits as u32);
+        put_u32(&mut body, config.k_hops);
+        put_u32(&mut body, features.rows() as u32);
+        put_u32(&mut body, features.cols() as u32);
+        for &v in features.data() {
             put_u32(&mut body, v.to_bits());
         }
     }
@@ -500,10 +490,11 @@ mod tests {
         let g = erdos_renyi(30, 60, 3, 7);
         let fp = g.content_fingerprint();
         let profiles = ProfileCache::with_capacity(4);
-        let _ = profiles.profiles(&g, 1);
-        let _ = profiles.profiles(&g, 2);
+        let _ = profiles.get_or_build(&g, &1, || all_profiles(&g, 1));
+        let _ = profiles.get_or_build(&g, &2, || all_profiles(&g, 2));
         let features = FeatureCache::new();
-        let _ = features.features(&g, &FeatureConfig::default());
+        let fcfg = FeatureConfig::default();
+        let _ = features.get_or_build(&g, &fcfg, || init_features(&g, &fcfg));
         (profiles, features, fp)
     }
 
@@ -522,12 +513,13 @@ mod tests {
         snap.install(&p2, &f2);
         let g = erdos_renyi(30, 60, 3, 7);
         // A restored hit serves the snapshot's allocation (no recompute).
-        let (got, hit, _) = p2.profiles_traced(&g, 2);
+        let (got, hit, _) = p2.get_or_build(&g, &2, || unreachable!("restored entry must hit"));
         assert!(hit, "restored entry must be a cache hit");
         assert_eq!(*got, all_profiles(&g, 2));
-        let (feat, hit, _) = f2.features_traced(&g, &FeatureConfig::default());
+        let fcfg = FeatureConfig::default();
+        let (feat, hit, _) = f2.get_or_build(&g, &fcfg, || unreachable!("restored entry must hit"));
         assert!(hit);
-        assert_eq!(*feat, init_features(&g, &FeatureConfig::default()));
+        assert_eq!(*feat, init_features(&g, &fcfg));
         // Re-encoding the restored caches reproduces the same bytes.
         assert_eq!(bytes, encode(&p2, &f2, fp, 0xdead_beef, 1234));
     }

@@ -108,7 +108,7 @@ fn build(w: &World) -> (ProfileCache, FeatureCache) {
         let data: Vec<f32> = bits.iter().map(|&b| f32::from_bits(b)).collect();
         features.import(
             fp_for(!w.graph_fp, i),
-            &cfg,
+            cfg,
             Arc::new(Tensor::from_vec(*rows, *cols, data)),
         );
     }

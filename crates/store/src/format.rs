@@ -28,6 +28,7 @@ use std::path::{Path, PathBuf};
 use neursc_graph::Graph;
 
 use crate::error::StoreError;
+use neursc_graph::hash::fnv1a64;
 
 /// File magic, first four bytes of every store.
 pub const MAGIC: [u8; 4] = *b"NSCS";
@@ -35,50 +36,6 @@ pub const MAGIC: [u8; 4] = *b"NSCS";
 pub const VERSION: u32 = 1;
 /// Length of the fixed-size prefix (magic, version, checksum, counts).
 pub const HEADER_LEN: usize = 40;
-
-/// Incremental FNV-1a 64-bit hasher, usable over streamed file chunks.
-#[derive(Debug, Clone)]
-pub struct Fnv64 {
-    state: u64,
-}
-
-impl Fnv64 {
-    const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
-    /// A hasher at the FNV offset basis.
-    pub fn new() -> Self {
-        Fnv64 {
-            state: Self::OFFSET_BASIS,
-        }
-    }
-
-    /// Folds `bytes` into the running digest.
-    pub fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.state ^= u64::from(b);
-            self.state = self.state.wrapping_mul(Self::PRIME);
-        }
-    }
-
-    /// The digest of everything fed so far.
-    pub fn finish(&self) -> u64 {
-        self.state
-    }
-}
-
-impl Default for Fnv64 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// One-shot FNV-1a-64 of a byte slice.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = Fnv64::new();
-    h.update(bytes);
-    h.finish()
-}
 
 /// The decoded fixed header of a store image, with section geometry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -268,16 +225,6 @@ mod tests {
 
     fn sample() -> Graph {
         Graph::from_edges(4, &[0, 1, 1, 2], &[(0, 1), (0, 2), (1, 2), (2, 3)]).unwrap()
-    }
-
-    #[test]
-    fn fnv_known_vectors() {
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        let mut h = Fnv64::new();
-        h.update(b"fo");
-        h.update(b"obar");
-        assert_eq!(h.finish(), fnv1a64(b"foobar"));
     }
 
     #[test]

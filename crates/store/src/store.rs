@@ -24,6 +24,7 @@ use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
+use neursc_graph::hash::{fnv1a64, Fnv64};
 use neursc_graph::types::{Label, VertexId};
 use neursc_graph::{Graph, GraphError};
 use neursc_match::candidates::{local_pruning_scoped, CandidateSets};
@@ -245,7 +246,7 @@ impl GraphStore {
         path: Option<PathBuf>,
     ) -> Result<GraphStore, StoreError> {
         let lay = format::parse_header(&bytes, bytes.len() as u64, path.as_deref())?;
-        if format::fnv1a64(&bytes[16..]) != lay.checksum {
+        if fnv1a64(&bytes[16..]) != lay.checksum {
             return Err(StoreError::corrupt(path, "checksum mismatch".to_string()));
         }
         let labels = format::decode_u32s(&bytes[lay.labels_off()..lay.offsets_off()]);
@@ -595,7 +596,7 @@ impl GraphStore {
     ) -> Result<Vec<Vec<VertexId>>, StoreError> {
         let q_profiles = all_profiles(q, 1);
         // Query vertices grouped by label, ascending — mirrors the
-        // per-label candidate loop of `local_pruning_metered`.
+        // per-label candidate loop of `neursc_match::candidates`.
         let mut q_by_label: Vec<Vec<VertexId>> = vec![Vec::new(); q.n_labels()];
         for u in q.vertices() {
             q_by_label[q.label(u) as usize].push(u);
@@ -790,7 +791,7 @@ fn verify_file_checksum(
 ) -> Result<(), StoreError> {
     f.seek(SeekFrom::Start(16))
         .map_err(|e| StoreError::io_at(path, e))?;
-    let mut hasher = format::Fnv64::new();
+    let mut hasher = Fnv64::new();
     let mut remaining = file_len - 16;
     let mut buf = vec![0u8; (1usize << 20).min(remaining as usize).max(1)];
     while remaining > 0 {
@@ -1089,7 +1090,7 @@ mod tests {
         // Row of vertex 0 is [1, 2]; swap to [2, 1].
         bytes[nb..nb + 4].copy_from_slice(&2u32.to_le_bytes());
         bytes[nb + 4..nb + 8].copy_from_slice(&1u32.to_le_bytes());
-        let ck = crate::format::fnv1a64(&bytes[16..]);
+        let ck = fnv1a64(&bytes[16..]);
         bytes[8..16].copy_from_slice(&ck.to_le_bytes());
         let e = GraphStore::open_bytes(bytes.clone(), AccessMode::Resident).unwrap_err();
         assert!(e.is_corruption());

@@ -5,7 +5,7 @@
 //! cargo run --release --example tradeoff_tuning
 //! ```
 
-use neursc::core::train::prepare_query;
+use neursc::core::train::prepare_query_with;
 use neursc::prelude::*;
 use rand::SeedableRng;
 use std::time::Instant;
@@ -29,9 +29,13 @@ fn main() {
     model.fit(&g, train).unwrap();
 
     // Prepare test queries once (extraction is rate-independent).
+    let ctx = GraphContext::new();
     let prepared: Vec<_> = test
         .iter()
-        .map(|(q, c)| (prepare_query(q, &g, &model.config, *c).unwrap(), *c))
+        .map(|(q, c)| {
+            let pq = prepare_query_with(q, &g, &model.config, *c, &ctx).unwrap();
+            (pq, *c)
+        })
         .collect();
     let avg_subs: f64 = prepared
         .iter()

@@ -18,7 +18,7 @@
 
 use neursc::core::persist::{load_model, save_model};
 use neursc::core::{
-    FaultPlan, GraphContext, NeurSc, NeurScConfig, NeurScError, Recorder, TraceTime,
+    Estimator, FaultPlan, GraphContext, NeurSc, NeurScConfig, NeurScError, Recorder, TraceTime,
 };
 use neursc::graph::io::{load_graph, save_graph};
 use neursc::graph::{Graph, GraphError};

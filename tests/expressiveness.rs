@@ -4,7 +4,7 @@
 //! graph crate's reference WL implementation vs. actual WEst forward
 //! passes.
 
-use neursc::core::train::prepare_query;
+use neursc::core::train::prepare_query_with;
 use neursc::core::{NeurSc, NeurScConfig, Variant};
 use neursc::graph::wl::wl_distinguishes;
 use neursc::prelude::*;
@@ -14,7 +14,7 @@ use neursc::prelude::*;
 /// embedding readout through the whole network.
 fn west_signature(model: &NeurSc, g: &Graph) -> f64 {
     // Use the graph as both query and data so the network sees it fully.
-    let pq = prepare_query(g, g, &model.config, 0).unwrap();
+    let pq = prepare_query_with(g, g, &model.config, 0, &GraphContext::new()).unwrap();
     model.estimate_prepared(&pq).count
 }
 

@@ -8,7 +8,7 @@
 //! rolls back to the best finite checkpoint.
 
 use neursc::core::persist::{load_model, save_model};
-use neursc::core::{FaultPlan, GraphContext, NeurSc, NeurScConfig, NeurScError};
+use neursc::core::{Estimator, FaultPlan, GraphContext, NeurSc, NeurScConfig, NeurScError};
 use neursc::prelude::*;
 use rand::SeedableRng;
 

@@ -4,7 +4,9 @@
 //! neural estimator and exact counting on easy regimes.
 
 use neursc::core::persist::{load_model, save_model};
-use neursc::core::{DiscriminatorMetric, NeurSc, NeurScConfig, Variant};
+use neursc::core::sampling::estimate_with_sample_rate;
+use neursc::core::train::prepare_query_with;
+use neursc::core::{DiscriminatorMetric, Estimator, NeurSc, NeurScConfig, Variant};
 use neursc::prelude::*;
 use rand::SeedableRng;
 
@@ -132,7 +134,8 @@ fn sampled_estimation_is_consistent_with_full_estimation() {
     let full = model.estimate(q, &g).unwrap();
     // r_s = 1.0 must agree exactly with the plain estimate.
     let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-    let sampled = model.estimate_sampled(q, &g, 1.0, &mut rng).unwrap();
+    let pq = prepare_query_with(q, &g, &model.config, 0, &GraphContext::new()).unwrap();
+    let sampled = estimate_with_sample_rate(&model, &pq, 1.0, &mut rng);
     assert!((full - sampled).abs() <= 1e-9 * full.abs().max(1.0));
 }
 
