@@ -1,8 +1,9 @@
 //! Backend benchmark: WEst vs the filtering–sampling estimator, plus the
 //! cost-based router's hit rates under `--backend auto`.
 //!
-//! Three measurements, written to `BENCH_backends.json` at the repository
-//! root (or `$NEURSC_BENCH_OUT`):
+//! A CI gate, not a report writer: three measurements, printed on stdout
+//! with the verdict (timings and accuracy over time are `BENCHMARK.json`'s
+//! job):
 //!
 //! 1. **west** — per-query latency percentiles and relative error of the
 //!    learned Wasserstein estimator against exact counts from the
@@ -18,7 +19,7 @@
 //!
 //! The acceptance target is that both backends stay within a mean
 //! relative error of 10x on this seeded workload (loose by design — the
-//! point of the file is the latency/accuracy *comparison*, which EXPERIMENTS.md
+//! point of the run is the latency/accuracy *comparison*, which EXPERIMENTS.md
 //! interprets; the assert only catches wholesale breakage).
 //!
 //! Usage: `bench_backends [--queries 24] [--trials 1024]`.
@@ -33,7 +34,6 @@ use neursc_serve::client::{self, Client};
 use neursc_serve::{serve, BackendChoice, RouterConfig, ServeConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -47,7 +47,6 @@ fn percentile(sorted_ns: &[u64], p: f64) -> f64 {
 
 /// One backend's run over the labeled workload.
 struct BackendRun {
-    n: usize,
     p50_ms: f64,
     p95_ms: f64,
     mean_ms: f64,
@@ -91,7 +90,6 @@ impl BackendRun {
         let mean_rel_err = rel_errs.iter().sum::<f64>() / rel_errs.len().max(1) as f64;
         let max_rel_err = rel_errs.iter().cloned().fold(0.0, f64::max);
         BackendRun {
-            n: queries.len(),
             p50_ms: percentile(&ns, 50.0),
             p95_ms: percentile(&ns, 95.0),
             mean_ms,
@@ -102,17 +100,15 @@ impl BackendRun {
         }
     }
 
-    fn json(&self, label: &str) -> String {
-        let mut s = format!(
-            "  \"{label}\": {{\"queries\": {}, \"p50_ms\": {:.3}, \"p95_ms\": {:.3}, \
-             \"mean_ms\": {:.3}, \"mean_rel_err\": {:.4}, \"max_rel_err\": {:.4}",
-            self.n, self.p50_ms, self.p95_ms, self.mean_ms, self.mean_rel_err, self.max_rel_err
+    fn print(&self, label: &str) {
+        print!(
+            "{label}: p50 {:.3} ms, p95 {:.3} ms, mean {:.3} ms, rel err mean {:.4} max {:.4}",
+            self.p50_ms, self.p95_ms, self.mean_ms, self.mean_rel_err, self.max_rel_err
         );
         if let (Some(c), Some(t)) = (self.ci_covered, self.ci_total) {
-            let _ = write!(s, ", \"ci_covered\": {c}, \"ci_total\": {t}");
+            print!(", CI covered {c}/{t}");
         }
-        s.push('}');
-        s
+        println!();
     }
 }
 
@@ -170,17 +166,8 @@ fn main() {
     // --- 1 & 2. offline backend comparison --------------------------------
     let west = BackendRun::measure(&model, &queries, &g, false);
     let sample = BackendRun::measure(&sampler, &queries, &g, true);
-    println!(
-        "west:   p50 {:.3} ms, mean rel err {:.3}",
-        west.p50_ms, west.mean_rel_err
-    );
-    println!(
-        "sample: p50 {:.3} ms, mean rel err {:.3}, CI covered {}/{}",
-        sample.p50_ms,
-        sample.mean_rel_err,
-        sample.ci_covered.unwrap_or(0),
-        sample.ci_total.unwrap_or(0)
-    );
+    west.print("west");
+    sample.print("sample");
 
     // --- 3. router hit rates under a served --backend auto daemon ---------
     // Split the workload at its median candidate volume so the auto policy
@@ -238,31 +225,11 @@ fn main() {
         sample.mean_rel_err
     );
 
-    // --- JSON report ------------------------------------------------------
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"graph_vertices\": {},", g.n_vertices());
-    let _ = writeln!(out, "  \"graph_edges\": {},", g.n_edges());
-    let _ = writeln!(out, "  \"n_queries\": {},", queries.len());
-    let _ = writeln!(out, "  \"sample_trials\": {trials},");
-    out.push_str(&west.json("west"));
-    out.push_str(",\n");
-    out.push_str(&sample.json("sample"));
-    out.push_str(",\n");
-    let _ = writeln!(
-        out,
-        "  \"router\": {{\"volume_cap\": {volume_cap}, \"hits_west\": {hits_west}, \
-         \"hits_sample\": {hits_sample}}},"
+    println!(
+        "peak RSS {} bytes; PASS: sampling mean rel err {:.4} <= 10, router split both ways",
+        neursc_core::obs::process_peak_rss_bytes(),
+        sample.mean_rel_err
     );
-    let _ = writeln!(
-        out,
-        "  \"process_peak_rss_bytes\": {}",
-        neursc_core::obs::process_peak_rss_bytes()
-    );
-    out.push_str("}\n");
-
-    let path = std::env::var("NEURSC_BENCH_OUT").unwrap_or_else(|_| "BENCH_backends.json".into());
-    std::fs::write(&path, &out).expect("write BENCH_backends.json");
-    println!("wrote {path}");
 }
 
 fn flag<'a>(args: &'a [String], name: &str) -> Option<&'a str> {

@@ -2,8 +2,8 @@
 //! into the binary NSCS format, then runs a rare-label partitioned
 //! estimate against it twice — once with the image fully **resident**,
 //! once **streamed** through the bounded chunk cache — and compares peak
-//! memory. Writes `BENCH_store.json` at the repository root (or
-//! `$NEURSC_BENCH_OUT`).
+//! memory. A CI gate, not a report writer: the measured numbers and the
+//! verdict go to stdout.
 //!
 //! Peak RSS (`VmHWM`) is monotone for the lifetime of a process, so each
 //! phase runs in its own subprocess: the parent re-invokes this executable
@@ -13,7 +13,7 @@
 //! The headline claim is the memory-budget assertion: the streamed phase
 //! must peak below **50%** of the resident phase. On platforms without
 //! `/proc/self/status` both peaks read 0 and the assertion is skipped
-//! (the timing numbers are still written).
+//! (the timing numbers are still printed).
 //!
 //! Usage: `bench_store [--vertices N] [--degree D] [--partitions K]`.
 
@@ -22,7 +22,6 @@ use neursc_graph::generate::{generate, DegreeModel, GraphSpec};
 use neursc_graph::types::Label;
 use neursc_graph::Graph;
 use neursc_store::{AccessMode, GraphStore, PartitionPlan};
-use std::fmt::Write as _;
 use std::time::Instant;
 
 /// Streamed-phase cache geometry: 2 × 256 Ki adjacency entries = 2 MiB of
@@ -96,7 +95,6 @@ fn main() {
             String::from_utf8_lossy(&out.stderr)
         );
         let line = String::from_utf8_lossy(&out.stdout).trim().to_string();
-        eprintln!("{phase}: {line}");
         phases.push((phase, line));
     }
 
@@ -130,34 +128,21 @@ fn main() {
         0.0
     };
     let rss_measured = resident_rss > 0.0 && streamed_rss > 0.0;
-    let budget_met = !rss_measured || ratio < 0.5;
 
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"graph_vertices\": {n_vertices},");
-    let _ = writeln!(json, "  \"store_file_bytes\": {file_bytes},");
-    let _ = writeln!(json, "  \"generate_ms\": {gen_ms:.1},");
-    let _ = writeln!(json, "  \"pack_ms\": {pack_ms:.1},");
-    let _ = writeln!(json, "  \"partitions\": {partitions},");
-    let _ = writeln!(
-        json,
-        "  \"streamed_cache\": {{\"chunk_edges\": {CHUNK_EDGES}, \"max_chunks\": {MAX_CHUNKS}}},"
+    println!(
+        "bench_store: |V|={n_vertices}, store {file_bytes} bytes, generate {gen_ms:.1} ms, \
+         pack {pack_ms:.1} ms, {partitions} partitions, streamed cache \
+         {MAX_CHUNKS} x {CHUNK_EDGES} edges"
     );
     for (name, line) in &phases {
-        let _ = writeln!(json, "  \"{name}\": {line},");
+        println!("{name}: {line}");
     }
-    let _ = writeln!(json, "  \"streamed_over_resident_rss\": {ratio:.4},");
-    let _ = writeln!(json, "  \"rss_measured\": {rss_measured},");
-    let _ = writeln!(json, "  \"memory_budget_met\": {budget_met}");
-    json.push_str("}\n");
-
-    let out = std::env::var("NEURSC_BENCH_OUT").unwrap_or_else(|_| "BENCH_store.json".into());
-    std::fs::write(&out, &json).expect("write BENCH_store.json");
-    println!("wrote {out}");
+    println!("streamed/resident peak RSS: {ratio:.4}");
     std::fs::remove_dir_all(&dir).ok();
 
     if rss_measured {
         assert!(
-            budget_met,
+            ratio < 0.5,
             "memory budget violated: streamed peak {streamed_rss} B is {:.0}% of \
              resident peak {resident_rss} B (budget: <50%)",
             ratio * 100.0

@@ -308,11 +308,14 @@ fn attach_path(e: NeurScError, path: &Path) -> NeurScError {
     }
 }
 
-/// Writes a model to a file.
+/// Writes a model to a file, atomically: a crash (or a daemon
+/// `reload_model`) mid-save sees the previous file or the new one.
 pub fn save_model(model: &NeurSc, path: &Path) -> Result<(), NeurScError> {
-    std::fs::write(path, model_to_string(model)).map_err(|e| NeurScError::Io {
-        path: Some(path.to_path_buf()),
-        source: e,
+    neursc_graph::io::write_atomic(path, model_to_string(model).as_bytes()).map_err(|e| {
+        NeurScError::Io {
+            path: Some(path.to_path_buf()),
+            source: e,
+        }
     })
 }
 
@@ -399,6 +402,26 @@ mod tests {
         let err = model_from_string(&stripped).err().unwrap();
         assert!(err.is_corruption(), "expected corruption, got: {err}");
         assert!(err.to_string().contains("missing checksum"), "{err}");
+    }
+
+    #[test]
+    fn failed_save_leaves_the_previous_model_loadable() {
+        let dir = std::env::temp_dir().join(format!("neursc_save_model_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("m.model");
+        let old = NeurSc::new(NeurScConfig::small(), 31);
+        save_model(&old, &path).unwrap();
+        assert!(!dir.join("m.model.tmp").exists(), "temp renamed away");
+
+        // An unwritable temp (a directory squats on its name): the save
+        // fails typed and the file under the final name is untouched.
+        std::fs::create_dir(dir.join("m.model.tmp")).unwrap();
+        let err = save_model(&NeurSc::new(NeurScConfig::small(), 32), &path).unwrap_err();
+        assert!(matches!(err, NeurScError::Io { .. }), "{err}");
+        let kept = load_model(&path).unwrap();
+        assert_eq!(model_checksum(&kept), model_checksum(&old));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -242,11 +242,63 @@ pub fn save_graph(g: &Graph, path: &Path) -> Result<(), GraphError> {
     Ok(())
 }
 
+/// Durably replaces `path` with `bytes`: a sibling temp file named
+/// `<file name>.tmp` (so `a.snap` and `a.model` in one directory never
+/// share a temp), `write_all` + `sync_all`, then an atomic rename. A crash
+/// at any point leaves the old file or the new one, never a torn one; a
+/// failure removes the temp. The parent-directory fsync that makes the
+/// rename itself survive power loss is best-effort: where a filesystem
+/// refuses it, durability degrades but atomicity does not.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let mut tmp = path.as_os_str().to_os_string();
+    tmp.push(".tmp");
+    let tmp = std::path::PathBuf::from(tmp);
+    let written = (|| {
+        let mut f = std::fs::File::create(&tmp)?;
+        f.write_all(bytes)?;
+        f.sync_all()?;
+        std::fs::rename(&tmp, path)
+    })();
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    } else if let Some(Ok(dir)) = path.parent().map(std::fs::File::open) {
+        let _ = dir.sync_all();
+    }
+    written
+}
+
 use std::io::BufRead;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn write_atomic_keeps_temps_apart_and_cleans_up_after_a_failure() {
+        let dir = std::env::temp_dir().join(format!("neursc_write_atomic_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let (snap, model) = (dir.join("a.snap"), dir.join("a.model"));
+        write_atomic(&snap, b"old").unwrap();
+
+        // Block `a.snap`'s temp: that write fails and the old bytes stay,
+        // while `a.model` (temp `a.model.tmp`) is unaffected.
+        std::fs::create_dir(dir.join("a.snap.tmp")).unwrap();
+        assert!(write_atomic(&snap, b"new").is_err());
+        assert_eq!(std::fs::read(&snap).unwrap(), b"old");
+        write_atomic(&model, b"model").unwrap();
+        assert_eq!(std::fs::read(&model).unwrap(), b"model");
+        assert!(!dir.join("a.model.tmp").exists(), "temp renamed away");
+
+        // A failure after the temp was written (the target is a non-empty
+        // directory, so the rename fails) removes the temp.
+        let target = dir.join("occupied");
+        std::fs::create_dir(&target).unwrap();
+        std::fs::write(target.join("x"), b"x").unwrap();
+        assert!(write_atomic(&target, b"bytes").is_err());
+        assert!(!dir.join("occupied.tmp").exists(), "temp left behind");
+        std::fs::remove_dir_all(&dir).ok();
+    }
 
     const SAMPLE: &str = "t 4 4\nv 0 0 2\nv 1 1 2\nv 2 1 3\nv 3 0 1\ne 0 1\ne 1 2\ne 0 2\ne 2 3\n";
 

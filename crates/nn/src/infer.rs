@@ -315,14 +315,6 @@ impl<'w> InferCtx<'w> {
         self.arena.recycle(t)
     }
 
-    /// An arena-backed copy of `t`.
-    pub fn clone_tensor(&mut self, t: &Tensor) -> Tensor {
-        let (r, c) = t.shape();
-        let mut out = self.arena.alloc_full(r, c);
-        out.data_mut().copy_from_slice(t.data());
-        out
-    }
-
     /// An arena tensor with unspecified contents — see
     /// [`Arena::alloc_full`]; only for kernels that overwrite every
     /// element.

@@ -15,7 +15,6 @@
 use crate::tensor::Tensor;
 use crate::ParamStore;
 use std::fmt::Write as _;
-use std::path::Path;
 
 /// Serialization errors.
 #[derive(Debug)]
@@ -116,18 +115,6 @@ pub fn store_from_string(text: &str) -> Result<ParamStore, SerializeError> {
     Ok(store)
 }
 
-/// Writes a store to a file.
-pub fn save_store(store: &ParamStore, path: &Path) -> Result<(), SerializeError> {
-    std::fs::write(path, store_to_string(store))?;
-    Ok(())
-}
-
-/// Loads a store from a file.
-pub fn load_store(path: &Path) -> Result<ParamStore, SerializeError> {
-    let text = std::fs::read_to_string(path)?;
-    store_from_string(&text)
-}
-
 /// Copies parameter *values* from `src` into `dst` (shapes must match
 /// pairwise) — used to load a trained model into a freshly constructed
 /// network whose layers already allocated their parameters.
@@ -172,18 +159,11 @@ mod tests {
         for id in s.ids() {
             assert_eq!(s.value(id), s2.value(id));
         }
-    }
-
-    #[test]
-    fn file_roundtrip() {
-        let s = sample_store();
-        let dir = std::env::temp_dir().join("neursc_nn_serialize_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("params.txt");
-        save_store(&s, &path).unwrap();
-        let s2 = load_store(&path).unwrap();
-        assert_eq!(store_to_string(&s), store_to_string(&s2));
-        std::fs::remove_file(&path).ok();
+        assert_eq!(
+            text,
+            store_to_string(&s2),
+            "re-encoding reproduces the text"
+        );
     }
 
     #[test]

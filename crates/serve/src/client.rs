@@ -257,7 +257,7 @@ impl RetryClient {
     }
 
     /// Estimates one query with retries; `id` is the correlation id for
-    /// the frame, budgets as in [`estimate_request_with`]. Returns the
+    /// the frame, budgets as in [`estimate_frame`]. Returns the
     /// reply frame (which may still be a typed *non-transient* error).
     pub fn estimate(
         &mut self,
@@ -268,9 +268,9 @@ impl RetryClient {
     ) -> std::io::Result<String> {
         let idem = self.next_idem;
         self.next_idem += 1;
-        let frame = estimate_request_idem(
+        let frame = estimate_frame(
             id,
-            query,
+            Queries::Single(query),
             deadline_ms,
             max_filter_steps,
             Some(idem),
@@ -283,7 +283,14 @@ impl RetryClient {
     pub fn estimate_batch(&mut self, id: u64, queries: &[Graph]) -> std::io::Result<String> {
         let idem = self.next_idem;
         self.next_idem += 1;
-        let frame = estimate_batch_request_idem(id, queries, Some(idem), Some(self.session));
+        let frame = estimate_frame(
+            id,
+            Queries::Batch(queries),
+            None,
+            None,
+            Some(idem),
+            Some(self.session),
+        );
         self.request_idem(&frame, idem, None)
     }
 
@@ -385,88 +392,54 @@ impl RetryClient {
     }
 }
 
-/// Builds an `estimate` request frame.
+/// The queries of an estimate frame, in the shape they travel in.
+#[derive(Debug, Clone, Copy)]
+pub enum Queries<'a> {
+    /// An `estimate` frame: one `query`, answered by one unwrapped result.
+    Single(&'a Graph),
+    /// An `estimate_batch` frame: a `queries` array, answered by one
+    /// result per slot.
+    Batch(&'a [Graph]),
+}
+
+/// Builds an `estimate` request frame without budgets or idempotency.
 pub fn estimate_request(id: u64, query: &Graph) -> String {
-    estimate_request_with(id, query, None, None)
+    estimate_frame(id, Queries::Single(query), None, None, None, None)
 }
 
-/// Builds an `estimate` request frame with per-request budgets.
-pub fn estimate_request_with(
+/// Builds an `estimate` / `estimate_batch` request frame: per-request
+/// budgets, and an idempotency seqno with the session token scoping it
+/// (see the module docs), each sent only when given.
+pub fn estimate_frame(
     id: u64,
-    query: &Graph,
-    deadline_ms: Option<u64>,
-    max_filter_steps: Option<u64>,
-) -> String {
-    let mut fields = vec![
-        ("verb".to_string(), Json::Str("estimate".into())),
-        ("id".to_string(), Json::Num(id as f64)),
-        ("query".to_string(), graph_to_json(query)),
-    ];
-    if let Some(ms) = deadline_ms {
-        fields.push(("deadline_ms".into(), Json::Num(ms as f64)));
-    }
-    if let Some(steps) = max_filter_steps {
-        fields.push(("max_filter_steps".into(), Json::Num(steps as f64)));
-    }
-    Json::Obj(fields).render()
-}
-
-/// Builds an `estimate` request frame carrying an idempotency seqno and
-/// the session token scoping it (see the module docs).
-pub fn estimate_request_idem(
-    id: u64,
-    query: &Graph,
+    queries: Queries<'_>,
     deadline_ms: Option<u64>,
     max_filter_steps: Option<u64>,
     idem: Option<u64>,
     session: Option<u64>,
 ) -> String {
-    let mut fields = vec![
-        ("verb".to_string(), Json::Str("estimate".into())),
-        ("id".to_string(), Json::Num(id as f64)),
-        ("query".to_string(), graph_to_json(query)),
-    ];
-    if let Some(ms) = deadline_ms {
-        fields.push(("deadline_ms".into(), Json::Num(ms as f64)));
-    }
-    if let Some(steps) = max_filter_steps {
-        fields.push(("max_filter_steps".into(), Json::Num(steps as f64)));
-    }
-    if let Some(n) = idem {
-        fields.push(("idem".into(), Json::Num(n as f64)));
-    }
-    if let Some(s) = session {
-        fields.push(("session".into(), Json::Num(s as f64)));
-    }
-    Json::Obj(fields).render()
-}
-
-/// Builds an `estimate_batch` request frame.
-pub fn estimate_batch_request(id: u64, queries: &[Graph]) -> String {
-    estimate_batch_request_idem(id, queries, None, None)
-}
-
-/// Builds an `estimate_batch` request frame carrying an idempotency
-/// seqno and the session token scoping it.
-pub fn estimate_batch_request_idem(
-    id: u64,
-    queries: &[Graph],
-    idem: Option<u64>,
-    session: Option<u64>,
-) -> String {
-    let mut fields = vec![
-        ("verb".to_string(), Json::Str("estimate_batch".into())),
-        ("id".to_string(), Json::Num(id as f64)),
-        (
-            "queries".to_string(),
-            Json::Arr(queries.iter().map(graph_to_json).collect()),
+    let (verb, key, payload) = match queries {
+        Queries::Single(q) => ("estimate", "query", graph_to_json(q)),
+        Queries::Batch(qs) => (
+            "estimate_batch",
+            "queries",
+            Json::Arr(qs.iter().map(graph_to_json).collect()),
         ),
+    };
+    let mut fields = vec![
+        ("verb".to_string(), Json::Str(verb.into())),
+        ("id".to_string(), Json::Num(id as f64)),
+        (key.to_string(), payload),
     ];
-    if let Some(n) = idem {
-        fields.push(("idem".into(), Json::Num(n as f64)));
-    }
-    if let Some(s) = session {
-        fields.push(("session".into(), Json::Num(s as f64)));
+    for (key, value) in [
+        ("deadline_ms", deadline_ms),
+        ("max_filter_steps", max_filter_steps),
+        ("idem", idem),
+        ("session", session),
+    ] {
+        if let Some(n) = value {
+            fields.push((key.into(), Json::Num(n as f64)));
+        }
     }
     Json::Obj(fields).render()
 }

@@ -74,28 +74,19 @@ impl Journal {
         })
     }
 
-    /// Records an admission, durably: the line is fsync'd before this
-    /// returns, so a request can never be running without being on disk.
-    /// (The fsync costs ~a syscall + device flush per admitted request;
-    /// see KNOWN_ISSUES for the throughput caveat and why `estimate`
-    /// verbs only — not `stats`/`reload` — pay it.)
-    pub fn admit(&self, seq: u64, digest: u64) -> std::io::Result<()> {
+    /// Records the admission of one request — a line per slot, seqnos
+    /// `seqs`, all under the request's `digest` — durably: one fsync
+    /// covers them and happens before this returns, so a request can never
+    /// be running without being on disk. (The fsync costs ~a syscall +
+    /// device flush per admitted request; see KNOWN_ISSUES for the
+    /// throughput caveat and why `estimate` verbs only — not
+    /// `stats`/`reload` — pay it.)
+    pub fn admit(&self, seqs: std::ops::Range<u64>, digest: u64) -> std::io::Result<()> {
         let mut f = match self.file.lock() {
             Ok(f) => f,
             Err(p) => p.into_inner(),
         };
-        writeln!(f, "+ {seq} {digest:016x}")?;
-        f.sync_data()
-    }
-
-    /// Records several admissions (a batch request's slots) with a single
-    /// fsync covering all of them.
-    pub fn admit_many(&self, entries: &[(u64, u64)]) -> std::io::Result<()> {
-        let mut f = match self.file.lock() {
-            Ok(f) => f,
-            Err(p) => p.into_inner(),
-        };
-        for (seq, digest) in entries {
+        for seq in seqs {
             writeln!(f, "+ {seq} {digest:016x}")?;
         }
         f.sync_data()
@@ -208,10 +199,11 @@ mod tests {
     fn in_flight_is_admitted_minus_completed() {
         let path = temp_path("basic");
         let j = Journal::create(&path).expect("create");
-        j.admit(1, 0xaaaa).expect("admit");
-        j.admit(2, 0xbbbb).expect("admit");
-        j.admit(3, 0xcccc).expect("admit");
+        j.admit(1..2, 0xaaaa).expect("admit");
+        j.admit(2..4, 0xbbbb).expect("admit a two-slot request");
+        j.admit(4..5, 0xcccc).expect("admit");
         j.complete(2).expect("complete");
+        j.complete(3).expect("complete");
         assert_eq!(read_in_flight(&path), vec![0xaaaa, 0xcccc]);
         std::fs::remove_file(&path).ok();
     }

@@ -8,8 +8,8 @@
 //!
 //! The daemon speaks line-delimited JSON over TCP or Unix-domain sockets
 //! (std-only networking — the build is offline, so no async runtime):
-//! see [`proto`] for the exact frames. Five verbs: `estimate`,
-//! `estimate_batch`, `reload_model`, `stats`, `shutdown`.
+//! see [`proto`] for the exact frames. Six verbs: `estimate`,
+//! `estimate_batch`, `reload_model`, `stats`, `snapshot`, `shutdown`.
 //!
 //! Guarantees, in terms of the rest of the stack:
 //!

@@ -14,7 +14,9 @@
 //! ```
 //!
 //! Verbs: `estimate`, `estimate_batch` (a `queries` array, one result per
-//! slot), `reload_model` (`path`), `stats`, `snapshot` (force a warm-state
+//! slot; an `estimate` is a batch of one whose reply is `results[0]`
+//! unwrapped, with the `id`/`idem` echoes spliced in after `ok`),
+//! `reload_model` (`path`), `stats`, `snapshot` (force a warm-state
 //! snapshot write), `shutdown`. Every failure is a typed error frame
 //! `{"ok":false,"id":…,"kind":…,"detail":…}`; the `kind` vocabulary
 //! mirrors [`NeurScError`] plus the transport-level kinds `parse`,
@@ -40,41 +42,46 @@ use neursc_core::{EstimateDetail, NeurScError};
 use neursc_graph::Graph;
 use std::fmt;
 
+/// Which frame an estimate request arrived as — and so which frame
+/// answers it. Everything between the two (admission, queue, execution,
+/// reply aggregation) treats a `Single` as a batch of one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Shape {
+    /// `estimate`: one `query`; the reply is that slot's result, unwrapped.
+    Single,
+    /// `estimate_batch`: a `queries` array; the reply wraps one result per
+    /// slot in `results`.
+    Batch,
+}
+
+/// A decoded `estimate` / `estimate_batch` request.
+#[derive(Debug)]
+pub struct EstimateRequest {
+    /// Client correlation id, echoed in the response.
+    pub id: Json,
+    /// The decoded query graphs, in slot order (exactly one for
+    /// [`Shape::Single`]).
+    pub queries: Vec<Graph>,
+    /// The frame shape of the request and of its reply.
+    pub shape: Shape,
+    /// Per-request wall-clock deadline, in milliseconds from admission,
+    /// applied to every slot.
+    pub deadline_ms: Option<u64>,
+    /// Per-request deterministic filtering step cap, applied to every slot.
+    pub max_filter_steps: Option<u64>,
+    /// Client idempotency seqno (echoed; retries deduplicate on it).
+    pub idem: Option<u64>,
+    /// Client session token scoping `idem` (stable across reconnects;
+    /// absent = scoped to this connection).
+    pub session: Option<u64>,
+}
+
 /// A decoded client request.
 #[derive(Debug)]
 pub enum Request {
-    /// Estimate one query's embedding count.
-    Estimate {
-        /// Client correlation id, echoed in the response.
-        id: Json,
-        /// The decoded query graph.
-        query: Graph,
-        /// Per-request wall-clock deadline, in milliseconds from admission.
-        deadline_ms: Option<u64>,
-        /// Per-request deterministic filtering step cap.
-        max_filter_steps: Option<u64>,
-        /// Client idempotency seqno (echoed; retries deduplicate on it).
-        idem: Option<u64>,
-        /// Client session token scoping `idem` (stable across reconnects;
-        /// absent = scoped to this connection).
-        session: Option<u64>,
-    },
-    /// Estimate several queries; the response carries one result per slot.
-    EstimateBatch {
-        /// Client correlation id, echoed in the response.
-        id: Json,
-        /// The decoded query graphs, in slot order.
-        queries: Vec<Graph>,
-        /// Deadline applied to every query in the batch.
-        deadline_ms: Option<u64>,
-        /// Step cap applied to every query in the batch.
-        max_filter_steps: Option<u64>,
-        /// Client idempotency seqno (echoed; retries deduplicate on it).
-        idem: Option<u64>,
-        /// Client session token scoping `idem` (stable across reconnects;
-        /// absent = scoped to this connection).
-        session: Option<u64>,
-    },
+    /// Estimate one query (or a batch of them); the response carries one
+    /// result per slot.
+    Estimate(EstimateRequest),
     /// Atomically swap in a new model from a checksummed model file.
     ReloadModel {
         /// Client correlation id, echoed in the response.
@@ -152,49 +159,35 @@ pub fn parse_request(line: &str) -> Result<Request, RequestError> {
         .and_then(Json::as_str)
         .ok_or_else(|| fail("parse", "missing string field \"verb\"".into()))?;
     match verb {
-        "estimate" => {
-            let qv = v
-                .get("query")
-                .ok_or_else(|| fail("parse", "estimate needs a \"query\" object".into()))?;
-            let query = graph_from_json(qv).map_err(|e| fail(e.0, e.1))?;
-            let deadline_ms = opt_u64(&v, "deadline_ms").map_err(|e| fail(e.0, e.1))?;
-            let max_filter_steps = opt_u64(&v, "max_filter_steps").map_err(|e| fail(e.0, e.1))?;
-            let idem = opt_u64(&v, "idem").map_err(|e| fail(e.0, e.1))?;
-            let session = opt_u64(&v, "session").map_err(|e| fail(e.0, e.1))?;
-            let _ = &fail;
-            Ok(Request::Estimate {
-                id,
-                query,
-                deadline_ms,
-                max_filter_steps,
-                idem,
-                session,
-            })
-        }
-        "estimate_batch" => {
-            let qs = v
-                .get("queries")
-                .and_then(Json::as_arr)
-                .ok_or_else(|| fail("parse", "estimate_batch needs a \"queries\" array".into()))?;
-            let mut queries = Vec::with_capacity(qs.len());
-            for (i, qv) in qs.iter().enumerate() {
-                queries.push(
-                    graph_from_json(qv).map_err(|e| fail(e.0, format!("queries[{i}]: {}", e.1)))?,
-                );
-            }
-            let deadline_ms = opt_u64(&v, "deadline_ms").map_err(|e| fail(e.0, e.1))?;
-            let max_filter_steps = opt_u64(&v, "max_filter_steps").map_err(|e| fail(e.0, e.1))?;
-            let idem = opt_u64(&v, "idem").map_err(|e| fail(e.0, e.1))?;
-            let session = opt_u64(&v, "session").map_err(|e| fail(e.0, e.1))?;
-            let _ = &fail;
-            Ok(Request::EstimateBatch {
-                id,
+        "estimate" | "estimate_batch" => {
+            let graph =
+                |qv, at: &str| graph_from_json(qv).map_err(|e| fail(e.0, format!("{at}{}", e.1)));
+            let (shape, queries) = if verb == "estimate" {
+                let qv = v
+                    .get("query")
+                    .ok_or_else(|| fail("parse", "estimate needs a \"query\" object".into()))?;
+                (Shape::Single, vec![graph(qv, "")?])
+            } else {
+                let qs = v.get("queries").and_then(Json::as_arr).ok_or_else(|| {
+                    fail("parse", "estimate_batch needs a \"queries\" array".into())
+                })?;
+                let queries: Result<Vec<Graph>, RequestError> = qs
+                    .iter()
+                    .enumerate()
+                    .map(|(i, qv)| graph(qv, &format!("queries[{i}]: ")))
+                    .collect();
+                (Shape::Batch, queries?)
+            };
+            let opt = |key| opt_u64(&v, key).map_err(|e| fail(e.0, e.1));
+            Ok(Request::Estimate(EstimateRequest {
                 queries,
-                deadline_ms,
-                max_filter_steps,
-                idem,
-                session,
-            })
+                shape,
+                deadline_ms: opt("deadline_ms")?,
+                max_filter_steps: opt("max_filter_steps")?,
+                idem: opt("idem")?,
+                session: opt("session")?,
+                id,
+            }))
         }
         "reload_model" => {
             let path = v
@@ -293,18 +286,12 @@ pub fn graph_to_json(g: &Graph) -> Json {
     ])
 }
 
-/// One estimation result as a JSON object (shared by the single and batch
-/// response shapes).
-pub fn result_to_json(r: &Result<EstimateDetail, NeurScError>) -> Json {
-    result_to_json_q(r, false)
-}
-
-/// [`result_to_json`] with the serving model's quantization surfaced:
-/// when `quantized` is true every successful result carries
-/// `"quantized":true`, so a client can tell an f16/int8 estimate (whose
-/// drift bounds are documented in KNOWN_ISSUES) from an exact-f32 one.
-/// f32 replies omit the field entirely — their bytes are unchanged.
-pub fn result_to_json_q(r: &Result<EstimateDetail, NeurScError>, quantized: bool) -> Json {
+/// One estimation result as a JSON object: a slot of a batch reply, and —
+/// unwrapped by [`render_single`] — the body of a single reply. When
+/// `quantized` is true (the serving model runs f16/int8, whose drift
+/// bounds are documented in KNOWN_ISSUES) every successful result carries
+/// `"quantized":true`; f32 replies omit the field entirely.
+pub fn result_to_json(r: &Result<EstimateDetail, NeurScError>, quantized: bool) -> Json {
     match r {
         Ok(d) => {
             let mut obj = vec![
@@ -329,80 +316,62 @@ pub fn result_to_json_q(r: &Result<EstimateDetail, NeurScError>, quantized: bool
             }
             Json::Obj(obj)
         }
-        Err(e) => Json::Obj(vec![
-            ("ok".into(), Json::Bool(false)),
-            ("kind".into(), Json::Str(error_kind(e).into())),
-            ("detail".into(), Json::Str(e.to_string())),
-        ]),
+        Err(e) => error_item(error_kind(e), &e.to_string()),
     }
 }
 
-/// Renders the response frame for a single `estimate` request.
-pub fn render_result(id: &Json, r: &Result<EstimateDetail, NeurScError>) -> String {
-    render_result_idem(id, None, r)
+/// A failed slot: `{"ok":false,"kind":…,"detail":…}`.
+pub(crate) fn error_item(kind: &str, detail: &str) -> Json {
+    Json::Obj(vec![
+        ("ok".into(), Json::Bool(false)),
+        ("kind".into(), Json::Str(kind.into())),
+        ("detail".into(), Json::Str(detail.into())),
+    ])
 }
 
-/// [`render_result`] with the request's idempotency seqno echoed (when it
-/// sent one), so a retrying client can match the reply to its retry.
-pub fn render_result_idem(
-    id: &Json,
-    idem: Option<u64>,
-    r: &Result<EstimateDetail, NeurScError>,
-) -> String {
-    render_result_idem_q(id, idem, r, false)
+/// Splices the `id` echo and, when the request sent one, the `idem` echo
+/// in right after `ok`: the field order `ok, id, idem, …` is part of the
+/// wire contract.
+fn echo(fields: &mut Vec<(String, Json)>, id: &Json, idem: Option<u64>) {
+    let at = fields.len().min(1);
+    fields.insert(at, ("id".into(), id.clone()));
+    if let Some(n) = idem {
+        fields.insert(at + 1, ("idem".into(), Json::Num(n as f64)));
+    }
 }
 
-/// [`render_result_idem`] with the quantization flag (see
-/// [`result_to_json_q`]).
-pub fn render_result_idem_q(
-    id: &Json,
-    idem: Option<u64>,
-    r: &Result<EstimateDetail, NeurScError>,
-    quantized: bool,
-) -> String {
-    let mut obj = match result_to_json_q(r, quantized) {
+/// Renders the response frame of a single `estimate` request: the slot's
+/// result object ([`result_to_json`]) with `id`/`idem` echoed, so a
+/// retrying client can match the reply to its retry.
+pub fn render_single(id: &Json, idem: Option<u64>, item: Json) -> String {
+    let mut fields = match item {
         Json::Obj(fields) => fields,
         _ => Vec::new(),
     };
-    obj.insert(1, ("id".into(), id.clone()));
-    if let Some(n) = idem {
-        obj.insert(2, ("idem".into(), Json::Num(n as f64)));
-    }
-    Json::Obj(obj).render()
+    echo(&mut fields, id, idem);
+    Json::Obj(fields).render()
+}
+
+/// [`render_single`] of an f32 result without an idempotency seqno — the
+/// frame an offline reference predicts for a served `estimate`.
+pub fn render_result(id: &Json, r: &Result<EstimateDetail, NeurScError>) -> String {
+    render_single(id, None, result_to_json(r, false))
 }
 
 /// Renders the response frame for an `estimate_batch` request.
-pub fn render_batch(id: &Json, items: Vec<Json>) -> String {
-    render_batch_idem(id, None, items)
-}
-
-/// [`render_batch`] with the request's idempotency seqno echoed.
-pub fn render_batch_idem(id: &Json, idem: Option<u64>, items: Vec<Json>) -> String {
-    let mut fields = vec![("ok".into(), Json::Bool(true)), ("id".into(), id.clone())];
-    if let Some(n) = idem {
-        fields.push(("idem".into(), Json::Num(n as f64)));
-    }
-    fields.push(("results".into(), Json::Arr(items)));
-    Json::Obj(fields).render()
-}
-
-/// Renders a typed error frame.
-pub fn render_error(id: &Json, kind: &str, detail: &str) -> String {
-    render_error_idem(id, None, kind, detail)
-}
-
-/// [`render_error`] with the request's idempotency seqno echoed.
-pub fn render_error_idem(id: &Json, idem: Option<u64>, kind: &str, detail: &str) -> String {
+pub fn render_batch(id: &Json, idem: Option<u64>, items: Vec<Json>) -> String {
     let mut fields = vec![
-        ("ok".into(), Json::Bool(false)),
-        ("id".into(), id.clone()),
-        ("kind".into(), Json::Str(kind.into())),
-        ("detail".into(), Json::Str(detail.into())),
+        ("ok".into(), Json::Bool(true)),
+        ("results".into(), Json::Arr(items)),
     ];
-    if let Some(n) = idem {
-        fields.insert(2, ("idem".into(), Json::Num(n as f64)));
-    }
+    echo(&mut fields, id, idem);
     Json::Obj(fields).render()
+}
+
+/// Renders a typed error frame: byte-equal to [`render_single`] of the
+/// same failure as a slot.
+pub fn render_error(id: &Json, idem: Option<u64>, kind: &str, detail: &str) -> String {
+    render_single(id, idem, error_item(kind, detail))
 }
 
 #[cfg(test)]
@@ -417,24 +386,19 @@ mod tests {
             graph_to_json(&g).render()
         );
         match parse_request(&line) {
-            Ok(Request::Estimate {
-                id,
-                query,
-                deadline_ms,
-                max_filter_steps,
-                idem,
-                session,
-            }) => {
-                assert_eq!(id.as_u64(), Some(5));
+            Ok(Request::Estimate(r)) => {
+                assert_eq!(r.id.as_u64(), Some(5));
+                assert_eq!(r.shape, Shape::Single);
+                assert_eq!(r.queries.len(), 1);
                 assert_eq!(
-                    query.content_fingerprint(),
+                    r.queries[0].content_fingerprint(),
                     g.content_fingerprint(),
                     "decoded graph differs"
                 );
-                assert_eq!(deadline_ms, None);
-                assert_eq!(max_filter_steps, Some(100));
-                assert_eq!(idem, Some(7));
-                assert_eq!(session, Some(9));
+                assert_eq!(r.deadline_ms, None);
+                assert_eq!(r.max_filter_steps, Some(100));
+                assert_eq!(r.idem, Some(7));
+                assert_eq!(r.session, Some(9));
             }
             other => panic!("got {other:?}"),
         }
@@ -462,32 +426,68 @@ mod tests {
         let err = parse_request(r#"{"verb":"frobnicate"}"#).unwrap_err();
         assert_eq!(err.kind, "parse");
         assert_eq!(err.id, Json::Null);
-        let frame = render_error(&err.id, err.kind, &err.detail);
+        let frame = render_error(&err.id, None, err.kind, &err.detail);
         assert!(frame.starts_with(r#"{"ok":false,"id":null,"kind":"parse""#));
     }
 
+    /// The exact bytes of every reply kind, with and without `idem`: the
+    /// field order `ok, id, idem, …` is part of the contract
+    /// (`RetryClient` parses it, caches replay these bytes).
     #[test]
-    fn result_frames_echo_the_id_and_type_the_error() {
-        let ok = render_result(
-            &Json::Num(9.0),
-            &Ok(EstimateDetail {
-                count: 2.5,
-                n_substructures: 3,
-                trivially_zero: false,
-                degraded: false,
-                ci: None,
-                report: Default::default(),
+    fn reply_frames_are_pinned_byte_for_byte() {
+        let id = Json::Num(9.0);
+        let detail = EstimateDetail {
+            count: 2.5,
+            n_substructures: 3,
+            trivially_zero: false,
+            degraded: true,
+            ci: None,
+            report: Default::default(),
+        };
+        let with_ci = EstimateDetail {
+            ci: Some(neursc_core::ConfidenceInterval {
+                low: 1.0,
+                high: 4.5,
+                confidence: 0.95,
             }),
+            ..detail.clone()
+        };
+        let budget = Err(NeurScError::Budget {
+            detail: "steps".into(),
+        });
+        let (ok, ci, err) = (Ok(detail), Ok(with_ci), budget);
+
+        assert_eq!(
+            render_result(&id, &ok),
+            r#"{"ok":true,"id":9,"estimate":2.5,"n_substructures":3,"trivially_zero":false,"degraded":true}"#
         );
-        assert!(ok.contains(r#""id":9"#), "{ok}");
-        assert!(ok.contains(r#""estimate":2.5"#), "{ok}");
-        let err = render_result(
-            &Json::Num(9.0),
-            &Err(NeurScError::Budget {
-                detail: "steps".into(),
-            }),
+        assert_eq!(
+            render_single(&id, Some(4), result_to_json(&ci, true)),
+            r#"{"ok":true,"id":9,"idem":4,"estimate":2.5,"n_substructures":3,"trivially_zero":false,"degraded":true,"ci_low":1,"ci_high":4.5,"ci_confidence":0.95,"quantized":true}"#
         );
-        assert!(err.contains(r#""ok":false"#), "{err}");
-        assert!(err.contains(r#""kind":"budget""#), "{err}");
+        let err_frame = format!(
+            r#"{{"ok":false,"id":9,"kind":"budget","detail":"{}"}}"#,
+            NeurScError::Budget {
+                detail: "steps".into()
+            }
+        );
+        assert_eq!(render_result(&id, &err), err_frame);
+        assert_eq!(
+            render_error(&Json::Null, None, "parse", "bad \"frame\""),
+            r#"{"ok":false,"id":null,"kind":"parse","detail":"bad \"frame\""}"#
+        );
+        assert_eq!(
+            render_error(&id, Some(4), "overloaded", "queue full"),
+            r#"{"ok":false,"id":9,"idem":4,"kind":"overloaded","detail":"queue full"}"#
+        );
+        assert_eq!(
+            render_batch(&id, None, Vec::new()),
+            r#"{"ok":true,"id":9,"results":[]}"#
+        );
+        let items = vec![result_to_json(&ok, false), error_item("draining", "bye")];
+        assert_eq!(
+            render_batch(&Json::Str("b".into()), Some(4), items),
+            r#"{"ok":true,"id":"b","idem":4,"results":[{"ok":true,"estimate":2.5,"n_substructures":3,"trivially_zero":false,"degraded":true},{"ok":false,"kind":"draining","detail":"bye"}]}"#
+        );
     }
 }

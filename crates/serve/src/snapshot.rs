@@ -31,8 +31,9 @@
 //! The checksum sits in the header so truncation — the typical corruption
 //! of an interrupted write — changes the covered bytes and fails
 //! verification (same argument as the model-file format). Writes go
-//! through a temp file + fsync + atomic rename, so a crash mid-write
-//! leaves the previous snapshot intact, never a half-written one.
+//! through [`neursc_graph::io::write_atomic`] (temp file + fsync + atomic
+//! rename), so a crash mid-write leaves the previous snapshot intact,
+//! never a half-written one.
 //!
 //! ## Failure semantics
 //!
@@ -43,15 +44,17 @@
 //! reason onto the `snapshot.restore_outcome.*` counter it is recorded
 //! under.
 
+use crate::server::{lock, Shared};
+use neursc_core::{GraphContext, Recorder};
 use neursc_gnn::{FeatureCache, FeatureConfig};
 use neursc_graph::hash::fnv1a64;
 use neursc_match::profile::Profile;
 use neursc_match::ProfileCache;
 use neursc_nn::Tensor;
 use std::fmt;
-use std::io::Write as _;
 use std::path::Path;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// File magic: identifies a NeurSC snapshot regardless of extension.
 const MAGIC: &[u8; 8] = b"NSCSNAP\n";
@@ -451,32 +454,109 @@ pub fn decode(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
 
 // ------------------------------------------------------------------ file
 
-/// Durably writes snapshot bytes: temp file in the same directory, fsync,
-/// atomic rename over the destination. A crash at any point leaves either
-/// the old snapshot or the new one — never a torn file.
-pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)?;
-    // Fsync the directory so the rename itself survives a power loss; a
-    // failure here (e.g. exotic filesystems) downgrades durability but
-    // not atomicity, so it is not fatal.
-    if let Some(dir) = path.parent() {
-        if let Ok(d) = std::fs::File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
-    Ok(())
-}
-
 /// Reads and decodes a snapshot file.
 pub fn read_file(path: &Path) -> Result<Snapshot, SnapshotError> {
     let bytes = std::fs::read(path).map_err(SnapshotError::Io)?;
     decode(&bytes)
+}
+
+// ---------------------------------------------------------------- daemon
+
+/// Attempts a warm restore at startup. Success imports every cached entry
+/// and continues metric series; any failure is counted under its typed
+/// `snapshot.restore_outcome.*` reason and the daemon starts cold — a bad
+/// snapshot can cost time, never correctness.
+pub(crate) fn restore(
+    path: &Path,
+    ctx: &GraphContext,
+    graph_fp: u64,
+    model_sum: u64,
+    recorder: &Recorder,
+) {
+    let metrics = recorder.metrics();
+    let restored = read_file(path).and_then(|snap| {
+        snap.verify(graph_fp, model_sum)?;
+        Ok(snap)
+    });
+    match restored {
+        Ok(snap) => {
+            snap.install(&ctx.profiles, &ctx.features);
+            ctx.sync_eviction_baseline();
+            metrics.counter_add("snapshot.restore_outcome.warm", 1);
+            metrics.gauge_set("snapshot.age_ms", snap.age_ms(unix_ms_now()) as f64);
+            eprintln!(
+                "serve: warm restore from {} ({} profile entries, {} feature entries)",
+                path.display(),
+                snap.profile_entries.len(),
+                snap.feature_entries.len(),
+            );
+        }
+        Err(e) => {
+            // The counter names must be `&'static str`; map the typed
+            // outcome onto its static series.
+            let counter = match e.outcome() {
+                "cold_missing" => "snapshot.restore_outcome.cold_missing",
+                "cold_corrupt" => "snapshot.restore_outcome.cold_corrupt",
+                _ => "snapshot.restore_outcome.cold_mismatch",
+            };
+            metrics.counter_add(counter, 1);
+            eprintln!("serve: cold start, snapshot not restored: {e}");
+        }
+    }
+}
+
+/// Encodes and durably writes the daemon's current warm state (the
+/// `snapshot` verb, the timer and the end of a drain all come through
+/// here). Returns the encoded size in bytes; a failure is counted under
+/// `serve.snapshot.write_error`.
+pub(crate) fn write_now(shared: &Shared) -> std::io::Result<usize> {
+    let metrics = shared.recorder.metrics();
+    let written = (|| {
+        let Some(path) = &shared.cfg.snapshot_path else {
+            return Err(std::io::Error::other("server has no snapshot path"));
+        };
+        // One writer at a time: concurrent callers share the same temp
+        // file, and an interleaved write could atomically rename a torn
+        // temp over a good snapshot.
+        let _writer = lock(&shared.snap_write);
+        let bytes = encode(
+            &shared.profiles,
+            &shared.features,
+            shared.graph_fp,
+            *shared.model_sum.read(),
+            unix_ms_now(),
+        );
+        neursc_graph::io::write_atomic(path, &bytes)?;
+        Ok(bytes.len())
+    })();
+    match written {
+        Ok(_) => {
+            metrics.counter_add("serve.snapshot.write", 1);
+            metrics.gauge_set("snapshot.age_ms", 0.0);
+        }
+        Err(_) => metrics.counter_add("serve.snapshot.write_error", 1),
+    }
+    written
+}
+
+/// The snapshot timer thread: one write per interval while serving. The
+/// *final* write happens on the batcher after the queue drains (so it
+/// captures all served work); this thread just exits on drain.
+pub(crate) fn timer_loop(shared: &Shared, interval: Duration) {
+    loop {
+        let gate = lock(&shared.snap_gate);
+        let (gate, _) = shared
+            .snap_cv
+            .wait_timeout(gate, interval)
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        drop(gate);
+        if shared.draining() {
+            return;
+        }
+        if let Err(e) = write_now(shared) {
+            eprintln!("serve: periodic snapshot write failed: {e}");
+        }
+    }
 }
 
 #[cfg(test)]
@@ -582,13 +662,9 @@ mod tests {
         std::fs::create_dir_all(&dir).expect("mkdir");
         let path = dir.join("warm.snap");
         let bytes = encode(&profiles, &features, fp, 5, unix_ms_now());
-        write_atomic(&path, &bytes).expect("write");
+        neursc_graph::io::write_atomic(&path, &bytes).expect("write");
         let snap = read_file(&path).expect("read");
         snap.verify(fp, 5).expect("verify");
-        assert!(
-            !path.with_extension("tmp").exists(),
-            "temp file renamed away"
-        );
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -15,7 +15,7 @@ use neursc_graph::generate::erdos_renyi;
 use neursc_graph::sample::{sample_query, QuerySampler};
 use neursc_graph::Graph;
 use neursc_sample::{SampleConfig, SampleEstimator};
-use neursc_serve::client::{self, Client};
+use neursc_serve::client::{self, Client, Queries::Single};
 use neursc_serve::json::Json;
 use neursc_serve::router::{candidate_volume, route, BackendChoice, Routed, RouterConfig};
 use neursc_serve::{proto, serve, Listen, ServeConfig};
@@ -277,9 +277,8 @@ fn per_request_budgets_and_stats_work_over_the_wire() {
     let mut c = Client::connect_tcp(server.local_addr()).unwrap();
 
     // A starved per-request step cap degrades this request only.
-    let starved = c
-        .request(&client::estimate_request_with(1, &clean[0], None, Some(1)))
-        .unwrap();
+    let frame = client::estimate_frame(1, Single(&clean[0]), None, Some(1), None, None);
+    let starved = c.request(&frame).unwrap();
     let v = neursc_serve::json::parse(&starved).unwrap();
     assert_eq!(
         v.get("kind").and_then(Json::as_str),
@@ -382,7 +381,7 @@ fn retried_idempotent_requests_replay_bit_identically() {
     let server = serve(model, g, ServeConfig::default(), Arc::new(Recorder::new())).unwrap();
     let addr = server.local_addr().to_string();
 
-    let frame = client::estimate_request_idem(1, &clean[0], None, None, Some(41), Some(7777));
+    let frame = client::estimate_frame(1, Single(&clean[0]), None, None, Some(41), Some(7777));
     let mut c = Client::connect_tcp(&addr).unwrap();
     let first = c.request(&frame).unwrap();
     let v = neursc_serve::json::parse(&first).unwrap();
@@ -426,7 +425,7 @@ fn retried_idempotent_requests_replay_bit_identically() {
     // A different query under the same idem seqno is a different key
     // (the replay digest covers the content): served fresh, not
     // mis-replayed.
-    let other = client::estimate_request_idem(2, &clean[1], None, None, Some(41), Some(7777));
+    let other = client::estimate_frame(2, Single(&clean[1]), None, None, Some(41), Some(7777));
     let fresh = c.request(&other).unwrap();
     let v = neursc_serve::json::parse(&fresh).unwrap();
     assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true), "{fresh}");
@@ -447,7 +446,7 @@ fn retried_idempotent_requests_replay_bit_identically() {
     // same idem seqno must not be handed the first client's cached reply:
     // its request is processed fresh.
     let other_session =
-        client::estimate_request_idem(1, &clean[0], None, None, Some(41), Some(8888));
+        client::estimate_frame(1, Single(&clean[0]), None, None, Some(41), Some(8888));
     let reply = c.request(&other_session).unwrap();
     assert!(reply.contains("\"ok\":true"), "{reply}");
     assert_eq!(
@@ -460,8 +459,14 @@ fn retried_idempotent_requests_replay_bit_identically() {
     // different replay identity: processed fresh (a cached reply under a
     // different deadline could be a budget verdict, not this request's
     // answer).
-    let other_deadline =
-        client::estimate_request_idem(1, &clean[0], Some(60_000), None, Some(41), Some(7777));
+    let other_deadline = client::estimate_frame(
+        1,
+        Single(&clean[0]),
+        Some(60_000),
+        None,
+        Some(41),
+        Some(7777),
+    );
     let reply = c.request(&other_deadline).unwrap();
     assert!(reply.contains("\"ok\":true"), "{reply}");
     assert_eq!(
@@ -473,7 +478,7 @@ fn retried_idempotent_requests_replay_bit_identically() {
     // Sessionless idem requests are scoped to their connection: a
     // same-connection retransmit replays, but the same frame from another
     // connection is processed fresh (no cross-client collision).
-    let sessionless = client::estimate_request_idem(3, &clean[0], None, None, Some(41), None);
+    let sessionless = client::estimate_frame(3, Single(&clean[0]), None, None, Some(41), None);
     let first_nosess = c.request(&sessionless).unwrap();
     assert!(first_nosess.contains("\"ok\":true"), "{first_nosess}");
     let again_nosess = c.request(&sessionless).unwrap();

@@ -3,12 +3,16 @@
 //! lines and interleaved pipelined requests must all produce typed error
 //! frames — never a panic, never a hang, never a dropped valid request.
 
-use neursc_core::{NeurSc, NeurScConfig, Recorder};
+use neursc_core::{NeurSc, NeurScConfig, QuantMode, Recorder};
 use neursc_graph::generate::erdos_renyi;
-use neursc_serve::client::{self, Client};
+use neursc_graph::sample::{sample_query, QuerySampler};
+use neursc_graph::Graph;
+use neursc_serve::client::{self, Client, Queries};
+use neursc_serve::journal::digest_queries;
 use neursc_serve::json::Json;
 use neursc_serve::{json, parse_request, serve, ServeConfig};
 use proptest::prelude::*;
+use rand::SeedableRng;
 use std::sync::Arc;
 
 proptest! {
@@ -66,6 +70,91 @@ proptest! {
                 prop_assert!(!e.kind.is_empty());
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A singleton is a batch of one, on the wire: for any query, budgets,
+    /// `idem`/`session` and quantization, the `estimate` reply minus its
+    /// `id`/`idem` echoes is byte-equal to `results[0]` of the
+    /// `estimate_batch` reply for `[query]` — whether the slot is `Ok`, a
+    /// typed error (`max_filter_steps: 1`) or over the admission cap — and
+    /// a request-level refusal (`crash_suspect`) is the same top-level
+    /// error frame for both shapes.
+    #[test]
+    fn singleton_reply_is_the_batch_of_one_reply_unwrapped(
+        seed in any::<u32>(),
+        outcome in 0u8..3,
+        with_deadline in any::<bool>(),
+        idem in 0u64..3,
+        session in 0u64..3,
+        quantized in any::<bool>(),
+    ) {
+        let g = erdos_renyi(60, 150, 3, 5);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(u64::from(seed));
+        // outcome 0: Ok; 1: starved filter budget; 2: over the 4-vertex cap.
+        let n = if outcome == 2 { 5 } else { 3 };
+        let q = sample_query(&g, &QuerySampler::induced(n), &mut rng).unwrap();
+        let poison = Graph::from_edges(2, &[0, 0], &[(0, 1)]).unwrap();
+        let cfg = ServeConfig {
+            max_query_vertices: Some(4),
+            quantize: [QuantMode::F32, QuantMode::Int8][usize::from(quantized)],
+            quarantine: vec![digest_queries(&[poison.content_fingerprint()])],
+            ..ServeConfig::default()
+        };
+        let model = NeurSc::new(NeurScConfig::small(), 42);
+        let server = serve(model, g, cfg, Arc::new(Recorder::new())).unwrap();
+        let mut c = Client::connect_tcp(server.local_addr()).unwrap();
+
+        let deadline = with_deadline.then_some(60_000);
+        let steps = (outcome == 1).then_some(1);
+        // 0 = not sent. The two shapes are two requests, so two seqnos.
+        let idem_single = (idem > 0).then_some(idem);
+        let idem_batch = (idem > 0).then_some(idem + 10);
+        let session = (session > 0).then_some(session);
+        let mut ask = |id, queries, idem| {
+            let frame = client::estimate_frame(id, queries, deadline, steps, idem, session);
+            c.request(&frame).unwrap()
+        };
+        let echo = |id: u64, idem: Option<u64>| match idem {
+            Some(n) => format!("\"id\":{id},\"idem\":{n},"),
+            None => format!("\"id\":{id},"),
+        };
+
+        let single = ask(1, Queries::Single(&q), idem_single);
+        let batch = ask(1, Queries::Batch(std::slice::from_ref(&q)), idem_batch);
+        let slot = single.replacen(&echo(1, idem_single), "", 1);
+        prop_assert_eq!(
+            &batch,
+            &format!("{{\"ok\":true,{}\"results\":[{slot}]}}", echo(1, idem_batch)),
+            "single reply was {}", single
+        );
+        match outcome {
+            0 => {
+                prop_assert!(slot.starts_with("{\"ok\":true,\"estimate\":"), "{}", slot);
+                prop_assert_eq!(slot.ends_with(",\"quantized\":true}"), quantized, "{}", slot);
+            }
+            _ => {
+                prop_assert!(slot.starts_with("{\"ok\":false,\"kind\":\"budget\","), "{}", slot);
+                prop_assert_eq!(slot.contains("admission:"), outcome == 2, "{}", slot);
+            }
+        }
+
+        // Refused before anything is cached or queued: same id and seqno
+        // for both shapes, so the two frames are equal as they stand.
+        let refused = ask(2, Queries::Single(&poison), idem_single);
+        prop_assert_eq!(
+            &refused,
+            &ask(2, Queries::Batch(std::slice::from_ref(&poison)), idem_single)
+        );
+        let head = format!("{{\"ok\":false,{}\"kind\":\"crash_suspect\",", echo(2, idem_single));
+        prop_assert!(refused.starts_with(&head), "{}", refused);
+
+        c.send_line(&client::shutdown_request(100)).unwrap();
+        let _ = c.recv_line().unwrap();
+        server.join().unwrap();
     }
 }
 

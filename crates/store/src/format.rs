@@ -21,9 +21,7 @@
 //! bytes fail the magic/version/checksum-field comparisons; truncation at
 //! any byte fails the length equation before the checksum is even computed.
 
-use std::fs::File;
-use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use neursc_graph::Graph;
 
@@ -196,25 +194,13 @@ pub fn encode_graph(g: &Graph) -> Vec<u8> {
     out
 }
 
-/// Packs a graph to `path` (write-to-sibling then rename, so a crash
-/// mid-write never leaves a half-written store under the final name).
+/// Packs a graph to `path` through [`neursc_graph::io::write_atomic`], so a
+/// crash mid-write never leaves a half-written store under the final name.
 /// Returns the number of bytes written.
 pub fn pack_graph(g: &Graph, path: impl AsRef<Path>) -> Result<u64, StoreError> {
     let path = path.as_ref();
     let bytes = encode_graph(g);
-    let mut tmp_name = path.as_os_str().to_os_string();
-    tmp_name.push(".tmp");
-    let tmp = PathBuf::from(tmp_name);
-    let result = (|| -> std::io::Result<()> {
-        let mut f = File::create(&tmp)?;
-        f.write_all(&bytes)?;
-        f.sync_all()?;
-        std::fs::rename(&tmp, path)
-    })();
-    result.map_err(|e| {
-        let _ = std::fs::remove_file(&tmp);
-        StoreError::io_at(path, e)
-    })?;
+    neursc_graph::io::write_atomic(path, &bytes).map_err(|e| StoreError::io_at(path, e))?;
     Ok(bytes.len() as u64)
 }
 

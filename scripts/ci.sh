@@ -27,23 +27,17 @@ echo "== cargo doc (deny warnings, our crates only) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps "${OUR_CRATES[@]}"
 
 echo "== cargo test (unit + integration + doc-tests) =="
+# One workspace run executes every suite once (none is #[ignore]d); these
+# used to be re-run as stages of their own:
+#   fault-injection suite                  (--test fault_injection)
+#   serve smoke (daemon over loopback via the real CLI binary)
+#                                          (--test serve_smoke)
+#   supervise smoke (kill -9 mid-traffic, restart, quarantine)
+#                                          (--test supervise_smoke)
+#   serve equivalence + protocol fuzz      (-p neursc-serve)
+#   observability determinism suite        (-p neursc-core --test obs_determinism)
 cargo test --workspace -q
 cargo test -q --doc "${OUR_CRATES[@]}"
-
-echo "== fault-injection suite =="
-cargo test -q --test fault_injection
-
-echo "== serve smoke (daemon over loopback via the real CLI binary) =="
-cargo test -q --test serve_smoke
-
-echo "== supervise smoke (kill -9 mid-traffic, restart, quarantine) =="
-cargo test -q --test supervise_smoke
-
-echo "== serve equivalence + protocol fuzz =="
-cargo test -q -p neursc-serve
-
-echo "== observability determinism suite =="
-cargo test -q -p neursc-core --test obs_determinism
 
 echo "== no-op sink overhead gate (DESIGN.md §8: < 2%) =="
 cargo run --release -q -p neursc-bench --bin obs_overhead
