@@ -11,6 +11,7 @@
 
 use crate::error::GraphError;
 use crate::types::{Edge, Label, VertexId};
+use std::sync::OnceLock;
 
 /// An immutable vertex-labeled undirected simple graph in CSR form.
 ///
@@ -27,7 +28,7 @@ use crate::types::{Edge, Label, VertexId};
 /// assert!(g.has_edge(0, 2));
 /// assert!(!g.has_edge(0, 3));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct Graph {
     /// `offsets[v]..offsets[v+1]` indexes `neighbors` for vertex `v`.
     offsets: Vec<usize>,
@@ -39,7 +40,24 @@ pub struct Graph {
     n_labels: usize,
     /// Maximum degree over all vertices (0 for empty graphs).
     max_degree: usize,
+    /// Memo of [`Graph::content_fingerprint`], filled by its first call
+    /// (not at build time: every induced substructure graph is built on
+    /// the hot path and most are never fingerprinted). A clone carries it.
+    fingerprint: OnceLock<u64>,
 }
+
+/// Equality is over content only. The fingerprint memo is a function of
+/// the content, so a derived impl would be wrong, not merely wasteful: two
+/// equal graphs would compare unequal once one of them had been hashed.
+impl PartialEq for Graph {
+    fn eq(&self, other: &Self) -> bool {
+        self.labels == other.labels
+            && self.offsets == other.offsets
+            && self.neighbors == other.neighbors
+    }
+}
+
+impl Eq for Graph {}
 
 impl Graph {
     /// Builds a graph directly from a label array and an edge list.
@@ -147,6 +165,7 @@ impl Graph {
             labels,
             n_labels,
             max_degree,
+            fingerprint: OnceLock::new(),
         })
     }
 
@@ -254,22 +273,25 @@ impl Graph {
     /// byte-identical in CSR form, so the fingerprint can key caches of
     /// derived per-graph data (vertex profiles, feature matrices): a graph
     /// rebuilt with any vertex, edge or label change hashes differently and
-    /// can never be served another graph's cached results. `O(n + m)`,
-    /// orders of magnitude cheaper than the computations it guards.
+    /// can never be served another graph's cached results. `O(n + m)` on
+    /// the first call; the graph is immutable, so the value is kept and
+    /// every later call (each warm cache lookup) is a load.
     pub fn content_fingerprint(&self) -> u64 {
-        let mut h = crate::hash::Fnv64::new();
-        let mut mix = |word: u64| h.update(&word.to_le_bytes());
-        mix(self.n_vertices() as u64);
-        for &l in &self.labels {
-            mix(l as u64);
-        }
-        for &o in &self.offsets {
-            mix(o as u64);
-        }
-        for &v in &self.neighbors {
-            mix(v as u64);
-        }
-        h.finish()
+        *self.fingerprint.get_or_init(|| {
+            let mut h = crate::hash::Fnv64::new();
+            let mut mix = |word: u64| h.update(&word.to_le_bytes());
+            mix(self.n_vertices() as u64);
+            for &l in &self.labels {
+                mix(l as u64);
+            }
+            for &o in &self.offsets {
+                mix(o as u64);
+            }
+            for &v in &self.neighbors {
+                mix(v as u64);
+            }
+            h.finish()
+        })
     }
 
     /// Validates internal CSR invariants; used by tests and asserted after
@@ -404,6 +426,7 @@ impl GraphBuilder {
             labels: self.labels,
             n_labels,
             max_degree,
+            fingerprint: OnceLock::new(),
         };
         debug_assert!(g.check_invariants());
         g
@@ -520,19 +543,52 @@ mod tests {
         assert_ne!(g.content_fingerprint(), bigger.content_fingerprint());
     }
 
+    /// `g` reassembled from its own CSR arrays (a fresh, unhashed graph).
+    fn rebuilt_from_csr(g: &Graph) -> Graph {
+        Graph::from_csr_parts(g.labels.clone(), g.offsets.clone(), g.neighbors.clone()).unwrap()
+    }
+
+    #[test]
+    fn fingerprint_memo_never_changes_the_value_or_equality() {
+        let g = triangle_with_tail();
+        // Clones taken before and after the original has hashed, and a
+        // rebuild that never shares the memo: all four (self, other) memo
+        // states compare equal and hash to the same value.
+        let cold_clone = g.clone();
+        assert!(g.fingerprint.get().is_none() && cold_clone.fingerprint.get().is_none());
+        assert_eq!(g, cold_clone); // (empty, empty)
+        let fp = g.content_fingerprint();
+        assert_eq!(g.fingerprint.get(), Some(&fp));
+        assert_eq!(g, cold_clone); // (filled, empty)
+        assert_eq!(cold_clone, g); // (empty, filled)
+        let warm_clone = g.clone();
+        assert_eq!(
+            warm_clone.fingerprint.get(),
+            Some(&fp),
+            "a clone carries it"
+        );
+        assert_eq!(g, warm_clone); // (filled, filled)
+        let rebuilt = rebuilt_from_csr(&g);
+        assert_eq!(rebuilt, g);
+        for other in [&cold_clone, &warm_clone, &rebuilt] {
+            assert_eq!(other.content_fingerprint(), fp);
+            assert_eq!(
+                other.content_fingerprint(),
+                fp,
+                "second call reads the memo"
+            );
+        }
+        // A different graph still differs, whichever side has hashed.
+        let sparser = Graph::from_edges(4, &[0, 1, 1, 0], &[(0, 1), (1, 2), (2, 3)]).unwrap();
+        assert_ne!(g, sparser);
+        assert_ne!(sparser.content_fingerprint(), fp);
+        assert_ne!(g, sparser);
+    }
+
     #[test]
     fn from_csr_parts_roundtrips_builder_output() {
         let g = triangle_with_tail();
-        let labels = g.labels().to_vec();
-        let mut offsets = vec![0usize];
-        for v in g.vertices() {
-            offsets.push(offsets[v as usize] + g.degree(v));
-        }
-        let mut neighbors = Vec::new();
-        for v in g.vertices() {
-            neighbors.extend_from_slice(g.neighbors(v));
-        }
-        let g2 = Graph::from_csr_parts(labels, offsets, neighbors).unwrap();
+        let g2 = rebuilt_from_csr(&g);
         assert_eq!(g, g2);
         assert_eq!(g2.max_degree(), g.max_degree());
         assert_eq!(g2.n_labels(), g.n_labels());
