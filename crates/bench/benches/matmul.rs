@@ -5,8 +5,12 @@
 //! path of dense matmuls — the common case for GIN/attention activations.
 //! The shipped kernel keeps the skip only for entirely-zero rows (one-hot
 //! feature matrices genuinely contain those) and runs a branch-free
-//! fused-multiply loop otherwise. This bench pits the two against each
-//! other on a dense and a 90%-sparse input to show the trade:
+//! multiply-then-add loop otherwise — two roundings per term, never a fused
+//! multiply-add: bit-identity across its SIMD tiers depends on that. Since
+//! PR 17 `Tensor::matmul` *is* the shared `neursc_nn::kernels` family, so
+//! the `zero_row_skip` arm times the SIMD kernel training and inference
+//! both run, against the seed's scalar loop. The two are pitted against
+//! each other on a dense and a 90%-sparse input to show the trade:
 //!
 //! * dense: per-scalar skip pays the branch on every element and loses;
 //! * sparse: per-scalar skip wins on scattered zeros, but zero-row skip

@@ -408,6 +408,8 @@ fn run_training_inner(
 
     // ---- Phase 1: count-loss pre-training --------------------------------
     let mut order: Vec<usize> = (0..usable.len()).collect();
+    // One accumulator for the run: `step` leaves it zeroed for the next batch.
+    let mut acc = GradAccum::new(model, &est_params);
     {
         let _phase = Span::enter("train.pretrain");
         for _epoch in 0..cfg.pretrain_epochs {
@@ -416,7 +418,6 @@ fn run_training_inner(
             order.shuffle(&mut rng);
             let mut epoch_loss = 0.0;
             for chunk in order.chunks(cfg.batch_size.max(1)) {
-                let mut acc = GradAccum::new(model, &est_params);
                 for &qi in chunk {
                     let pq = usable[qi];
                     model.store.zero_grads();
@@ -460,7 +461,6 @@ fn run_training_inner(
         order.shuffle(&mut rng);
         let mut epoch_loss = 0.0;
         for chunk in order.chunks(cfg.batch_size.max(1)) {
-            let mut acc = GradAccum::new(model, &est_params);
             for &qi in chunk {
                 let pq = usable[qi];
                 let mut tape = Tape::new();

@@ -72,7 +72,8 @@ pub fn init_features(g: &Graph, cfg: &FeatureConfig) -> Tensor {
     let dim = cfg.dim();
     let n = g.n_vertices();
     let mut x = Tensor::zeros(n, dim);
-    let mut scratch = vec![0.0f32; unit];
+    // Every vertex's own `f_b(deg) ‖ f_b(label)` first: the ring segments
+    // below pool these rows instead of encoding each neighbor again.
     for v in g.vertices() {
         let row = x.row_mut(v as usize);
         encode_binary(
@@ -85,32 +86,32 @@ pub fn init_features(g: &Graph, cfg: &FeatureConfig) -> Tensor {
             cfg.label_bits,
             &mut row[cfg.degree_bits..unit],
         );
-        if cfg.k_hops > 0 {
-            let rings = khop_rings(g, v, cfg.k_hops);
-            for (i, ring) in rings.iter().enumerate() {
-                let seg = &mut row[unit * (1 + i)..unit * (2 + i)];
-                if ring.is_empty() {
-                    continue; // mean over an empty ring stays zero
+    }
+    if cfg.k_hops == 0 {
+        return x;
+    }
+    let mut pooled = vec![0.0f32; unit];
+    for v in g.vertices() {
+        // The 1-hop ring is the adjacency list itself (sorted, no self
+        // loop); `khop_rings` would run a BFS and an `O(n)` scan per vertex.
+        let rings = match cfg.k_hops {
+            1 => vec![g.neighbors(v).to_vec()],
+            k => khop_rings(g, v, k),
+        };
+        for (i, ring) in rings.iter().enumerate() {
+            if ring.is_empty() {
+                continue; // mean over an empty ring stays zero
+            }
+            pooled.fill(0.0);
+            for &u in ring {
+                for (s, &b) in pooled.iter_mut().zip(&x.row(u as usize)[..unit]) {
+                    *s += b;
                 }
-                for &u in ring {
-                    encode_binary(
-                        g.degree(u) as u64,
-                        cfg.degree_bits,
-                        &mut scratch[..cfg.degree_bits],
-                    );
-                    encode_binary(
-                        g.label(u) as u64,
-                        cfg.label_bits,
-                        &mut scratch[cfg.degree_bits..],
-                    );
-                    for (s, &b) in seg.iter_mut().zip(scratch.iter()) {
-                        *s += b;
-                    }
-                }
-                let inv = 1.0 / ring.len() as f32;
-                for s in seg.iter_mut() {
-                    *s *= inv;
-                }
+            }
+            let inv = 1.0 / ring.len() as f32;
+            let seg = &mut x.row_mut(v as usize)[unit * (1 + i)..unit * (2 + i)];
+            for (o, &s) in seg.iter_mut().zip(&pooled) {
+                *o = s * inv;
             }
         }
     }
@@ -203,6 +204,12 @@ mod tests {
         assert_eq!(x.cols(), 12);
         // vertex 0's 2-ring = {2}: deg 1 → [1,0], label 2 → [0,1]
         assert_eq!(&x.row(0)[8..], &[1.0, 0.0, 0.0, 1.0]);
+        // k = 1 reads the adjacency list instead of running the BFS that
+        // k = 2 runs: the first ring segment must not depend on which.
+        let x1 = init_features(&g, &FeatureConfig { k_hops: 1, ..cfg });
+        for v in 0..3 {
+            assert_eq!(x1.row(v), &x.row(v)[..8]);
+        }
     }
 
     #[test]

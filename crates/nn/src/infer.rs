@@ -322,9 +322,8 @@ impl<'w> InferCtx<'w> {
         self.arena.alloc_full(rows, cols)
     }
 
-    /// `a × b` into an arena tensor — the exact [`Tensor::matmul`] kernel
-    /// (i-k-j order, whole-zero-row skip, row-blocked fan-out), minus the
-    /// fresh allocation.
+    /// `a × b` into an arena tensor — [`Tensor::matmul`] (the same
+    /// [`crate::kernels`] call) minus the fresh allocation.
     pub fn matmul(&mut self, a: &Tensor, b: &Tensor) -> Tensor {
         assert_eq!(
             a.cols(),
@@ -335,7 +334,7 @@ impl<'w> InferCtx<'w> {
         );
         let (n, m) = (a.rows(), b.cols());
         let mut out = self.arena.alloc_full(n, m);
-        matmul_into(a, b, &mut out);
+        crate::kernels::matmul_into(a, b, &mut out);
         out
     }
 
@@ -402,311 +401,6 @@ impl<'w> InferCtx<'w> {
         out.data_mut()
             .copy_from_slice(&a.data()[start * c..end * c]);
         out
-    }
-}
-
-/// The [`Tensor::matmul`] inner kernel writing into a caller-provided
-/// output (contents may be stale — every row is either computed or
-/// explicitly zeroed): i-k-j loop order, whole-zero-row skip, row blocks
-/// fanned out via [`crate::parallel`] — bit-identical to the tape path
-/// at any thread count.
-///
-/// On x86-64 with AVX2 the per-row kernel is vectorized 8-wide across
-/// the *output columns* with in-register accumulators. That is still
-/// the exact tape summation: each output element accumulates its
-/// `a[i][k] * b[k][j]` products in ascending-`k` order with separate
-/// multiply and add (no FMA contraction), so the result is bit-identical
-/// to the scalar loop — SIMD lanes are independent output elements, not
-/// a reassociated reduction. The tape path keeps the portable kernel;
-/// this one exists for inference, where the matmuls dominate.
-fn matmul_into(a: &Tensor, b: &Tensor, out: &mut Tensor) {
-    let (n, k) = a.shape();
-    let m = b.cols();
-    debug_assert_eq!(out.shape(), (n, m));
-    crate::parallel::for_each_row_chunk(n, m, 4, out.data_mut(), |i0, block| {
-        let nr = block.len() / m;
-        matmul_rows(&a.data()[i0 * k..(i0 + nr) * k], b.data(), k, m, block);
-    });
-}
-
-/// A group of output rows of [`matmul_into`]: `a_rows` holds `o.len()/m`
-/// consecutive `k`-wide input rows, and every element of `o` is
-/// overwritten (prior contents may be stale). Full groups of four
-/// nonzero rows go through the four-row AVX-512 kernel — the single
-/// per-element add chain is latency-bound, and interleaving four
-/// independent rows over one sweep of `b` hides that latency without
-/// touching any element's operation order. Short groups, zero rows (the
-/// tape's whole-row skip), and narrower CPUs fall back to the per-row
-/// path. Shared with [`crate::layers::Linear::infer_forward`]'s fused
-/// matmul.
-pub(crate) fn matmul_rows(a_rows: &[f32], bd: &[f32], k: usize, m: usize, o: &mut [f32]) {
-    debug_assert_eq!(o.len() % m, 0);
-    debug_assert_eq!(a_rows.len(), (o.len() / m) * k);
-    #[cfg(target_arch = "x86_64")]
-    if o.len() == 4 * m
-        && m >= 16
-        && avx512_available()
-        && !a_rows.chunks_exact(k).any(|r| r.iter().all(|&x| x == 0.0))
-    {
-        // SAFETY: the CPU reports AVX-512F (checked above); slice bounds
-        // are upheld by the kernel's own loop limits.
-        unsafe { quad_matmul_avx512(a_rows, bd, k, m, o) };
-        return;
-    }
-    for (a_row, o_row) in a_rows.chunks_exact(k).zip(o.chunks_exact_mut(m)) {
-        if a_row.iter().all(|&x| x == 0.0) {
-            o_row.fill(0.0); // whole-row skip: the tape's output row is zero
-        } else {
-            row_matmul(a_row, bd, m, o_row);
-        }
-    }
-}
-
-/// One output row of [`matmul_into`]: dispatches to the widest SIMD
-/// kernel the CPU supports, else the portable blocked loop. Every
-/// element of `o_row` is overwritten (prior contents may be stale).
-pub(crate) fn row_matmul(a_row: &[f32], bd: &[f32], m: usize, o_row: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if avx512_available() {
-            // SAFETY: the CPU reports AVX-512F (checked above); slice
-            // bounds are upheld by the kernel's own loop limits.
-            unsafe { row_matmul_avx512(a_row, bd, m, o_row) };
-            return;
-        }
-        if avx2_available() {
-            // SAFETY: the CPU reports AVX2 (checked above); slice bounds
-            // are upheld by the kernel's own loop limits.
-            unsafe { row_matmul_avx2(a_row, bd, m, o_row) };
-            return;
-        }
-    }
-    row_matmul_scalar(a_row, bd, m, o_row);
-}
-
-/// Portable per-row kernel: output columns processed in 32-wide blocks
-/// accumulated on the stack and stored once. Per output element this is
-/// the tape's exact ascending-`k` multiply-then-add sum starting from
-/// `+0.0`, so results are bit-identical to the naive `+=` loop — the
-/// blocking only changes *which registers* hold the partial sums.
-fn row_matmul_scalar(a_row: &[f32], bd: &[f32], m: usize, o_row: &mut [f32]) {
-    let mut j0 = 0usize;
-    while j0 < m {
-        let jw = (m - j0).min(32);
-        let mut acc = [0.0f32; 32];
-        for (kk, &av) in a_row.iter().enumerate() {
-            let b_blk = &bd[kk * m + j0..kk * m + j0 + jw];
-            for (s, &bv) in acc[..jw].iter_mut().zip(b_blk.iter()) {
-                *s += av * bv;
-            }
-        }
-        o_row[j0..j0 + jw].copy_from_slice(&acc[..jw]);
-        j0 += jw;
-    }
-}
-
-/// Whether this CPU supports AVX2 (cached after the first query).
-#[cfg(target_arch = "x86_64")]
-fn avx2_available() -> bool {
-    static AVX2: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *AVX2.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
-}
-
-/// Whether this CPU supports AVX-512F (cached after the first query).
-#[cfg(target_arch = "x86_64")]
-fn avx512_available() -> bool {
-    static AVX512: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *AVX512.get_or_init(|| std::arch::is_x86_feature_detected!("avx512f"))
-}
-
-/// AVX-512 per-row kernel: 16-wide across output columns; otherwise the
-/// same structure and bit-identity argument as [`row_matmul_avx2`]
-/// (lane-wise single-precision multiply then add, ascending `k`, no
-/// FMA).
-///
-/// # Safety
-///
-/// Requires AVX-512F. Same bounds argument as [`row_matmul_avx2`].
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn row_matmul_avx512(a_row: &[f32], bd: &[f32], m: usize, o_row: &mut [f32]) {
-    use std::arch::x86_64::{
-        _mm512_add_ps, _mm512_loadu_ps, _mm512_mul_ps, _mm512_set1_ps, _mm512_setzero_ps,
-        _mm512_storeu_ps,
-    };
-    debug_assert!(bd.len() >= a_row.len() * m && o_row.len() == m);
-    let mut j0 = 0usize;
-    while j0 + 32 <= m {
-        let mut acc0 = _mm512_setzero_ps();
-        let mut acc1 = _mm512_setzero_ps();
-        for (kk, &av) in a_row.iter().enumerate() {
-            let a = _mm512_set1_ps(av);
-            let bp = bd.as_ptr().add(kk * m + j0);
-            acc0 = _mm512_add_ps(acc0, _mm512_mul_ps(a, _mm512_loadu_ps(bp)));
-            acc1 = _mm512_add_ps(acc1, _mm512_mul_ps(a, _mm512_loadu_ps(bp.add(16))));
-        }
-        let op = o_row.as_mut_ptr().add(j0);
-        _mm512_storeu_ps(op, acc0);
-        _mm512_storeu_ps(op.add(16), acc1);
-        j0 += 32;
-    }
-    while j0 + 16 <= m {
-        let mut acc = _mm512_setzero_ps();
-        for (kk, &av) in a_row.iter().enumerate() {
-            let a = _mm512_set1_ps(av);
-            acc = _mm512_add_ps(
-                acc,
-                _mm512_mul_ps(a, _mm512_loadu_ps(bd.as_ptr().add(kk * m + j0))),
-            );
-        }
-        _mm512_storeu_ps(o_row.as_mut_ptr().add(j0), acc);
-        j0 += 16;
-    }
-    // Scalar tail: same ascending-k accumulation per element.
-    for j in j0..m {
-        let mut acc = 0.0f32;
-        for (kk, &av) in a_row.iter().enumerate() {
-            acc += av * bd[kk * m + j];
-        }
-        o_row[j] = acc;
-    }
-}
-
-/// Four-row AVX-512 kernel: one sweep over `b` feeds four independent
-/// output rows, with each row's 16-lane accumulators carried across the
-/// whole `k` loop. Per output element this is the identical
-/// ascending-`k` multiply-then-add chain as [`row_matmul_avx512`]
-/// (lane-wise IEEE single ops, no FMA) — the rows only *interleave* in
-/// time, they never mix — so results are bit-identical to running the
-/// per-row kernel four times. The interleaving exists purely to hide
-/// the 4-cycle vector-add latency that serializes a single row's chain.
-///
-/// # Safety
-///
-/// Requires AVX-512F. `a_rows` must hold exactly `4 * k` elements, `o`
-/// exactly `4 * m`, and `bd` at least `k * m`; all pointer arithmetic
-/// stays inside those bounds by the loop limits (`j0 + width <= m`,
-/// `kk < k`).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn quad_matmul_avx512(a_rows: &[f32], bd: &[f32], k: usize, m: usize, o: &mut [f32]) {
-    use std::arch::x86_64::{
-        _mm512_add_ps, _mm512_loadu_ps, _mm512_mul_ps, _mm512_set1_ps, _mm512_setzero_ps,
-        _mm512_storeu_ps,
-    };
-    debug_assert!(a_rows.len() == 4 * k && o.len() == 4 * m && bd.len() >= k * m);
-    let ap = a_rows.as_ptr();
-    let a = [ap, ap.add(k), ap.add(2 * k), ap.add(3 * k)];
-    let op = o.as_mut_ptr();
-    let orows = [op, op.add(m), op.add(2 * m), op.add(3 * m)];
-    let mut j0 = 0usize;
-    // 32-wide column blocks: 4 rows × 2 ZMM accumulators (8 live regs).
-    while j0 + 32 <= m {
-        let mut acc0 = [_mm512_setzero_ps(); 4];
-        let mut acc1 = [_mm512_setzero_ps(); 4];
-        for kk in 0..k {
-            let bp = bd.as_ptr().add(kk * m + j0);
-            let b0 = _mm512_loadu_ps(bp);
-            let b1 = _mm512_loadu_ps(bp.add(16));
-            for r in 0..4 {
-                let av = _mm512_set1_ps(*a[r].add(kk));
-                acc0[r] = _mm512_add_ps(acc0[r], _mm512_mul_ps(av, b0));
-                acc1[r] = _mm512_add_ps(acc1[r], _mm512_mul_ps(av, b1));
-            }
-        }
-        for r in 0..4 {
-            _mm512_storeu_ps(orows[r].add(j0), acc0[r]);
-            _mm512_storeu_ps(orows[r].add(j0 + 16), acc1[r]);
-        }
-        j0 += 32;
-    }
-    while j0 + 16 <= m {
-        let mut acc = [_mm512_setzero_ps(); 4];
-        for kk in 0..k {
-            let b0 = _mm512_loadu_ps(bd.as_ptr().add(kk * m + j0));
-            for r in 0..4 {
-                let av = _mm512_set1_ps(*a[r].add(kk));
-                acc[r] = _mm512_add_ps(acc[r], _mm512_mul_ps(av, b0));
-            }
-        }
-        for r in 0..4 {
-            _mm512_storeu_ps(orows[r].add(j0), acc[r]);
-        }
-        j0 += 16;
-    }
-    // Scalar tail: same ascending-k accumulation per element, row-major.
-    for r in 0..4 {
-        let a_row = &a_rows[r * k..(r + 1) * k];
-        for j in j0..m {
-            let mut acc = 0.0f32;
-            for (kk, &av) in a_row.iter().enumerate() {
-                acc += av * bd[kk * m + j];
-            }
-            o[r * m + j] = acc;
-        }
-    }
-}
-
-/// AVX2 per-row kernel: 8-wide across output columns, accumulators held
-/// in registers across the whole `k` loop and stored once. Per output
-/// element this is the identical ascending-`k` multiply-then-add
-/// sequence as [`row_matmul_scalar`] (`_mm256_mul_ps`/`_mm256_add_ps`
-/// are lane-wise IEEE single ops; no FMA), so results are bit-identical.
-///
-/// # Safety
-///
-/// Requires AVX2. All pointer arithmetic stays inside `bd`/`o_row`: for
-/// every block start `j0` the kernel only advances while `j0 + width <=
-/// m`, and `kk < a_row.len() = k` with `bd.len() = k * m`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn row_matmul_avx2(a_row: &[f32], bd: &[f32], m: usize, o_row: &mut [f32]) {
-    use std::arch::x86_64::{
-        _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps,
-        _mm256_storeu_ps,
-    };
-    debug_assert!(bd.len() >= a_row.len() * m && o_row.len() == m);
-    let mut j0 = 0usize;
-    // 32-wide blocks: four YMM accumulators live across the k loop.
-    while j0 + 32 <= m {
-        let mut acc0 = _mm256_setzero_ps();
-        let mut acc1 = _mm256_setzero_ps();
-        let mut acc2 = _mm256_setzero_ps();
-        let mut acc3 = _mm256_setzero_ps();
-        for (kk, &av) in a_row.iter().enumerate() {
-            let a = _mm256_set1_ps(av);
-            let bp = bd.as_ptr().add(kk * m + j0);
-            acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(a, _mm256_loadu_ps(bp)));
-            acc1 = _mm256_add_ps(acc1, _mm256_mul_ps(a, _mm256_loadu_ps(bp.add(8))));
-            acc2 = _mm256_add_ps(acc2, _mm256_mul_ps(a, _mm256_loadu_ps(bp.add(16))));
-            acc3 = _mm256_add_ps(acc3, _mm256_mul_ps(a, _mm256_loadu_ps(bp.add(24))));
-        }
-        let op = o_row.as_mut_ptr().add(j0);
-        _mm256_storeu_ps(op, acc0);
-        _mm256_storeu_ps(op.add(8), acc1);
-        _mm256_storeu_ps(op.add(16), acc2);
-        _mm256_storeu_ps(op.add(24), acc3);
-        j0 += 32;
-    }
-    while j0 + 8 <= m {
-        let mut acc = _mm256_setzero_ps();
-        for (kk, &av) in a_row.iter().enumerate() {
-            let a = _mm256_set1_ps(av);
-            acc = _mm256_add_ps(
-                acc,
-                _mm256_mul_ps(a, _mm256_loadu_ps(bd.as_ptr().add(kk * m + j0))),
-            );
-        }
-        _mm256_storeu_ps(o_row.as_mut_ptr().add(j0), acc);
-        j0 += 8;
-    }
-    // Scalar tail: same ascending-k accumulation per element.
-    for j in j0..m {
-        let mut acc = 0.0f32;
-        for (kk, &av) in a_row.iter().enumerate() {
-            acc += av * bd[kk * m + j];
-        }
-        o_row[j] = acc;
     }
 }
 
@@ -819,24 +513,6 @@ mod tests {
         // A dirtied recycled buffer comes back zeroed.
         let t3 = a.alloc(3, 2);
         assert_eq!(t3.data(), &[0.0; 6]);
-    }
-
-    #[test]
-    fn ctx_matmul_matches_tensor_matmul_bitwise() {
-        let mut v = 0x9e37_79b9u32;
-        let mut next = || {
-            v ^= v << 13;
-            v ^= v >> 17;
-            v ^= v << 5;
-            (v % 1000) as f32 / 500.0 - 1.0
-        };
-        let a = Tensor::from_vec(13, 7, (0..13 * 7).map(|_| next()).collect());
-        let b = Tensor::from_vec(7, 9, (0..7 * 9).map(|_| next()).collect());
-        let mut store = ParamStore::new();
-        store.alloc(Tensor::zeros(1, 1));
-        let w = InferWeights::from_store(&store, QuantMode::F32);
-        let mut ctx = InferCtx::new(&w, Arena::new());
-        assert_eq!(ctx.matmul(&a, &b), a.matmul(&b));
     }
 
     #[test]

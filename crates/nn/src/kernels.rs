@@ -1,0 +1,645 @@
+//! The one matmul kernel family: three tiers, two callers.
+//!
+//! Every dense product in the crate — [`Tensor::matmul`] on the training
+//! tape (forward *and* backward), [`crate::infer::InferCtx::matmul`] and
+//! the fused [`crate::layers::Linear::infer_forward`] on the inference
+//! path — runs through `matmul_rows`; the weight gradient `Aᵀ·G` of the
+//! tape's backward runs through its transposed-left sibling
+//! `matmul_tn_into`. A row kernel exists in three tiers, picked once per
+//! process from what the CPU reports: AVX-512 (16 lanes, plus a four-row
+//! variant that hides add latency), AVX2 (8 lanes) and the portable
+//! `row_matmul_scalar`.
+//!
+//! **Bit-identity contract.** All tiers compute every output element as
+//! the same chain: start from `+0.0`, then for ascending `k` multiply
+//! `a[i][k] * b[k][j]` and add — two roundings, never a fused
+//! multiply-add — and a left row (for `tn`: a left *column*) that is
+//! entirely zero is skipped, leaving its output row `+0.0` whatever `b`
+//! holds (observable when `b` carries `inf`/`NaN`). SIMD lanes are
+//! independent output elements, never a reassociated reduction, and row
+//! blocks fan out through [`crate::parallel`] with each row computed by
+//! exactly one worker — so results are bit-identical across tiers, thread
+//! counts and callers. That is what lets training and inference share the
+//! kernels while `tests/infer_equivalence.rs` and the golden training test
+//! stay exact.
+
+use crate::tensor::Tensor;
+
+/// `a × b` written into a caller-provided output whose contents may be
+/// stale: every row is either computed or explicitly zeroed.
+pub(crate) fn matmul_into(a: &Tensor, b: &Tensor, out: &mut Tensor) {
+    let (n, k) = a.shape();
+    let m = b.cols();
+    debug_assert_eq!(out.shape(), (n, m));
+    crate::parallel::for_each_row_chunk(n, m, 4, out.data_mut(), |i0, block| {
+        let nr = block.len() / m;
+        matmul_rows(&a.data()[i0 * k..(i0 + nr) * k], b.data(), k, m, block);
+    });
+}
+
+/// `aᵀ × g` — `[n, k]ᵀ × [n, m] → [k, m]`, the weight gradient of a tape
+/// matmul — without materialising `aᵀ`: output row `i` multiplies column
+/// `i` of `a`, which the row kernels read by stride. Bit-identical to
+/// `a.transpose().matmul(g)`: the same per-element chain over ascending
+/// `r`, and a *column* of `a` that is entirely zero (a row of `aᵀ`) is
+/// skipped. `out` may hold stale contents.
+pub(crate) fn matmul_tn_into(a: &Tensor, g: &Tensor, out: &mut Tensor) {
+    let (n, k) = a.shape();
+    let m = g.cols();
+    debug_assert_eq!((g.rows(), out.shape()), (n, (k, m)));
+    if m == 1 {
+        matmul_tn_column(a.data(), k, g.data(), out.data_mut());
+        return;
+    }
+    crate::parallel::for_each_row_chunk(k, m, 4, out.data_mut(), |i0, block| {
+        matmul_tn_rows(a.data(), k, i0, g.data(), n, m, block);
+    });
+}
+
+/// [`matmul_tn_into`] for a single output column (`g` is `[n, 1]`: score
+/// and head layers). The row tiers would run their scalar tail down each
+/// column of `a`, a cache line per value; here the `k` output elements
+/// are the lanes and `a` is swept once, row-major. Per element it is still
+/// the contract's chain over ascending `r`.
+fn matmul_tn_column(a: &[f32], k: usize, g: &[f32], out: &mut [f32]) {
+    out.fill(0.0);
+    for (a_row, &gv) in a.chunks_exact(k.max(1)).zip(g) {
+        for (o, &av) in out.iter_mut().zip(a_row) {
+            *o += av * gv;
+        }
+    }
+    // The skip rule. An all-zero column of `a` has summed `±0.0 × g[r]`
+    // onto `+0.0`, which is `+0.0` already unless some `g[r]` is not
+    // finite, and then it is NaN: only a NaN can need the correction.
+    for (i, o) in out.iter_mut().enumerate() {
+        if o.is_nan() && a[i..].iter().step_by(k).all(|&x| x == 0.0) {
+            *o = 0.0;
+        }
+    }
+}
+
+/// A group of output rows of [`matmul_into`]: `a_rows` holds `o.len()/m`
+/// consecutive `k`-wide input rows, and every element of `o` is
+/// overwritten (prior contents may be stale). Full groups of four
+/// nonzero rows go through the four-row AVX-512 kernel — the single
+/// per-element add chain is latency-bound, and interleaving four
+/// independent rows over one sweep of `b` hides that latency without
+/// touching any element's operation order. Short groups, zero rows (the
+/// whole-row skip) and narrower CPUs fall back to the per-row path.
+pub(crate) fn matmul_rows(a_rows: &[f32], bd: &[f32], k: usize, m: usize, o: &mut [f32]) {
+    // The SIMD tiers read `bd` and write `o` through raw pointers.
+    assert!(o.len().is_multiple_of(m) && a_rows.len() == (o.len() / m) * k && bd.len() >= k * m);
+    if k == 0 {
+        o.fill(0.0); // an empty sum; `chunks_exact(0)` below would panic
+        return;
+    }
+    #[cfg(target_arch = "x86_64")]
+    if o.len() == 4 * m
+        && m >= 16
+        && avx512_available()
+        && !a_rows.chunks_exact(k).any(|r| r.iter().all(|&x| x == 0.0))
+    {
+        // SAFETY: the CPU reports AVX-512F (checked above); the lengths
+        // the kernel requires were asserted on entry.
+        unsafe { quad_matmul_avx512::<false>(a_rows, k, bd, k, m, o) };
+        return;
+    }
+    for (a_row, o_row) in a_rows.chunks_exact(k).zip(o.chunks_exact_mut(m)) {
+        if a_row.iter().all(|&x| x == 0.0) {
+            o_row.fill(0.0); // whole-row skip
+        } else {
+            row_matmul(a_row, 1, bd, m, o_row);
+        }
+    }
+}
+
+/// The [`matmul_rows`] of [`matmul_tn_into`]: `o` holds output rows `i0..`
+/// of `aᵀ × b`, whose left rows are the columns `i0..` of the row-major
+/// `[n, lda]` matrix `a` — element `r` of left row `i` is `a[r * lda + i]`.
+/// Same grouping, same skip rule (an all-zero column), same tiers.
+fn matmul_tn_rows(a: &[f32], lda: usize, i0: usize, bd: &[f32], n: usize, m: usize, o: &mut [f32]) {
+    // The SIMD tiers read `bd` and write `o` through raw pointers.
+    assert!(o.len().is_multiple_of(m) && i0 + o.len() / m <= lda);
+    assert!(a.len() == n * lda && bd.len() >= n * m);
+    if n == 0 {
+        o.fill(0.0); // an empty sum
+        return;
+    }
+    let column_is_zero = |i: usize| a[i..].iter().step_by(lda).all(|&x| x == 0.0);
+    #[cfg(target_arch = "x86_64")]
+    if o.len() == 4 * m && m >= 16 && avx512_available() && !(i0..i0 + 4).any(column_is_zero) {
+        // SAFETY: the CPU reports AVX-512F (checked above); `a[i0..]`
+        // reaches element `(n - 1) * lda + 3` because `i0 + 4 <= lda`, and
+        // the other lengths were asserted on entry.
+        unsafe { quad_matmul_avx512::<true>(&a[i0..], lda, bd, n, m, o) };
+        return;
+    }
+    for (q, o_row) in o.chunks_exact_mut(m).enumerate() {
+        if column_is_zero(i0 + q) {
+            o_row.fill(0.0); // whole-column skip
+        } else {
+            row_matmul(&a[i0 + q..], lda, bd, m, o_row);
+        }
+    }
+}
+
+/// One output row: dispatches to the widest SIMD kernel the CPU supports,
+/// else the portable blocked loop. The left row is read by stride — its
+/// `kk`-th value is `a[kk * step]`, `kk < a.len().div_ceil(step)`; `step`
+/// is 1 for a row of `a × b` and `lda` for a column of `aᵀ × b`. Every
+/// element of `o_row` is overwritten (prior contents may be stale).
+fn row_matmul(a: &[f32], step: usize, bd: &[f32], m: usize, o_row: &mut [f32]) {
+    // The SIMD tiers read `bd` and write `o_row` through raw pointers.
+    assert!(bd.len() >= a.len().div_ceil(step) * m && o_row.len() == m);
+    #[cfg(target_arch = "x86_64")]
+    {
+        if avx512_available() {
+            // SAFETY: the CPU reports AVX-512F (checked above); lengths
+            // asserted on entry.
+            unsafe { row_matmul_avx512(a, step, bd, m, o_row) };
+            return;
+        }
+        if avx2_available() {
+            // SAFETY: the CPU reports AVX2 (checked above); lengths
+            // asserted on entry.
+            unsafe { row_matmul_avx2(a, step, bd, m, o_row) };
+            return;
+        }
+    }
+    row_matmul_scalar(a, step, bd, m, o_row);
+}
+
+/// Portable per-row kernel: output columns processed in 32-wide blocks
+/// accumulated on the stack and stored once. Per output element this is
+/// the contract's ascending-`k` multiply-then-add sum starting from
+/// `+0.0`, so results are bit-identical to the naive `+=` loop — the
+/// blocking only changes *which registers* hold the partial sums.
+fn row_matmul_scalar(a: &[f32], step: usize, bd: &[f32], m: usize, o_row: &mut [f32]) {
+    let mut j0 = 0usize;
+    while j0 < m {
+        let jw = (m - j0).min(32);
+        let mut acc = [0.0f32; 32];
+        for (kk, &av) in a.iter().step_by(step).enumerate() {
+            let b_blk = &bd[kk * m + j0..kk * m + j0 + jw];
+            for (s, &bv) in acc[..jw].iter_mut().zip(b_blk.iter()) {
+                *s += av * bv;
+            }
+        }
+        o_row[j0..j0 + jw].copy_from_slice(&acc[..jw]);
+        j0 += jw;
+    }
+}
+
+/// Whether this CPU supports AVX2 (cached after the first query).
+#[cfg(target_arch = "x86_64")]
+fn avx2_available() -> bool {
+    static AVX2: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+    *AVX2.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
+}
+
+/// Whether this CPU supports AVX-512F (cached after the first query).
+#[cfg(target_arch = "x86_64")]
+fn avx512_available() -> bool {
+    static AVX512: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+    *AVX512.get_or_init(|| std::arch::is_x86_feature_detected!("avx512f"))
+}
+
+/// AVX-512 per-row kernel: 16-wide across output columns; otherwise the
+/// same structure and bit-identity argument as [`row_matmul_avx2`]
+/// (lane-wise single-precision multiply then add, ascending `k`, no
+/// FMA).
+///
+/// # Safety
+///
+/// Requires AVX-512F. Same bounds argument as [`row_matmul_avx2`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn row_matmul_avx512(a: &[f32], step: usize, bd: &[f32], m: usize, o_row: &mut [f32]) {
+    use std::arch::x86_64::{
+        _mm512_add_ps, _mm512_loadu_ps, _mm512_mul_ps, _mm512_set1_ps, _mm512_setzero_ps,
+        _mm512_storeu_ps,
+    };
+    debug_assert!(bd.len() >= a.len().div_ceil(step) * m && o_row.len() == m);
+    let mut j0 = 0usize;
+    while j0 + 32 <= m {
+        let mut acc0 = _mm512_setzero_ps();
+        let mut acc1 = _mm512_setzero_ps();
+        for (kk, &av) in a.iter().step_by(step).enumerate() {
+            let va = _mm512_set1_ps(av);
+            let bp = bd.as_ptr().add(kk * m + j0);
+            acc0 = _mm512_add_ps(acc0, _mm512_mul_ps(va, _mm512_loadu_ps(bp)));
+            acc1 = _mm512_add_ps(acc1, _mm512_mul_ps(va, _mm512_loadu_ps(bp.add(16))));
+        }
+        let op = o_row.as_mut_ptr().add(j0);
+        _mm512_storeu_ps(op, acc0);
+        _mm512_storeu_ps(op.add(16), acc1);
+        j0 += 32;
+    }
+    while j0 + 16 <= m {
+        let mut acc = _mm512_setzero_ps();
+        for (kk, &av) in a.iter().step_by(step).enumerate() {
+            let va = _mm512_set1_ps(av);
+            acc = _mm512_add_ps(
+                acc,
+                _mm512_mul_ps(va, _mm512_loadu_ps(bd.as_ptr().add(kk * m + j0))),
+            );
+        }
+        _mm512_storeu_ps(o_row.as_mut_ptr().add(j0), acc);
+        j0 += 16;
+    }
+    // Scalar tail: same ascending-k accumulation per element.
+    for j in j0..m {
+        let mut acc = 0.0f32;
+        for (kk, &av) in a.iter().step_by(step).enumerate() {
+            acc += av * bd[kk * m + j];
+        }
+        o_row[j] = acc;
+    }
+}
+
+/// Four-row AVX-512 kernel: one sweep over `b` feeds four independent
+/// output rows, with each row's 16-lane accumulators carried across the
+/// whole `k` loop. Per output element this is the identical
+/// ascending-`k` multiply-then-add chain as [`row_matmul_avx512`]
+/// (lane-wise IEEE single ops, no FMA) — the rows only *interleave* in
+/// time, they never mix — so results are bit-identical to running the
+/// per-row kernel four times. The interleaving exists purely to hide
+/// the 4-cycle vector-add latency that serializes a single row's chain.
+///
+/// Value `kk` of left row `r` is `a[r * lda + kk]` — four rows of a
+/// row-major matrix — or, with `TN`, `a[kk * lda + r]`: four adjacent
+/// columns, i.e. four rows of its transpose.
+///
+/// # Safety
+///
+/// Requires AVX-512F. `a` must reach index `3 * lda + k - 1` (with `TN`:
+/// `(k - 1) * lda + 3`), `o` must hold exactly `4 * m` elements and `bd`
+/// at least `k * m`; all pointer arithmetic stays inside those bounds by
+/// the loop limits (`j0 + width <= m`, `kk < k`).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn quad_matmul_avx512<const TN: bool>(
+    a: &[f32],
+    lda: usize,
+    bd: &[f32],
+    k: usize,
+    m: usize,
+    o: &mut [f32],
+) {
+    use std::arch::x86_64::{
+        _mm512_add_ps, _mm512_loadu_ps, _mm512_mul_ps, _mm512_set1_ps, _mm512_setzero_ps,
+        _mm512_storeu_ps,
+    };
+    // Strides between the four left rows and along one of them.
+    let (row, step) = if TN { (1, lda) } else { (lda, 1) };
+    debug_assert!(k > 0 && a.len() > 3 * row + (k - 1) * step);
+    debug_assert!(o.len() == 4 * m && bd.len() >= k * m);
+    let ap = a.as_ptr();
+    let a = [ap, ap.add(row), ap.add(2 * row), ap.add(3 * row)];
+    let op = o.as_mut_ptr();
+    let orows = [op, op.add(m), op.add(2 * m), op.add(3 * m)];
+    let mut j0 = 0usize;
+    // 32-wide column blocks: 4 rows × 2 ZMM accumulators (8 live regs).
+    while j0 + 32 <= m {
+        let mut acc0 = [_mm512_setzero_ps(); 4];
+        let mut acc1 = [_mm512_setzero_ps(); 4];
+        for kk in 0..k {
+            let bp = bd.as_ptr().add(kk * m + j0);
+            let b0 = _mm512_loadu_ps(bp);
+            let b1 = _mm512_loadu_ps(bp.add(16));
+            for r in 0..4 {
+                let av = _mm512_set1_ps(*a[r].add(kk * step));
+                acc0[r] = _mm512_add_ps(acc0[r], _mm512_mul_ps(av, b0));
+                acc1[r] = _mm512_add_ps(acc1[r], _mm512_mul_ps(av, b1));
+            }
+        }
+        for r in 0..4 {
+            _mm512_storeu_ps(orows[r].add(j0), acc0[r]);
+            _mm512_storeu_ps(orows[r].add(j0 + 16), acc1[r]);
+        }
+        j0 += 32;
+    }
+    while j0 + 16 <= m {
+        let mut acc = [_mm512_setzero_ps(); 4];
+        for kk in 0..k {
+            let b0 = _mm512_loadu_ps(bd.as_ptr().add(kk * m + j0));
+            for r in 0..4 {
+                let av = _mm512_set1_ps(*a[r].add(kk * step));
+                acc[r] = _mm512_add_ps(acc[r], _mm512_mul_ps(av, b0));
+            }
+        }
+        for r in 0..4 {
+            _mm512_storeu_ps(orows[r].add(j0), acc[r]);
+        }
+        j0 += 16;
+    }
+    // Scalar tail: same ascending-k accumulation per element, row-major.
+    for r in 0..4 {
+        for j in j0..m {
+            let mut acc = 0.0f32;
+            for kk in 0..k {
+                acc += *a[r].add(kk * step) * bd[kk * m + j];
+            }
+            o[r * m + j] = acc;
+        }
+    }
+}
+
+/// AVX2 per-row kernel: 8-wide across output columns, accumulators held
+/// in registers across the whole `k` loop and stored once. Per output
+/// element this is the identical ascending-`k` multiply-then-add
+/// sequence as [`row_matmul_scalar`] (`_mm256_mul_ps`/`_mm256_add_ps`
+/// are lane-wise IEEE single ops; no FMA), so results are bit-identical.
+///
+/// # Safety
+///
+/// Requires AVX2, `o_row.len() == m` and `bd.len() >= k * m` for the `k =
+/// a.len().div_ceil(step)` values the left row holds. All pointer
+/// arithmetic stays inside `bd`/`o_row`: for every block start `j0` the
+/// kernel only advances while `j0 + width <= m`, and `kk < k`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn row_matmul_avx2(a: &[f32], step: usize, bd: &[f32], m: usize, o_row: &mut [f32]) {
+    use std::arch::x86_64::{
+        _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps,
+        _mm256_storeu_ps,
+    };
+    debug_assert!(bd.len() >= a.len().div_ceil(step) * m && o_row.len() == m);
+    let mut j0 = 0usize;
+    // 32-wide blocks: four YMM accumulators live across the k loop.
+    while j0 + 32 <= m {
+        let mut acc0 = _mm256_setzero_ps();
+        let mut acc1 = _mm256_setzero_ps();
+        let mut acc2 = _mm256_setzero_ps();
+        let mut acc3 = _mm256_setzero_ps();
+        for (kk, &av) in a.iter().step_by(step).enumerate() {
+            let va = _mm256_set1_ps(av);
+            let bp = bd.as_ptr().add(kk * m + j0);
+            acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(va, _mm256_loadu_ps(bp)));
+            acc1 = _mm256_add_ps(acc1, _mm256_mul_ps(va, _mm256_loadu_ps(bp.add(8))));
+            acc2 = _mm256_add_ps(acc2, _mm256_mul_ps(va, _mm256_loadu_ps(bp.add(16))));
+            acc3 = _mm256_add_ps(acc3, _mm256_mul_ps(va, _mm256_loadu_ps(bp.add(24))));
+        }
+        let op = o_row.as_mut_ptr().add(j0);
+        _mm256_storeu_ps(op, acc0);
+        _mm256_storeu_ps(op.add(8), acc1);
+        _mm256_storeu_ps(op.add(16), acc2);
+        _mm256_storeu_ps(op.add(24), acc3);
+        j0 += 32;
+    }
+    while j0 + 8 <= m {
+        let mut acc = _mm256_setzero_ps();
+        for (kk, &av) in a.iter().step_by(step).enumerate() {
+            let va = _mm256_set1_ps(av);
+            acc = _mm256_add_ps(
+                acc,
+                _mm256_mul_ps(va, _mm256_loadu_ps(bd.as_ptr().add(kk * m + j0))),
+            );
+        }
+        _mm256_storeu_ps(o_row.as_mut_ptr().add(j0), acc);
+        j0 += 8;
+    }
+    // Scalar tail: same ascending-k accumulation per element.
+    for j in j0..m {
+        let mut acc = 0.0f32;
+        for (kk, &av) in a.iter().step_by(step).enumerate() {
+            acc += av * bd[kk * m + j];
+        }
+        o_row[j] = acc;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::infer::{Arena, InferCtx, InferWeights, QuantMode};
+    use proptest::prelude::*;
+
+    /// The contract's chain for one left row, written independently of
+    /// every tier: per output element, from `+0.0`, ascending `k`,
+    /// multiply then add. No skip rule.
+    fn chain(left: &[f32], right: &[f32], m: usize) -> Vec<f32> {
+        (0..m)
+            .map(|j| {
+                let mut acc = 0.0f32;
+                for (kk, &av) in left.iter().enumerate() {
+                    acc += av * right[kk * m + j];
+                }
+                acc
+            })
+            .collect()
+    }
+
+    /// The whole product by definition — a naive triple loop plus the skip
+    /// rule — over explicit left rows (for `tn`: the columns of `a`).
+    fn naive(left_rows: &[Vec<f32>], right: &[f32], m: usize) -> Vec<f32> {
+        let mut out = Vec::new();
+        for row in left_rows {
+            if row.iter().all(|&x| x == 0.0) {
+                out.extend(std::iter::repeat_n(0.0, m));
+            } else {
+                out.extend(chain(row, right, m));
+            }
+        }
+        out
+    }
+
+    /// Bit equality, except that any NaN equals any NaN: which payload
+    /// survives `NaN + NaN` is the instruction's operand order, not part
+    /// of the contract.
+    fn assert_same(got: &[f32], want: &[f32], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert!(
+                g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                "{what}: element {i}: {g:?} != {w:?}"
+            );
+        }
+    }
+
+    /// xorshift64 test data: small values, a quarter of them signed zeros.
+    struct Gen(u64);
+
+    impl Gen {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0 % n
+        }
+
+        fn zero(&mut self) -> f32 {
+            [0.0, -0.0][self.below(2) as usize]
+        }
+
+        fn value(&mut self) -> f32 {
+            match self.below(8) {
+                0 | 1 => self.zero(),
+                _ => (self.below(2001) as f32 - 1000.0) / 500.0,
+            }
+        }
+
+        /// A left operand: a third of its rows and a quarter of its
+        /// columns are entirely (signed) zero.
+        fn left(&mut self, n: usize, k: usize) -> Tensor {
+            let mut t = Tensor::from_vec(n, k, (0..n * k).map(|_| self.value()).collect());
+            for i in 0..n {
+                if self.below(3) == 0 {
+                    t.row_mut(i).iter_mut().for_each(|x| *x = self.zero());
+                }
+            }
+            for j in 0..k {
+                if self.below(4) == 0 {
+                    (0..n).for_each(|i| t.data_mut()[i * k + j] = self.zero());
+                }
+            }
+            t
+        }
+
+        /// A right operand; every other one carries `inf`, `-inf` and NaN,
+        /// which only the skip rule keeps out of a zero row's output.
+        fn right(&mut self, rows: usize, m: usize) -> Tensor {
+            let mut t = Tensor::from_vec(rows, m, (0..rows * m).map(|_| self.value()).collect());
+            if !t.is_empty() && self.below(2) == 0 {
+                for poison in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN] {
+                    let at = self.below(t.len() as u64) as usize;
+                    t.data_mut()[at] = poison;
+                }
+            }
+            t
+        }
+    }
+
+    type RowTier = fn(&[f32], usize, &[f32], usize, &mut [f32]);
+
+    /// Every per-row tier this CPU can run — not only the dispatched one.
+    fn row_tiers() -> Vec<(&'static str, RowTier)> {
+        let mut tiers: Vec<(&'static str, RowTier)> = vec![("scalar", row_matmul_scalar)];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if avx2_available() {
+                // SAFETY (both): the feature was just detected; the callers
+                // below pass the lengths `row_matmul` asserts.
+                tiers.push(("avx2", |a, s, b, m, o| unsafe {
+                    row_matmul_avx2(a, s, b, m, o)
+                }));
+            }
+            if avx512_available() {
+                tiers.push(("avx512", |a, s, b, m, o| unsafe {
+                    row_matmul_avx512(a, s, b, m, o)
+                }));
+            }
+        }
+        tiers
+    }
+
+    /// `a × b` and `aᵀ × g` for one shape: every caller of the dispatched
+    /// family at 1 and 4 threads, then every tier called directly, all
+    /// against the definition above.
+    fn check(n: usize, k: usize, m: usize, seed: u64) {
+        let mut gen = Gen(seed | 1);
+        let a = gen.left(n, k);
+        let (b, g) = (gen.right(k, m), gen.right(n, m));
+        let rows: Vec<Vec<f32>> = (0..n).map(|i| a.row(i).to_vec()).collect();
+        let cols: Vec<Vec<f32>> = (0..k)
+            .map(|j| (0..n).map(|i| a.data()[i * k + j]).collect())
+            .collect();
+        let (want, want_tn) = (naive(&rows, b.data(), m), naive(&cols, g.data(), m));
+        let what = format!("[{n},{k}] x [..,{m}] seed {seed:#x}");
+
+        let weights = InferWeights::from_store(&crate::ParamStore::new(), QuantMode::F32);
+        let mut ctx = InferCtx::new(&weights, Arena::new());
+        let before = (
+            crate::parallel::threads(),
+            crate::parallel::min_parallel_rows(),
+        );
+        for threads in [1, 4] {
+            crate::parallel::configure(threads, 1);
+            let what = format!("{what} threads {threads}");
+            assert_same(
+                a.matmul(&b).data(),
+                &want,
+                &format!("Tensor::matmul {what}"),
+            );
+            assert_same(
+                ctx.matmul(&a, &b).data(),
+                &want,
+                &format!("InferCtx::matmul {what}"),
+            );
+            let tn = a.matmul_tn(&g);
+            assert_same(tn.data(), &want_tn, &format!("matmul_tn {what}"));
+            let transposed = a.transpose().matmul(&g);
+            assert_same(
+                tn.data(),
+                transposed.data(),
+                &format!("tn vs transpose {what}"),
+            );
+        }
+        crate::parallel::configure(before.0, before.1);
+
+        // Stale output contents must be overwritten, never accumulated on.
+        let mut o = vec![f32::NAN; m];
+        for (name, tier) in row_tiers() {
+            for (i, row) in rows.iter().enumerate() {
+                tier(a.row(i), 1, b.data(), m, &mut o);
+                assert_same(
+                    &o,
+                    &chain(row, b.data(), m),
+                    &format!("{name} row {i} {what}"),
+                );
+            }
+            for (j, col) in cols.iter().enumerate().filter(|_| n > 0) {
+                tier(&a.data()[j..], k, g.data(), m, &mut o);
+                assert_same(
+                    &o,
+                    &chain(col, g.data(), m),
+                    &format!("{name} column {j} {what}"),
+                );
+            }
+        }
+        #[cfg(target_arch = "x86_64")]
+        if avx512_available() {
+            let mut o = vec![f32::NAN; 4 * m];
+            for i0 in (0..(n + 1).saturating_sub(4)).filter(|_| k > 0) {
+                // SAFETY: AVX-512F detected; four rows of `k > 0` values,
+                // `b` is `[k, m]`, `o` is `4 * m`.
+                unsafe {
+                    quad_matmul_avx512::<false>(&a.data()[i0 * k..], k, b.data(), k, m, &mut o)
+                };
+                let want: Vec<f32> = rows[i0..i0 + 4]
+                    .iter()
+                    .flat_map(|r| chain(r, b.data(), m))
+                    .collect();
+                assert_same(&o, &want, &format!("quad rows {i0}.. {what}"));
+            }
+            for j0 in (0..(k + 1).saturating_sub(4)).filter(|_| n > 0) {
+                // SAFETY: as above for four columns of `n > 0` values;
+                // `g` is `[n, m]`.
+                unsafe { quad_matmul_avx512::<true>(&a.data()[j0..], k, g.data(), n, m, &mut o) };
+                let want: Vec<f32> = cols[j0..j0 + 4]
+                    .iter()
+                    .flat_map(|c| chain(c, g.data(), m))
+                    .collect();
+                assert_same(&o, &want, &format!("quad columns {j0}.. {what}"));
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4))]
+
+        /// Shapes straddle every block edge of every tier: the 4-row
+        /// groups, the 8/16/32-lane column blocks and their scalar tails,
+        /// and the empty sums.
+        #[test]
+        fn every_tier_and_caller_matches_the_definition(seed in any::<u64>()) {
+            for n in [0, 1, 3, 4, 5, 9] {
+                for k in [0, 1, 7, 64] {
+                    for m in [1, 15, 16, 17, 31, 32, 33, 64] {
+                        check(n, k, m, seed ^ ((n * 1000 + k) * 1000 + m) as u64);
+                    }
+                }
+            }
+        }
+    }
+}

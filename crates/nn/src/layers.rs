@@ -124,7 +124,7 @@ impl Linear {
         let bias = b.data();
         crate::parallel::for_each_row_chunk(n, m, 4, out.data_mut(), |i0, block| {
             let nr = block.len() / m;
-            crate::infer::matmul_rows(&x.data()[i0 * k..(i0 + nr) * k], w.data(), k, m, block);
+            crate::kernels::matmul_rows(&x.data()[i0 * k..(i0 + nr) * k], w.data(), k, m, block);
             // Dispatch on the activation once per block, not per element:
             // with `act` a compile-time constant inside each arm the match
             // in `apply_scalar` folds away and the cheap activations

@@ -8,6 +8,9 @@
 //!
 //! * [`Tensor`] — row-major 2-D dense tensors with the usual BLAS-free
 //!   kernels (matmul, broadcasts, reductions).
+//! * [`kernels`] — the one matmul kernel family (AVX-512 / AVX2 / portable
+//!   tiers, bit-identical to each other) that the tape and the tape-free
+//!   [`infer`] path both run.
 //! * [`Tape`] — a reverse-mode tape. Operations are methods on the tape
 //!   ([`Tape::matmul`], [`Tape::segment_sum`], …) returning lightweight
 //!   [`Var`] handles; [`Tape::backward`] walks the tape once in reverse.
@@ -54,6 +57,7 @@
 
 pub mod infer;
 pub mod init;
+pub mod kernels;
 pub mod layers;
 pub mod optim;
 pub mod parallel;
@@ -79,6 +83,10 @@ pub struct ParamId(pub(crate) u32);
 pub struct ParamStore {
     values: Vec<Tensor>,
     grads: Vec<Tensor>,
+    /// Counts the mutable borrows of any value: two reads of a parameter
+    /// that saw one version saw one value, which lets a tape share work
+    /// between binds of the same parameter without comparing tensors.
+    version: u64,
 }
 
 impl ParamStore {
@@ -117,7 +125,20 @@ impl ParamStore {
 
     /// Mutable view of a parameter value (used by optimizers and clamping).
     pub fn value_mut(&mut self, id: ParamId) -> &mut Tensor {
-        &mut self.values[id.0 as usize]
+        self.value_mut_and_grad(id).0
+    }
+
+    /// A parameter's value, mutably, next to its gradient: what an
+    /// optimizer step reads and writes, without copying the gradient out.
+    pub(crate) fn value_mut_and_grad(&mut self, id: ParamId) -> (&mut Tensor, &Tensor) {
+        let i = id.0 as usize;
+        self.version += 1;
+        (&mut self.values[i], &self.grads[i])
+    }
+
+    /// How often [`ParamStore::value_mut`] has lent a value out.
+    pub(crate) fn version(&self) -> u64 {
+        self.version
     }
 
     /// Immutable view of the accumulated gradient of a parameter.

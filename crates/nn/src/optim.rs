@@ -31,10 +31,9 @@ impl Sgd {
     /// estimation network and the discriminator share one store but are
     /// stepped by separate optimizers — paper Algorithm 3).
     pub fn step_subset(&mut self, store: &mut ParamStore, params: &[crate::ParamId]) {
-        let lr = self.lr;
         for &id in params {
-            let g = store.grad(id).clone();
-            store.value_mut(id).axpy_assign(-lr, &g);
+            let (value, grad) = store.value_mut_and_grad(id);
+            value.axpy_assign(-self.lr, grad);
         }
     }
 }
@@ -100,20 +99,20 @@ impl Adam {
         self.t += 1;
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
+        let wd = self.weight_decay;
         for &id in params {
             let i = id.0 as usize;
-            let mut g = store.grad(id).clone();
-            if self.weight_decay > 0.0 {
-                g.axpy_assign(self.weight_decay, store.value(id));
-            }
             let m = &mut self.m[i];
             let v = &mut self.v[i];
+            let (value, grad) = store.value_mut_and_grad(id);
             for ((m_e, v_e), (&g_e, p_e)) in m
                 .data_mut()
                 .iter_mut()
                 .zip(v.data_mut().iter_mut())
-                .zip(g.data().iter().zip(store.value_mut(id).data_mut()))
+                .zip(grad.data().iter().zip(value.data_mut()))
             {
+                // Plain L2: the penalty's gradient joins the stored one.
+                let g_e = if wd > 0.0 { g_e + wd * *p_e } else { g_e };
                 *m_e = self.beta1 * *m_e + (1.0 - self.beta1) * g_e;
                 *v_e = self.beta2 * *v_e + (1.0 - self.beta2) * g_e * g_e;
                 let m_hat = *m_e / bc1;

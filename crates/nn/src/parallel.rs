@@ -37,49 +37,15 @@ pub fn min_parallel_rows() -> usize {
     MIN_PARALLEL_ROWS.load(Ordering::Relaxed)
 }
 
-/// Runs `f(row_index, row_slice)` for every `cols`-wide row of `out`,
-/// fanning out over contiguous row blocks when the configured thread count
-/// and the row count warrant it. Each row is written by exactly one call.
-pub(crate) fn for_each_row(
-    rows: usize,
-    cols: usize,
-    out: &mut [f32],
-    f: impl Fn(usize, &mut [f32]) + Sync,
-) {
-    debug_assert_eq!(out.len(), rows * cols);
-    if rows == 0 || cols == 0 {
-        return;
-    }
-    let t = threads().min(rows);
-    if t <= 1 || rows < min_parallel_rows() {
-        for (i, row) in out.chunks_exact_mut(cols).enumerate() {
-            f(i, row);
-        }
-        return;
-    }
-    let rows_per_block = rows.div_ceil(t);
-    // A worker panic propagates out of `scope` itself (std scoped threads
-    // re-raise on join), so the outer Result is always Ok.
-    let _ = crossbeam::thread::scope(|scope| {
-        for (b, block) in out.chunks_mut(rows_per_block * cols).enumerate() {
-            let f = &f;
-            scope.spawn(move |_| {
-                for (j, row) in block.chunks_exact_mut(cols).enumerate() {
-                    f(b * rows_per_block + j, row);
-                }
-            });
-        }
-    });
-}
-
-/// Like [`for_each_row`], but hands the closure contiguous groups of up
-/// to `chunk` rows: `f(first_row_index, group_slice)`. Kernels that
-/// process several independent output rows per inner-loop sweep (the
-/// multi-row matmul) use this to amortize weight loads and hide add
-/// latency. Thread blocks are aligned to `chunk`, so only the trailing
-/// group can be short. Grouping never affects values — every row's
-/// arithmetic is self-contained — so results stay bit-identical at any
-/// thread count, exactly as with [`for_each_row`].
+/// Runs `f(first_row_index, group_slice)` for every contiguous group of up
+/// to `chunk` `cols`-wide rows of `out`, fanning out over contiguous row
+/// blocks when the configured thread count and the row count warrant it.
+/// Each row is written by exactly one call. Kernels that process several
+/// independent output rows per inner-loop sweep (the multi-row matmul) use
+/// `chunk > 1` to amortize weight loads and hide add latency. Thread
+/// blocks are aligned to `chunk`, so only the trailing group can be short.
+/// Grouping never affects values — every row's arithmetic is
+/// self-contained — so results stay bit-identical at any thread count.
 pub(crate) fn for_each_row_chunk(
     rows: usize,
     cols: usize,
@@ -100,6 +66,8 @@ pub(crate) fn for_each_row_chunk(
         return;
     }
     let rows_per_block = rows.div_ceil(t).div_ceil(chunk) * chunk;
+    // A worker panic propagates out of `scope` itself (std scoped threads
+    // re-raise on join), so the outer Result is always Ok.
     let _ = crossbeam::thread::scope(|scope| {
         for (b, tblock) in out.chunks_mut(rows_per_block * cols).enumerate() {
             let f = &f;
@@ -120,7 +88,7 @@ mod tests {
         let (old_t, old_m) = (super::threads(), super::min_parallel_rows());
         configure(threads, min_rows);
         let mut out = vec![0.0f32; rows * cols];
-        for_each_row(rows, cols, &mut out, |i, row| {
+        for_each_row_chunk(rows, cols, 1, &mut out, |i, row| {
             for (c, slot) in row.iter_mut().enumerate() {
                 *slot = (i * cols + c) as f32;
             }
@@ -177,8 +145,8 @@ mod tests {
     #[test]
     fn empty_shapes_are_noops() {
         let mut out: Vec<f32> = Vec::new();
-        for_each_row(0, 4, &mut out, |_, _| unreachable!());
-        for_each_row(4, 0, &mut out, |_, _| unreachable!());
+        for_each_row_chunk(0, 4, 1, &mut out, |_, _| unreachable!());
+        for_each_row_chunk(4, 0, 1, &mut out, |_, _| unreachable!());
     }
 
     #[test]

@@ -13,17 +13,18 @@
 
 use crate::tensor::Tensor;
 use crate::{ParamId, ParamStore};
-use std::rc::Rc;
 
 /// Handle to a node on a [`Tape`]. Cheap to copy; only valid for the tape
 /// that created it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Var(u32);
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum Op {
     Leaf {
-        pid: Option<ParamId>,
+        /// The bound parameter and the store version its value was copied
+        /// at (`None` for a constant).
+        param: Option<(ParamId, u64)>,
     },
     MatMul(u32, u32),
     Add(u32, u32),
@@ -47,12 +48,12 @@ enum Op {
     MeanRows(u32),
     ConcatCols(u32, u32),
     ConcatRows(u32, u32),
-    IndexSelect(u32, Rc<Vec<u32>>),
-    SegmentSum(u32, Rc<Vec<u32>>),
+    IndexSelect(u32, Vec<u32>),
+    SegmentSum(u32, Vec<u32>),
     SliceRows(u32, usize),
     Transpose(u32),
     /// Elementwise multiply by a fixed (non-differentiated) mask.
-    MulConst(u32, Rc<Tensor>),
+    MulConst(u32, Tensor),
 }
 
 struct Node {
@@ -109,13 +110,14 @@ impl Tape {
     /// Introduces a constant (no gradient flows to callers, but flows
     /// *through* operations on it as usual).
     pub fn constant(&mut self, t: Tensor) -> Var {
-        self.push(t, Op::Leaf { pid: None })
+        self.push(t, Op::Leaf { param: None })
     }
 
     /// Binds parameter `pid` (copying its current value) so that
     /// `backward` accumulates its gradient into the store.
     pub fn param(&mut self, store: &ParamStore, pid: ParamId) -> Var {
-        self.push(store.value(pid).clone(), Op::Leaf { pid: Some(pid) })
+        let param = Some((pid, store.version()));
+        self.push(store.value(pid).clone(), Op::Leaf { param })
     }
 
     // ----- arithmetic ------------------------------------------------------
@@ -285,7 +287,7 @@ impl Tape {
         for (j, &i) in idx.iter().enumerate() {
             out.row_mut(j).copy_from_slice(t.row(i as usize));
         }
-        self.push(out, Op::IndexSelect(a.0, Rc::new(idx.to_vec())))
+        self.push(out, Op::IndexSelect(a.0, idx.to_vec()))
     }
 
     /// Row scatter-add: `out[s] = Σ_{j: seg[j] = s} a[j]` over `n_out`
@@ -301,7 +303,7 @@ impl Tape {
                 *o += x;
             }
         }
-        self.push(out, Op::SegmentSum(a.0, Rc::new(seg.to_vec())))
+        self.push(out, Op::SegmentSum(a.0, seg.to_vec()))
     }
 
     /// Matrix transpose `[n, m] → [m, n]`.
@@ -331,7 +333,7 @@ impl Tape {
             "mul_const shape mismatch"
         );
         let v = broadcast_zip(self.value(a), &mask, |x, y| x * y);
-        self.push(v, Op::MulConst(a.0, Rc::new(mask)))
+        self.push(v, Op::MulConst(a.0, mask))
     }
 
     // ----- non-differentiable helpers ----------------------------------------
@@ -361,6 +363,15 @@ impl Tape {
     /// Runs reverse-mode differentiation from scalar `loss` and accumulates
     /// parameter gradients into `store`.
     ///
+    /// Ownership rule of the pass: a node's gradient is *borrowed* while the
+    /// node propagates — taken out of its slot, read by reference, put back
+    /// — and every contribution to an input is either a freshly computed
+    /// tensor moved into the input's slot or an in-place `+=` on the
+    /// gradient already there. Nothing is cloned except where an op hands
+    /// its gradient on unchanged (`add`, `sub`'s left operand, `add_scalar`)
+    /// into a slot that is still empty. Putting the gradient back is what keeps
+    /// [`Tape::grad`] answering for every node the loss reaches.
+    ///
     /// # Panics
     /// If `loss` is not a `[1, 1]` tensor.
     pub fn backward(&mut self, loss: Var, store: &mut ParamStore) {
@@ -374,143 +385,142 @@ impl Tape {
         }
         self.grads[loss.0 as usize] = Some(Tensor::scalar(1.0));
 
+        let mut transposed = TransposedParams::new();
         for i in (0..self.nodes.len()).rev() {
+            // Inputs precede their node, so slot `i` is never written while
+            // it is out.
             let Some(gout) = self.grads[i].take() else {
                 continue;
             };
-            // Put it back for inspection via `grad` after the pass.
-            let gout_for_node = gout.clone();
-            self.propagate(i, gout);
-            self.grads[i] = Some(gout_for_node);
+            self.propagate(i, &gout, &mut transposed);
+            self.grads[i] = Some(gout);
         }
         // Deposit parameter gradients.
-        for i in 0..self.nodes.len() {
-            if let Op::Leaf { pid: Some(pid) } = self.nodes[i].op {
-                if let Some(g) = &self.grads[i] {
-                    store.accumulate_grad(pid, g);
+        for (node, g) in self.nodes.iter().zip(&self.grads) {
+            let (Op::Leaf { param }, Some(g)) = (&node.op, g) else {
+                continue;
+            };
+            if let Some((pid, _)) = *param {
+                store.accumulate_grad(pid, g);
+            }
+        }
+    }
+
+    fn propagate(&mut self, i: usize, gout: &Tensor, transposed: &mut TransposedParams) {
+        let Tape { nodes, grads } = self;
+        let value = |v: u32| &nodes[v as usize].value;
+        match &nodes[i].op {
+            Op::Leaf { .. } => {}
+            &Op::MatMul(a, b) => {
+                // ga = gout · bᵀ, gb = aᵀ · gout. `aᵀ` is never built (the
+                // `tn` kernel reads `a` by column); `bᵀ` is built once per
+                // bound parameter value, however many binds and matmuls
+                // share the weight.
+                let ga = match nodes[b as usize].op {
+                    Op::Leaf { param: Some(key) } => {
+                        let bt = transposed
+                            .entry(key)
+                            .or_insert_with(|| value(b).transpose());
+                        gout.matmul(bt)
+                    }
+                    _ => gout.matmul(&value(b).transpose()),
+                };
+                let gb = value(a).matmul_tn(gout);
+                add_grad(grads, a, ga);
+                add_grad(grads, b, gb);
+            }
+            &Op::Add(a, b) => {
+                pass_grad(grads, a, gout);
+                match reduce_broadcast(gout, value(b).shape()) {
+                    Some(gb) => add_grad(grads, b, gb),
+                    None => pass_grad(grads, b, gout),
                 }
             }
-        }
-    }
-
-    fn add_grad(&mut self, idx: u32, delta: Tensor) {
-        let slot = &mut self.grads[idx as usize];
-        match slot {
-            Some(g) => g.add_assign(&delta),
-            None => *slot = Some(delta),
-        }
-    }
-
-    fn propagate(&mut self, i: usize, gout: Tensor) {
-        let op = self.nodes[i].op.clone();
-        match op {
-            Op::Leaf { .. } => {}
-            Op::MatMul(a, b) => {
-                let ga = gout.matmul(&self.nodes[b as usize].value.transpose());
-                let gb = self.nodes[a as usize].value.transpose().matmul(&gout);
-                self.add_grad(a, ga);
-                self.add_grad(b, gb);
+            &Op::Sub(a, b) => {
+                pass_grad(grads, a, gout);
+                // Reduce, then negate: the other order flips the sign of a
+                // zero sum.
+                let gb = match reduce_broadcast(gout, value(b).shape()) {
+                    Some(mut gb) => {
+                        gb.scale_assign(-1.0);
+                        gb
+                    }
+                    None => gout.map(|g| -g),
+                };
+                add_grad(grads, b, gb);
             }
-            Op::Add(a, b) => {
-                let gb = reduce_to_shape(&gout, self.nodes[b as usize].value.shape());
-                self.add_grad(a, gout);
-                self.add_grad(b, gb);
-            }
-            Op::Sub(a, b) => {
-                let mut gb = reduce_to_shape(&gout, self.nodes[b as usize].value.shape());
-                gb.scale_assign(-1.0);
-                self.add_grad(a, gout);
-                self.add_grad(b, gb);
-            }
-            Op::Mul(a, b) => {
-                let ga = broadcast_zip(&gout, &self.nodes[b as usize].value, |g, y| g * y);
-                let gb_full = broadcast_zip(&gout, &self.nodes[a as usize].value, |g, x| g * x);
+            &Op::Mul(a, b) => {
+                let ga = broadcast_zip(gout, value(b), |g, y| g * y);
+                let gb_full = broadcast_zip(gout, value(a), |g, x| g * x);
                 // NB: gout and a have the same (full) shape, so zip is exact.
-                let gb = reduce_to_shape(&gb_full, self.nodes[b as usize].value.shape());
-                self.add_grad(a, ga);
-                self.add_grad(b, gb);
+                let gb = reduce_broadcast(&gb_full, value(b).shape()).unwrap_or(gb_full);
+                add_grad(grads, a, ga);
+                add_grad(grads, b, gb);
             }
-            Op::Div(a, b) => {
-                let bv = self.nodes[b as usize].value.clone();
-                let av = self.nodes[a as usize].value.clone();
-                let ga = broadcast_zip(&gout, &bv, |g, y| g / y);
+            &Op::Div(a, b) => {
+                let (av, bv) = (value(a), value(b));
+                let ga = broadcast_zip(gout, bv, |g, y| g / y);
                 // d(a/b)/db = -a / b²  (broadcast-aware)
-                let ratio = broadcast_zip(&av, &bv, |x, y| -x / (y * y));
+                let ratio = broadcast_zip(av, bv, |x, y| -x / (y * y));
                 let gb_full = {
                     assert_eq!(gout.shape(), ratio.shape());
-                    broadcast_zip(&gout, &ratio, |g, r| g * r)
+                    broadcast_zip(gout, &ratio, |g, r| g * r)
                 };
-                let gb = reduce_to_shape(&gb_full, bv.shape());
-                self.add_grad(a, ga);
-                self.add_grad(b, gb);
+                let gb = reduce_broadcast(&gb_full, bv.shape()).unwrap_or(gb_full);
+                add_grad(grads, a, ga);
+                add_grad(grads, b, gb);
             }
-            Op::Scale(a, s) => {
-                let mut g = gout;
-                g.scale_assign(s);
-                self.add_grad(a, g);
+            &Op::Scale(a, s) => add_grad(grads, a, gout.map(|g| g * s)),
+            &Op::AddScalar(a) => pass_grad(grads, a, gout),
+            &Op::Neg(a) => add_grad(grads, a, gout.map(|g| -g)),
+            &Op::Relu(a) => {
+                let g = elementwise2(gout, value(a), |g, x| if x > 0.0 { g } else { 0.0 });
+                add_grad(grads, a, g);
             }
-            Op::AddScalar(a) => self.add_grad(a, gout),
-            Op::Neg(a) => {
-                let mut g = gout;
-                g.scale_assign(-1.0);
-                self.add_grad(a, g);
+            &Op::LeakyRelu(a, slope) => {
+                let g = elementwise2(gout, value(a), |g, x| if x >= 0.0 { g } else { slope * g });
+                add_grad(grads, a, g);
             }
-            Op::Relu(a) => {
-                let x = &self.nodes[a as usize].value;
-                let g = elementwise2(&gout, x, |g, x| if x > 0.0 { g } else { 0.0 });
-                self.add_grad(a, g);
+            &Op::Sigmoid(a) => {
+                let g = elementwise2(gout, value(i as u32), |g, y| g * y * (1.0 - y));
+                add_grad(grads, a, g);
             }
-            Op::LeakyRelu(a, slope) => {
-                let x = &self.nodes[a as usize].value;
-                let g = elementwise2(&gout, x, |g, x| if x >= 0.0 { g } else { slope * g });
-                self.add_grad(a, g);
+            &Op::Tanh(a) => {
+                let g = elementwise2(gout, value(i as u32), |g, y| g * (1.0 - y * y));
+                add_grad(grads, a, g);
             }
-            Op::Sigmoid(a) => {
-                let y = &self.nodes[i].value;
-                let g = elementwise2(&gout, y, |g, y| g * y * (1.0 - y));
-                self.add_grad(a, g);
+            &Op::Softplus(a) => {
+                let g = elementwise2(gout, value(a), |g, x| g * stable_sigmoid(x));
+                add_grad(grads, a, g);
             }
-            Op::Tanh(a) => {
-                let y = &self.nodes[i].value;
-                let g = elementwise2(&gout, y, |g, y| g * (1.0 - y * y));
-                self.add_grad(a, g);
+            &Op::Exp(a) => {
+                let g = elementwise2(gout, value(i as u32), |g, y| g * y);
+                add_grad(grads, a, g);
             }
-            Op::Softplus(a) => {
-                let x = &self.nodes[a as usize].value;
-                let g = elementwise2(&gout, x, |g, x| g * stable_sigmoid(x));
-                self.add_grad(a, g);
+            &Op::Ln(a, eps) => {
+                let g = elementwise2(gout, value(a), |g, x| g / (x + eps));
+                add_grad(grads, a, g);
             }
-            Op::Exp(a) => {
-                let y = &self.nodes[i].value;
-                let g = elementwise2(&gout, y, |g, y| g * y);
-                self.add_grad(a, g);
+            &Op::Abs(a) => {
+                let g = elementwise2(gout, value(a), |g, x| if x >= 0.0 { g } else { -g });
+                add_grad(grads, a, g);
             }
-            Op::Ln(a, eps) => {
-                let x = &self.nodes[a as usize].value;
-                let g = elementwise2(&gout, x, |g, x| g / (x + eps));
-                self.add_grad(a, g);
-            }
-            Op::Abs(a) => {
-                let x = &self.nodes[a as usize].value;
-                let g = elementwise2(&gout, x, |g, x| if x >= 0.0 { g } else { -g });
-                self.add_grad(a, g);
-            }
-            Op::Sum(a) => {
-                let shape = self.nodes[a as usize].value.shape();
+            &Op::Sum(a) => {
+                let shape = value(a).shape();
                 let mut g = Tensor::zeros(shape.0, shape.1);
                 g.fill(gout.item());
-                self.add_grad(a, g);
+                add_grad(grads, a, g);
             }
-            Op::SumRows(a) => {
-                let shape = self.nodes[a as usize].value.shape();
+            &Op::SumRows(a) => {
+                let shape = value(a).shape();
                 let mut g = Tensor::zeros(shape.0, shape.1);
                 for r in 0..shape.0 {
                     g.row_mut(r).copy_from_slice(gout.row(0));
                 }
-                self.add_grad(a, g);
+                add_grad(grads, a, g);
             }
-            Op::MeanRows(a) => {
-                let shape = self.nodes[a as usize].value.shape();
+            &Op::MeanRows(a) => {
+                let shape = value(a).shape();
                 let n = shape.0.max(1) as f32;
                 let mut g = Tensor::zeros(shape.0, shape.1);
                 for r in 0..shape.0 {
@@ -518,11 +528,11 @@ impl Tape {
                         *o = x / n;
                     }
                 }
-                self.add_grad(a, g);
+                add_grad(grads, a, g);
             }
-            Op::ConcatCols(a, b) => {
-                let ca = self.nodes[a as usize].value.cols();
-                let cb = self.nodes[b as usize].value.cols();
+            &Op::ConcatCols(a, b) => {
+                let ca = value(a).cols();
+                let cb = value(b).cols();
                 let rows = gout.rows();
                 let mut ga = Tensor::zeros(rows, ca);
                 let mut gb = Tensor::zeros(rows, cb);
@@ -530,52 +540,73 @@ impl Tape {
                     ga.row_mut(r).copy_from_slice(&gout.row(r)[..ca]);
                     gb.row_mut(r).copy_from_slice(&gout.row(r)[ca..]);
                 }
-                self.add_grad(a, ga);
-                self.add_grad(b, gb);
+                add_grad(grads, a, ga);
+                add_grad(grads, b, gb);
             }
-            Op::ConcatRows(a, b) => {
-                let ra = self.nodes[a as usize].value.rows();
-                let rb = self.nodes[b as usize].value.rows();
+            &Op::ConcatRows(a, b) => {
+                let ra = value(a).rows();
+                let rb = value(b).rows();
                 let cols = gout.cols();
                 let ga = Tensor::from_vec(ra, cols, gout.data()[..ra * cols].to_vec());
                 let gb = Tensor::from_vec(rb, cols, gout.data()[ra * cols..].to_vec());
-                self.add_grad(a, ga);
-                self.add_grad(b, gb);
+                add_grad(grads, a, ga);
+                add_grad(grads, b, gb);
             }
             Op::IndexSelect(a, idx) => {
-                let shape = self.nodes[a as usize].value.shape();
+                let shape = value(*a).shape();
                 let mut g = Tensor::zeros(shape.0, shape.1);
                 for (j, &i2) in idx.iter().enumerate() {
                     for (o, &x) in g.row_mut(i2 as usize).iter_mut().zip(gout.row(j)) {
                         *o += x;
                     }
                 }
-                self.add_grad(a, g);
+                add_grad(grads, *a, g);
             }
             Op::SegmentSum(a, seg) => {
-                let shape = self.nodes[a as usize].value.shape();
+                let shape = value(*a).shape();
                 let mut g = Tensor::zeros(shape.0, shape.1);
                 for (j, &s) in seg.iter().enumerate() {
                     g.row_mut(j).copy_from_slice(gout.row(s as usize));
                 }
-                self.add_grad(a, g);
+                add_grad(grads, *a, g);
             }
-            Op::Transpose(a) => {
-                self.add_grad(a, gout.transpose());
-            }
-            Op::SliceRows(a, start) => {
-                let shape = self.nodes[a as usize].value.shape();
+            &Op::Transpose(a) => add_grad(grads, a, gout.transpose()),
+            &Op::SliceRows(a, start) => {
+                let shape = value(a).shape();
                 let mut g = Tensor::zeros(shape.0, shape.1);
                 for r in 0..gout.rows() {
                     g.row_mut(start + r).copy_from_slice(gout.row(r));
                 }
-                self.add_grad(a, g);
+                add_grad(grads, a, g);
             }
             Op::MulConst(a, mask) => {
-                let g = broadcast_zip(&gout, &mask, |g, m| g * m);
-                self.add_grad(a, g);
+                let g = broadcast_zip(gout, mask, |g, m| g * m);
+                add_grad(grads, *a, g);
             }
         }
+    }
+}
+
+/// `Wᵀ` of each parameter value — keyed like [`Op::Leaf`] — a backward pass
+/// has met as a matmul's right operand.
+type TransposedParams = std::collections::HashMap<(ParamId, u64), Tensor>;
+
+/// Adds a freshly computed contribution into `idx`'s gradient slot.
+fn add_grad(grads: &mut [Option<Tensor>], idx: u32, delta: Tensor) {
+    let slot = &mut grads[idx as usize];
+    match slot {
+        Some(g) => g.add_assign(&delta),
+        None => *slot = Some(delta),
+    }
+}
+
+/// Hands a node's own gradient on unchanged: `+=` into an occupied slot,
+/// the pass's only clone into an empty one.
+fn pass_grad(grads: &mut [Option<Tensor>], idx: u32, gout: &Tensor) {
+    let slot = &mut grads[idx as usize];
+    match slot {
+        Some(g) => g.add_assign(gout),
+        None => *slot = Some(gout.clone()),
     }
 }
 
@@ -597,23 +628,20 @@ fn broadcast_zip(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor 
         let y = b.data()[0];
         return a.map(|x| f(x, y));
     }
+    let mut out = a.clone();
+    let rows = out.data_mut().chunks_exact_mut(ac.max(1));
     if br == 1 && bc == ac {
-        let mut out = Tensor::zeros(ar, ac);
-        for r in 0..ar {
-            for c in 0..ac {
-                out.set(r, c, f(a.get(r, c), b.get(0, c)));
+        for row in rows {
+            for (o, &y) in row.iter_mut().zip(b.data()) {
+                *o = f(*o, y);
             }
         }
         return out;
     }
     if bc == 1 && br == ar {
         // Column broadcast: one scalar per row of `a` (attention weights).
-        let mut out = Tensor::zeros(ar, ac);
-        for r in 0..ar {
-            let y = b.get(r, 0);
-            for c in 0..ac {
-                out.set(r, c, f(a.get(r, c), y));
-            }
+        for (row, &y) in rows.zip(b.data()) {
+            row.iter_mut().for_each(|o| *o = f(*o, y));
         }
         return out;
     }
@@ -624,14 +652,15 @@ fn broadcast_zip(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor 
     );
 }
 
-/// Reduces a full-shape gradient down to the (possibly broadcast) shape of
-/// the original operand by summing over broadcast dimensions.
-fn reduce_to_shape(g: &Tensor, target: (usize, usize)) -> Tensor {
+/// Reduces a full-shape gradient down to the shape of an operand that was
+/// broadcast, by summing over the broadcast dimensions; `None` when the
+/// operand had the full shape and the gradient is its own as it stands.
+fn reduce_broadcast(g: &Tensor, target: (usize, usize)) -> Option<Tensor> {
     if g.shape() == target {
-        return g.clone();
+        return None;
     }
     if target == (1, 1) {
-        return Tensor::scalar(g.sum_all());
+        return Some(Tensor::scalar(g.sum_all()));
     }
     if target.0 == 1 && target.1 == g.cols() {
         let mut out = Tensor::zeros(1, g.cols());
@@ -640,7 +669,7 @@ fn reduce_to_shape(g: &Tensor, target: (usize, usize)) -> Tensor {
                 *o += x;
             }
         }
-        return out;
+        return Some(out);
     }
     if target.1 == 1 && target.0 == g.rows() {
         // Column-broadcast reduction: sum across columns per row.
@@ -648,7 +677,7 @@ fn reduce_to_shape(g: &Tensor, target: (usize, usize)) -> Tensor {
         for r in 0..g.rows() {
             out.set(r, 0, g.row(r).iter().sum());
         }
-        return out;
+        return Some(out);
     }
     panic!("cannot reduce {:?} to {:?}", g.shape(), target);
 }
@@ -715,6 +744,26 @@ mod tests {
         let g = store.grad(w);
         assert_eq!(g.shape(), (3, 2));
         assert_eq!(g.data(), &[1.0, 1.0, 2.0, 2.0, 3.0, 3.0]);
+    }
+
+    #[test]
+    fn a_weight_rebound_after_a_change_gets_its_own_transpose() {
+        // x·W₀·W₁ with W₁ the same parameter as W₀, changed between the two
+        // binds: dL/dx = 1·W₁ᵀ·W₀ᵀ must use both values, not one cached Wᵀ.
+        let mut store = ParamStore::new();
+        let x = store.alloc(Tensor::from_rows(&[&[1.0, 1.0]]));
+        let w = store.alloc(Tensor::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]));
+        let mut t = Tape::new();
+        let xv = t.param(&store, x);
+        let w0 = t.param(&store, w);
+        let h = t.matmul(xv, w0);
+        store.value_mut(w).scale_assign(10.0);
+        let w1 = t.param(&store, w);
+        let y = t.matmul(h, w1);
+        let loss = t.sum(y);
+        t.backward(loss, &mut store);
+        // 1·W₁ᵀ = [30, 70]; ·W₀ᵀ = [30 + 140, 90 + 280].
+        assert_eq!(store.grad(x).data(), &[170.0, 370.0]);
     }
 
     #[test]

@@ -191,17 +191,13 @@ impl Tensor {
         self.data.iter_mut().for_each(|x| *x = x.clamp(lo, hi));
     }
 
-    /// Matrix product `self × other` — `[n,k] × [k,m] → [n,m]`, i-k-j loop
-    /// order for cache-friendly row-major access.
-    ///
-    /// Rows that are entirely zero in `self` are skipped (common for padded
-    /// feature rows); nonzero rows run a branch-free dense inner loop — a
-    /// per-scalar `a == 0.0` test costs more in branch mispredictions on
-    /// dense inputs than it saves on our ~50%-sparse binary features (see
-    /// `benches/matmul.rs` in the bench crate). Output rows are computed
-    /// independently, so the kernel fans out over row blocks when
-    /// [`crate::parallel`] is configured — bit-identical at any thread
-    /// count because each row's operation order never changes.
+    /// Matrix product `self × other` — `[n,k] × [k,m] → [n,m]`, computed
+    /// by the shared [`crate::kernels`] family. The bit-identity contract
+    /// every tier of it honours: each output element starts at `+0.0` and
+    /// accumulates `a[i][k] * b[k][j]` for ascending `k`, multiply then add
+    /// (never a fused multiply-add); a row of `self` that is entirely zero
+    /// is skipped, so its output row is `+0.0` whatever `other` holds.
+    /// Identical bits at any thread count and on any SIMD tier.
     pub fn matmul(&self, other: &Tensor) -> Tensor {
         assert_eq!(
             self.cols,
@@ -210,20 +206,24 @@ impl Tensor {
             self.shape(),
             other.shape()
         );
-        let (n, k, m) = (self.rows, self.cols, other.cols);
-        let mut out = Tensor::zeros(n, m);
-        crate::parallel::for_each_row(n, m, &mut out.data, |i, o_row| {
-            let a_row = &self.data[i * k..(i + 1) * k];
-            if a_row.iter().all(|&a| a == 0.0) {
-                return; // whole-row skip: the output row stays zero
-            }
-            for (kk, &a) in a_row.iter().enumerate() {
-                let b_row = &other.data[kk * m..(kk + 1) * m];
-                for (o, &b) in o_row.iter_mut().zip(b_row.iter()) {
-                    *o += a * b;
-                }
-            }
-        });
+        let mut out = Tensor::zeros(self.rows, other.cols);
+        crate::kernels::matmul_into(self, other, &mut out);
+        out
+    }
+
+    /// `selfᵀ × other` — `[n,k]ᵀ × [n,m] → [k,m]` — bit-identical to
+    /// `self.transpose().matmul(other)` without building the transpose
+    /// (the skip rule reads: a *column* of `self` that is entirely zero).
+    pub(crate) fn matmul_tn(&self, other: &Tensor) -> Tensor {
+        assert_eq!(
+            self.rows,
+            other.rows,
+            "matmul_tn outer-dimension mismatch: {:?}ᵀ × {:?}",
+            self.shape(),
+            other.shape()
+        );
+        let mut out = Tensor::zeros(self.cols, other.cols);
+        crate::kernels::matmul_tn_into(self, other, &mut out);
         out
     }
 
@@ -232,7 +232,7 @@ impl Tensor {
     pub fn transpose(&self) -> Tensor {
         let (rows, cols) = (self.rows, self.cols);
         let mut out = Tensor::zeros(cols, rows);
-        crate::parallel::for_each_row(cols, rows, &mut out.data, |c, o_row| {
+        crate::parallel::for_each_row_chunk(cols, rows, 1, &mut out.data, |c, o_row| {
             for (r, slot) in o_row.iter_mut().enumerate() {
                 *slot = self.data[r * cols + c];
             }

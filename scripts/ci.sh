@@ -39,6 +39,13 @@ echo "== cargo test (unit + integration + doc-tests) =="
 cargo test --workspace -q
 cargo test -q --doc "${OUR_CRATES[@]}"
 
+echo "== cargo test --release (SIMD tiers, equivalence suites, training golden) =="
+# The run above is opt-level=0. The unsafe kernel tiers, the bit-identity
+# suites and the golden weights must also hold at the level that ships and
+# that the benchmark measures (~30 s).
+cargo test -q --release -p neursc-nn -p neursc-gnn
+cargo test -q --release -p neursc-core --test train_golden --test parallel_determinism
+
 echo "== no-op sink overhead gate (DESIGN.md §8: < 2%) =="
 cargo run --release -q -p neursc-bench --bin obs_overhead
 
