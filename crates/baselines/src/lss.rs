@@ -126,6 +126,11 @@ impl Lss {
         }
     }
 
+    /// The model's parameters, read-only (trained-weight digests).
+    pub fn store(&self) -> &ParamStore {
+        &self.store
+    }
+
     fn build_label_freq(&mut self, g: &Graph) {
         let n = g.n_vertices().max(1) as f32;
         self.label_freq = g

@@ -227,6 +227,11 @@ impl Nsic {
         }
     }
 
+    /// The model's parameters, read-only (trained-weight digests).
+    pub fn store(&self) -> &ParamStore {
+        &self.store
+    }
+
     /// The display name reflects the encoder (paper: NSIC-I / NSIC-C).
     pub fn display_name(&self) -> &'static str {
         match (self.config.encoder, self.config.with_extraction) {

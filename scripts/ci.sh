@@ -45,6 +45,7 @@ echo "== cargo test --release (SIMD tiers, equivalence suites, training golden) 
 # that the benchmark measures (~30 s).
 cargo test -q --release -p neursc-nn -p neursc-gnn
 cargo test -q --release -p neursc-core --test train_golden --test parallel_determinism
+cargo test -q --release -p neursc-baselines --test train_golden
 
 echo "== no-op sink overhead gate (DESIGN.md §8: < 2%) =="
 cargo run --release -q -p neursc-bench --bin obs_overhead
