@@ -29,6 +29,14 @@ pub fn global_refinement(q: &Graph, g: &Graph, cs: &mut CandidateSets, max_round
 /// removes provably-impossible candidates, so stopping at any point leaves
 /// `cs` complete (Definition 2) — merely less tight. A query vertex whose
 /// pass was cut short keeps its pre-round candidate list.
+///
+/// Precondition: `cs` is label-consistent — every `v ∈ CS(u)` has
+/// `f_l(v) = f_l(u)`, which every `local_pruning*` door guarantees (it fills
+/// `CS(u)` from the data vertices of `u`'s label). The pair test compares
+/// labels before it probes `CS(u')`, which under the precondition is the
+/// same answer for a fraction of the work. On a label-inconsistent `cs` the
+/// result would only be tighter, never unsound: a vertex of the wrong label
+/// is in no embedding.
 pub fn global_refinement_metered(
     q: &Graph,
     g: &Graph,
@@ -36,6 +44,11 @@ pub fn global_refinement_metered(
     max_rounds: usize,
     meter: &mut crate::budget::WorkMeter,
 ) -> (usize, bool) {
+    debug_assert!(
+        q.vertices()
+            .all(|u| cs.get(u).iter().all(|&v| g.label(v) == q.label(u))),
+        "candidate sets must be label-consistent"
+    );
     for round in 0..max_rounds {
         let mut changed = false;
         for u in q.vertices() {
@@ -71,8 +84,9 @@ fn pair_passes(q: &Graph, g: &Graph, cs: &CandidateSets, u: VertexId, v: VertexI
     }
     let mut b = BipartiteGraph::new(nu.len(), nv.len());
     for (i, &u2) in nu.iter().enumerate() {
+        let lu2 = q.label(u2);
         for (j, &v2) in nv.iter().enumerate() {
-            if cs.contains(u2, v2) {
+            if g.label(v2) == lu2 && cs.contains(u2, v2) {
                 b.add_edge(i, j);
             }
         }

@@ -10,9 +10,12 @@
 use neursc_graph::generate::erdos_renyi;
 use neursc_graph::sample::{sample_query, QuerySampler};
 use neursc_graph::{Graph, GraphBuilder};
-use neursc_match::candidates::local_pruning;
+use neursc_match::bipartite::{has_left_saturating_matching, BipartiteGraph};
+use neursc_match::budget::FilterBudget;
+use neursc_match::candidates::{local_pruning, CandidateSets};
 use neursc_match::enumerate::{brute_force_count, count_embeddings};
 use neursc_match::filter::{filter_candidates, FilterConfig};
+use neursc_match::refinement::global_refinement_metered;
 use proptest::prelude::*;
 use rand::SeedableRng;
 
@@ -81,8 +84,78 @@ fn arb_small_graph(n_min: usize, n_max: usize, n_labels: u32) -> impl Strategy<V
     })
 }
 
+/// Global refinement as the paper states it, with no label test in the
+/// pair loop: `B_v^u` has an edge `(u', v')` iff `v' ∈ CS(u')`. One step per
+/// pair test against `max_steps`; returns `(rounds, exhausted, spent)`.
+fn reference_refinement(
+    q: &Graph,
+    g: &Graph,
+    cs: &mut CandidateSets,
+    max_rounds: usize,
+    max_steps: u64,
+) -> (usize, bool, u64) {
+    let mut spent = 0u64;
+    for round in 0..max_rounds {
+        let mut changed = false;
+        for u in q.vertices() {
+            let mut survivors = Vec::new();
+            for &v in cs.get(u) {
+                spent += 1;
+                if spent > max_steps {
+                    return (round, true, spent);
+                }
+                let (nu, nv) = (q.neighbors(u), g.neighbors(v));
+                let mut b = BipartiteGraph::new(nu.len(), nv.len());
+                for (i, &u2) in nu.iter().enumerate() {
+                    for (j, &v2) in nv.iter().enumerate() {
+                        if cs.contains(u2, v2) {
+                            b.add_edge(i, j);
+                        }
+                    }
+                }
+                if has_left_saturating_matching(&b) {
+                    survivors.push(v);
+                }
+            }
+            if survivors.len() != cs.get(u).len() {
+                changed = true;
+                cs.sets[u as usize] = survivors;
+            }
+        }
+        if !changed {
+            return (round + 1, false, spent);
+        }
+    }
+    (max_rounds, false, spent)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The label test ahead of the membership probe in refinement's pair
+    /// loop changes nothing observable: candidate sets, rounds, the
+    /// `exhausted` flag and the steps charged equal the reference's, with
+    /// and without a budget that cuts a round short.
+    #[test]
+    fn refinement_equals_the_reference_without_a_label_test(
+        g in arb_small_graph(6, 14, 3),
+        q in arb_small_graph(2, 4, 3),
+        max_rounds in 1usize..=4,
+        tight in 0u64..40,
+    ) {
+        let local = local_pruning(&q, &g, 1);
+        for max_steps in [u64::MAX, tight] {
+            let mut want = local.clone();
+            let (rounds, exhausted, spent) =
+                reference_refinement(&q, &g, &mut want, max_rounds, max_steps);
+            let mut got = local.clone();
+            let mut meter = FilterBudget::steps(max_steps).meter();
+            let out = global_refinement_metered(&q, &g, &mut got, max_rounds, &mut meter);
+            prop_assert_eq!(out, (rounds, exhausted));
+            prop_assert_eq!(meter.spent(), spent);
+            prop_assert_eq!(&got, &want);
+        }
+    }
 
     /// Definition 2 safety: every (u, v) pair used by any true embedding
     /// survives local pruning AND the full refined pipeline.
@@ -156,4 +229,19 @@ fn triangle_embeddings_are_six_times_motif_occurrences() {
         let embeddings = count_embeddings(&tri, &g, 1_000_000_000).exact().unwrap();
         assert_eq!(embeddings, 6 * triangle_count(&g), "seed {seed}");
     }
+}
+
+/// Refinement's precondition is checked where debug assertions are on: a
+/// candidate of the wrong label is a caller bug, not an input.
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "label-consistent")]
+fn refinement_rejects_label_inconsistent_candidate_sets() {
+    let g = Graph::from_edges(3, &[0, 1, 0], &[(0, 1), (1, 2)]).unwrap();
+    let q = Graph::from_edges(2, &[0, 1], &[(0, 1)]).unwrap();
+    let mut cs = local_pruning(&q, &g, 1);
+    cs.sets[0].push(1); // label 1 among the candidates of a label-0 vertex
+    cs.sets[0].sort_unstable();
+    let mut meter = FilterBudget::UNBOUNDED.meter();
+    global_refinement_metered(&q, &g, &mut cs, 1, &mut meter);
 }
