@@ -665,6 +665,9 @@ fn train_discriminator_once(
     // Use a dedicated grad pass: zero, backward, step ω, clamp, re-zero.
     model.store.zero_grads();
     tape.backward(neg, &mut model.store);
+    // The tape shares ω's values with the store; let go of them before the
+    // step changes them, or each would be copied first.
+    drop(tape);
     opt_disc.step_subset(&mut model.store, disc_params);
     let clamp = disc.clamp;
     neursc_nn::optim::clamp_params(&mut model.store, disc_params, -clamp, clamp);

@@ -110,7 +110,12 @@ impl WEst {
             // Inter-graph attention over the combined vertex set, starting
             // from initial features (Algorithm 2 line 9 refines X).
             let _sp = crate::obs::Span::enter("gnn.inter");
-            let x_all = tape.concat_rows(xq, xs);
+            // Stacked outside the tape, so that the first layer sees a
+            // constant and computes no gradient for its input.
+            let mut x_all = Vec::with_capacity(x_q.len() + x_sub.len());
+            x_all.extend_from_slice(x_q.data());
+            x_all.extend_from_slice(x_sub.data());
+            let x_all = tape.constant(Tensor::from_vec(nq + ns, x_q.cols(), x_all));
             let h_all = inter.forward(tape, store, x_all, gb_edges);
             let hq_inter = tape.slice_rows(h_all, 0, nq);
             let hs_inter = tape.slice_rows(h_all, nq, nq + ns);
@@ -245,42 +250,20 @@ impl WEst {
 
 /// Sign-preserving logarithmic compression
 /// `ln(1 + relu(x)) − ln(1 + relu(−x))` — strictly monotone per
-/// coordinate, identity-like near 0, logarithmic for large |x|.
+/// coordinate, identity-like near 0, logarithmic for large |x| — as one
+/// tape node; [`log1p_signed_scalar`] is the map it applies.
 pub fn log1p_signed(tape: &mut Tape, x: Var) -> Var {
-    let pos = tape.relu(x);
-    let lp = tape.ln(pos, 1.0);
-    let nx = tape.neg(x);
-    let negp = tape.relu(nx);
-    let ln_neg = tape.ln(negp, 1.0);
-    tape.sub(lp, ln_neg)
+    tape.log1p_signed(x)
 }
 
 /// Differentiable `min(x, cap) = cap − relu(cap − x)` (gradient 1 below the
-/// cap, 0 above).
+/// cap, 0 above) as one tape node; [`clamp_max_scalar`] is the map it
+/// applies.
 pub fn clamp_max(tape: &mut Tape, x: Var, cap: f32) -> Var {
-    let neg = tape.neg(x);
-    let shifted = tape.add_scalar(neg, cap); // cap − x
-    let r = tape.relu(shifted);
-    let nr = tape.neg(r);
-    tape.add_scalar(nr, cap)
+    tape.clamp_max(x, cap)
 }
 
-/// Scalar [`log1p_signed`] with the exact tape operation sequence
-/// (`relu` → `ln(·+1)` on each sign branch, then subtract), so the fused
-/// readout stays bit-identical.
-pub fn log1p_signed_scalar(x: f32) -> f32 {
-    let lp = (x.max(0.0) + 1.0).ln();
-    let ln_neg = ((-x).max(0.0) + 1.0).ln();
-    lp - ln_neg
-}
-
-/// Scalar [`clamp_max`] with the exact tape operation sequence
-/// (negate, shift, `relu`, negate, shift).
-pub fn clamp_max_scalar(x: f32, cap: f32) -> f32 {
-    let shifted = -x + cap;
-    let r = shifted.max(0.0);
-    -r + cap
-}
+pub use neursc_nn::kernels::{clamp_max_scalar, log1p_signed_scalar};
 
 #[cfg(test)]
 mod tests {

@@ -23,12 +23,13 @@
 
 use neursc_core::obs::{ObsSink, Recorder};
 use neursc_core::persist::model_checksum;
-use neursc_core::train::{run_training_obs, PreparedQuery, PreparedSub};
+use neursc_core::train::{forward_prepared, run_training_obs, PreparedQuery, PreparedSub};
 use neursc_core::{DiscriminatorMetric, GraphContext, NeurSc, NeurScConfig, Parallelism, Variant};
 use neursc_gnn::{init_features, EdgeList};
 use neursc_graph::induced::induced_subgraph;
 use neursc_graph::Graph;
 use neursc_match::count_embeddings;
+use neursc_nn::Tape;
 use std::sync::Arc;
 
 /// One pinned training run.
@@ -178,6 +179,31 @@ fn config() -> NeurScConfig {
     c
 }
 
+/// Tape nodes one `(q, G_sub)` pair may record.
+const MAX_NODES_PER_PAIR: usize = 90;
+
+/// A perf guard without a clock. What a training step costs beyond its
+/// arithmetic is per tape node — an output to allocate, a gradient of the
+/// same shape, an `Op` to walk — and the node count repeats exactly. This
+/// shard's forward records 65 nodes per pair (195 over its three pairs)
+/// with every layer one coarse node; it recorded 158 per pair (474) when
+/// the layers were chains of primitive ops, as did the benchmark's
+/// `train_yeast` shards. A chain creeping back into a layer fails here
+/// instead of in a benchmark.
+fn assert_tape_stays_coarse(model: &NeurSc, prepared: &[PreparedQuery]) {
+    let (mut nodes, mut pairs) = (0, 0);
+    for pq in prepared {
+        let mut tape = Tape::new();
+        forward_prepared(model, &mut tape, pq).expect("the shard has substructures");
+        nodes += tape.len();
+        pairs += pq.subs.len();
+    }
+    assert!(
+        nodes <= MAX_NODES_PER_PAIR * pairs,
+        "{nodes} tape nodes for {pairs} pairs: more than {MAX_NODES_PER_PAIR} per pair"
+    );
+}
+
 #[test]
 fn trained_weights_and_losses_match_the_golden_at_1_and_4_threads() {
     let g = data_graph();
@@ -204,6 +230,9 @@ fn trained_weights_and_losses_match_the_golden_at_1_and_4_threads() {
                 .map(|pq| pq.subs.iter().map(|s| s.x.rows()).collect())
                 .collect();
             assert_eq!(subs, [vec![4, 9], vec![41]], "the shard changed shape");
+            if case.name == "full" {
+                assert_tape_stays_coarse(&model, &prepared);
+            }
             (case.reshape)(&mut prepared);
 
             let rec = Arc::new(Recorder::new());

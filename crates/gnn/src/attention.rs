@@ -18,8 +18,9 @@
 
 use crate::edges::EdgeList;
 use neursc_nn::init::xavier_uniform;
-use neursc_nn::{ParamId, ParamStore, Tape, Tensor, Var};
+use neursc_nn::{ParamId, ParamStore, Tape, Var};
 use rand::rngs::StdRng;
+use std::borrow::Cow;
 
 /// Attentive-layer configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,85 +69,24 @@ impl AttentionLayer {
         }
     }
 
-    /// Forward over the (bipartite) graph: `h: [n, in]` → `[n, out]`.
+    /// Forward over the (bipartite) graph, `h: [n, in]` → `[n, out]`, as
+    /// one tape node over the layer's three parameter leaves.
     ///
-    /// `edges` are directed message edges (`src → dst`); for `G_B` this is
-    /// both directions of every candidate edge.
+    /// `eff` holds the directed message edges (`src → dst`; for `G_B`, both
+    /// directions of every candidate edge) and must already carry the self
+    /// loops when the stack's `self_term` is set; `has_in[v]` says whether
+    /// any of them reaches vertex `v`. Both are the same for every layer,
+    /// so the stack builds them once ([`BipartiteAttention::message_edges`]).
     pub fn forward(
         &self,
         tape: &mut Tape,
         store: &ParamStore,
         h: Var,
-        edges: &EdgeList,
-        self_term: bool,
+        eff: &EdgeList,
+        has_in: &[bool],
     ) -> Var {
-        let n = edges.n_vertices;
-        let theta = tape.param(store, self.theta);
-        let theta_a = tape.param(store, self.theta_a);
-        let attn = tape.param(store, self.attn);
-        let th = tape.matmul(h, theta); // [n, out]
-        let ta = tape.matmul(h, theta_a); // [n, out]
-
-        // Effective edge list: optionally add self loops into the softmax.
-        let eff = if self_term {
-            edges.clone().with_self_loops()
-        } else {
-            edges.clone()
-        };
-        if eff.is_empty() {
-            // No edges at all: fall back to the transformed self term.
-            return tape.sigmoid(th);
-        }
-
-        // Attention logits per directed edge: a·[Θ_a h_dst ‖ Θ_a h_src].
-        let a_dst = tape.index_select(ta, &eff.dst);
-        let a_src = tape.index_select(ta, &eff.src);
-        let cat = tape.concat_cols(a_dst, a_src); // [e, 2*out]
-        let raw = tape.matmul(cat, attn); // [e, 1]
-        let logits = tape.leaky_relu(raw, self.slope);
-
-        // Segment softmax over incoming edges of each dst.
-        let max_per = tape.segment_max_detached(logits, &eff.dst, n);
-        let max_bcast = {
-            let c = tape.constant(max_per);
-            tape.index_select(c, &eff.dst)
-        };
-        let shifted = tape.sub(logits, max_bcast);
-        let exps = tape.exp(shifted);
-        let denom = tape.segment_sum(exps, &eff.dst, n); // [n, 1]
-        let denom_safe = tape.add_scalar(denom, 1e-12);
-        let denom_bcast = tape.index_select(denom_safe, &eff.dst);
-        let alpha = tape.div(exps, denom_bcast); // [e, 1]
-
-        // Weighted message aggregation.
-        let msgs = tape.index_select(th, &eff.src); // [e, out]
-        let weighted = tape.mul(msgs, alpha); // column broadcast
-        let agg = tape.segment_sum(weighted, &eff.dst, n);
-
-        // Vertices with no incoming edge would be all-zero; give them the
-        // transformed self feature so their representation is defined.
-        let mut mask = Tensor::zeros(n, 1);
-        {
-            let mut has_in = vec![false; n];
-            for &d in &eff.dst {
-                has_in[d as usize] = true;
-            }
-            for (i, &b) in has_in.iter().enumerate() {
-                mask.set(i, 0, if b { 0.0 } else { 1.0 });
-            }
-        }
-        let fallback = tape.mul_const(th, {
-            let mut m = Tensor::zeros(n, tape.value(th).cols());
-            for r in 0..n {
-                let v = mask.get(r, 0);
-                for c in 0..m.cols() {
-                    m.set(r, c, v);
-                }
-            }
-            m
-        });
-        let combined = tape.add(agg, fallback);
-        tape.sigmoid(combined)
+        let params = [self.theta, self.theta_a, self.attn].map(|p| tape.param(store, p));
+        tape.attention(h, params, &eff.src, &eff.dst, has_in, self.slope)
     }
 }
 
@@ -177,11 +117,27 @@ impl BipartiteAttention {
 
     /// Runs all layers; returns `h^inter` (Algorithm 2, line 12).
     pub fn forward(&self, tape: &mut Tape, store: &ParamStore, x: Var, edges: &EdgeList) -> Var {
-        let mut h = x;
-        for layer in &self.layers {
-            h = layer.forward(tape, store, h, edges, self.config.self_term);
+        let (eff, has_in) = self.message_edges(edges);
+        self.layers
+            .iter()
+            .fold(x, |h, layer| layer.forward(tape, store, h, &eff, &has_in))
+    }
+
+    /// What every layer of the stack runs on: `edges`, with a self loop per
+    /// vertex appended when `self_term` is configured, and per vertex
+    /// whether any of those edges arrives there (a vertex none reaches
+    /// keeps its own transformed feature).
+    pub fn message_edges<'e>(&self, edges: &'e EdgeList) -> (Cow<'e, EdgeList>, Vec<bool>) {
+        let eff = if self.config.self_term {
+            Cow::Owned(edges.clone().with_self_loops())
+        } else {
+            Cow::Borrowed(edges)
+        };
+        let mut has_in = vec![false; eff.n_vertices];
+        for &d in &eff.dst {
+            has_in[d as usize] = true;
         }
-        h
+        (eff, has_in)
     }
 
     /// All parameter ids.
@@ -196,6 +152,7 @@ impl BipartiteAttention {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use neursc_nn::Tensor;
     use rand::SeedableRng;
 
     fn setup(n_layers: usize, self_term: bool) -> (ParamStore, BipartiteAttention) {

@@ -59,22 +59,13 @@ impl GinLayer {
         GinLayer { eps, mlp }
     }
 
-    /// Forward over one graph: `h: [n, d_in]` → `[n, d_out]`.
+    /// Forward over one graph: `h: [n, d_in]` → `[n, d_out]`. The combine
+    /// `(1 + ε)·h + Σ_{u'∈N(u)} h_{u'}` is one tape node, each MLP layer
+    /// another.
     pub fn forward(&self, tape: &mut Tape, store: &ParamStore, h: Var, edges: &EdgeList) -> Var {
-        let n = edges.n_vertices;
-        debug_assert_eq!(tape.value(h).rows(), n);
-        // Σ_{u'∈N(u)} h_{u'}: gather sources, scatter-add into destinations.
-        let agg = if edges.is_empty() {
-            tape.constant(Tensor::zeros(n, tape.value(h).cols()))
-        } else {
-            let msgs = tape.index_select(h, &edges.src);
-            tape.segment_sum(msgs, &edges.dst, n)
-        };
-        // (1 + ε) · h + agg
+        debug_assert_eq!(tape.value(h).rows(), edges.n_vertices);
         let eps = tape.param(store, self.eps);
-        let one_plus = tape.add_scalar(eps, 1.0);
-        let scaled = tape.mul(h, one_plus);
-        let combined = tape.add(scaled, agg);
+        let combined = tape.gin_combine(h, eps, &edges.src, &edges.dst);
         self.mlp.forward(tape, store, combined)
     }
 }

@@ -1,46 +1,31 @@
-//! Tape-free fused forward passes for the GNN layers.
+//! Tape-free forward passes for the GNN layers.
 //!
 //! Inference entry points take a [`neursc_nn::infer::InferCtx`] instead of
 //! `(&mut Tape, &ParamStore)`: weights come from the context's quantized
-//! snapshot, intermediates from its buffer arena, and the per-edge
-//! gather/scatter chains that the tape materializes as separate `[e, c]`
-//! tensors (`index_select` → `concat_cols` → `matmul`, `mul` →
-//! `segment_sum`) collapse into single edge-order loops.
-//!
-//! Every fused loop reproduces the exact per-element operation order of
-//! the tape ops it replaces, so at f32 the fused forward is bit-identical
-//! to [`crate::gin::GinStack::forward`] /
-//! [`crate::attention::BipartiteAttention::forward`]; the unit tests here
-//! pin that with `to_bits` comparisons and `tests/infer_equivalence.rs`
-//! in `neursc-nn` pins it end-to-end on the WEst pipeline.
+//! snapshot and intermediates from its buffer arena. The arithmetic is the
+//! loop bodies of [`neursc_nn::kernels`] — the ones the tape's coarse nodes
+//! run ([`crate::gin::GinLayer::forward`],
+//! [`crate::attention::AttentionLayer::forward`]) — so at f32 the two paths
+//! agree bit for bit by construction; the unit tests here and
+//! `tests/infer_equivalence.rs` in `neursc-nn` (end to end on the WEst
+//! pipeline) keep that pinned.
 
 use crate::attention::{AttentionLayer, BipartiteAttention};
 use crate::edges::EdgeList;
 use crate::gin::{GinLayer, GinStack};
 use neursc_nn::infer::{stable_sigmoid, InferCtx};
+use neursc_nn::kernels;
+use neursc_nn::layers::Activation;
 use neursc_nn::Tensor;
 
 impl GinLayer {
-    /// Fused tape-free forward: neighbor scatter-add, `(1+ε)`-scaled self
-    /// term added in place, then the COMBINE MLP — no tape, no per-op
-    /// allocation.
+    /// Tape-free forward: the GIN combine into an arena tensor, then the
+    /// COMBINE MLP — no tape, no per-op allocation.
     pub fn infer_forward(&self, ctx: &mut InferCtx<'_>, h: &Tensor, edges: &EdgeList) -> Tensor {
-        let n = edges.n_vertices;
-        debug_assert_eq!(h.rows(), n, "feature/vertex count mismatch");
-        // `combined` starts as the neighbor aggregate (zero when edgeless,
-        // matching the tape's explicit zero constant)...
-        let mut combined = if edges.is_empty() {
-            ctx.alloc(n, h.cols())
-        } else {
-            ctx.gather_add(h, &edges.src, &edges.dst, n)
-        };
-        // ...then absorbs (1+ε)·h in place: x·(1+ε) + agg, the same
-        // multiply-then-add the tape's `mul`/`add` pair performs (IEEE
-        // addition is commutative, so the accumulate form is bit-equal).
+        debug_assert_eq!(h.rows(), edges.n_vertices, "feature/vertex count mismatch");
+        let mut combined = ctx.alloc(h.rows(), h.cols());
         let one_plus = ctx.param(self.eps).item() + 1.0;
-        for (o, &x) in combined.data_mut().iter_mut().zip(h.data().iter()) {
-            *o += x * one_plus;
-        }
+        kernels::gin_combine_into(h, one_plus, &edges.src, &edges.dst, &mut combined);
         let out = self.mlp.infer_forward(ctx, &combined);
         ctx.recycle(combined);
         out
@@ -61,18 +46,11 @@ impl GinStack {
 }
 
 impl AttentionLayer {
-    /// Fused tape-free GAT-style forward.
+    /// Tape-free GAT-style forward: the per-edge logits, the segment
+    /// softmax and the α-weighted aggregate run over `[e]`/`[n]` arena
+    /// columns, with no edge-shaped `[e, out]` tensor ever built.
     ///
-    /// The tape builds seven edge-shaped tensors (`a_dst`, `a_src`, `cat`,
-    /// `raw`, `logits`, `exps`, `alpha`) plus broadcast copies; here the
-    /// logit for each edge is accumulated directly from the two `Θ_a h`
-    /// rows (same k-ascending order as the `concat_cols` + `matmul` pair),
-    /// and the softmax/aggregate run over `[e, 1]` arena columns.
-    ///
-    /// `eff` must already carry self-loops when the stack's `self_term` is
-    /// set, and `has_in[v]` says whether vertex `v` receives any edge —
-    /// both are layer-invariant, so [`BipartiteAttention::infer_forward`]
-    /// computes them once instead of per layer.
+    /// `eff` and `has_in` as for [`AttentionLayer::forward`].
     pub fn infer_forward(
         &self,
         ctx: &mut InferCtx<'_>,
@@ -81,12 +59,7 @@ impl AttentionLayer {
         has_in: &[bool],
     ) -> Tensor {
         let n = eff.n_vertices;
-        let theta = ctx.param(self.theta);
-        let theta_a = ctx.param(self.theta_a);
-        let attn = ctx.param(self.attn);
-        let mut th = ctx.matmul(h, theta); // [n, out]
-        let out_dim = th.cols();
-
+        let mut th = ctx.matmul(h, ctx.param(self.theta)); // [n, out]
         if eff.is_empty() {
             // No edges at all: fall back to the transformed self term.
             for v in th.data_mut() {
@@ -94,121 +67,21 @@ impl AttentionLayer {
             }
             return th;
         }
-        let ta = ctx.matmul(h, theta_a); // [n, out]
-        let e = eff.len();
+        let ta = ctx.matmul(h, ctx.param(self.theta_a)); // [n, out]
+        let attn = ctx.param(self.attn).data(); // [2·out, 1], row-major ⇒ flat
 
-        // Leaky-ReLU'd attention logits, one fused pass per edge. The
-        // accumulation visits the dst half then the src half of the
-        // concatenated row, k-ascending — the tape matmul's exact order.
-        // (Its whole-zero-row skip also yields +0.0, as does accumulating
-        // products of zeros, so no explicit skip is needed for identity.)
-        let mut logits = ctx.alloc_full(e, 1); // every element written below
-        {
-            let av = attn.data(); // [2·out, 1], row-major ⇒ flat
-            let (a_dst, a_src) = av.split_at(out_dim);
-            let ld = logits.data_mut();
-            // Four edges per iteration: each edge's logit is one long
-            // sequential add chain (dst half then src half, k-ascending —
-            // the tape matmul's order, unchanged here), so interleaving
-            // four independent chains hides the add latency. Bit-identity
-            // is untouched: chains never mix.
-            let mut j = 0usize;
-            while j + 4 <= e {
-                let dr =
-                    std::array::from_fn::<_, 4, _>(|t| &ta.row(eff.dst[j + t] as usize)[..out_dim]);
-                let sr =
-                    std::array::from_fn::<_, 4, _>(|t| &ta.row(eff.src[j + t] as usize)[..out_dim]);
-                let mut acc = [0.0f32; 4];
-                for (k, &a) in a_dst.iter().enumerate() {
-                    for t in 0..4 {
-                        acc[t] += dr[t][k] * a;
-                    }
-                }
-                for (k, &a) in a_src.iter().enumerate() {
-                    for t in 0..4 {
-                        acc[t] += sr[t][k] * a;
-                    }
-                }
-                for (t, &a) in acc.iter().enumerate() {
-                    ld[j + t] = if a >= 0.0 { a } else { self.slope * a };
-                }
-                j += 4;
-            }
-            for (j, l) in ld.iter_mut().enumerate().skip(j) {
-                let dr = ta.row(eff.dst[j] as usize);
-                let sr = ta.row(eff.src[j] as usize);
-                let mut acc = 0.0f32;
-                for (&x, &a) in dr.iter().zip(a_dst.iter()) {
-                    acc += x * a;
-                }
-                for (&x, &a) in sr.iter().zip(a_src.iter()) {
-                    acc += x * a;
-                }
-                *l = if acc >= 0.0 { acc } else { self.slope * acc };
-            }
-        }
-
-        // Segment softmax over incoming edges of each dst, mirroring
-        // segment_max_detached (−∞ init, empty segments → 0) and the
-        // shift/exp/segment_sum/ε-guard/divide chain.
-        let mut maxes = ctx.alloc_full(n, 1); // fully filled next
-        maxes.fill(f32::NEG_INFINITY);
-        {
-            let md = maxes.data_mut();
-            let ld = logits.data();
-            for (j, &l) in ld.iter().enumerate() {
-                let d = eff.dst[j] as usize;
-                md[d] = md[d].max(l);
-            }
-            for m in md.iter_mut() {
-                if *m == f32::NEG_INFINITY {
-                    *m = 0.0;
-                }
-            }
-        }
+        // One logit per edge, softmaxed in place into α.
+        let mut alpha = ctx.alloc_full(eff.len(), 1); // every element written below
+        let ad = alpha.data_mut();
+        kernels::edge_logits(&ta, attn, &eff.src, &eff.dst, |j, logit| {
+            ad[j] = Activation::LeakyRelu(self.slope).apply_scalar(logit);
+        });
+        let mut maxes = ctx.alloc_full(n, 1); // filled by the softmax
         let mut denom = ctx.alloc(n, 1);
-        {
-            // logits become exp(logit − max) in place.
-            let ld = logits.data_mut();
-            let md = maxes.data();
-            for (j, l) in ld.iter_mut().enumerate() {
-                *l = (*l - md[eff.dst[j] as usize]).exp();
-            }
-            let dd = denom.data_mut();
-            for (j, &x) in ld.iter().enumerate() {
-                dd[eff.dst[j] as usize] += x;
-            }
-            // exps become α = exp / (denom + ε) in place.
-            for (j, l) in ld.iter_mut().enumerate() {
-                *l /= dd[eff.dst[j] as usize] + 1e-12;
-            }
-        }
-        let alpha = logits;
+        kernels::segment_softmax(ad, &eff.dst, maxes.data_mut(), denom.data_mut(), None);
 
-        // α-weighted aggregation fused with the isolated-vertex fallback
-        // and output sigmoid: agg[d] += α_j · Θh[src_j] in edge order
-        // (the tape's mul + segment_sum), then σ(agg + Θh·mask).
-        let mut out = ctx.alloc(n, out_dim);
-        {
-            let od = out.data_mut();
-            let ad = alpha.data();
-            for (j, &a) in ad.iter().enumerate() {
-                let sr = th.row(eff.src[j] as usize);
-                let d = eff.dst[j] as usize;
-                let orow = &mut od[d * out_dim..(d + 1) * out_dim];
-                for (o, &x) in orow.iter_mut().zip(sr.iter()) {
-                    *o += x * a;
-                }
-            }
-            for (i, &present) in has_in.iter().enumerate() {
-                let m = if present { 0.0 } else { 1.0 };
-                let tr = th.row(i);
-                let orow = &mut od[i * out_dim..(i + 1) * out_dim];
-                for (o, &t) in orow.iter_mut().zip(tr.iter()) {
-                    *o = stable_sigmoid(*o + t * m);
-                }
-            }
-        }
+        let mut out = ctx.alloc(n, th.cols());
+        kernels::attend_aggregate(&th, alpha.data(), &eff.src, &eff.dst, has_in, &mut out);
         ctx.recycle(alpha);
         ctx.recycle(maxes);
         ctx.recycle(denom);
@@ -220,25 +93,11 @@ impl AttentionLayer {
 
 impl BipartiteAttention {
     /// Tape-free forward over all layers, recycling intermediates.
-    ///
-    /// The self-loop-expanded edge list and incoming-edge mask are shared
-    /// by every layer, so they are built once here rather than per layer
-    /// (the tape rebuilds both inside each layer forward).
     pub fn infer_forward(&self, ctx: &mut InferCtx<'_>, x: &Tensor, edges: &EdgeList) -> Tensor {
-        let eff_owned;
-        let eff = if self.config.self_term {
-            eff_owned = edges.clone().with_self_loops();
-            &eff_owned
-        } else {
-            edges
-        };
-        let mut has_in = vec![false; eff.n_vertices];
-        for &d in &eff.dst {
-            has_in[d as usize] = true;
-        }
-        let mut h = self.layers[0].infer_forward(ctx, x, eff, &has_in);
+        let (eff, has_in) = self.message_edges(edges);
+        let mut h = self.layers[0].infer_forward(ctx, x, &eff, &has_in);
         for layer in &self.layers[1..] {
-            let next = layer.infer_forward(ctx, &h, eff, &has_in);
+            let next = layer.infer_forward(ctx, &h, &eff, &has_in);
             ctx.recycle(h);
             h = next;
         }

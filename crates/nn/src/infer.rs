@@ -16,18 +16,17 @@
 //! * [`InferCtx`] — the handle fused kernels run against: borrowed
 //!   weights plus an owned arena. Forward entry points in `neursc-gnn`
 //!   and `neursc-core` take `&mut InferCtx` instead of `&mut Tape`.
-//! * Fused kernels — matmul + bias + activation in one row pass
-//!   ([`crate::layers::Linear::infer_forward`]), gather + scatter-add in
-//!   one edge pass ([`InferCtx::gather_add`]), all row-blocked through
-//!   the same [`crate::parallel`] fan-out as [`Tensor::matmul`].
+//! * Fused kernels — matmul + bias + activation in one row pass, gather +
+//!   scatter-add in one edge pass, the attention stages — are the loop
+//!   bodies of [`crate::kernels`], which the tape's coarse nodes run too;
+//!   this path hands them arena buffers
+//!   ([`crate::layers::Linear::infer_forward`], `neursc-gnn`'s `infer`).
 //!
-//! **Bit-identity contract.** At [`QuantMode::F32`] every fused kernel
-//! reproduces the exact per-element operation order of the tape ops it
-//! replaces (k-ascending matmul accumulation including the whole-zero-row
-//! skip, j-ascending scatter-adds, the same `stable_sigmoid`), so the
-//! fused forward is bit-identical to the tape forward at any thread
-//! count. `tests/infer_equivalence.rs` pins this on the full WEst
-//! pipeline.
+//! **Bit-identity contract.** At [`QuantMode::F32`] the fused forward is
+//! bit-identical to the tape forward at any thread count: the layers run
+//! the same loop bodies on both paths, and what stays separate here
+//! (concatenations, slices, row sums) copies or adds in the tape ops'
+//! order. `tests/infer_equivalence.rs` pins this on the full WEst pipeline.
 
 use crate::tensor::Tensor;
 use crate::{ParamId, ParamStore};
@@ -338,27 +337,6 @@ impl<'w> InferCtx<'w> {
         out
     }
 
-    /// Fused gather + scatter-add: `out[dst[j]] += h[src[j]]` in edge
-    /// order — one pass replacing the tape's `index_select` (which
-    /// materializes an `[e, c]` message matrix) followed by
-    /// `segment_sum`. Identical j-ascending accumulation order.
-    pub fn gather_add(&mut self, h: &Tensor, src: &[u32], dst: &[u32], n_out: usize) -> Tensor {
-        debug_assert_eq!(src.len(), dst.len());
-        let c = h.cols();
-        let mut out = self.alloc(n_out, c);
-        let od = out.data_mut();
-        for (&s, &d) in src.iter().zip(dst.iter()) {
-            let d = d as usize;
-            assert!(d < n_out, "segment id {d} out of range {n_out}");
-            let hr = h.row(s as usize);
-            let orow = &mut od[d * c..(d + 1) * c];
-            for (o, &x) in orow.iter_mut().zip(hr.iter()) {
-                *o += x;
-            }
-        }
-        out
-    }
-
     /// Column sums → `[1, c]` (sum-pooling readout), row-ascending like
     /// the tape's `sum_rows`.
     pub fn sum_rows(&mut self, h: &Tensor) -> Tensor {
@@ -416,7 +394,6 @@ pub fn stable_sigmoid(x: f32) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Tape;
 
     #[test]
     fn quant_mode_parse_roundtrip() {
@@ -513,21 +490,5 @@ mod tests {
         // A dirtied recycled buffer comes back zeroed.
         let t3 = a.alloc(3, 2);
         assert_eq!(t3.data(), &[0.0; 6]);
-    }
-
-    #[test]
-    fn gather_add_matches_index_select_plus_segment_sum() {
-        let h = Tensor::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
-        let (src, dst) = (vec![0u32, 2, 1, 2], vec![1u32, 1, 0, 2]);
-        let mut tape = Tape::new();
-        let hv = tape.constant(h.clone());
-        let msgs = tape.index_select(hv, &src);
-        let agg = tape.segment_sum(msgs, &dst, 3);
-        let expected = tape.value(agg).clone();
-        let mut store = ParamStore::new();
-        store.alloc(Tensor::zeros(1, 1));
-        let w = InferWeights::from_store(&store, QuantMode::F32);
-        let mut ctx = InferCtx::new(&w, Arena::new());
-        assert_eq!(ctx.gather_add(&h, &src, &dst, 3), expected);
     }
 }

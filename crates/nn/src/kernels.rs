@@ -1,14 +1,16 @@
-//! The one matmul kernel family: three tiers, two callers.
+//! The shared loop bodies: one matmul kernel family in three tiers, and the
+//! layer loops built on it. Two callers each — the training tape and the
+//! tape-free arena path run the same code, so they agree bit for bit by
+//! construction rather than by a test alone.
 //!
 //! Every dense product in the crate — [`Tensor::matmul`] on the training
 //! tape (forward *and* backward), [`crate::infer::InferCtx::matmul`] and
-//! the fused [`crate::layers::Linear::infer_forward`] on the inference
-//! path — runs through `matmul_rows`; the weight gradient `Aᵀ·G` of the
-//! tape's backward runs through its transposed-left sibling
-//! `matmul_tn_into`. A row kernel exists in three tiers, picked once per
-//! process from what the CPU reports: AVX-512 (16 lanes, plus a four-row
-//! variant that hides add latency), AVX2 (8 lanes) and the portable
-//! `row_matmul_scalar`.
+//! `linear_into` on both paths — runs through `matmul_rows`; the weight
+//! gradient `Aᵀ·G` of the tape's backward runs through its transposed-left
+//! sibling `matmul_tn_into`. A row kernel exists in three tiers, picked
+//! once per process from what the CPU reports: AVX-512 (16 lanes, plus a
+//! four-row variant that hides add latency), AVX2 (8 lanes) and the
+//! portable `row_matmul_scalar`.
 //!
 //! **Bit-identity contract.** All tiers compute every output element as
 //! the same chain: start from `+0.0`, then for ascending `k` multiply
@@ -22,7 +24,22 @@
 //! counts and callers. That is what lets training and inference share the
 //! kernels while `tests/infer_equivalence.rs` and the golden training test
 //! stay exact.
+//!
+//! **Layer loops** (the second half of this file): the bias + activation
+//! epilogue of a dense layer (`linear_into`), the GIN neighbour sum and
+//! combine ([`gather_add_into`], [`gin_combine_into`]) and the three stages
+//! of an attention layer ([`edge_logits`], [`segment_softmax`],
+//! [`attend_aggregate`]), plus the readout's two scalar maps. Each is a
+//! function over plain tensors and slices that writes into storage its
+//! caller provides: the arena path hands it pooled buffers
+//! ([`crate::infer`], `neursc-gnn`'s `infer`), the tape's coarse nodes hand
+//! it the tensors they keep for their backward pass (`tape/coarse.rs`).
+//! Per element they fix the operation order the primitive tape ops define
+//! (edge-ascending scatter-adds, dst-then-src logit accumulation, multiply
+//! then add), which `tests/coarse_nodes.rs` pins against those ops.
 
+use crate::layers::Activation;
+use crate::tape::stable_sigmoid;
 use crate::tensor::Tensor;
 
 /// `a × b` written into a caller-provided output whose contents may be
@@ -407,6 +424,247 @@ unsafe fn row_matmul_avx2(a: &[f32], step: usize, bd: &[f32], m: usize, o_row: &
         }
         o_row[j] = acc;
     }
+}
+
+// ---------------------------------------------------------------------------
+// Layer loops
+// ---------------------------------------------------------------------------
+
+/// `act(x·W + b)` into `out`, whose contents may be stale: the matmul
+/// writes a group of rows, then bias-add and activation run as an epilogue
+/// over the same rows — one pass per row group. Bit-identical to a matmul,
+/// a broadcast add and an elementwise activation in sequence (same
+/// k-ascending accumulation, same whole-zero-row skip; the epilogue still
+/// runs on skipped rows).
+pub(crate) fn linear_into(x: &Tensor, w: &Tensor, b: &Tensor, act: Activation, out: &mut Tensor) {
+    let (n, k) = x.shape();
+    assert_eq!(k, w.rows(), "linear input dim mismatch");
+    let m = w.cols();
+    assert_eq!((b.shape(), out.shape()), ((1, m), (n, m)), "linear shapes");
+    let bias = b.data();
+    crate::parallel::for_each_row_chunk(n, m, 4, out.data_mut(), |i0, block| {
+        let nr = block.len() / m;
+        matmul_rows(&x.data()[i0 * k..(i0 + nr) * k], w.data(), k, m, block);
+        // Dispatch on the activation once per block, not per element:
+        // with `act` a compile-time constant inside each arm the match
+        // in `apply_scalar` folds away and the cheap activations
+        // vectorize. Every arm applies the same formula.
+        match act {
+            Activation::Identity => {
+                bias_act(block, m, bias, |x| Activation::Identity.apply_scalar(x))
+            }
+            Activation::Relu => bias_act(block, m, bias, |x| Activation::Relu.apply_scalar(x)),
+            other => bias_act(block, m, bias, move |x| other.apply_scalar(x)),
+        }
+    });
+}
+
+/// Bias-add + activation epilogue over a block of rows, monomorphized
+/// per activation by [`linear_into`].
+#[inline]
+fn bias_act(block: &mut [f32], m: usize, bias: &[f32], f: impl Fn(f32) -> f32) {
+    for o_row in block.chunks_exact_mut(m) {
+        for (o, &bv) in o_row.iter_mut().zip(bias.iter()) {
+            *o = f(*o + bv);
+        }
+    }
+}
+
+/// Gather + scatter-add: `out[dst[j]] += h[src[j]]` for ascending `j`, on
+/// top of whatever `out` holds (callers start it at zero). One pass for
+/// what a row gather into an `[e, c]` message matrix followed by a segment
+/// sum would do, in the same accumulation order.
+#[inline]
+pub fn gather_add_into(h: &Tensor, src: &[u32], dst: &[u32], out: &mut Tensor) {
+    assert_eq!(src.len(), dst.len(), "edge arrays differ in length");
+    let c = h.cols();
+    assert_eq!(out.cols(), c, "gather_add width mismatch");
+    let n_out = out.rows();
+    let od = out.data_mut();
+    for (&s, &d) in src.iter().zip(dst.iter()) {
+        let d = d as usize;
+        assert!(d < n_out, "segment id {d} out of range {n_out}");
+        let hr = h.row(s as usize);
+        let orow = &mut od[d * c..(d + 1) * c];
+        for (o, &x) in orow.iter_mut().zip(hr.iter()) {
+            *o += x;
+        }
+    }
+}
+
+/// The GIN combine `(1+ε)·h + Σ_{u'∈N(u)} h_{u'}` (Eq. 3's MLP input) into
+/// a zeroed `out`: the neighbour sum first, then the scaled self term added
+/// onto it — `agg + h·(1+ε)`, one multiply and one add per element.
+#[inline]
+pub fn gin_combine_into(h: &Tensor, one_plus_eps: f32, src: &[u32], dst: &[u32], out: &mut Tensor) {
+    assert_eq!(out.shape(), h.shape(), "gin_combine shape mismatch");
+    gather_add_into(h, src, dst, out);
+    for (o, &x) in out.data_mut().iter_mut().zip(h.data().iter()) {
+        *o += x * one_plus_eps;
+    }
+}
+
+/// Attention logits before their LeakyReLU: for every edge `j`, ascending,
+/// `sink(j, a·[Θ_a h_dst ‖ Θ_a h_src])` with `ta = Θ_a h` and `attn` the
+/// flat `[2·out]` attention vector. The sum visits the dst half then the
+/// src half, k-ascending, from `+0.0` — the order a `concat_cols` + matmul
+/// pair defines, including that matmul's skip of a whole-zero left row:
+/// products of zeros sum to the `+0.0` the skip leaves unless `attn` holds
+/// an `inf` or a NaN, so only a NaN result is checked against it.
+///
+/// Four edges per iteration: each logit is one long sequential add chain,
+/// so interleaving four independent chains hides the add latency. Chains
+/// never mix.
+#[inline]
+pub fn edge_logits(
+    ta: &Tensor,
+    attn: &[f32],
+    src: &[u32],
+    dst: &[u32],
+    mut sink: impl FnMut(usize, f32),
+) {
+    let out_dim = ta.cols();
+    assert_eq!(attn.len(), 2 * out_dim, "attention vector length");
+    assert_eq!(src.len(), dst.len(), "edge arrays differ in length");
+    let (a_dst, a_src) = attn.split_at(out_dim);
+    let skipped = |logit: f32, dr: &[f32], sr: &[f32]| {
+        if logit.is_nan() && dr.iter().chain(sr).all(|&x| x == 0.0) {
+            0.0
+        } else {
+            logit
+        }
+    };
+    let e = src.len();
+    let mut j = 0usize;
+    while j + 4 <= e {
+        let dr = std::array::from_fn::<_, 4, _>(|t| &ta.row(dst[j + t] as usize)[..out_dim]);
+        let sr = std::array::from_fn::<_, 4, _>(|t| &ta.row(src[j + t] as usize)[..out_dim]);
+        let mut acc = [0.0f32; 4];
+        for (k, &a) in a_dst.iter().enumerate() {
+            for t in 0..4 {
+                acc[t] += dr[t][k] * a;
+            }
+        }
+        for (k, &a) in a_src.iter().enumerate() {
+            for t in 0..4 {
+                acc[t] += sr[t][k] * a;
+            }
+        }
+        for (t, &a) in acc.iter().enumerate() {
+            sink(j + t, skipped(a, dr[t], sr[t]));
+        }
+        j += 4;
+    }
+    for j in j..e {
+        let dr = ta.row(dst[j] as usize);
+        let sr = ta.row(src[j] as usize);
+        let mut acc = 0.0f32;
+        for (&x, &a) in dr.iter().zip(a_dst.iter()) {
+            acc += x * a;
+        }
+        for (&x, &a) in sr.iter().zip(a_src.iter()) {
+            acc += x * a;
+        }
+        sink(j, skipped(acc, dr, sr));
+    }
+}
+
+/// Softmax over the incoming edges of each destination, in place: `x`
+/// enters as one logit per edge and leaves as `α_j = exp(x_j − max_d) /
+/// (Σ_d exp + 1e-12)`, with `max_d`/`Σ_d` taken over the edges sharing
+/// `dst[j]`. `maxes` and `denom` are `n`-long scratch the caller provides —
+/// `maxes` may be stale, `denom` must be zero — and come back holding the
+/// per-destination maximum (0 where no edge arrives) and `Σ_d exp`; `exps`,
+/// when asked for, receives `exp(x_j − max_d)` (a backward pass needs both).
+#[inline]
+pub fn segment_softmax(
+    x: &mut [f32],
+    dst: &[u32],
+    maxes: &mut [f32],
+    denom: &mut [f32],
+    exps: Option<&mut [f32]>,
+) {
+    assert_eq!(x.len(), dst.len(), "one logit per edge");
+    maxes.fill(f32::NEG_INFINITY);
+    for (&l, &d) in x.iter().zip(dst) {
+        let m = &mut maxes[d as usize];
+        *m = m.max(l);
+    }
+    for m in maxes.iter_mut() {
+        if *m == f32::NEG_INFINITY {
+            *m = 0.0;
+        }
+    }
+    for (l, &d) in x.iter_mut().zip(dst) {
+        *l = (*l - maxes[d as usize]).exp();
+    }
+    for (&e, &d) in x.iter().zip(dst) {
+        denom[d as usize] += e;
+    }
+    if let Some(exps) = exps {
+        exps.copy_from_slice(x);
+    }
+    for (l, &d) in x.iter_mut().zip(dst) {
+        *l /= denom[d as usize] + SOFTMAX_EPS;
+    }
+}
+
+/// Guard added to a softmax denominator before dividing.
+pub(crate) const SOFTMAX_EPS: f32 = 1e-12;
+
+/// The tail of an attention layer into a zeroed `out`: the α-weighted sum
+/// `out[dst[j]] += α_j · Θh[src[j]]` in edge order, then, per vertex, the
+/// no-incoming-edge fallback and the output sigmoid, `σ(out + Θh·m)` with
+/// `m = 1` exactly where `has_in` is false.
+#[inline]
+pub fn attend_aggregate(
+    th: &Tensor,
+    alpha: &[f32],
+    src: &[u32],
+    dst: &[u32],
+    has_in: &[bool],
+    out: &mut Tensor,
+) {
+    assert_eq!(out.shape(), th.shape(), "attend_aggregate shape mismatch");
+    assert_eq!((alpha.len(), src.len()), (dst.len(), dst.len()));
+    assert_eq!(has_in.len(), th.rows(), "one has_in flag per vertex");
+    let c = th.cols();
+    let od = out.data_mut();
+    for ((&a, &s), &d) in alpha.iter().zip(src).zip(dst) {
+        let sr = th.row(s as usize);
+        let d = d as usize;
+        let orow = &mut od[d * c..(d + 1) * c];
+        for (o, &x) in orow.iter_mut().zip(sr.iter()) {
+            *o += x * a;
+        }
+    }
+    for (i, &present) in has_in.iter().enumerate() {
+        let m = if present { 0.0 } else { 1.0 };
+        let tr = th.row(i);
+        let orow = &mut od[i * c..(i + 1) * c];
+        for (o, &t) in orow.iter_mut().zip(tr.iter()) {
+            *o = stable_sigmoid(*o + t * m);
+        }
+    }
+}
+
+/// Sign-preserving logarithmic compression
+/// `ln(1 + relu(x)) − ln(1 + relu(−x))` — strictly monotone, identity-like
+/// near 0, logarithmic for large `|x|` (the readout's input scaling).
+#[inline]
+pub fn log1p_signed_scalar(x: f32) -> f32 {
+    let lp = (x.max(0.0) + 1.0).ln();
+    let ln_neg = ((-x).max(0.0) + 1.0).ln();
+    lp - ln_neg
+}
+
+/// `min(x, cap)` as `cap − relu(cap − x)`: negate, shift, `relu`, negate,
+/// shift.
+#[inline]
+pub fn clamp_max_scalar(x: f32, cap: f32) -> f32 {
+    let shifted = -x + cap;
+    let r = shifted.max(0.0);
+    -r + cap
 }
 
 #[cfg(test)]

@@ -29,21 +29,10 @@ pub enum Activation {
 }
 
 impl Activation {
-    /// Applies the activation on the tape.
-    pub fn apply(self, tape: &mut Tape, x: Var) -> Var {
-        match self {
-            Activation::Identity => x,
-            Activation::Relu => tape.relu(x),
-            Activation::LeakyRelu(s) => tape.leaky_relu(x, s),
-            Activation::Sigmoid => tape.sigmoid(x),
-            Activation::Tanh => tape.tanh(x),
-            Activation::Softplus => tape.softplus(x),
-        }
-    }
-
-    /// The same scalar map [`Activation::apply`] records on the tape, for
-    /// the tape-free inference path — identical formulas (including the
-    /// stable sigmoid/softplus forms) so fused f32 stays bit-identical.
+    /// The activation as a scalar map — the one definition both the tape's
+    /// [`Tape::linear`] node and the tape-free path apply (through
+    /// `kernels::linear_into`), with the same stable sigmoid/softplus forms
+    /// as the tape's elementwise ops.
     #[inline]
     pub fn apply_scalar(self, x: f32) -> f32 {
         match self {
@@ -91,10 +80,16 @@ impl Linear {
 
     /// `x·W + b` for `x: [n, in_dim]`.
     pub fn forward(&self, tape: &mut Tape, store: &ParamStore, x: Var) -> Var {
+        self.forward_act(tape, store, x, Activation::Identity)
+    }
+
+    /// `act(x·W + b)` as one tape node ([`Tape::linear`]) over two
+    /// parameter leaves, bound here — once per call, so every use of the
+    /// layer deposits its own gradient.
+    pub fn forward_act(&self, tape: &mut Tape, store: &ParamStore, x: Var, act: Activation) -> Var {
         let w = tape.param(store, self.w);
         let b = tape.param(store, self.b);
-        let xw = tape.matmul(x, w);
-        tape.add(xw, b)
+        tape.linear(x, w, b, act)
     }
 
     /// The parameter ids of this layer (for clamping/serialization).
@@ -102,13 +97,9 @@ impl Linear {
         [self.w, self.b]
     }
 
-    /// Fused tape-free `act(x·W + b)`: the matmul accumulates into an
-    /// arena tensor, then bias-add and activation run as an epilogue over
-    /// the same row — one pass, no tape nodes, no per-op allocation.
-    /// Bit-identical to `forward` + `Activation::apply` at f32 (same
-    /// k-ascending accumulation, same whole-zero-row skip — the epilogue
-    /// still runs on skipped rows, exactly like the tape's separate
-    /// bias-add).
+    /// Tape-free `act(x·W + b)` into an arena tensor: the same
+    /// `kernels::linear_into` pass [`Tape::linear`] runs — no tape node,
+    /// no per-op allocation.
     pub fn infer_forward(
         &self,
         ctx: &mut crate::infer::InferCtx<'_>,
@@ -116,39 +107,9 @@ impl Linear {
         act: Activation,
     ) -> Tensor {
         let w = ctx.param(self.w);
-        let b = ctx.param(self.b);
-        let (n, k) = x.shape();
-        assert_eq!(k, w.rows(), "infer_forward input dim mismatch");
-        let m = w.cols();
-        let mut out = ctx.alloc_full(n, m);
-        let bias = b.data();
-        crate::parallel::for_each_row_chunk(n, m, 4, out.data_mut(), |i0, block| {
-            let nr = block.len() / m;
-            crate::kernels::matmul_rows(&x.data()[i0 * k..(i0 + nr) * k], w.data(), k, m, block);
-            // Dispatch on the activation once per block, not per element:
-            // with `act` a compile-time constant inside each arm the match
-            // in `apply_scalar` folds away and the cheap activations
-            // vectorize. Every arm applies the same formula.
-            match act {
-                Activation::Identity => {
-                    bias_act(block, m, bias, |x| Activation::Identity.apply_scalar(x))
-                }
-                Activation::Relu => bias_act(block, m, bias, |x| Activation::Relu.apply_scalar(x)),
-                other => bias_act(block, m, bias, move |x| other.apply_scalar(x)),
-            }
-        });
+        let mut out = ctx.alloc_full(x.rows(), w.cols());
+        crate::kernels::linear_into(x, w, ctx.param(self.b), act, &mut out);
         out
-    }
-}
-
-/// Bias-add + activation epilogue over a block of rows, monomorphized
-/// per activation by [`Linear::infer_forward`].
-#[inline]
-fn bias_act(block: &mut [f32], m: usize, bias: &[f32], f: impl Fn(f32) -> f32) {
-    for o_row in block.chunks_exact_mut(m) {
-        for (o, &bv) in o_row.iter_mut().zip(bias.iter()) {
-            *o = f(*o + bv);
-        }
     }
 }
 
@@ -194,17 +155,19 @@ impl Mlp {
 
     /// Forward pass for `x: [n, widths[0]]`.
     pub fn forward(&self, tape: &mut Tape, store: &ParamStore, x: Var) -> Var {
-        let mut h = x;
         let last = self.layers.len() - 1;
-        for (i, layer) in self.layers.iter().enumerate() {
-            h = layer.forward(tape, store, h);
-            h = if i == last {
-                self.output_activation.apply(tape, h)
-            } else {
-                self.hidden_activation.apply(tape, h)
-            };
+        self.layers.iter().enumerate().fold(x, |h, (i, layer)| {
+            layer.forward_act(tape, store, h, self.activation(i, last))
+        })
+    }
+
+    /// The activation after layer `i` of `last + 1`.
+    fn activation(&self, i: usize, last: usize) -> Activation {
+        if i == last {
+            self.output_activation
+        } else {
+            self.hidden_activation
         }
-        h
     }
 
     /// Tape-free forward pass: chains [`Linear::infer_forward`] with the
@@ -212,16 +175,9 @@ impl Mlp {
     /// intermediate into the context's arena.
     pub fn infer_forward(&self, ctx: &mut crate::infer::InferCtx<'_>, x: &Tensor) -> Tensor {
         let last = self.layers.len() - 1;
-        let act = |i: usize| {
-            if i == last {
-                self.output_activation
-            } else {
-                self.hidden_activation
-            }
-        };
-        let mut h = self.layers[0].infer_forward(ctx, x, act(0));
+        let mut h = self.layers[0].infer_forward(ctx, x, self.activation(0, last));
         for (i, layer) in self.layers.iter().enumerate().skip(1) {
-            let next = layer.infer_forward(ctx, &h, act(i));
+            let next = layer.infer_forward(ctx, &h, self.activation(i, last));
             ctx.recycle(h);
             h = next;
         }

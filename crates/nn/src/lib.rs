@@ -8,14 +8,18 @@
 //!
 //! * [`Tensor`] — row-major 2-D dense tensors with the usual BLAS-free
 //!   kernels (matmul, broadcasts, reductions).
-//! * [`kernels`] — the one matmul kernel family (AVX-512 / AVX2 / portable
-//!   tiers, bit-identical to each other) that the tape and the tape-free
-//!   [`infer`] path both run.
+//! * [`kernels`] — the loop bodies the tape and the tape-free [`infer`]
+//!   path both run: the one matmul kernel family (AVX-512 / AVX2 / portable
+//!   tiers, bit-identical to each other) and the layer loops built on it
+//!   (dense layer epilogue, GIN combine, the attention stages).
 //! * [`Tape`] — a reverse-mode tape. Operations are methods on the tape
-//!   ([`Tape::matmul`], [`Tape::segment_sum`], …) returning lightweight
-//!   [`Var`] handles; [`Tape::backward`] walks the tape once in reverse.
-//!   Segment operations (`index_select` / `segment_sum`) are the
-//!   CSR-friendly primitives GNN message passing is built from.
+//!   returning lightweight [`Var`] handles; [`Tape::backward`] walks the
+//!   tape once in reverse. Primitive ops ([`Tape::matmul`],
+//!   [`Tape::index_select`] / [`Tape::segment_sum`], …) build losses and
+//!   one-off expressions; the layers the models are made of are one
+//!   *coarse* node each ([`Tape::linear`], [`Tape::gin_combine`],
+//!   [`Tape::attention`]) with a hand-written backward that reproduces the
+//!   primitive chain's gradient bit for bit.
 //! * [`ParamStore`] — owning store for trainable parameters, shared across
 //!   forward passes; gradients accumulate here after `backward`.
 //! * [`layers`] — `Linear` and `Mlp` (the paper's building blocks),
@@ -69,6 +73,7 @@ pub use tape::{Tape, Var};
 pub use tensor::Tensor;
 
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifier of a trainable parameter inside a [`ParamStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -81,7 +86,9 @@ pub struct ParamId(pub(crate) u32);
 /// into the store; an optimizer from [`optim`] consumes them.
 #[derive(Debug, Clone, Default)]
 pub struct ParamStore {
-    values: Vec<Tensor>,
+    /// Shared with the tapes that bound them ([`Tape::param`] copies no
+    /// data); a value a tape still holds is copied when it is next changed.
+    values: Vec<Arc<Tensor>>,
     grads: Vec<Tensor>,
     /// Counts the mutable borrows of any value: two reads of a parameter
     /// that saw one version saw one value, which lets a tape share work
@@ -99,7 +106,7 @@ impl ParamStore {
     pub fn alloc(&mut self, value: Tensor) -> ParamId {
         let id = ParamId(self.values.len() as u32);
         self.grads.push(Tensor::zeros(value.rows(), value.cols()));
-        self.values.push(value);
+        self.values.push(Arc::new(value));
         id
     }
 
@@ -133,7 +140,12 @@ impl ParamStore {
     pub(crate) fn value_mut_and_grad(&mut self, id: ParamId) -> (&mut Tensor, &Tensor) {
         let i = id.0 as usize;
         self.version += 1;
-        (&mut self.values[i], &self.grads[i])
+        (Arc::make_mut(&mut self.values[i]), &self.grads[i])
+    }
+
+    /// A parameter's current value, shared instead of copied.
+    pub(crate) fn shared_value(&self, id: ParamId) -> Arc<Tensor> {
+        Arc::clone(&self.values[id.0 as usize])
     }
 
     /// How often [`ParamStore::value_mut`] has lent a value out.

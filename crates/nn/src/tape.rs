@@ -10,9 +10,19 @@
 //! `add`/`sub`/`mul`/`div` — keeping both kernels and their gradients
 //! obviously correct (gradients of a broadcast operand are reduced by
 //! summation over the broadcast dimension).
+//!
+//! Beside the primitive ops, the layers the models are built from — a dense
+//! layer, the GIN combine, an attention layer, the readout's scalar maps —
+//! are each recorded as one *coarse* node (the `coarse` submodule): same
+//! values and same gradient bits as the primitive chain, a fraction of the
+//! nodes.
+
+mod coarse;
 
 use crate::tensor::Tensor;
 use crate::{ParamId, ParamStore};
+use coarse::{AttentionOp, GinCombineOp, LinearOp, Pass};
+use std::sync::Arc;
 
 /// Handle to a node on a [`Tape`]. Cheap to copy; only valid for the tape
 /// that created it.
@@ -54,10 +64,34 @@ enum Op {
     Transpose(u32),
     /// Elementwise multiply by a fixed (non-differentiated) mask.
     MulConst(u32, Tensor),
+    // One node per layer (the `coarse` submodule).
+    Linear(LinearOp),
+    GinCombine(GinCombineOp),
+    Attention(Box<AttentionOp>),
+    Log1pSigned(u32),
+    ClampMax(u32, f32),
+}
+
+/// A node's forward value: computed by the node, or — for a bound
+/// parameter — the store's own tensor, shared rather than copied.
+enum Value {
+    Own(Tensor),
+    Param(Arc<Tensor>),
+}
+
+impl std::ops::Deref for Value {
+    type Target = Tensor;
+
+    fn deref(&self) -> &Tensor {
+        match self {
+            Value::Own(t) => t,
+            Value::Param(t) => t,
+        }
+    }
 }
 
 struct Node {
-    value: Tensor,
+    value: Value,
     op: Op,
 }
 
@@ -88,6 +122,10 @@ impl Tape {
     }
 
     fn push(&mut self, value: Tensor, op: Op) -> Var {
+        self.push_node(Value::Own(value), op)
+    }
+
+    fn push_node(&mut self, value: Value, op: Op) -> Var {
         let idx = self.nodes.len() as u32;
         self.nodes.push(Node { value, op });
         self.grads.push(None);
@@ -100,24 +138,25 @@ impl Tape {
     }
 
     /// Gradient of the last [`Tape::backward`] loss w.r.t. `v`, if any
-    /// reached it.
+    /// reached it. A [`Tape::constant`] never has one.
     pub fn grad(&self, v: Var) -> Option<&Tensor> {
         self.grads[v.0 as usize].as_ref()
     }
 
     // ----- leaves ---------------------------------------------------------
 
-    /// Introduces a constant (no gradient flows to callers, but flows
-    /// *through* operations on it as usual).
+    /// Introduces a constant: a value the loss is not differentiated by.
+    /// Backward computes and keeps no gradient for it.
     pub fn constant(&mut self, t: Tensor) -> Var {
         self.push(t, Op::Leaf { param: None })
     }
 
-    /// Binds parameter `pid` (copying its current value) so that
-    /// `backward` accumulates its gradient into the store.
+    /// Binds parameter `pid` at its current value — shared with the store,
+    /// which copies it only if it changes while this tape is alive — so
+    /// that `backward` accumulates its gradient into the store.
     pub fn param(&mut self, store: &ParamStore, pid: ParamId) -> Var {
         let param = Some((pid, store.version()));
-        self.push(store.value(pid).clone(), Op::Leaf { param })
+        self.push_node(Value::Param(store.shared_value(pid)), Op::Leaf { param })
     }
 
     // ----- arithmetic ------------------------------------------------------
@@ -408,27 +447,10 @@ impl Tape {
 
     fn propagate(&mut self, i: usize, gout: &Tensor, transposed: &mut TransposedParams) {
         let Tape { nodes, grads } = self;
-        let value = |v: u32| &nodes[v as usize].value;
+        let grads = &mut Slots { grads, nodes };
+        let value = |v: u32| -> &Tensor { &nodes[v as usize].value };
         match &nodes[i].op {
             Op::Leaf { .. } => {}
-            &Op::MatMul(a, b) => {
-                // ga = gout · bᵀ, gb = aᵀ · gout. `aᵀ` is never built (the
-                // `tn` kernel reads `a` by column); `bᵀ` is built once per
-                // bound parameter value, however many binds and matmuls
-                // share the weight.
-                let ga = match nodes[b as usize].op {
-                    Op::Leaf { param: Some(key) } => {
-                        let bt = transposed
-                            .entry(key)
-                            .or_insert_with(|| value(b).transpose());
-                        gout.matmul(bt)
-                    }
-                    _ => gout.matmul(&value(b).transpose()),
-                };
-                let gb = value(a).matmul_tn(gout);
-                add_grad(grads, a, ga);
-                add_grad(grads, b, gb);
-            }
             &Op::Add(a, b) => {
                 pass_grad(grads, a, gout);
                 match reduce_broadcast(gout, value(b).shape()) {
@@ -583,6 +605,8 @@ impl Tape {
                 let g = broadcast_zip(gout, mask, |g, m| g * m);
                 add_grad(grads, *a, g);
             }
+            // Products and the coarse nodes: `coarse.rs`.
+            op => Pass { grads, transposed }.propagate(op, value(i as u32), gout),
         }
     }
 }
@@ -591,22 +615,43 @@ impl Tape {
 /// has met as a matmul's right operand.
 type TransposedParams = std::collections::HashMap<(ParamId, u64), Tensor>;
 
+/// The gradient slots of a pass. A constant's slot is closed: nothing reads
+/// a constant's gradient, so a contribution to one is dropped — and where it
+/// would cost a product or a scatter, [`Slots::wants`] lets the op skip
+/// computing it. No other slot sees a different sequence of additions.
+struct Slots<'a> {
+    grads: &'a mut [Option<Tensor>],
+    nodes: &'a [Node],
+}
+
+impl Slots<'_> {
+    /// Whether `idx` takes gradient: anything but a constant leaf.
+    fn wants(&self, idx: u32) -> bool {
+        !matches!(self.nodes[idx as usize].op, Op::Leaf { param: None })
+    }
+
+    /// `idx`'s slot, or `None` for a closed one.
+    fn slot(&mut self, idx: u32) -> Option<&mut Option<Tensor>> {
+        self.wants(idx).then(|| &mut self.grads[idx as usize])
+    }
+}
+
 /// Adds a freshly computed contribution into `idx`'s gradient slot.
-fn add_grad(grads: &mut [Option<Tensor>], idx: u32, delta: Tensor) {
-    let slot = &mut grads[idx as usize];
-    match slot {
-        Some(g) => g.add_assign(&delta),
-        None => *slot = Some(delta),
+fn add_grad(grads: &mut Slots<'_>, idx: u32, delta: Tensor) {
+    match grads.slot(idx) {
+        Some(Some(g)) => g.add_assign(&delta),
+        Some(slot) => *slot = Some(delta),
+        None => {}
     }
 }
 
 /// Hands a node's own gradient on unchanged: `+=` into an occupied slot,
 /// the pass's only clone into an empty one.
-fn pass_grad(grads: &mut [Option<Tensor>], idx: u32, gout: &Tensor) {
-    let slot = &mut grads[idx as usize];
-    match slot {
-        Some(g) => g.add_assign(gout),
-        None => *slot = Some(gout.clone()),
+fn pass_grad(grads: &mut Slots<'_>, idx: u32, gout: &Tensor) {
+    match grads.slot(idx) {
+        Some(Some(g)) => g.add_assign(gout),
+        Some(slot) => *slot = Some(gout.clone()),
+        None => {}
     }
 }
 

@@ -5,6 +5,7 @@
 //! `(L(θ + h·e) − L(θ − h·e)) / 2h` on every coordinate. We run the check
 //! on randomized inputs per op and on a composite GNN-shaped expression.
 
+use neursc_nn::layers::Activation;
 use neursc_nn::{ParamStore, Tape, Tensor, Var};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -449,5 +450,159 @@ fn gradcheck_transpose_and_attention_shape() {
             t.sum(sq)
         },
         "transpose-gram",
+    );
+}
+
+// ----- coarse nodes ----------------------------------------------------------
+//
+// `tests/coarse_nodes.rs` pins each coarse node to its primitive chain bit
+// for bit; these check the same nodes against finite differences, one input
+// at a time with the others held constant.
+
+#[test]
+fn gradcheck_linear_node() {
+    // ReLU and LeakyReLU have a kink wherever a pre-activation crosses 0;
+    // these seeds keep every pre-activation further than `H` from it.
+    for (act, seed) in [
+        (Activation::Identity, 50),
+        (Activation::Relu, 51),
+        (Activation::LeakyRelu(0.2), 52),
+        (Activation::Sigmoid, 53),
+        (Activation::Tanh, 54),
+        (Activation::Softplus, 55),
+    ] {
+        let (x, w, b) = (
+            random_tensor(4, 3, seed),
+            random_tensor(3, 2, seed + 100),
+            random_tensor(1, 2, seed + 200),
+        );
+        let loss = |t: &mut Tape, x: Var, w: Var, b: Var| {
+            let y = t.linear(x, w, b, act);
+            let sq = t.mul(y, y);
+            t.sum(sq)
+        };
+        let (xc, wc, bc) = (x.clone(), w.clone(), b.clone());
+        check(
+            &x,
+            |t, p| {
+                let (w, b) = (t.constant(wc.clone()), t.constant(bc.clone()));
+                loss(t, p, w, b)
+            },
+            &format!("linear {act:?} input"),
+        );
+        check(
+            &w,
+            |t, p| {
+                let (x, b) = (t.constant(xc.clone()), t.constant(bc.clone()));
+                loss(t, x, p, b)
+            },
+            &format!("linear {act:?} weight"),
+        );
+        check(
+            &b,
+            |t, p| {
+                let (x, w) = (t.constant(xc.clone()), t.constant(wc.clone()));
+                loss(t, x, w, p)
+            },
+            &format!("linear {act:?} bias"),
+        );
+    }
+}
+
+#[test]
+fn gradcheck_gin_combine_node() {
+    let src = [0u32, 1, 2, 3, 0, 2, 2];
+    let dst = [1u32, 0, 3, 2, 2, 0, 2];
+    let h = random_tensor(4, 3, 60);
+    let eps = Tensor::scalar(0.3);
+    let hc = h.clone();
+    check(
+        &h,
+        |t, p| {
+            let e = t.constant(Tensor::scalar(0.3));
+            let y = t.gin_combine(p, e, &src, &dst);
+            let sq = t.mul(y, y);
+            t.sum(sq)
+        },
+        "gin_combine features",
+    );
+    check(
+        &eps,
+        |t, p| {
+            let h = t.constant(hc.clone());
+            let y = t.gin_combine(h, p, &src, &dst);
+            let sq = t.mul(y, y);
+            t.sum(sq)
+        },
+        "gin_combine epsilon",
+    );
+}
+
+#[test]
+fn gradcheck_attention_node() {
+    // Vertex 4 receives nothing (the fallback row); the empty edge list is
+    // the layer's `σ(Θh)` form.
+    let edge_lists: [(&[u32], &[u32]); 2] =
+        [(&[0, 1, 2, 3, 4, 2, 1], &[1, 0, 3, 2, 0, 2, 3]), (&[], &[])];
+    for (src, dst) in edge_lists {
+        let mut has_in = [false; 5];
+        for &d in dst {
+            has_in[d as usize] = true;
+        }
+        let inputs = [
+            random_tensor(5, 3, 70),
+            random_tensor(3, 2, 71),
+            random_tensor(3, 2, 72),
+            random_tensor(4, 1, 73),
+        ];
+        for which in 0..4 {
+            if src.is_empty() && which >= 2 {
+                continue; // Θ_a and a do not reach the output without edges
+            }
+            let consts = inputs.clone();
+            check(
+                &inputs[which],
+                |t, p| {
+                    let v: Vec<Var> = (0..4)
+                        .map(|i| {
+                            if i == which {
+                                p
+                            } else {
+                                t.constant(consts[i].clone())
+                            }
+                        })
+                        .collect();
+                    let y = t.attention(v[0], [v[1], v[2], v[3]], src, dst, &has_in, 0.2);
+                    let w = t.constant(random_tensor(5, 2, 74));
+                    let weighted = t.mul(y, w);
+                    t.sum(weighted)
+                },
+                &format!("attention input {which}, {} edges", src.len()),
+            );
+        }
+    }
+}
+
+#[test]
+fn gradcheck_readout_nodes() {
+    let x = away_from_zero(&random_tensor(3, 4, 80), 0.2);
+    check(
+        &x,
+        |t, p| {
+            let y = t.log1p_signed(p);
+            let sq = t.mul(y, y);
+            t.sum(sq)
+        },
+        "log1p_signed",
+    );
+    // Values sit in ±1.5, away from 0: a cap of 0.1 has them on both sides.
+    check(
+        &x,
+        |t, p| {
+            let y = t.clamp_max(p, 0.1);
+            let sq = t.mul(y, y);
+            t.sum(sq)
+        },
+        "clamp_max",
     );
 }
