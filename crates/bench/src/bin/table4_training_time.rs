@@ -9,6 +9,10 @@ use neursc_workloads::split::{take, train_test_split};
 use std::time::Instant;
 
 fn main() {
+    // One allocator policy for every cell. NeurSC's training switches glibc
+    // to keeping freed heap (KNOWN_ISSUES.md) the first time it runs, which
+    // would leave the first LSS cell, and only that one, under the default.
+    neursc_core::train::keep_freed_heap();
     // One epoch per phase: Table 4 measures a single epoch.
     let cfg = HarnessConfig {
         epochs: 1,
@@ -16,7 +20,7 @@ fn main() {
     };
     println!("=== Table 4: training time for one epoch (seconds), Q4 sets ===");
     println!(
-        "{:<9} {:>8} {:>10} {:>10} {:>10}",
+        "{:<9} {:>9} {:>10} {:>10} {:>10}",
         "Dataset", "LSS", "NeurSC-I", "NeurSC-D", "NeurSC"
     );
     for id in DatasetId::ALL {
@@ -43,7 +47,7 @@ fn main() {
         let t_d = time(methods::neursc_variant(&cfg, Variant::DualOnly, "NeurSC-D"));
         let t_full = time(methods::neursc(&cfg));
         println!(
-            "{:<9} {:>8.2} {:>10.2} {:>10.2} {:>10.2}",
+            "{:<9} {:>9.3} {:>10.3} {:>10.3} {:>10.3}",
             id.name(),
             t_lss,
             t_i,

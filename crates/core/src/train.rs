@@ -384,7 +384,12 @@ pub fn run_training_obs(
 /// `free`, and the heap's top is trimmed only once 1 GiB of it is free. What the process has freed stays
 /// resident up to that point; its peak does not move. Both override
 /// `MALLOC_TRIM_THRESHOLD_`/`MALLOC_MMAP_THRESHOLD_` from the environment.
-fn keep_freed_heap() {
+///
+/// Training makes the call itself. It is public for a process that times
+/// several trainers side by side — this crate's and others that build their
+/// own tapes — and wants all of them under one policy from the start, not
+/// from whenever the first NeurSC model happens to train.
+pub fn keep_freed_heap() {
     #[cfg(all(target_os = "linux", target_env = "gnu"))]
     {
         use std::ffi::c_int;

@@ -41,9 +41,11 @@ cargo test -q --doc "${OUR_CRATES[@]}"
 
 echo "== cargo test --release (SIMD tiers, equivalence suites, training golden) =="
 # The run above is opt-level=0. The unsafe kernel tiers, the bit-identity
-# suites and the golden weights must also hold at the level that ships and
-# that the benchmark measures (~30 s).
-cargo test -q --release -p neursc-nn -p neursc-gnn
+# suites (coarse_nodes: every coarse tape node against its primitive chain),
+# refinement against its reference without the label test (neursc-match)
+# and the golden weights must also hold at the level that ships and that
+# the benchmark measures (~30 s).
+cargo test -q --release -p neursc-nn -p neursc-gnn -p neursc-match
 cargo test -q --release -p neursc-core --test train_golden --test parallel_determinism
 cargo test -q --release -p neursc-baselines --test train_golden
 
