@@ -2,17 +2,12 @@
 //! through `GinStack::forward`, `Linear::forward` and `Mlp::forward` like
 //! WEst does, and `neursc-core`'s `train_golden.rs` cannot see them. Each
 //! is fitted on that test's data graph and shard and the FNV-1a-64 of its
-//! parameter bits must reproduce the value recorded here, at 1 and 4 kernel
-//! threads. A tape or kernel change that claims bit-identity passes this
-//! unchanged.
-//!
-//! One test function in its own binary: the kernel thread settings are
-//! process-global.
+//! parameter bits must reproduce the value recorded here. A tape or kernel
+//! change that claims bit-identity passes this unchanged.
 
 use neursc_baselines::lss::{Lss, LssConfig};
 use neursc_baselines::nsic::{Nsic, NsicConfig, NsicEncoder};
 use neursc_baselines::CountEstimator;
-use neursc_core::Parallelism;
 use neursc_graph::hash::Fnv64;
 use neursc_graph::induced::induced_subgraph;
 use neursc_graph::Graph;
@@ -72,40 +67,31 @@ fn digest(store: &ParamStore) -> u64 {
 }
 
 #[test]
-fn trained_baseline_weights_match_the_golden_at_1_and_4_threads() {
+fn trained_baseline_weights_match_the_golden() {
     let g = data_graph();
     let train = shard(&g);
-    for threads in [1, 4] {
-        Parallelism {
-            threads,
-            min_parallel_rows: 1,
-        }
-        .apply_to_kernels();
+    let mut lss = Lss::new(LssConfig {
+        epochs: 3,
+        ..LssConfig::default()
+    });
+    lss.fit(&g, &train);
+    let mut nsic_i = Nsic::new(NsicConfig {
+        epochs: 3,
+        ..NsicConfig::default()
+    });
+    nsic_i.fit(&g, &train);
+    let mut nsic_c = Nsic::new(NsicConfig {
+        encoder: NsicEncoder::MeanConv,
+        with_extraction: true,
+        epochs: 3,
+        ..NsicConfig::default()
+    });
+    nsic_c.fit(&g, &train);
 
-        let mut lss = Lss::new(LssConfig {
-            epochs: 3,
-            ..LssConfig::default()
-        });
-        lss.fit(&g, &train);
-        let mut nsic_i = Nsic::new(NsicConfig {
-            epochs: 3,
-            ..NsicConfig::default()
-        });
-        nsic_i.fit(&g, &train);
-        let mut nsic_c = Nsic::new(NsicConfig {
-            encoder: NsicEncoder::MeanConv,
-            with_extraction: true,
-            epochs: 3,
-            ..NsicConfig::default()
-        });
-        nsic_c.fit(&g, &train);
-
-        let got = [lss.store(), nsic_i.store(), nsic_c.store()].map(digest);
-        assert_eq!(
-            got.map(|d| format!("{d:016x}")),
-            [GOLDEN_LSS, GOLDEN_NSIC_I, GOLDEN_NSIC_C_SE].map(|d| format!("{d:016x}")),
-            "trained baseline weights moved at {threads} thread(s)"
-        );
-    }
-    Parallelism::default().apply_to_kernels();
+    let got = [lss.store(), nsic_i.store(), nsic_c.store()].map(digest);
+    assert_eq!(
+        got.map(|d| format!("{d:016x}")),
+        [GOLDEN_LSS, GOLDEN_NSIC_I, GOLDEN_NSIC_C_SE].map(|d| format!("{d:016x}")),
+        "trained baseline weights moved"
+    );
 }

@@ -72,7 +72,6 @@ fn main() -> ExitCode {
     let mut cfg = NeurScConfig::small();
     cfg.max_substructure_vertices = Some(64);
     let model = NeurSc::new(cfg, 3);
-    model.config.parallelism.apply_to_kernels();
 
     // Count spans with a real Recorder (warm cache, one query).
     let rec = Arc::new(Recorder::new());

@@ -51,18 +51,13 @@ impl Default for HarnessConfig {
 
 impl HarnessConfig {
     /// Applies `--threads N` from a raw argv slice on top of the
-    /// env-derived default, and pushes the setting into the nn kernels.
+    /// env-derived default.
     pub fn with_cli_threads(mut self, args: &[String]) -> Self {
         if let Some(i) = args.iter().position(|a| a == "--threads") {
             if let Some(t) = args.get(i + 1).and_then(|v| v.parse::<usize>().ok()) {
                 self.threads = t.max(1);
             }
         }
-        neursc_core::Parallelism {
-            threads: self.threads,
-            ..neursc_core::Parallelism::default()
-        }
-        .apply_to_kernels();
         self
     }
 }

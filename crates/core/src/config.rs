@@ -32,58 +32,41 @@ pub enum Variant {
     NoExtraction,
 }
 
-/// Thread-count and kernel-granularity knobs for the estimation pipeline.
+/// Worker threads of the estimation pipeline's one level of parallelism:
+/// the fan-out over the queries of a batch and over the substructures of a
+/// query ([`crate::parallel`]). The tensor kernels below it run on the
+/// thread that calls them.
 ///
 /// Parallelism never changes results: with a fixed seed, estimates are
-/// bit-identical at any `threads` value (work is reduced in index order and
-/// every parallel kernel keeps per-row operation order fixed — see
-/// DESIGN.md "Concurrency & caching architecture").
+/// bit-identical at any `threads` value (work is reduced in index order —
+/// see DESIGN.md "Concurrency & caching architecture").
 ///
 /// ```
-/// use neursc_core::Parallelism;
-/// let p = Parallelism {
-///     threads: 4,
-///     ..Parallelism::default()
-/// };
-/// p.apply_to_kernels(); // push the setting into the global nn kernels
-/// assert_eq!(p.threads, 4);
-/// # Parallelism::default().apply_to_kernels();
+/// use neursc_core::{NeurScConfig, Parallelism};
+/// let mut cfg = NeurScConfig::small();
+/// cfg.parallelism = Parallelism::with_threads(4);
+/// assert_eq!(cfg.parallelism.threads, 4);
+/// assert_eq!(Parallelism::default().threads, 1);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Parallelism {
-    /// Worker threads for query-batch and per-substructure fan-out, and for
-    /// the row-blocked tensor kernels. 1 = fully sequential.
+    /// Worker threads for query-batch and per-substructure fan-out.
+    /// 1 = fully sequential.
     pub threads: usize,
-    /// Minimum output rows before a tensor kernel fans out (below this,
-    /// thread-spawn overhead dominates). Mirrors
-    /// `neursc_nn::parallel::min_parallel_rows`.
-    pub min_parallel_rows: usize,
 }
 
 impl Default for Parallelism {
     fn default() -> Self {
-        Parallelism {
-            threads: 1,
-            min_parallel_rows: 256,
-        }
+        Parallelism { threads: 1 }
     }
 }
 
 impl Parallelism {
-    /// A given thread count with the default kernel granularity.
+    /// A given thread count, at least 1.
     pub fn with_threads(threads: usize) -> Self {
         Parallelism {
             threads: threads.max(1),
-            ..Parallelism::default()
         }
-    }
-
-    /// Pushes these settings into the process-wide tensor-kernel
-    /// configuration (`neursc_nn::parallel`). Call once after building or
-    /// loading a model; the fan-out layers read `threads` directly from the
-    /// config, but the matmul/transpose kernels are global.
-    pub fn apply_to_kernels(&self) {
-        neursc_nn::parallel::configure(self.threads, self.min_parallel_rows);
     }
 }
 

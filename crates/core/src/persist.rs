@@ -19,6 +19,14 @@
 //! loaded unverified. Runtime knobs (`budget`, `grad_clip`,
 //! `fail_on_divergence`) are deliberately not persisted: they describe the
 //! serving environment, not the model.
+//!
+//! Two lines are here only so that v1 files keep their bytes — checksums,
+//! the daemon's snapshots keyed on them and every file already written stay
+//! valid. `threads` is a runtime knob like the ones above and is persisted
+//! all the same. `min_parallel_rows = 256` is vestigial: the kernel fan-out
+//! it tuned is gone, the writer emits the fixed line, the reader ignores the
+//! key whatever it holds. Both leave with the next format version (ROADMAP
+//! item 6(d)).
 
 use crate::config::{DiscriminatorMetric, NeurScConfig, Parallelism, Variant};
 use crate::error::NeurScError;
@@ -100,10 +108,7 @@ fn model_body(model: &NeurSc) -> String {
     );
     kv("seed", c.seed.to_string());
     kv("threads", c.parallelism.threads.to_string());
-    kv(
-        "min_parallel_rows",
-        c.parallelism.min_parallel_rows.to_string(),
-    );
+    kv("min_parallel_rows", "256".to_string()); // vestigial, see the module doc
     body.push_str("---\n");
     body.push_str(&store_to_string(&model.store));
     body
@@ -270,7 +275,7 @@ pub fn model_from_string(text: &str) -> Result<NeurSc, NeurScError> {
             .is_none_or(|v| v == "true"),
         max_substructure_vertices: max_sub,
         seed,
-        // Pre-parallelism model files carry no thread keys; fall back to
+        // Pre-parallelism model files carry no `threads` key; fall back to
         // the sequential default rather than rejecting them.
         parallelism: Parallelism {
             threads: kv
@@ -279,13 +284,6 @@ pub fn model_from_string(text: &str) -> Result<NeurSc, NeurScError> {
                     v.parse()
                         .map_err(|_| SerializeError::Parse("bad threads".into()))
                 })?,
-            min_parallel_rows: kv.get("min_parallel_rows").map_or(
-                Ok(Parallelism::default().min_parallel_rows),
-                |v| {
-                    v.parse()
-                        .map_err(|_| SerializeError::Parse("bad min_parallel_rows".into()))
-                },
-            )?,
         },
         budget,
         grad_clip,
@@ -363,32 +361,35 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_preserves_parallelism_and_old_files_default_to_sequential() {
+    fn threads_roundtrip_and_files_of_every_age_load() {
         use crate::config::Parallelism;
         let mut cfg = NeurScConfig::small();
-        cfg.parallelism = Parallelism {
-            threads: 4,
-            min_parallel_rows: 64,
-        };
-        let model = NeurSc::new(cfg, 13);
-        let text = model_to_string(&model);
+        cfg.parallelism = Parallelism::with_threads(4);
+        let text = model_to_string(&NeurSc::new(cfg, 13));
         let restored = model_from_string(&text).unwrap();
         assert_eq!(restored.config.parallelism.threads, 4);
-        assert_eq!(restored.config.parallelism.min_parallel_rows, 64);
+        assert!(text.contains("\nmin_parallel_rows = 256\n"), "v1 line kept");
 
-        // A file written before the parallelism keys existed must still load.
-        let stripped: String = text
-            .lines()
-            .skip(2)
-            .filter(|l| !l.starts_with("threads") && !l.starts_with("min_parallel_rows"))
-            .map(|l| format!("{l}\n"))
-            .collect();
-        let old = format!(
-            "neursc-model v1\nchecksum {:016x}\n{stripped}",
-            fnv1a64(stripped.as_bytes())
-        );
-        let old = model_from_string(&old).unwrap();
-        assert_eq!(old.config.parallelism, Parallelism::default());
+        let rewritten = |edit: &dyn Fn(&str) -> Option<String>| {
+            let body: String = text.lines().skip(2).filter_map(edit).collect();
+            let text = format!(
+                "neursc-model v1\nchecksum {:016x}\n{body}",
+                fnv1a64(body.as_bytes())
+            );
+            model_from_string(&text).unwrap().config.parallelism
+        };
+        // A file the parent commit wrote with the knob off its default: the
+        // key is read past.
+        let tuned = rewritten(&|l| {
+            Some(l.replace("min_parallel_rows = 256", "min_parallel_rows = 64") + "\n")
+        });
+        assert_eq!(tuned, Parallelism::with_threads(4));
+        // A file written before either key existed loads sequential.
+        let oldest = rewritten(&|l| {
+            let keyed = l.starts_with("threads") || l.starts_with("min_parallel_rows");
+            (!keyed).then(|| format!("{l}\n"))
+        });
+        assert_eq!(oldest, Parallelism::default());
     }
 
     #[test]

@@ -9,10 +9,6 @@
 //!   Chrome trace export is a pure function of the input;
 //! * counters are bumped on the coordinating thread after fan-in, in batch
 //!   order, so outcome tallies never race.
-//!
-//! Everything runs in ONE test function per scenario: kernel thread
-//! settings are process-global and the harness runs `#[test]`s
-//! concurrently (same structure as `parallel_determinism.rs`).
 
 use neursc_core::obs::TraceTime;
 use neursc_core::{
@@ -28,10 +24,7 @@ use std::sync::Arc;
 
 fn tiny_config(threads: usize) -> NeurScConfig {
     let mut c = NeurScConfig::small();
-    c.parallelism = Parallelism {
-        threads,
-        min_parallel_rows: 1,
-    };
+    c.parallelism = Parallelism::with_threads(threads);
     c
 }
 
@@ -52,9 +45,7 @@ type SpanKey = (u64, u64, Option<u64>, &'static str, Option<&'static str>);
 /// returning the span projection, the metrics snapshot and the canonical
 /// trace export.
 fn traced_batch(threads: usize, faults: FaultPlan) -> (Vec<SpanKey>, MetricsSnapshot, String) {
-    let cfg = tiny_config(threads);
-    cfg.parallelism.apply_to_kernels();
-    let model = NeurSc::new(cfg, 42);
+    let model = NeurSc::new(tiny_config(threads), 42);
     let (g, queries) = workload(7);
 
     let rec = Arc::new(Recorder::new());

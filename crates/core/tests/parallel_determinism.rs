@@ -1,18 +1,13 @@
 //! Bit-level determinism of the parallel estimation pipeline.
 //!
 //! The tentpole guarantee: with a fixed seed, running with N worker threads
-//! produces output **bit-identical** to running sequentially. Three
+//! produces output **bit-identical** to running sequentially. Two
 //! mechanisms make this hold and are exercised together here:
 //!
 //! * `parallel_map_indexed` stores results in per-index slots and reduces
 //!   in index order, so scheduling never changes reduction order;
-//! * the row-blocked nn kernels keep each output row's FP operation order
-//!   fixed (thread count only changes *which* worker computes a row);
 //! * query preparation derives its RNG per query from the config seed, not
 //!   from shared mutable state.
-//!
-//! Everything runs in ONE test function: the kernel thread settings are
-//! process-global, and the test harness runs `#[test]`s concurrently.
 
 use neursc_core::{Estimator, GraphContext, NeurSc, NeurScConfig, Parallelism};
 use neursc_graph::generate::erdos_renyi;
@@ -27,12 +22,7 @@ fn tiny_config(threads: usize) -> NeurScConfig {
     c.pretrain_epochs = 4;
     c.adversarial_epochs = 2;
     c.batch_size = 8;
-    // min_parallel_rows = 1 forces the row-blocked kernels on for every
-    // matmul/transpose, so the kernel path is genuinely exercised.
-    c.parallelism = Parallelism {
-        threads,
-        min_parallel_rows: 1,
-    };
+    c.parallelism = Parallelism::with_threads(threads);
     c
 }
 
@@ -49,9 +39,7 @@ fn workload(seed: u64) -> (Graph, Vec<Graph>) {
 /// generated graph) at the given thread count, returning every estimate as
 /// raw bits.
 fn run_pipeline(threads: usize) -> Vec<u64> {
-    let cfg = tiny_config(threads);
-    cfg.parallelism.apply_to_kernels();
-    let model = NeurSc::new(cfg, 42);
+    let model = NeurSc::new(tiny_config(threads), 42);
     let mut bits = Vec::new();
 
     // Paper Figure 1 graphs: the worked example from §4.
@@ -97,9 +85,7 @@ fn threads_1_and_4_are_bit_identical() {
     let labeled: Vec<(Graph, u64)> = queries.iter().take(8).map(|q| (q.clone(), 5)).collect();
     let mut ests = Vec::new();
     for threads in [1, 4] {
-        let cfg = tiny_config(threads);
-        cfg.parallelism.apply_to_kernels();
-        let mut model = NeurSc::new(cfg, 42);
+        let mut model = NeurSc::new(tiny_config(threads), 42);
         model.fit(&g, &labeled).unwrap();
         ests.push(model.estimate(&queries[0], &g).unwrap().to_bits());
     }
@@ -107,8 +93,4 @@ fn threads_1_and_4_are_bit_identical() {
         ests[0], ests[1],
         "post-training estimates differ between 1 and 4 threads"
     );
-
-    // Restore the process-global kernel defaults for any other test binary
-    // sharing the process (none today, but cheap insurance).
-    Parallelism::default().apply_to_kernels();
 }

@@ -16,15 +16,11 @@
 //! case never executes (see [`CASES`]); the last one edits the prepared
 //! shard by hand, because no query on this data graph prepares into a
 //! `G_B` with a cut-off vertex or into an edgeless substructure.
-//!
-//! Everything runs in ONE test function of its own test binary: the kernel
-//! thread settings are process-global (same rule as
-//! `parallel_determinism.rs`).
 
 use neursc_core::obs::{ObsSink, Recorder};
 use neursc_core::persist::model_checksum;
 use neursc_core::train::{forward_prepared, run_training_obs, PreparedQuery, PreparedSub};
-use neursc_core::{DiscriminatorMetric, GraphContext, NeurSc, NeurScConfig, Parallelism, Variant};
+use neursc_core::{DiscriminatorMetric, GraphContext, NeurSc, NeurScConfig, Variant};
 use neursc_gnn::{init_features, EdgeList};
 use neursc_graph::induced::induced_subgraph;
 use neursc_graph::Graph;
@@ -205,76 +201,66 @@ fn assert_tape_stays_coarse(model: &NeurSc, prepared: &[PreparedQuery]) {
 }
 
 #[test]
-fn trained_weights_and_losses_match_the_golden_at_1_and_4_threads() {
+fn trained_weights_and_losses_match_the_golden() {
     let g = data_graph();
     let labeled = shard(&g);
-    for threads in [1, 4] {
-        // min_parallel_rows = 1 sends every kernel with two or more output
-        // rows through the row fan-out.
-        Parallelism {
-            threads,
-            min_parallel_rows: 1,
+    for case in &CASES {
+        let mut cfg = config();
+        (case.configure)(&mut cfg);
+        let mut model = NeurSc::new(cfg, 17);
+        let mut prepared: Vec<_> = model
+            .prepare_batch(&g, &labeled, &GraphContext::new())
+            .into_iter()
+            .map(|r| r.expect("golden queries prepare"))
+            .collect();
+        let subs: Vec<Vec<usize>> = prepared
+            .iter()
+            .map(|pq| pq.subs.iter().map(|s| s.x.rows()).collect())
+            .collect();
+        assert_eq!(subs, [vec![4, 9], vec![41]], "the shard changed shape");
+        if case.name == "full" {
+            assert_tape_stays_coarse(&model, &prepared);
         }
-        .apply_to_kernels();
-        for case in &CASES {
-            let mut cfg = config();
-            (case.configure)(&mut cfg);
-            let mut model = NeurSc::new(cfg, 17);
-            let mut prepared: Vec<_> = model
-                .prepare_batch(&g, &labeled, &GraphContext::new())
-                .into_iter()
-                .map(|r| r.expect("golden queries prepare"))
-                .collect();
-            let subs: Vec<Vec<usize>> = prepared
-                .iter()
-                .map(|pq| pq.subs.iter().map(|s| s.x.rows()).collect())
-                .collect();
-            assert_eq!(subs, [vec![4, 9], vec![41]], "the shard changed shape");
-            if case.name == "full" {
-                assert_tape_stays_coarse(&model, &prepared);
-            }
-            (case.reshape)(&mut prepared);
+        (case.reshape)(&mut prepared);
 
-            let rec = Arc::new(Recorder::new());
-            let sink: Arc<dyn ObsSink> = rec.clone();
-            let report = run_training_obs(&mut model, &prepared, &sink);
-            assert_eq!(
-                (report.pretrain_epochs, report.adversarial_epochs),
-                (1, 1),
-                "{}: both phases ran",
-                case.name
-            );
-            // The run exercised what the header says it does.
-            let metrics = rec.metrics().snapshot();
-            let n_subs: usize = prepared.iter().map(|pq| pq.subs.len()).sum();
-            let critic_steps = if model.disc.is_some() { n_subs } else { 0 };
-            assert_eq!(
-                metrics.counter("train.critic_steps"),
-                critic_steps as u64,
-                "{}: one critic step per sub",
-                case.name
-            );
-            assert!(
-                metrics.gauges["train.grad_norm"] > f64::from(GRAD_CLIP),
-                "{}: the last step was not clipped",
-                case.name
-            );
+        let rec = Arc::new(Recorder::new());
+        let sink: Arc<dyn ObsSink> = rec.clone();
+        let report = run_training_obs(&mut model, &prepared, &sink);
+        assert_eq!(
+            (report.pretrain_epochs, report.adversarial_epochs),
+            (1, 1),
+            "{}: both phases ran",
+            case.name
+        );
+        // The run exercised what the header says it does.
+        let metrics = rec.metrics().snapshot();
+        let n_subs: usize = prepared.iter().map(|pq| pq.subs.len()).sum();
+        let critic_steps = if model.disc.is_some() { n_subs } else { 0 };
+        assert_eq!(
+            metrics.counter("train.critic_steps"),
+            critic_steps as u64,
+            "{}: one critic step per sub",
+            case.name
+        );
+        assert!(
+            metrics.gauges["train.grad_norm"] > f64::from(GRAD_CLIP),
+            "{}: the last step was not clipped",
+            case.name
+        );
 
-            let losses: Vec<u64> = report.epoch_losses.iter().map(|l| l.to_bits()).collect();
-            assert_eq!(
-                (
-                    format!("{:016x}", model_checksum(&model)),
-                    losses.as_slice()
-                ),
-                (
-                    format!("{:016x}", case.checksum),
-                    case.epoch_losses.as_slice()
-                ),
-                "{}: trained model moved at {threads} thread(s): losses {:?} = {losses:#x?}",
-                case.name,
-                report.epoch_losses
-            );
-        }
+        let losses: Vec<u64> = report.epoch_losses.iter().map(|l| l.to_bits()).collect();
+        assert_eq!(
+            (
+                format!("{:016x}", model_checksum(&model)),
+                losses.as_slice()
+            ),
+            (
+                format!("{:016x}", case.checksum),
+                case.epoch_losses.as_slice()
+            ),
+            "{}: trained model moved: losses {:?} = {losses:#x?}",
+            case.name,
+            report.epoch_losses
+        );
     }
-    Parallelism::default().apply_to_kernels();
 }

@@ -18,12 +18,12 @@
 //! multiply-add — and a left row (for `tn`: a left *column*) that is
 //! entirely zero is skipped, leaving its output row `+0.0` whatever `b`
 //! holds (observable when `b` carries `inf`/`NaN`). SIMD lanes are
-//! independent output elements, never a reassociated reduction, and row
-//! blocks fan out through [`crate::parallel`] with each row computed by
-//! exactly one worker — so results are bit-identical across tiers, thread
-//! counts and callers. That is what lets training and inference share the
-//! kernels while `tests/infer_equivalence.rs` and the golden training test
-//! stay exact.
+//! independent output elements, never a reassociated reduction, and no
+//! output row reads another — so results are bit-identical across tiers
+//! and callers, and a row's bits do not depend on the rows around it. The
+//! kernels run on the caller's thread. That is what lets training and
+//! inference share them while `tests/infer_equivalence.rs` and the golden
+//! training test stay exact.
 //!
 //! **Layer loops** (the second half of this file): the bias + activation
 //! epilogue of a dense layer (`linear_into`), the GIN neighbour sum and
@@ -48,10 +48,12 @@ pub(crate) fn matmul_into(a: &Tensor, b: &Tensor, out: &mut Tensor) {
     let (n, k) = a.shape();
     let m = b.cols();
     debug_assert_eq!(out.shape(), (n, m));
-    crate::parallel::for_each_row_chunk(n, m, 4, out.data_mut(), |i0, block| {
-        let nr = block.len() / m;
+    // Groups of four rows, what the four-row kernel takes; the last may
+    // be short. `max(1)`: an empty output has no groups, whatever `m` is.
+    for (g, block) in out.data_mut().chunks_mut((4 * m).max(1)).enumerate() {
+        let (i0, nr) = (4 * g, block.len() / m);
         matmul_rows(&a.data()[i0 * k..(i0 + nr) * k], b.data(), k, m, block);
-    });
+    }
 }
 
 /// `aᵀ × g` — `[n, k]ᵀ × [n, m] → [k, m]`, the weight gradient of a tape
@@ -68,9 +70,9 @@ pub(crate) fn matmul_tn_into(a: &Tensor, g: &Tensor, out: &mut Tensor) {
         matmul_tn_column(a.data(), k, g.data(), out.data_mut());
         return;
     }
-    crate::parallel::for_each_row_chunk(k, m, 4, out.data_mut(), |i0, block| {
-        matmul_tn_rows(a.data(), k, i0, g.data(), n, m, block);
-    });
+    for (i, block) in out.data_mut().chunks_mut((4 * m).max(1)).enumerate() {
+        matmul_tn_rows(a.data(), k, 4 * i, g.data(), n, m, block);
+    }
 }
 
 /// [`matmul_tn_into`] for a single output column (`g` is `[n, 1]`: score
@@ -442,8 +444,8 @@ pub(crate) fn linear_into(x: &Tensor, w: &Tensor, b: &Tensor, act: Activation, o
     let m = w.cols();
     assert_eq!((b.shape(), out.shape()), ((1, m), (n, m)), "linear shapes");
     let bias = b.data();
-    crate::parallel::for_each_row_chunk(n, m, 4, out.data_mut(), |i0, block| {
-        let nr = block.len() / m;
+    for (g, block) in out.data_mut().chunks_mut((4 * m).max(1)).enumerate() {
+        let (i0, nr) = (4 * g, block.len() / m);
         matmul_rows(&x.data()[i0 * k..(i0 + nr) * k], w.data(), k, m, block);
         // Dispatch on the activation once per block, not per element:
         // with `act` a compile-time constant inside each arm the match
@@ -456,7 +458,7 @@ pub(crate) fn linear_into(x: &Tensor, w: &Tensor, b: &Tensor, act: Activation, o
             Activation::Relu => bias_act(block, m, bias, |x| Activation::Relu.apply_scalar(x)),
             other => bias_act(block, m, bias, move |x| other.apply_scalar(x)),
         }
-    });
+    }
 }
 
 /// Bias-add + activation epilogue over a block of rows, monomorphized
@@ -792,8 +794,8 @@ mod tests {
     }
 
     /// `a × b` and `aᵀ × g` for one shape: every caller of the dispatched
-    /// family at 1 and 4 threads, then every tier called directly, all
-    /// against the definition above.
+    /// family, then every tier called directly, all against the definition
+    /// above.
     fn check(n: usize, k: usize, m: usize, seed: u64) {
         let mut gen = Gen(seed | 1);
         let a = gen.left(n, k);
@@ -807,33 +809,24 @@ mod tests {
 
         let weights = InferWeights::from_store(&crate::ParamStore::new(), QuantMode::F32);
         let mut ctx = InferCtx::new(&weights, Arena::new());
-        let before = (
-            crate::parallel::threads(),
-            crate::parallel::min_parallel_rows(),
+        assert_same(
+            a.matmul(&b).data(),
+            &want,
+            &format!("Tensor::matmul {what}"),
         );
-        for threads in [1, 4] {
-            crate::parallel::configure(threads, 1);
-            let what = format!("{what} threads {threads}");
-            assert_same(
-                a.matmul(&b).data(),
-                &want,
-                &format!("Tensor::matmul {what}"),
-            );
-            assert_same(
-                ctx.matmul(&a, &b).data(),
-                &want,
-                &format!("InferCtx::matmul {what}"),
-            );
-            let tn = a.matmul_tn(&g);
-            assert_same(tn.data(), &want_tn, &format!("matmul_tn {what}"));
-            let transposed = a.transpose().matmul(&g);
-            assert_same(
-                tn.data(),
-                transposed.data(),
-                &format!("tn vs transpose {what}"),
-            );
-        }
-        crate::parallel::configure(before.0, before.1);
+        assert_same(
+            ctx.matmul(&a, &b).data(),
+            &want,
+            &format!("InferCtx::matmul {what}"),
+        );
+        let tn = a.matmul_tn(&g);
+        assert_same(tn.data(), &want_tn, &format!("matmul_tn {what}"));
+        let transposed = a.transpose().matmul(&g);
+        assert_same(
+            tn.data(),
+            transposed.data(),
+            &format!("tn vs transpose {what}"),
+        );
 
         // Stale output contents must be overwritten, never accumulated on.
         let mut o = vec![f32::NAN; m];

@@ -64,7 +64,6 @@ pub mod init;
 pub mod kernels;
 pub mod layers;
 pub mod optim;
-pub mod parallel;
 pub mod serialize;
 pub mod tape;
 pub mod tensor;

@@ -197,7 +197,7 @@ impl Tensor {
     /// accumulates `a[i][k] * b[k][j]` for ascending `k`, multiply then add
     /// (never a fused multiply-add); a row of `self` that is entirely zero
     /// is skipped, so its output row is `+0.0` whatever `other` holds.
-    /// Identical bits at any thread count and on any SIMD tier.
+    /// Identical bits on any SIMD tier.
     pub fn matmul(&self, other: &Tensor) -> Tensor {
         assert_eq!(
             self.cols,
@@ -227,16 +227,15 @@ impl Tensor {
         out
     }
 
-    /// Transpose (allocates). Row-blocked over the *output* rows, same
-    /// determinism argument as [`Tensor::matmul`].
+    /// Transpose (allocates).
     pub fn transpose(&self) -> Tensor {
         let (rows, cols) = (self.rows, self.cols);
         let mut out = Tensor::zeros(cols, rows);
-        crate::parallel::for_each_row_chunk(cols, rows, 1, &mut out.data, |c, o_row| {
+        for (c, o_row) in out.data.chunks_exact_mut(rows.max(1)).enumerate() {
             for (r, slot) in o_row.iter_mut().enumerate() {
                 *slot = self.data[r * cols + c];
             }
-        });
+        }
         out
     }
 
@@ -326,36 +325,6 @@ mod tests {
         let a = Tensor::from_rows(&[&[0.0, 0.0], &[0.0, 3.0]]);
         let b = Tensor::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         assert_eq!(a.matmul(&b).data(), &[0.0, 0.0, 9.0, 12.0]);
-    }
-
-    #[test]
-    fn matmul_and_transpose_bit_identical_across_thread_counts() {
-        // Pseudo-random but deterministic input, sized above any threshold
-        // we force. Parallel settings are process-global; other tests may
-        // observe them mid-flight, which is safe precisely because of the
-        // bit-determinism this test asserts.
-        let mut v = 0x9e3779b97f4a7c15u64;
-        let mut next = || {
-            v ^= v << 13;
-            v ^= v >> 7;
-            v ^= v << 17;
-            (v % 1000) as f32 / 500.0 - 1.0
-        };
-        let a = Tensor::from_vec(40, 17, (0..40 * 17).map(|_| next()).collect());
-        let b = Tensor::from_vec(17, 23, (0..17 * 23).map(|_| next()).collect());
-        let (old_t, old_m) = (
-            crate::parallel::threads(),
-            crate::parallel::min_parallel_rows(),
-        );
-        crate::parallel::configure(1, 1);
-        let seq_mm = a.matmul(&b);
-        let seq_tr = a.transpose();
-        for t in [2, 4, 7] {
-            crate::parallel::configure(t, 1);
-            assert_eq!(a.matmul(&b), seq_mm, "matmul diverged at {t} threads");
-            assert_eq!(a.transpose(), seq_tr, "transpose diverged at {t} threads");
-        }
-        crate::parallel::configure(old_t, old_m);
     }
 
     #[test]

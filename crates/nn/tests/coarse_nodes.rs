@@ -488,56 +488,3 @@ fn readout_maps_match_their_chains() {
         }
     }
 }
-
-#[test]
-fn coarse_nodes_are_thread_stable() {
-    // The products inside the nodes fan out over row blocks like any
-    // other; a value or gradient must not depend on the thread count.
-    let mut gen = Gen::new(0x7472);
-    let (n, k, c) = (41, 32, 32);
-    let (src, dst) = gen.edges(n, 200);
-    let mut has_in = vec![false; n];
-    for &d in &dst {
-        has_in[d as usize] = true;
-    }
-    let inputs = [
-        gen.features(n, k),
-        gen.tensor(k, c),
-        gen.tensor(k, c),
-        gen.tensor(2 * c, 1),
-    ];
-    let upstream = gen.tensor(n, c);
-    let before = (
-        neursc_nn::parallel::threads(),
-        neursc_nn::parallel::min_parallel_rows(),
-    );
-    let runs: Vec<Run> = [1, 4]
-        .into_iter()
-        .map(|threads| {
-            neursc_nn::parallel::configure(threads, 1);
-            run(&inputs, &upstream, &[], false, &|t, v| {
-                let a = t.attention(v[0], [v[1], v[2], v[3]], &src, &dst, &has_in, 0.2);
-                let bias = t.constant(Tensor::zeros(1, c));
-                t.linear(a, v[1], bias, Activation::Relu)
-            })
-        })
-        .collect();
-    neursc_nn::parallel::configure(before.0, before.1);
-    assert_same(
-        Some(&runs[1].value),
-        Some(&runs[0].value),
-        "value at 4 threads",
-    );
-    for (i, (g, w)) in runs[1]
-        .input_grads
-        .iter()
-        .zip(&runs[0].input_grads)
-        .enumerate()
-    {
-        assert_same(
-            g.as_ref(),
-            w.as_ref(),
-            &format!("gradient {i} at 4 threads"),
-        );
-    }
-}

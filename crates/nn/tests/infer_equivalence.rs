@@ -5,7 +5,6 @@
 //! * the fused tape-free inference path (the only one `estimate*` runs)
 //!   produces **bit-identical** f32 estimates to the tape forward that
 //!   training uses, at every worker thread count;
-//! * the tape forward itself is bit-stable across kernel thread counts;
 //! * quantized variants (f16, int8) stay within empirically calibrated
 //!   q-error drift bounds of the f32 estimates — quantization trades a
 //!   bounded accuracy drift for a smaller effective weight precision,
@@ -15,7 +14,7 @@
 //! crate that owns the fused kernels also owns their end-to-end gate.
 
 use neursc_core::train::{forward_prepared, prepare_query_with};
-use neursc_core::{q_error, GraphContext, NeurSc, NeurScConfig, Parallelism, QuantMode};
+use neursc_core::{q_error, GraphContext, NeurSc, NeurScConfig, QuantMode};
 use neursc_graph::generate::erdos_renyi;
 use neursc_graph::sample::{sample_query, QuerySampler};
 use neursc_graph::Graph;
@@ -53,17 +52,11 @@ fn estimates(g: &Graph, queries: &[Graph], threads: usize, quant: QuantMode) -> 
 
 /// The tape reference: the same seed-42 model's estimates computed from
 /// the training forward (`forward_prepared`) — `Σ exp(log-count)` over the
-/// prepared substructures, exactly the reduction `estimate_prepared` does —
-/// with the tape's row-blocked kernels forced on at `threads` workers.
-fn tape_estimates(g: &Graph, queries: &[Graph], threads: usize) -> Vec<f64> {
+/// prepared substructures, exactly the reduction `estimate_prepared` does.
+fn tape_estimates(g: &Graph, queries: &[Graph]) -> Vec<f64> {
     let model = NeurSc::new(small_config(1), 42);
-    Parallelism {
-        threads,
-        min_parallel_rows: 1,
-    }
-    .apply_to_kernels();
     let ctx = GraphContext::new();
-    let est = queries
+    queries
         .iter()
         .map(|q| {
             let pq = prepare_query_with(q, g, &model.config, 0, &ctx).expect("prepare");
@@ -74,9 +67,7 @@ fn tape_estimates(g: &Graph, queries: &[Graph], threads: usize) -> Vec<f64> {
                     .sum()
             })
         })
-        .collect();
-    Parallelism::default().apply_to_kernels();
-    est
+        .collect()
 }
 
 fn bits(est: &[f64]) -> Vec<u64> {
@@ -86,7 +77,7 @@ fn bits(est: &[f64]) -> Vec<u64> {
 #[test]
 fn fused_f32_is_bit_identical_to_tape_across_threads() {
     let (g, queries) = workload(7);
-    let tape = tape_estimates(&g, &queries, 1);
+    let tape = tape_estimates(&g, &queries);
     for threads in [1, 2, 4] {
         let fused = estimates(&g, &queries, threads, QuantMode::F32);
         for (i, (f, t)) in fused.iter().zip(&tape).enumerate() {
@@ -96,22 +87,6 @@ fn fused_f32_is_bit_identical_to_tape_across_threads() {
                 "threads={threads} query {i}: fused {f} != tape {t}"
             );
         }
-    }
-}
-
-#[test]
-fn tape_path_itself_is_thread_stable() {
-    // The fused-vs-tape comparison above pins fused(threads=N) to
-    // tape(threads=1); this pins the tape at other thread counts so a
-    // regression in either path's blocking cannot hide in the other.
-    let (g, queries) = workload(7);
-    let base = tape_estimates(&g, &queries, 1);
-    for threads in [2, 4] {
-        assert_eq!(
-            bits(&tape_estimates(&g, &queries, threads)),
-            bits(&base),
-            "tape path drifted at threads={threads}"
-        );
     }
 }
 

@@ -355,7 +355,6 @@ pub fn serve(
         ));
     }
     model.config.parallelism.threads = cfg.threads.max(1);
-    model.config.parallelism.apply_to_kernels();
     // Quantization is simulated on the inference snapshot only, so the
     // persisted weights — and hence the checksum — are mode-independent.
     model.set_quantization(cfg.quantize);

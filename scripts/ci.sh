@@ -75,4 +75,7 @@ echo "== differential soundness oracle soak (DESIGN.md §11) =="
 # previously-found bugs, this soaks fresh cases.
 cargo run --release -q --bin neursc_cli -- fuzz --cases 300 --seed 42
 
+echo "== surface (information, not a gate) =="
+scripts/surface.sh
+
 echo "CI OK"

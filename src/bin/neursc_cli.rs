@@ -419,15 +419,14 @@ impl ObsSetup {
     }
 }
 
-/// Applies `--threads` to a model's parallelism config and pushes the
-/// setting down into the nn kernels. Defaults to sequential execution.
+/// Applies `--threads` to a model's parallelism config. Defaults to
+/// sequential execution.
 fn apply_threads(model: &mut NeurSc, opts: &Opts) -> Result<(), CliError> {
     let threads: usize = num(opts, "threads", model.config.parallelism.threads)?;
     if threads == 0 {
         return Err(CliError::usage("--threads must be at least 1"));
     }
     model.config.parallelism.threads = threads;
-    model.config.parallelism.apply_to_kernels();
     Ok(())
 }
 

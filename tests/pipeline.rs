@@ -3,10 +3,11 @@
 //! persistence round-trips, variant behavior, and agreement between the
 //! neural estimator and exact counting on easy regimes.
 
-use neursc::core::persist::{load_model, save_model};
+use neursc::core::persist::{load_model, model_to_string, save_model};
 use neursc::core::sampling::estimate_with_sample_rate;
 use neursc::core::train::prepare_query_with;
 use neursc::core::{DiscriminatorMetric, Estimator, NeurSc, NeurScConfig, Variant};
+use neursc::graph::hash::fnv1a64;
 use neursc::prelude::*;
 use rand::SeedableRng;
 
@@ -85,6 +86,26 @@ fn persistence_roundtrip_preserves_trained_estimates() {
         );
     }
     std::fs::remove_file(&path).ok();
+}
+
+/// The model file format, byte for byte: a fresh model's file hashes to the
+/// value it hashed to when the format was last changed on purpose. Served
+/// snapshots and the benchmark's fixtures are keyed on `model_checksum`,
+/// so a drifted line (a renamed key, a reordered one, a dropped vestigial
+/// one) must fail here and not as a fixture that no longer loads.
+#[test]
+fn model_file_bytes_are_pinned() {
+    for (name, cfg, pinned) in [
+        ("small", NeurScConfig::small(), 0xee63_8dfe_b1fb_579a_u64),
+        (
+            "default",
+            NeurScConfig::default(),
+            0xc343_da95_b5c0_f0f9_u64,
+        ),
+    ] {
+        let bytes = fnv1a64(model_to_string(&NeurSc::new(cfg, 1)).as_bytes());
+        assert_eq!(bytes, pinned, "{name}: model file hashes to {bytes:#018x}");
+    }
 }
 
 #[test]
