@@ -56,11 +56,6 @@ impl Discriminator {
     pub fn params(&self) -> Vec<ParamId> {
         self.mlp.params()
     }
-
-    /// Clamps `ω` into its box (call after every discriminator update).
-    pub fn clamp_weights(&self, store: &mut ParamStore) {
-        neursc_nn::optim::clamp_params(store, &self.params(), -self.clamp, self.clamp);
-    }
 }
 
 /// Chooses the correspondence vertex sets `V'(q)`, `V'(G_sub)` (§5.5).
@@ -253,22 +248,6 @@ mod tests {
         let fs = tape.constant(Tensor::from_vec(3, 1, vec![0.5, 0.25, 0.25]));
         let l = wasserstein_loss(&mut tape, fq, fs, &[0, 1], &[0, 2]);
         assert!((tape.value(l).item() - (3.0 - 0.75)).abs() < 1e-6);
-    }
-
-    #[test]
-    fn clamp_keeps_critic_lipschitz_box() {
-        let cfg = NeurScConfig::small();
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut store = ParamStore::new();
-        let disc = Discriminator::new(&mut store, &cfg, &mut rng);
-        // Blow up the weights, then clamp.
-        for p in disc.params() {
-            store.value_mut(p).fill(5.0);
-        }
-        disc.clamp_weights(&mut store);
-        for p in disc.params() {
-            assert!(store.value(p).data().iter().all(|&w| w.abs() <= cfg.clamp));
-        }
     }
 
     #[test]

@@ -80,7 +80,6 @@ pub use extraction::{
 pub use faults::FaultPlan;
 pub use loss::q_error;
 pub use model::{EstimateDetail, NeurSc};
-pub use neursc_nn::infer::QuantMode;
 pub use obs::{MetricsSnapshot, NoopSink, ObsSink, PipelineReport, Recorder, Span, TraceTime};
 pub use parallel::{parallel_map_caught, parallel_map_indexed, ItemPanic};
 pub use partition::{estimate_partitioned, PartitionBackend};

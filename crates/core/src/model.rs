@@ -62,16 +62,14 @@ pub struct NeurSc {
     pub west: WEst,
     /// The Wasserstein critic `f_ω` (present iff the variant uses it).
     pub disc: Option<Discriminator>,
-    /// Quantization mode of the inference fast path (DESIGN.md §15).
-    quant: QuantMode,
-    /// Lazily built inference state; reset whenever weights or `quant`
-    /// change (`fit*`, [`NeurSc::set_quantization`]).
+    /// Lazily built inference state; reset whenever weights change
+    /// (`fit*`).
     infer_state: OnceLock<InferState>,
 }
 
-/// The per-model tape-free inference state: a (possibly quantized) weight
-/// snapshot shared by all estimate workers, plus a pool of recycled
-/// per-lane [`Arena`]s so warm estimates allocate nothing.
+/// The per-model tape-free inference state: a weight snapshot shared by
+/// all estimate workers, plus a pool of recycled per-lane [`Arena`]s so
+/// warm estimates allocate nothing.
 struct InferState {
     weights: InferWeights,
     arenas: Mutex<Vec<Arena>>,
@@ -115,32 +113,14 @@ impl NeurSc {
             store,
             west,
             disc,
-            quant: QuantMode::F32,
             infer_state: OnceLock::new(),
         }
     }
 
-    /// The quantization mode of the inference fast path.
-    pub fn quantization(&self) -> QuantMode {
-        self.quant
-    }
-
-    /// Sets the inference quantization mode. Training and persistence are
-    /// untouched — quantization is simulated at snapshot time on a copy of
-    /// the weights (DESIGN.md §15) — so the model checksum is stable
-    /// across modes. Changing the mode drops the cached snapshot; the next
-    /// estimate rebuilds it.
-    pub fn set_quantization(&mut self, mode: QuantMode) {
-        if self.quant != mode {
-            self.quant = mode;
-            self.infer_state = OnceLock::new();
-        }
-    }
-
-    /// The lazily built inference state for the current weights + mode.
+    /// The lazily built inference state for the current weights.
     fn infer_state(&self) -> &InferState {
         self.infer_state.get_or_init(|| InferState {
-            weights: InferWeights::from_store(&self.store, self.quant),
+            weights: InferWeights::from_store(&self.store, QuantMode::F32),
             arenas: Mutex::new(Vec::new()),
         })
     }

@@ -247,6 +247,18 @@ fn trained_weights_and_losses_match_the_golden() {
             "{}: the last step was not clipped",
             case.name
         );
+        // The critic update leaves ω in its Lipschitz box (§5.5), with the
+        // clamp having cut something: some weight sits on the boundary.
+        if let Some(disc) = &model.disc {
+            let omega = disc.params();
+            let omega = || omega.iter().flat_map(|&p| model.store.value(p).data());
+            assert!(
+                omega().all(|w| w.abs() <= disc.clamp) && omega().any(|w| w.abs() == disc.clamp),
+                "{}: ω left its ±{} box or never reached its boundary",
+                case.name,
+                disc.clamp
+            );
+        }
 
         let losses: Vec<u64> = report.epoch_losses.iter().map(|l| l.to_bits()).collect();
         assert_eq!(

@@ -1,11 +1,11 @@
 //! Tape-free forward passes for the GNN layers.
 //!
 //! Inference entry points take a [`neursc_nn::infer::InferCtx`] instead of
-//! `(&mut Tape, &ParamStore)`: weights come from the context's quantized
-//! snapshot and intermediates from its buffer arena. The arithmetic is the
+//! `(&mut Tape, &ParamStore)`: weights come from the context's snapshot
+//! and intermediates from its buffer arena. The arithmetic is the
 //! loop bodies of [`neursc_nn::kernels`] — the ones the tape's coarse nodes
 //! run ([`crate::gin::GinLayer::forward`],
-//! [`crate::attention::AttentionLayer::forward`]) — so at f32 the two paths
+//! [`crate::attention::AttentionLayer::forward`]) — so the two paths
 //! agree bit for bit by construction; the unit tests here and
 //! `tests/infer_equivalence.rs` in `neursc-nn` (end to end on the WEst
 //! pipeline) keep that pinned.

@@ -10,14 +10,12 @@
 //!   network, as expressive as the 1-WL test (Lemma 5.1).
 //! * [`attention`] — the GAT-style attentive layer (Eq. 4–5) applied to the
 //!   query–candidate bipartite graph, WEst's inter-graph network.
-//! * [`readout`] — permutation-invariant sum pooling (Eq. 6).
 
 pub mod attention;
 pub mod edges;
 pub mod features;
 pub mod gin;
 pub mod infer;
-pub mod readout;
 pub mod softmax;
 
 pub use attention::{AttentionConfig, BipartiteAttention};

@@ -9,9 +9,7 @@ use neursc_nn::{Tape, Tensor, Var};
 /// distribution rather than an all-zero row that sums to 0: the
 /// exponentials of such a row are lifted from 0 to 1 before normalizing,
 /// so the row becomes `1/d` everywhere. Rows with at least one finite
-/// logit are untouched (their `-∞` entries still get weight 0). The
-/// tape-free [`row_softmax_infer`] implements the identical fallback; a
-/// shared test pins the two paths bit-for-bit.
+/// logit are untouched (their `-∞` entries still get weight 0).
 pub fn row_softmax(tape: &mut Tape, h: Var) -> Var {
     let (n, d) = tape.value(h).shape();
     let mut maxes = Tensor::zeros(n, 1);
@@ -42,34 +40,6 @@ pub fn row_softmax(tape: &mut Tape, h: Var) -> Var {
     tape.div(exps, safe) // column broadcast
 }
 
-/// Tape-free [`row_softmax`]: identical per-element operations (max fold,
-/// shift, `exp`, the masked-row `+1` lift, k-ascending row sum, ε-guarded
-/// divide), so its output is bit-identical to the tape path at f32.
-pub fn row_softmax_infer(h: &Tensor) -> Tensor {
-    let (n, d) = h.shape();
-    let mut out = Tensor::zeros(n, d);
-    for r in 0..n {
-        let row = h.row(r);
-        let m = row.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
-        let shift = if m.is_finite() { m } else { 0.0 };
-        let masked = d > 0 && row.iter().all(|&x| x == f32::NEG_INFINITY);
-        let o = out.row_mut(r);
-        for (slot, &x) in o.iter_mut().zip(row.iter()) {
-            let e = (x - shift).exp();
-            *slot = if masked { e + 1.0 } else { e };
-        }
-        let mut sum = 0.0f32;
-        for &e in o.iter() {
-            sum += e; // ≡ the tape's matmul-by-ones row sum, bit for bit
-        }
-        let safe = sum + 1e-12;
-        for slot in o.iter_mut() {
-            *slot /= safe;
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -96,7 +66,7 @@ mod tests {
     }
 
     #[test]
-    fn fully_masked_row_falls_back_to_uniform_in_both_paths() {
+    fn fully_masked_row_falls_back_to_uniform() {
         let ninf = f32::NEG_INFINITY;
         let h = Tensor::from_rows(&[
             &[ninf, ninf, ninf, ninf],  // fully masked → uniform fallback
@@ -104,11 +74,9 @@ mod tests {
             &[0.25, -0.5, 3.0, -100.0], // plain row → unchanged
         ]);
         let mut tape = Tape::new();
-        let hv = tape.constant(h.clone());
+        let hv = tape.constant(h);
         let s = row_softmax(&mut tape, hv);
         let tape_out = tape.value(s).clone();
-        let fused = row_softmax_infer(&h);
-        assert_eq!(fused, tape_out, "tape and fused softmax must share bits");
         // The masked row is a distribution again: uniform 1/d, sum 1.
         for &v in tape_out.row(0) {
             assert!((v - 0.25).abs() < 1e-6, "not uniform: {v}");
@@ -119,15 +87,6 @@ mod tests {
         assert_eq!(tape_out.get(1, 1), 0.0);
         let psum: f32 = tape_out.row(1).iter().sum();
         assert!((psum - 1.0).abs() < 1e-5);
-    }
-
-    #[test]
-    fn infer_matches_tape_on_unmasked_input() {
-        let h = Tensor::from_rows(&[&[1.0, 2.0, 3.0], &[-50.0, 0.0, 50.0], &[7.0, 7.0, 7.0]]);
-        let mut tape = Tape::new();
-        let hv = tape.constant(h.clone());
-        let s = row_softmax(&mut tape, hv);
-        assert_eq!(&row_softmax_infer(&h), tape.value(s));
     }
 
     #[test]

@@ -287,11 +287,8 @@ pub fn graph_to_json(g: &Graph) -> Json {
 }
 
 /// One estimation result as a JSON object: a slot of a batch reply, and —
-/// unwrapped by [`render_single`] — the body of a single reply. When
-/// `quantized` is true (the serving model runs f16/int8, whose drift
-/// bounds are documented in KNOWN_ISSUES) every successful result carries
-/// `"quantized":true`; f32 replies omit the field entirely.
-pub fn result_to_json(r: &Result<EstimateDetail, NeurScError>, quantized: bool) -> Json {
+/// unwrapped by [`render_single`] — the body of a single reply.
+pub fn result_to_json(r: &Result<EstimateDetail, NeurScError>) -> Json {
     match r {
         Ok(d) => {
             let mut obj = vec![
@@ -310,9 +307,6 @@ pub fn result_to_json(r: &Result<EstimateDetail, NeurScError>, quantized: bool) 
                 obj.push(("ci_low".into(), Json::Num(ci.low)));
                 obj.push(("ci_high".into(), Json::Num(ci.high)));
                 obj.push(("ci_confidence".into(), Json::Num(ci.confidence)));
-            }
-            if quantized {
-                obj.push(("quantized".into(), Json::Bool(true)));
             }
             Json::Obj(obj)
         }
@@ -355,7 +349,7 @@ pub fn render_single(id: &Json, idem: Option<u64>, item: Json) -> String {
 /// [`render_single`] of an f32 result without an idempotency seqno — the
 /// frame an offline reference predicts for a served `estimate`.
 pub fn render_result(id: &Json, r: &Result<EstimateDetail, NeurScError>) -> String {
-    render_single(id, None, result_to_json(r, false))
+    render_single(id, None, result_to_json(r))
 }
 
 /// Renders the response frame for an `estimate_batch` request.
@@ -462,8 +456,8 @@ mod tests {
             r#"{"ok":true,"id":9,"estimate":2.5,"n_substructures":3,"trivially_zero":false,"degraded":true}"#
         );
         assert_eq!(
-            render_single(&id, Some(4), result_to_json(&ci, true)),
-            r#"{"ok":true,"id":9,"idem":4,"estimate":2.5,"n_substructures":3,"trivially_zero":false,"degraded":true,"ci_low":1,"ci_high":4.5,"ci_confidence":0.95,"quantized":true}"#
+            render_single(&id, Some(4), result_to_json(&ci)),
+            r#"{"ok":true,"id":9,"idem":4,"estimate":2.5,"n_substructures":3,"trivially_zero":false,"degraded":true,"ci_low":1,"ci_high":4.5,"ci_confidence":0.95}"#
         );
         let err_frame = format!(
             r#"{{"ok":false,"id":9,"kind":"budget","detail":"{}"}}"#,
@@ -484,7 +478,7 @@ mod tests {
             render_batch(&id, None, Vec::new()),
             r#"{"ok":true,"id":9,"results":[]}"#
         );
-        let items = vec![result_to_json(&ok, false), error_item("draining", "bye")];
+        let items = vec![result_to_json(&ok), error_item("draining", "bye")];
         assert_eq!(
             render_batch(&Json::Str("b".into()), Some(4), items),
             r#"{"ok":true,"id":"b","idem":4,"results":[{"ok":true,"estimate":2.5,"n_substructures":3,"trivially_zero":false,"degraded":true},{"ok":false,"kind":"draining","detail":"bye"}]}"#

@@ -61,7 +61,7 @@ use crate::json::Json;
 use crate::router::{BackendChoice, RouterConfig};
 use crate::snapshot;
 use neursc_core::persist::{load_model, model_checksum};
-use neursc_core::{GraphContext, NeurSc, NeurScError, ObsSink, QuantMode, Recorder};
+use neursc_core::{GraphContext, NeurSc, NeurScError, ObsSink, Recorder};
 use neursc_graph::Graph;
 use parking_lot::RwLock;
 use std::path::{Path, PathBuf};
@@ -143,11 +143,6 @@ pub struct ServeConfig {
     pub backend: BackendChoice,
     /// Cost-model thresholds for `--backend auto`.
     pub router: RouterConfig,
-    /// Quantization of the served model's inference fast path
-    /// (`--quantize f32|f16|int8`); applied at startup and re-applied on
-    /// every `reload_model`. Non-f32 replies carry `"quantized":true` and
-    /// `stats` reports the mode as `model_quantized`.
-    pub quantize: QuantMode,
     /// Idempotency replay cache capacity (`--idem-cache-cap`, entries).
     /// Must be ≥ 1; evictions are counted under `idem.evicted` so
     /// eviction-caused re-processing of late retries is observable.
@@ -175,7 +170,6 @@ impl Default for ServeConfig {
             restarts: 0,
             backend: BackendChoice::West,
             router: RouterConfig::default(),
-            quantize: QuantMode::F32,
             idem_cache_cap: DEFAULT_IDEM_CACHE_CAP,
         }
     }
@@ -355,9 +349,6 @@ pub fn serve(
         ));
     }
     model.config.parallelism.threads = cfg.threads.max(1);
-    // Quantization is simulated on the inference snapshot only, so the
-    // persisted weights — and hence the checksum — are mode-independent.
-    model.set_quantization(cfg.quantize);
     let model_sum = model_checksum(&model);
     let (listener, addr) = accept::bind(&cfg.listen)?;
 
@@ -446,7 +437,6 @@ fn reload(shared: &Shared, path: &str) -> Result<u64, NeurScError> {
         new_model.config.parallelism = current.config.parallelism;
         new_model.config.budget = current.config.budget;
     }
-    new_model.set_quantization(shared.cfg.quantize);
     let checksum = model_checksum(&new_model);
     *shared.model.write() = Arc::new(new_model);
     *shared.model_sum.write() = checksum;
@@ -469,10 +459,9 @@ fn stats_frame(shared: &Shared, id: &Json) -> String {
     frame.push_str(&format!(
         ",\"stats\":{{\"pending\":{pending},\"served\":{served},\"draining\":{},\
          \"backend\":\"{}\",\"model_checksum\":\"{checksum:016x}\",\
-         \"model_quantized\":\"{}\",\"metrics\":{metrics}}}}}",
+         \"metrics\":{metrics}}}}}",
         shared.draining(),
         shared.cfg.backend.as_str(),
-        shared.cfg.quantize,
     ));
     frame
 }

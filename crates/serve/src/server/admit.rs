@@ -199,12 +199,7 @@ pub(super) fn admit(shared: &Shared, conn: &Replier, conn_id: u64, req: Estimate
                         shared.cfg.max_query_vertices
                     ),
                 };
-                finish_slot(
-                    shared,
-                    &admitted,
-                    slot,
-                    proto::result_to_json(&Err(e), false),
-                );
+                finish_slot(shared, &admitted, slot, proto::result_to_json(&Err(e)));
             }
             _ => to_queue.push((slot, query)),
         }

@@ -7,7 +7,7 @@ use super::reply::finish_slot;
 use super::{lock, Shared};
 use crate::proto;
 use crate::router::{route, sampler_for_model, Routed};
-use neursc_core::{EstimateDetail, Estimator, FaultPlan, GraphContext, NeurScError, QuantMode};
+use neursc_core::{EstimateDetail, Estimator, FaultPlan, GraphContext, NeurScError};
 use neursc_graph::Graph;
 use neursc_match::FilterBudget;
 use std::time::Instant;
@@ -90,7 +90,6 @@ pub(super) fn run_batch(shared: &Shared, ctx: &mut GraphContext, batch: Vec<Pend
     // Count before replying: a client that pipelines `stats` right after
     // receiving its result must observe that result in `served`.
     lock(&shared.queue).served += batch.len() as u64;
-    let quantized = shared.cfg.quantize != QuantMode::F32;
     for (p, r) in batch.iter().zip(slotted) {
         // Every slot was routed to exactly one partition; the fallback is
         // unreachable but keeps library code panic-free.
@@ -100,7 +99,7 @@ pub(super) fn run_batch(shared: &Shared, ctx: &mut GraphContext, batch: Vec<Pend
                 message: "router: slot left unrouted".into(),
             })
         });
-        finish_slot(shared, &p.req, p.slot, proto::result_to_json(&r, quantized));
+        finish_slot(shared, &p.req, p.slot, proto::result_to_json(&r));
         // Completion is journaled *after* the reply write: a crash between
         // the two over-suspects (safe) rather than under-suspects.
         if let Some(j) = &shared.journal {

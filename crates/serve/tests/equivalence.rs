@@ -716,81 +716,3 @@ fn served_auto_backend_routes_deterministically_and_matches_offline() {
         assert_matches_offline(&offline, &served, &format!("auto threads={threads}"));
     }
 }
-
-/// Serves `batch` through a server configured with `quantize` and returns
-/// `(estimate bits by id, stats frame)`. Replies are checked for the
-/// `quantized` flag on the way through.
-fn run_quantized(
-    g: &Graph,
-    batch: &[Graph],
-    quantize: neursc_core::QuantMode,
-    threads: usize,
-) -> (HashMap<u64, u64>, String) {
-    let model = NeurSc::new(small_config(threads), 42);
-    let cfg = ServeConfig {
-        quantize,
-        threads,
-        ..ServeConfig::default()
-    };
-    let server = serve(model, g.clone(), cfg, Arc::new(Recorder::new())).unwrap();
-    let mut c = Client::connect_tcp(server.local_addr()).unwrap();
-    for (i, q) in batch.iter().enumerate() {
-        c.send_line(&client::estimate_request(i as u64, q)).unwrap();
-    }
-    let mut bits = HashMap::new();
-    for _ in 0..batch.len() {
-        let v = neursc_serve::json::parse(&c.recv_line().unwrap()).unwrap();
-        let id = v.get("id").and_then(Json::as_u64).unwrap();
-        if v.get("ok").and_then(Json::as_bool) == Some(true) {
-            let flagged = v.get("quantized").and_then(Json::as_bool) == Some(true);
-            assert_eq!(
-                flagged,
-                quantize != neursc_core::QuantMode::F32,
-                "quantize={quantize}: reply flag mismatch: {}",
-                v.render()
-            );
-            let est = v.get("estimate").and_then(Json::as_f64).unwrap();
-            bits.insert(id, est.to_bits());
-        }
-    }
-    let stats = c.request(&client::stats_request(9000)).unwrap();
-    c.send_line(&client::shutdown_request(9999)).unwrap();
-    let _ = c.recv_line().unwrap();
-    server.join().unwrap();
-    (bits, stats)
-}
-
-#[test]
-fn quantized_replies_are_flagged_and_deterministic() {
-    let (g, clean) = workload(7);
-    let batch = &clean[..8];
-
-    // f32 baseline: replies carry no flag and stats reports f32.
-    let (f32_bits, stats) = run_quantized(&g, batch, neursc_core::QuantMode::F32, 1);
-    assert!(
-        stats.contains("\"model_quantized\":\"f32\""),
-        "stats should report f32: {stats}"
-    );
-    assert_eq!(f32_bits.len(), batch.len());
-
-    for mode in [neursc_core::QuantMode::F16, neursc_core::QuantMode::Int8] {
-        let (bits_a, stats) = run_quantized(&g, batch, mode, 1);
-        assert!(
-            stats.contains(&format!("\"model_quantized\":\"{mode}\"")),
-            "stats should report {mode}: {stats}"
-        );
-        assert_eq!(bits_a.len(), batch.len(), "{mode}: some replies missing");
-        // Deterministic: a fresh server instance with the same seed and
-        // mode reproduces every quantized estimate bit-for-bit, at any
-        // thread count.
-        let (bits_b, _) = run_quantized(&g, batch, mode, 2);
-        assert_eq!(
-            bits_a, bits_b,
-            "{mode}: quantized serving not deterministic"
-        );
-        // Quantization actually changed the model: at least one estimate
-        // differs from the f32 baseline (rounding through f16/int8 is not
-        // the identity on trained weights).
-        assert_ne!(bits_a, f32_bits, "{mode}: quantization was a no-op");
-    }
-}

@@ -3,7 +3,7 @@
 //! lines and interleaved pipelined requests must all produce typed error
 //! frames — never a panic, never a hang, never a dropped valid request.
 
-use neursc_core::{NeurSc, NeurScConfig, QuantMode, Recorder};
+use neursc_core::{NeurSc, NeurScConfig, Recorder};
 use neursc_graph::generate::erdos_renyi;
 use neursc_graph::sample::{sample_query, QuerySampler};
 use neursc_graph::Graph;
@@ -76,9 +76,9 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// A singleton is a batch of one, on the wire: for any query, budgets,
-    /// `idem`/`session` and quantization, the `estimate` reply minus its
-    /// `id`/`idem` echoes is byte-equal to `results[0]` of the
+    /// A singleton is a batch of one, on the wire: for any query, budgets
+    /// and `idem`/`session`, the `estimate` reply minus its `id`/`idem`
+    /// echoes is byte-equal to `results[0]` of the
     /// `estimate_batch` reply for `[query]` — whether the slot is `Ok`, a
     /// typed error (`max_filter_steps: 1`) or over the admission cap — and
     /// a request-level refusal (`crash_suspect`) is the same top-level
@@ -90,7 +90,6 @@ proptest! {
         with_deadline in any::<bool>(),
         idem in 0u64..3,
         session in 0u64..3,
-        quantized in any::<bool>(),
     ) {
         let g = erdos_renyi(60, 150, 3, 5);
         let mut rng = rand::rngs::StdRng::seed_from_u64(u64::from(seed));
@@ -100,7 +99,6 @@ proptest! {
         let poison = Graph::from_edges(2, &[0, 0], &[(0, 1)]).unwrap();
         let cfg = ServeConfig {
             max_query_vertices: Some(4),
-            quantize: [QuantMode::F32, QuantMode::Int8][usize::from(quantized)],
             quarantine: vec![digest_queries(&[poison.content_fingerprint()])],
             ..ServeConfig::default()
         };
@@ -132,10 +130,7 @@ proptest! {
             "single reply was {}", single
         );
         match outcome {
-            0 => {
-                prop_assert!(slot.starts_with("{\"ok\":true,\"estimate\":"), "{}", slot);
-                prop_assert_eq!(slot.ends_with(",\"quantized\":true}"), quantized, "{}", slot);
-            }
+            0 => prop_assert!(slot.starts_with("{\"ok\":true,\"estimate\":"), "{}", slot),
             _ => {
                 prop_assert!(slot.starts_with("{\"ok\":false,\"kind\":\"budget\","), "{}", slot);
                 prop_assert_eq!(slot.contains("admission:"), outcome == 2, "{}", slot);

@@ -14,7 +14,12 @@
 # Then the `pub` fields of every `*Config`, `Parallelism` and `*Budget`
 # struct (each one is an independently settable value), and every `static`
 # under crates/*/src that some code in its file stores to, swaps, locks or
-# write-locks: process-global state a caller can set.
+# write-locks: process-global state a caller can set. Then the distinct
+# `--flag` tokens of the CLI's USAGE text, and the `pub fn` names under
+# crates/*/src that no other file under crates/*/src, src/, examples/ or
+# benchmarks/src names outside a comment (tests/ directories do not count
+# as callers): candidates for deletion, by a word match — a method that
+# shares its name with anything in another file never shows.
 set -euo pipefail
 cd "${1:-$(dirname "$0")/..}"
 
@@ -57,3 +62,23 @@ while IFS=: read -r file _ decl; do
     fi
 done < <(grep -rnE '^\s*(pub(\([a-z]+\))? )?static [A-Z_0-9]+:' --include='*.rs' crates/*/src || true)
 echo "  total $n"
+
+echo
+usage_flags=$(sed -n '/^const USAGE: &str = /,/";$/p' src/bin/neursc_cli.rs | grep -oE -- '--[a-z][a-z0-9-]*' | sort -u | wc -l)
+echo "distinct --flags in the CLI's USAGE: $usage_flags"
+
+echo
+echo "pub fn under crates/*/src that no other source file names (candidates):"
+dirs=()
+for d in crates/*/src src examples benchmarks/src; do [[ -d $d ]] && dirs+=("$d"); done
+find "${dirs[@]}" -name '*.rs' -print0 | sort -z | xargs -0 awk '
+    { line = $0; sub(/\/\/.*/, "", line) }
+    FILENAME ~ /^crates\/[^\/]*\/src\// && match(line, /pub fn [A-Za-z_0-9]+/) {
+        defs[FILENAME ": " substr(line, RSTART + 7, RLENGTH - 7)] = 1
+    }
+    {
+        n = split(line, w, /[^A-Za-z_0-9]+/)
+        for (i = 1; i <= n; i++)
+            if (w[i] != "" && !((w[i], FILENAME) in seen)) { seen[w[i], FILENAME] = 1; files[w[i]]++ }
+    }
+    END { for (d in defs) { name = d; sub(/.*: /, "", name); if (files[name] == 1) print "  " d } }' | sort | awk '{ print } END { print "  total " NR }'

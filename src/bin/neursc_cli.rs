@@ -171,22 +171,24 @@ fn main() -> ExitCode {
             return ExitCode::from(EXIT_USAGE);
         }
     };
-    let result = match cmd.as_str() {
-        "generate" => cmd_generate(&opts),
-        "queries" => cmd_queries(&opts),
-        "count" => cmd_count(&opts),
-        "train" => cmd_train(&opts),
-        "estimate" => cmd_estimate(&opts),
-        "evaluate" => cmd_evaluate(&opts),
-        "serve" => cmd_serve(&opts),
-        "graph pack" => cmd_graph_pack(&opts),
-        "graph info" => cmd_graph_info(&opts),
-        "fuzz" => cmd_fuzz(&opts),
-        "help" | "--help" | "-h" => {
+    let result = match COMMANDS.iter().find(|(name, ..)| *name == cmd) {
+        // A flag the command does not read is refused before the command
+        // touches a file or a socket: a typo must not silently become a
+        // default (`serve --jounal FILE` would run without crash safety).
+        // `min` makes the flag named independent of `HashMap` order.
+        Some((_, flags, run)) => match opts
+            .keys()
+            .filter(|k| !flags.split(' ').any(|f| f == *k))
+            .min()
+        {
+            Some(k) => Err(CliError::usage(format!("unknown flag --{k} for `{cmd}`"))),
+            None => run(&opts),
+        },
+        None if matches!(cmd.as_str(), "help" | "--help" | "-h") => {
             println!("{USAGE}");
             Ok(())
         }
-        other => Err(CliError::usage(format!("unknown command {other:?}"))),
+        None => Err(CliError::usage(format!("unknown command {cmd:?}"))),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -220,7 +222,7 @@ USAGE:
                       [--journal FILE] [--supervise] [--max-restarts N]
                       [--backoff-base-ms MS] [--backoff-cap-ms MS]
                       [--stable-after-ms MS]
-                      [--quantize f32|f16|int8] [--idem-cache-cap N]
+                      [--idem-cache-cap N]
                       [--chaos-panic SEQS] [--chaos-starve SEQS]
                       [--chaos-abort DIGESTS] [OBS]
   neursc-cli graph pack --data FILE --out FILE.nscs
@@ -267,13 +269,8 @@ in flight at death — a request digest implicated in 2 consecutive crashes
 is quarantined (typed crash_suspect rejection). Typed worker exits (codes
 1-7) propagate without restarting; a clean drain exits 0.
 
---quantize rounds the serving model's inference weights through f16 or
-per-tensor symmetric int8 at load/reload time (compute stays f32): smaller
-effective precision, deterministic replies flagged `\"quantized\":true`, and
-the persisted weights — hence `model_checksum` — are unchanged. The active
-mode is reported as model_quantized in `stats`. --idem-cache-cap bounds the
-deduplicated-reply cache (default 1024 entries, FIFO); evictions are counted
-under idem.evicted in `stats`.
+--idem-cache-cap bounds the deduplicated-reply cache (default 1024 entries,
+FIFO); evictions are counted under idem.evicted in `stats`.
 
 --max-query-vertices on estimate/evaluate caps the resource budget (exit 6
 when a query exceeds it); --inject-panic I trips a contained panic on item I
@@ -320,6 +317,59 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
     }
     Ok(out)
 }
+
+/// Every command: its name, the flags it reads, its entry point. `serve`
+/// is one list for the supervisor and its worker: `--supervise` re-runs
+/// the same argv minus itself, plus `--quarantine` / `--restart-count`,
+/// which only the supervisor passes.
+type Command = (
+    &'static str,
+    &'static str,
+    fn(&Opts) -> Result<(), CliError>,
+);
+const COMMANDS: &[Command] = &[
+    (
+        "generate",
+        "dataset vertices degree labels seed out",
+        cmd_generate,
+    ),
+    (
+        "queries",
+        "data size count seed budget out-dir",
+        cmd_queries,
+    ),
+    ("count", "data query budget", cmd_count),
+    (
+        "train",
+        "data queries epochs seed threads out trace-json metrics-json trace-time",
+        cmd_train,
+    ),
+    (
+        "estimate",
+        "model data query threads max-query-vertices inject-panic \
+         trace-json metrics-json trace-time",
+        cmd_estimate,
+    ),
+    (
+        "evaluate",
+        "model data queries threads max-query-vertices inject-panic \
+         trace-json metrics-json trace-time",
+        cmd_evaluate,
+    ),
+    (
+        "serve",
+        "model data graph-store listen unix backend router-volume-cap router-cands-per-ms \
+         threads max-batch batch-wait-us max-pending max-frame-bytes max-query-vertices \
+         cache-capacity snapshot snapshot-interval-ms journal supervise max-restarts \
+         backoff-base-ms backoff-cap-ms stable-after-ms quarantine restart-count \
+         idem-cache-cap chaos-panic chaos-starve chaos-abort \
+         trace-json metrics-json trace-time",
+        cmd_serve,
+    ),
+    ("graph pack", "data out", cmd_graph_pack),
+    ("graph info", "store", cmd_graph_info),
+    ("fuzz", "cases seed minimize out-dir", cmd_fuzz),
+];
 
 fn req<'a>(opts: &'a Opts, key: &str) -> Result<&'a str, CliError> {
     opts.get(key)
@@ -758,12 +808,6 @@ fn cmd_serve(opts: &Opts) -> Result<(), CliError> {
             RouterConfig::default().cands_per_ms,
         )?,
     };
-    let quantize = match opts.get("quantize") {
-        None => neursc::core::QuantMode::F32,
-        Some(s) => neursc::core::QuantMode::parse(s).ok_or_else(|| {
-            CliError::usage(format!("bad value for --quantize: {s:?} (f32|f16|int8)"))
-        })?,
-    };
     let idem_cache_cap: usize = num(
         opts,
         "idem-cache-cap",
@@ -792,7 +836,6 @@ fn cmd_serve(opts: &Opts) -> Result<(), CliError> {
         restarts: num(opts, "restart-count", 0u64)?,
         backend,
         router,
-        quantize,
         idem_cache_cap,
     };
 

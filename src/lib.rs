@@ -13,7 +13,7 @@
 //! | [`graph`] | `neursc-graph` | CSR labeled graphs, generators, sampling, WL |
 //! | [`matching`] | `neursc-match` | candidate filtering, exact counting |
 //! | [`nn`] | `neursc-nn` | tensors, autograd, layers, optimizers |
-//! | [`gnn`] | `neursc-gnn` | GIN, bipartite attention, readout |
+//! | [`gnn`] | `neursc-gnn` | GIN, bipartite attention, row softmax |
 //! | [`core`] | `neursc-core` | NeurSC + WEst + discriminator + training |
 //! | [`baselines`] | `neursc-baselines` | CSet, SumRDF, CS, WJ, JSUB, LSS, NSIC |
 //! | [`workloads`] | `neursc-workloads` | datasets, queries, ground truth |

@@ -162,6 +162,35 @@ fn cli_rejects_bad_usage() {
     });
     assert_eq!(code, 2);
     assert!(stderr.contains("--data"), "stderr: {stderr}");
+
+    // A flag the command does not read is refused by name before anything
+    // runs — a typo, a deleted flag, another command's flag — even when the
+    // rest of the line is complete (the missing files would exit 4).
+    let path = std::env::temp_dir().join("neursc_cli_unknown_flag.graph");
+    let _ = std::fs::remove_file(&path);
+    for (line, flag) in [
+        ("generate --vertices 50 --sede 3 --out", "--sede"),
+        (
+            "serve --model no.model --quantize int8 --data",
+            "--quantize",
+        ),
+        (
+            "estimate --model no.model --query no.graph --max-batch 4 --data",
+            "--max-batch",
+        ),
+    ] {
+        let (code, stderr) = run_err({
+            let mut c = cli();
+            c.args(line.split(' ')).arg(&path);
+            c
+        });
+        assert_eq!(code, 2, "{line}: {stderr}");
+        assert!(
+            stderr.starts_with(&format!("error: unknown flag {flag} ")),
+            "{line}: {stderr}"
+        );
+    }
+    assert!(!path.exists(), "generate ran despite --sede");
 }
 
 #[test]
