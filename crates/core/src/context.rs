@@ -30,17 +30,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Shared caches for estimation/training against one or more data graphs.
-///
-/// The caches sit behind `Arc` so a serving layer can hold independent
-/// handles to them — e.g. a background snapshot thread reading warm state
-/// while the batcher owns the context (both caches are internally
-/// thread-safe).
 #[derive(Debug)]
 pub struct GraphContext {
     /// Data-graph vertex-profile cache (local pruning).
-    pub profiles: Arc<ProfileCache>,
+    pub profiles: ProfileCache,
     /// Data-graph feature-matrix cache (whole-graph featurization).
-    pub features: Arc<FeatureCache>,
+    pub features: FeatureCache,
     /// Fault-injection plan consulted by the batched entry points (empty by
     /// default — see [`crate::faults`]).
     pub faults: FaultPlan,
@@ -56,8 +51,8 @@ pub struct GraphContext {
 impl Default for GraphContext {
     fn default() -> Self {
         GraphContext {
-            profiles: Arc::new(ProfileCache::new()),
-            features: Arc::new(FeatureCache::new()),
+            profiles: ProfileCache::new(),
+            features: FeatureCache::new(),
             faults: FaultPlan::default(),
             obs: Arc::clone(obs::noop()),
             profile_evictions_seen: AtomicU64::new(0),
@@ -111,23 +106,10 @@ impl GraphContext {
     /// ```
     pub fn with_bounded_caches(capacity: usize) -> Self {
         GraphContext {
-            profiles: Arc::new(ProfileCache::with_capacity(capacity)),
-            features: Arc::new(FeatureCache::with_capacity(capacity)),
+            profiles: ProfileCache::with_capacity(capacity),
+            features: FeatureCache::with_capacity(capacity),
             ..Self::default()
         }
-    }
-
-    /// Marks every eviction the caches have recorded so far as already
-    /// reported, so the `cache.*.evicted` counters only advance for
-    /// evictions that happen *after* this call. A warm-state restore uses
-    /// this after importing snapshot entries (whose lifetime eviction
-    /// totals come with them): without it, the first cache miss would
-    /// re-report every pre-restart eviction as new.
-    pub fn sync_eviction_baseline(&self) {
-        self.profile_evictions_seen
-            .store(self.profiles.evicted_total(), Ordering::Relaxed);
-        self.feature_evictions_seen
-            .store(self.features.evicted_total(), Ordering::Relaxed);
     }
 
     /// The radius-`r` profiles of `g` from the cache, with hit/miss
@@ -202,7 +184,7 @@ mod tests {
         let rec = Arc::new(Recorder::new());
         let sink: Arc<dyn ObsSink> = rec.clone();
         let ctx = GraphContext {
-            profiles: Arc::new(ProfileCache::with_capacity(1)),
+            profiles: ProfileCache::with_capacity(1),
             obs: sink,
             ..GraphContext::default()
         };

@@ -20,13 +20,12 @@
 //! `fail_on_divergence`) are deliberately not persisted: they describe the
 //! serving environment, not the model.
 //!
-//! Two lines are here only so that v1 files keep their bytes — checksums,
-//! the daemon's snapshots keyed on them and every file already written stay
-//! valid. `threads` is a runtime knob like the ones above and is persisted
-//! all the same. `min_parallel_rows = 256` is vestigial: the kernel fan-out
-//! it tuned is gone, the writer emits the fixed line, the reader ignores the
-//! key whatever it holds. Both leave with the next format version (ROADMAP
-//! item 6(d)).
+//! Two lines are here only so that v1 files keep their bytes — checksums
+//! and every file already written stay valid. `threads` is a runtime knob
+//! like the ones above and is persisted all the same. `min_parallel_rows =
+//! 256` is vestigial: the kernel fan-out it tuned is gone, the writer emits
+//! the fixed line, the reader ignores the key whatever it holds. Both leave
+//! with the next format version (ROADMAP item 6(d)).
 
 use crate::config::{DiscriminatorMetric, NeurScConfig, Parallelism, Variant};
 use crate::error::NeurScError;

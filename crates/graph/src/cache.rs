@@ -18,7 +18,7 @@
 //! [`GraphCache::evicted_total`].
 
 use crate::Graph;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 #[derive(Debug)]
@@ -40,7 +40,7 @@ struct Entry<K, V> {
 pub struct GraphCache<K, V> {
     entries: RwLock<Vec<Entry<K, V>>>,
     /// Maximum number of entries; 0 = unbounded (the offline default).
-    capacity: AtomicUsize,
+    capacity: usize,
     /// Monotonic recency clock.
     tick: AtomicU64,
     /// Total entries evicted over the cache's lifetime.
@@ -51,7 +51,7 @@ impl<K, V> Default for GraphCache<K, V> {
     fn default() -> Self {
         GraphCache {
             entries: RwLock::new(Vec::new()),
-            capacity: AtomicUsize::new(0),
+            capacity: 0,
             tick: AtomicU64::new(0),
             evicted: AtomicU64::new(0),
         }
@@ -70,36 +70,15 @@ impl<K: PartialEq + Clone, V> GraphCache<K, V> {
     /// dropped and counted in [`Self::evicted_total`]; outstanding `Arc`s
     /// to an evicted value stay valid.
     pub fn with_capacity(capacity: usize) -> Self {
-        let cache = Self::default();
-        cache.set_capacity(Some(capacity));
-        cache
-    }
-
-    /// Changes the capacity bound (`None` = unbounded). Shrinking takes
-    /// effect on the next insert; existing entries are not evicted eagerly.
-    pub fn set_capacity(&self, capacity: Option<usize>) {
-        self.capacity
-            .store(capacity.map_or(0, |c| c.max(1)), Ordering::Relaxed);
-    }
-
-    /// The active capacity bound (`None` = unbounded).
-    pub fn capacity(&self) -> Option<usize> {
-        match self.capacity.load(Ordering::Relaxed) {
-            0 => None,
-            c => Some(c),
+        GraphCache {
+            capacity: capacity.max(1),
+            ..Self::default()
         }
     }
 
     /// Total entries evicted since construction (0 while unbounded).
     pub fn evicted_total(&self) -> u64 {
         self.evicted.load(Ordering::Relaxed)
-    }
-
-    /// Overwrites the lifetime eviction counter, so a restored server's
-    /// `cache.*.evicted` series continues where the snapshot left off
-    /// instead of restarting from zero.
-    pub fn restore_evicted_total(&self, evicted: u64) {
-        self.evicted.store(evicted, Ordering::Relaxed);
     }
 
     /// Returns the value for `(g, key)`, running `build` and memoizing its
@@ -129,30 +108,6 @@ impl<K: PartialEq + Clone, V> GraphCache<K, V> {
     /// Whether `(g, key)` is already memoized, without computing anything.
     pub fn contains(&self, g: &Graph, key: &K) -> bool {
         self.lookup(g.content_fingerprint(), key).is_some()
-    }
-
-    /// Every cached entry as `(fingerprint, key, value)`, least recently
-    /// used first, so replaying the list through [`Self::import`] into an
-    /// empty cache reproduces the same LRU ordering (and therefore the same
-    /// future eviction order). Values are shared (`Arc`), not copied — this
-    /// is the warm-state export half of snapshot/restore for resident
-    /// servers.
-    pub fn export_entries(&self) -> Vec<(u64, K, Arc<V>)> {
-        let entries = self.read();
-        let mut ordered: Vec<&Entry<K, V>> = entries.iter().collect();
-        ordered.sort_by_key(|e| e.last_used.load(Ordering::Relaxed));
-        ordered
-            .into_iter()
-            .map(|e| (e.fingerprint, e.key.clone(), Arc::clone(&e.value)))
-            .collect()
-    }
-
-    /// Inserts a precomputed entry — the warm-state restore half of
-    /// snapshot/restore. Routes through the normal insert path: an entry
-    /// already present is shared rather than replaced, and the capacity
-    /// bound evicts the least-recently-used entry as usual.
-    pub fn import(&self, fingerprint: u64, key: K, value: Arc<V>) {
-        let _ = self.insert_or_share(fingerprint, key, value);
     }
 
     /// Number of memoized entries.
@@ -216,9 +171,8 @@ impl<K: PartialEq + Clone, V> GraphCache<K, V> {
         };
         self.stamp(&entry);
         entries.push(entry);
-        let cap = self.capacity.load(Ordering::Relaxed);
-        if cap > 0 {
-            while entries.len() > cap {
+        if self.capacity > 0 {
+            while entries.len() > self.capacity {
                 // Evict the least-recently-used entry (smallest stamp).
                 let Some(victim) = entries
                     .iter()
@@ -355,54 +309,6 @@ mod tests {
         }
         assert_eq!(cache.len(), 6);
         assert_eq!(cache.evicted_total(), 0);
-        assert_eq!(cache.capacity(), None);
-    }
-
-    #[test]
-    fn set_capacity_takes_effect_on_next_insert() {
-        let cache = Cache::new();
-        let g = path3();
-        for k in 1..=3 {
-            let _ = get(&cache, &g, k);
-        }
-        cache.set_capacity(Some(2));
-        assert_eq!(cache.len(), 3, "shrink is lazy");
-        let _ = get(&cache, &g, 4);
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.evicted_total(), 2);
-    }
-
-    #[test]
-    fn export_import_roundtrip_preserves_entries_counters_and_lru_order() {
-        let cache = Cache::with_capacity(2);
-        let g = path3();
-        let _ = get(&cache, &g, 1);
-        let _ = get(&cache, &g, 2);
-        let _ = get(&cache, &g, 3); // evicts key 1
-        let _ = get(&cache, &g, 2); // touch key 2 → key 3 is now LRU
-        assert_eq!(cache.evicted_total(), 1);
-        let exported = cache.export_entries();
-        assert_eq!(exported.len(), 2);
-        assert_eq!(exported[0].1, 3, "LRU entry exports first");
-        assert_eq!(exported[1].1, 2);
-
-        let restored = Cache::with_capacity(2);
-        for (fp, key, value) in &exported {
-            restored.import(*fp, *key, Arc::clone(value));
-        }
-        restored.restore_evicted_total(cache.evicted_total());
-        assert_eq!(restored.len(), 2);
-        assert_eq!(restored.evicted_total(), 1);
-        assert_eq!(restored.capacity(), Some(2));
-        // Imported values are shared, and an insert evicts the same LRU
-        // victim (key 3) the original would have chosen.
-        assert!(Arc::ptr_eq(&exported[1].2, &get(&restored, &g, 2)));
-        let _ = get(&restored, &g, 4);
-        assert!(
-            !restored.contains(&g, &3),
-            "restored LRU order drives eviction"
-        );
-        assert!(restored.contains(&g, &2));
     }
 
     #[test]

@@ -165,8 +165,8 @@ mod tests {
 
     #[test]
     fn paper_graph_fingerprints_are_pinned() {
-        // Golden values: every persisted snapshot, cache key and request
-        // digest derives from `content_fingerprint`, so it must never move.
+        // Golden values: every cache key and request digest derives from
+        // `content_fingerprint`, so it must never move.
         assert_eq!(
             paper_data_graph().content_fingerprint(),
             0x907b_1c70_c410_5cef

@@ -49,8 +49,8 @@ pub struct Client {
 
 impl Client {
     /// Connects over TCP (`host:port`). Reads time out after 30 s by
-    /// default; deadline-carrying requests tighten this via
-    /// [`Client::request_deadline`].
+    /// default; [`RetryClient`] tightens this for deadline-carrying
+    /// requests.
     pub fn connect_tcp(addr: &str) -> std::io::Result<Client> {
         let s = TcpStream::connect(addr)?;
         s.set_nodelay(true)?;
@@ -127,7 +127,7 @@ impl Client {
     /// request's own deadline (`deadline_ms` + [`DEADLINE_SLACK`]) instead
     /// of the fixed default — a dead server surfaces promptly for
     /// tight-deadline requests.
-    pub fn request_deadline(
+    fn request_deadline(
         &mut self,
         line: &str,
         deadline_ms: Option<u64>,
@@ -196,7 +196,7 @@ pub struct RetryClient {
 /// Whether an I/O error is worth a reconnect + retry: the connection
 /// dying (reset, EOF mid-reply, refused while the server restarts) or a
 /// read timing out, as opposed to a protocol-level failure.
-pub fn is_transient_io(e: &std::io::Error) -> bool {
+fn is_transient_io(e: &std::io::Error) -> bool {
     matches!(
         e.kind(),
         std::io::ErrorKind::ConnectionReset
@@ -442,15 +442,6 @@ pub fn estimate_frame(
         }
     }
     Json::Obj(fields).render()
-}
-
-/// Builds a `snapshot` request frame (force a warm-state snapshot write).
-pub fn snapshot_request(id: u64) -> String {
-    Json::Obj(vec![
-        ("verb".into(), Json::Str("snapshot".into())),
-        ("id".into(), Json::Num(id as f64)),
-    ])
-    .render()
 }
 
 /// Builds a `reload_model` request frame.

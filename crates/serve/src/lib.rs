@@ -1,15 +1,15 @@
 //! `neursc-serve` — a resident estimator daemon for NeurSC.
 //!
 //! The offline CLI pays the full cold-start cost on every invocation:
-//! process spawn, model load, and — dominating everything — the
-//! `all_profiles(G, r)` data-graph precomputation. A resident daemon pays
-//! those once and serves every subsequent request from warm caches, which
-//! is how a cardinality estimator actually sits inside a query optimizer.
+//! process spawn, graph parse, model load and the `all_profiles(G, r)`
+//! data-graph precomputation. A resident daemon pays those once and
+//! serves every subsequent request from warm caches, which is how a
+//! cardinality estimator actually sits inside a query optimizer.
 //!
 //! The daemon speaks line-delimited JSON over TCP or Unix-domain sockets
 //! (std-only networking — the build is offline, so no async runtime):
-//! see [`proto`] for the exact frames. Six verbs: `estimate`,
-//! `estimate_batch`, `reload_model`, `stats`, `snapshot`, `shutdown`.
+//! see [`proto`] for the exact frames. Five verbs: `estimate`,
+//! `estimate_batch`, `reload_model`, `stats`, `shutdown`.
 //!
 //! Guarantees, in terms of the rest of the stack:
 //!
@@ -50,7 +50,6 @@ pub mod json;
 pub mod proto;
 pub mod router;
 pub mod server;
-pub mod snapshot;
 pub mod supervise;
 
 pub use client::{Client, RetryClient, RetryPolicy};

@@ -16,13 +16,12 @@
 //! Verbs: `estimate`, `estimate_batch` (a `queries` array, one result per
 //! slot; an `estimate` is a batch of one whose reply is `results[0]`
 //! unwrapped, with the `id`/`idem` echoes spliced in after `ok`),
-//! `reload_model` (`path`), `stats`, `snapshot` (force a warm-state
-//! snapshot write), `shutdown`. Every failure is a typed error frame
-//! `{"ok":false,"id":…,"kind":…,"detail":…}`; the `kind` vocabulary
-//! mirrors [`NeurScError`] plus the transport-level kinds `parse`,
-//! `too_large`, `overloaded`, `draining` and `crash_suspect` (the request
-//! digest is quarantined after being implicated in consecutive worker
-//! crashes — see `journal`).
+//! `reload_model` (`path`), `stats`, `shutdown`. Every failure is a typed
+//! error frame `{"ok":false,"id":…,"kind":…,"detail":…}`; the `kind`
+//! vocabulary mirrors [`NeurScError`] plus the transport-level kinds
+//! `parse`, `too_large`, `overloaded`, `draining` and `crash_suspect` (the
+//! request digest is quarantined after being implicated in consecutive
+//! worker crashes — see `journal`).
 //!
 //! Estimate verbs may carry a client-chosen idempotency seqno `idem`
 //! (distinct from `id`) and a client session token `session`: the server
@@ -91,12 +90,6 @@ pub enum Request {
     },
     /// Report server counters, queue depth and the active model checksum.
     Stats {
-        /// Client correlation id, echoed in the response.
-        id: Json,
-    },
-    /// Force an immediate warm-state snapshot write (no-op error if the
-    /// server was started without a snapshot path).
-    Snapshot {
         /// Client correlation id, echoed in the response.
         id: Json,
     },
@@ -200,7 +193,6 @@ pub fn parse_request(line: &str) -> Result<Request, RequestError> {
             })
         }
         "stats" => Ok(Request::Stats { id }),
-        "snapshot" => Ok(Request::Snapshot { id }),
         "shutdown" => Ok(Request::Shutdown { id }),
         other => Err(fail("parse", format!("unknown verb {other:?}"))),
     }
@@ -422,6 +414,12 @@ mod tests {
         assert_eq!(err.id, Json::Null);
         let frame = render_error(&err.id, None, err.kind, &err.detail);
         assert!(frame.starts_with(r#"{"ok":false,"id":null,"kind":"parse""#));
+        // `snapshot` is not a verb: the same frame, with the id kept.
+        let err = parse_request(r#"{"verb":"snapshot","id":1}"#).unwrap_err();
+        assert_eq!(
+            render_error(&err.id, None, err.kind, &err.detail),
+            r#"{"ok":false,"id":1,"kind":"parse","detail":"unknown verb \"snapshot\""}"#
+        );
     }
 
     /// The exact bytes of every reply kind, with and without `idem`: the

@@ -21,23 +21,24 @@
 //!                writer (Mutex<Stream>)
 //! ```
 //!
-//! Control verbs (`stats`, `reload_model`, `snapshot`, `shutdown`) are
+//! Control verbs (`stats`, `reload_model`, `shutdown`) are
 //! handled synchronously on the reader thread so they can never queue
 //! behind a slow batch. Hot reload loads + checksum-verifies the new
 //! file, carries the current runtime knobs (threads, budgets) over, then
 //! atomically swaps the `Arc<NeurSc>`; a batch already running keeps its
 //! old snapshot and finishes on it. Graceful drain (`shutdown`):
 //! admission starts refusing with `draining` frames, the batcher finishes
-//! the queue, writes the final warm-state snapshot, then shuts every
-//! connection's socket down — which wakes blocked reader threads
-//! *immediately*, so drain completes in milliseconds rather than a poll
-//! interval — and [`Server::join`] returns.
+//! the queue, then shuts every connection's socket down — which wakes
+//! blocked reader threads *immediately*, so drain completes in
+//! milliseconds rather than a poll interval — and [`Server::join`]
+//! returns.
 //!
-//! Crash safety (DESIGN.md §12) is layered on top: warm-state snapshots
-//! ([`crate::snapshot`], which also owns the snapshot timer) make restart
-//! cheap, the admission journal ([`crate::journal`]) makes it accountable
-//! (in-flight requests are identifiable after a crash; digests handed
-//! back via [`ServeConfig::quarantine`] are refused with `crash_suspect`),
+//! Crash safety (DESIGN.md §12) is layered on top: a restarted daemon
+//! rebuilds its caches from the graph it just loaded, on the first
+//! request that needs them; the admission journal ([`crate::journal`])
+//! makes the restart accountable (in-flight requests are identifiable
+//! after a crash; digests handed back via [`ServeConfig::quarantine`] are
+//! refused with `crash_suspect`),
 //! and the idempotency cache deduplicates client retries: a replayed
 //! `(session, idem, replay-digest)` key is answered from the cached
 //! reply frame instead of re-processed. The key is scoped by the
@@ -59,7 +60,6 @@ use crate::conn::Stream;
 use crate::journal::Journal;
 use crate::json::Json;
 use crate::router::{BackendChoice, RouterConfig};
-use crate::snapshot;
 use neursc_core::persist::{load_model, model_checksum};
 use neursc_core::{GraphContext, NeurSc, NeurScError, ObsSink, Recorder};
 use neursc_graph::Graph;
@@ -121,13 +121,6 @@ pub struct ServeConfig {
     /// keyed, not seq-keyed — admission seqnos reset on restart, the
     /// query's content digest does not.
     pub chaos_abort: Vec<u64>,
-    /// Warm-state snapshot file (`None` = snapshots disabled). Restored
-    /// at startup if present and valid; written on the snapshot interval,
-    /// on the `snapshot` verb, and at the end of a graceful drain.
-    pub snapshot_path: Option<PathBuf>,
-    /// Background snapshot cadence (`None` = only on drain / `snapshot`
-    /// verb).
-    pub snapshot_interval: Option<Duration>,
     /// Admission journal file (`None` = journaling disabled). Truncated
     /// at startup — the supervisor has read the previous incarnation's
     /// entries by the time the worker starts.
@@ -163,8 +156,6 @@ impl Default for ServeConfig {
             chaos_panic: Vec::new(),
             chaos_starve: Vec::new(),
             chaos_abort: Vec::new(),
-            snapshot_path: None,
-            snapshot_interval: None,
             journal_path: None,
             quarantine: Vec::new(),
             restarts: 0,
@@ -189,7 +180,7 @@ pub const DEFAULT_IDEM_CACHE_CAP: usize = 1024;
 /// Poison-tolerant lock: a panicking holder already contained its panic
 /// (or crashed its own thread); the protected data here (queues, socket
 /// writers) stays structurally valid, so we keep serving.
-pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
@@ -208,20 +199,14 @@ struct ConnTable {
 }
 
 /// Everything the daemon's threads share.
-pub(crate) struct Shared {
+struct Shared {
     model: RwLock<Arc<NeurSc>>,
     /// Checksum of the currently-served model, maintained alongside the
-    /// `Arc` swap so snapshots and `stats` never re-serialize the model.
-    pub(crate) model_sum: RwLock<u64>,
+    /// `Arc` swap so `stats` never re-serializes the model.
+    model_sum: RwLock<u64>,
     graph: Graph,
-    /// Content fingerprint of `graph` (snapshot identity).
-    pub(crate) graph_fp: u64,
-    /// Warm-state cache handles, shared with the batcher's `GraphContext`
-    /// (the caches are internally thread-safe).
-    pub(crate) profiles: Arc<neursc_match::ProfileCache>,
-    pub(crate) features: Arc<neursc_gnn::FeatureCache>,
-    pub(crate) recorder: Arc<Recorder>,
-    pub(crate) cfg: ServeConfig,
+    recorder: Arc<Recorder>,
+    cfg: ServeConfig,
     queue: Mutex<batcher::QueueState>,
     notify: Condvar,
     draining: AtomicBool,
@@ -235,18 +220,10 @@ pub(crate) struct Shared {
     /// Server-assigned connection ids (idempotency scope for clients
     /// that send no session token).
     next_conn: AtomicU64,
-    /// Wakes the background snapshot thread (drain or forced write).
-    pub(crate) snap_gate: Mutex<()>,
-    pub(crate) snap_cv: Condvar,
-    /// Serializes snapshot writes: the `snapshot` verb (any reader
-    /// thread), the periodic snapshotter and the drain path all share one
-    /// tmp file, and interleaved writes could rename a torn tmp over a
-    /// good snapshot.
-    pub(crate) snap_write: Mutex<()>,
 }
 
 impl Shared {
-    pub(crate) fn draining(&self) -> bool {
+    fn draining(&self) -> bool {
         self.draining.load(Ordering::SeqCst)
     }
 
@@ -256,9 +233,6 @@ impl Shared {
         // orders the store before any subsequent wait.
         let _guard = lock(&self.queue);
         self.notify.notify_all();
-        drop(_guard);
-        let _gate = lock(&self.snap_gate);
-        self.snap_cv.notify_all();
     }
 
     /// Shuts down every accepted connection's socket: the drain wakeup.
@@ -285,7 +259,6 @@ pub struct Server {
     shared: Arc<Shared>,
     acceptor: Option<JoinHandle<()>>,
     batcher: Option<JoinHandle<()>>,
-    snapshotter: Option<JoinHandle<()>>,
     readers: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
@@ -305,13 +278,9 @@ impl Server {
     /// Waits for the drain to complete and all threads to exit.
     pub fn join(mut self) -> std::io::Result<()> {
         let mut panicked = false;
-        for h in [
-            self.acceptor.take(),
-            self.batcher.take(),
-            self.snapshotter.take(),
-        ]
-        .into_iter()
-        .flatten()
+        for h in [self.acceptor.take(), self.batcher.take()]
+            .into_iter()
+            .flatten()
         {
             panicked |= h.join().is_err();
         }
@@ -359,10 +328,6 @@ pub fn serve(
     let sink: Arc<dyn ObsSink> = recorder.clone();
     ctx.obs = sink;
 
-    let graph_fp = graph.content_fingerprint();
-    if let Some(path) = &cfg.snapshot_path {
-        snapshot::restore(path, &ctx, graph_fp, model_sum, &recorder);
-    }
     let journal = match &cfg.journal_path {
         Some(path) => Some(Journal::create(path)?),
         None => None,
@@ -377,9 +342,6 @@ pub fn serve(
         model: RwLock::new(Arc::new(model)),
         model_sum: RwLock::new(model_sum),
         graph,
-        graph_fp,
-        profiles: Arc::clone(&ctx.profiles),
-        features: Arc::clone(&ctx.features),
         recorder,
         cfg,
         queue: Mutex::new(batcher::QueueState::default()),
@@ -389,26 +351,11 @@ pub fn serve(
         idem: Mutex::new(admit::IdemCache::default()),
         conns: Mutex::new(ConnTable::default()),
         next_conn: AtomicU64::new(1),
-        snap_gate: Mutex::new(()),
-        snap_cv: Condvar::new(),
-        snap_write: Mutex::new(()),
     });
 
     let batcher = {
         let shared = Arc::clone(&shared);
         std::thread::spawn(move || batcher::batcher_loop(&shared, ctx))
-    };
-    let snapshotter = match (
-        shared.cfg.snapshot_path.is_some(),
-        shared.cfg.snapshot_interval,
-    ) {
-        (true, Some(interval)) => {
-            let shared = Arc::clone(&shared);
-            Some(std::thread::spawn(move || {
-                snapshot::timer_loop(&shared, interval)
-            }))
-        }
-        _ => None,
     };
     let readers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
     let acceptor = {
@@ -422,7 +369,6 @@ pub fn serve(
         shared,
         acceptor: Some(acceptor),
         batcher: Some(batcher),
-        snapshotter,
         readers,
     })
 }

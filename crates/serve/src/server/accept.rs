@@ -8,7 +8,6 @@ use super::{admit, lock, reload, stats_frame, Listen, Replier, Shared};
 use crate::conn::Stream;
 use crate::json::Json;
 use crate::proto::{self, Request};
-use crate::snapshot;
 use std::io::Read;
 use std::net::TcpListener;
 #[cfg(unix)]
@@ -194,10 +193,6 @@ fn handle_line(shared: &Shared, conn: &Replier, conn_id: u64, line: &[u8]) {
             proto::render_error(&e.id, None, e.kind, &e.detail)
         }
         Ok(Request::Stats { id }) => stats_frame(shared, &id),
-        Ok(Request::Snapshot { id }) => match snapshot::write_now(shared) {
-            Ok(bytes) => ok_frame(id, vec![("snapshot_bytes", Json::Num(bytes as f64))]),
-            Err(e) => proto::render_error(&id, None, "io", &e.to_string()),
-        },
         Ok(Request::Shutdown { id }) => {
             metrics.counter_add("serve.shutdown", 1);
             // Reply *before* raising the drain flag: once the batcher

@@ -4,7 +4,6 @@
 use super::execute::run_batch;
 use super::reply::Admitted;
 use super::{lock, Shared};
-use crate::snapshot;
 use neursc_core::GraphContext;
 use neursc_graph::Graph;
 use std::collections::VecDeque;
@@ -38,15 +37,9 @@ pub(super) fn batcher_loop(shared: &Shared, mut ctx: GraphContext) {
         }
         run_batch(shared, &mut ctx, batch);
     }
-    // Drained: every queued reply has been written. Persist the final warm
-    // state, then shut every connection down — which wakes each blocked
-    // reader thread *now*, so drain completes in milliseconds instead of a
-    // poll interval.
-    if shared.cfg.snapshot_path.is_some() {
-        if let Err(e) = snapshot::write_now(shared) {
-            eprintln!("serve: final snapshot write failed: {e}");
-        }
-    }
+    // Drained: every queued reply has been written. Shut every connection
+    // down — which wakes each blocked reader thread *now*, so drain
+    // completes in milliseconds instead of a poll interval.
     shared.close_connections();
 }
 

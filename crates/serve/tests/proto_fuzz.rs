@@ -170,11 +170,12 @@ fn interleaved_hostile_and_valid_frames_on_a_live_daemon() {
     let server = serve(model, g, cfg, Arc::new(Recorder::new())).unwrap();
     let mut c = Client::connect_tcp(server.local_addr()).unwrap();
 
-    // 6 valid requests (ids 0..6) interleaved with hostile lines.
+    // One valid request (ids 0..) before each hostile line.
     let hostile = [
         "{not json at all",
         r#"{"verb":"estimate"}"#,
         r#"{"verb":"no_such_verb","id":77}"#,
+        r#"{"verb":"snapshot","id":80}"#,
         r#"{"verb":"estimate","id":78,"query":{"n":2,"labels":[0,1],"edges":[[0,9]]}}"#,
         "[1,2,3]",
         r#"{"verb":"estimate","id":79,"query":{"n":1,"labels":[0],"edges":[]},"max_filter_steps":-3}"#,
@@ -190,11 +191,12 @@ fn interleaved_hostile_and_valid_frames_on_a_live_daemon() {
     let huge = format!("{{\"pad\":\"{}\"}}", "x".repeat(8192));
     c.send_line(&huge).unwrap();
     expected_errors += 1;
-    c.send_line(&client::estimate_request(6, &q)).unwrap();
+    let last_id = hostile.len() as u64;
+    c.send_line(&client::estimate_request(last_id, &q)).unwrap();
 
     let mut ok_ids = Vec::new();
     let mut errors = 0;
-    for _ in 0..(7 + expected_errors) {
+    for _ in 0..(hostile.len() + 1 + expected_errors) {
         let line = c.recv_line().unwrap();
         let v = json::parse(&line).unwrap();
         if v.get("ok").and_then(Json::as_bool) == Some(true) {
@@ -210,7 +212,7 @@ fn interleaved_hostile_and_valid_frames_on_a_live_daemon() {
     ok_ids.sort_unstable();
     assert_eq!(
         ok_ids,
-        vec![0, 1, 2, 3, 4, 5, 6],
+        (0..=last_id).collect::<Vec<_>>(),
         "every valid request answered"
     );
     assert_eq!(errors, expected_errors, "every hostile line answered");

@@ -15,7 +15,9 @@
 # struct (each one is an independently settable value), and every `static`
 # under crates/*/src that some code in its file stores to, swaps, locks or
 # write-locks: process-global state a caller can set. Then the distinct
-# `--flag` tokens of the CLI's USAGE text, and the `pub fn` names under
+# `--flag` tokens of the CLI's USAGE text and the verbs the daemon's
+# `proto::parse_request` accepts (the arms of its `match verb`) — the wire
+# surface beside the command-line one — and the `pub fn` names under
 # crates/*/src that no other file under crates/*/src, src/, examples/ or
 # benchmarks/src names outside a comment (tests/ directories do not count
 # as callers): candidates for deletion, by a word match — a method that
@@ -66,6 +68,9 @@ echo "  total $n"
 echo
 usage_flags=$(sed -n '/^const USAGE: &str = /,/";$/p' src/bin/neursc_cli.rs | grep -oE -- '--[a-z][a-z0-9-]*' | sort -u | wc -l)
 echo "distinct --flags in the CLI's USAGE: $usage_flags"
+verbs=$(sed -n '/match verb {/,/other =>/p' crates/serve/src/proto.rs 2>/dev/null |
+    { grep -E '^ +"[a-z_]+"( \| "[a-z_]+")* =>' || true; } | grep -oE '"[a-z_]+"' | sort -u | wc -l)
+echo "request verbs proto::parse_request accepts: $verbs"
 
 echo
 echo "pub fn under crates/*/src that no other source file names (candidates):"

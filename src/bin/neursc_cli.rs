@@ -218,7 +218,6 @@ USAGE:
                       [--threads T] [--max-batch N] [--batch-wait-us U]
                       [--max-pending N] [--max-frame-bytes B]
                       [--max-query-vertices V] [--cache-capacity C]
-                      [--snapshot FILE] [--snapshot-interval-ms MS]
                       [--journal FILE] [--supervise] [--max-restarts N]
                       [--backoff-base-ms MS] [--backoff-cap-ms MS]
                       [--stable-after-ms MS]
@@ -257,17 +256,14 @@ worker panic / starved filter budget (fault-injection testing);
 --chaos-abort takes comma-separated hex request digests whose batch slot
 aborts the process (crash-drill testing).
 
---snapshot FILE persists the warm caches (checksummed, versioned): restored
-at startup when it matches the current graph and model, rewritten on
---snapshot-interval-ms (and always at drain). A corrupt or mismatched
-snapshot degrades to a cold rebuild with a typed, counted reason — never a
-wrong answer. --supervise runs the daemon as a child worker under a
-watchdog: crashes restart it with exponential backoff (--max-restarts,
---backoff-base-ms, --backoff-cap-ms, --stable-after-ms), and the fsync'd
-admission journal (--journal, default neursc.journal) identifies requests
-in flight at death — a request digest implicated in 2 consecutive crashes
-is quarantined (typed crash_suspect rejection). Typed worker exits (codes
-1-7) propagate without restarting; a clean drain exits 0.
+--supervise runs the daemon as a child worker under a watchdog: crashes
+restart it with exponential backoff (--max-restarts, --backoff-base-ms,
+--backoff-cap-ms, --stable-after-ms), and the fsync'd admission journal
+(--journal, default neursc.journal) identifies requests in flight at death —
+a request digest implicated in 2 consecutive crashes is quarantined (typed
+crash_suspect rejection). A restarted worker rebuilds its caches from the
+graph it loads. Typed worker exits (codes 1-7) propagate without
+restarting; a clean drain exits 0.
 
 --idem-cache-cap bounds the deduplicated-reply cache (default 1024 entries,
 FIFO); evictions are counted under idem.evicted in `stats`.
@@ -360,7 +356,7 @@ const COMMANDS: &[Command] = &[
         "serve",
         "model data graph-store listen unix backend router-volume-cap router-cands-per-ms \
          threads max-batch batch-wait-us max-pending max-frame-bytes max-query-vertices \
-         cache-capacity snapshot snapshot-interval-ms journal supervise max-restarts \
+         cache-capacity journal supervise max-restarts \
          backoff-base-ms backoff-cap-ms stable-after-ms quarantine restart-count \
          idem-cache-cap chaos-panic chaos-starve chaos-abort \
          trace-json metrics-json trace-time",
@@ -828,9 +824,6 @@ fn cmd_serve(opts: &Opts) -> Result<(), CliError> {
         chaos_panic: num_list(opts, "chaos-panic")?,
         chaos_starve: num_list(opts, "chaos-starve")?,
         chaos_abort: hex_list(opts, "chaos-abort")?,
-        snapshot_path: opts.get("snapshot").map(PathBuf::from),
-        snapshot_interval: opt_num::<u64>(opts, "snapshot-interval-ms")?
-            .map(std::time::Duration::from_millis),
         journal_path: opts.get("journal").map(PathBuf::from),
         quarantine: hex_list(opts, "quarantine")?,
         restarts: num(opts, "restart-count", 0u64)?,

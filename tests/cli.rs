@@ -175,6 +175,14 @@ fn cli_rejects_bad_usage() {
             "--quantize",
         ),
         (
+            "serve --model no.model --snapshot-interval-ms 1000 --data",
+            "--snapshot-interval-ms",
+        ),
+        (
+            "serve --supervise --model no.model --snapshot warm.snap --data",
+            "--snapshot",
+        ),
+        (
             "estimate --model no.model --query no.graph --max-batch 4 --data",
             "--max-batch",
         ),
