@@ -13,7 +13,7 @@
 use crate::attention::{AttentionLayer, BipartiteAttention};
 use crate::edges::EdgeList;
 use crate::gin::{GinLayer, GinStack};
-use neursc_nn::infer::{stable_sigmoid, InferCtx};
+use neursc_nn::infer::InferCtx;
 use neursc_nn::kernels;
 use neursc_nn::layers::Activation;
 use neursc_nn::Tensor;
@@ -62,9 +62,7 @@ impl AttentionLayer {
         let mut th = ctx.matmul(h, ctx.param(self.theta)); // [n, out]
         if eff.is_empty() {
             // No edges at all: fall back to the transformed self term.
-            for v in th.data_mut() {
-                *v = stable_sigmoid(*v);
-            }
+            kernels::sigmoid_in_place(th.data_mut());
             return th;
         }
         let ta = ctx.matmul(h, ctx.param(self.theta_a)); // [n, out]

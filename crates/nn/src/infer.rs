@@ -249,15 +249,6 @@ impl<'w> InferCtx<'w> {
     }
 }
 
-/// The tape's numerically stable logistic sigmoid, exported for fused
-/// kernels in downstream crates (`neursc-gnn` attention). `#[inline]`
-/// matters: callers apply it per element in `n × dim` loops, and without
-/// it every call crosses a crate boundary.
-#[inline]
-pub fn stable_sigmoid(x: f32) -> f32 {
-    crate::tape::stable_sigmoid(x)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -37,6 +37,21 @@
 //! Per element they fix the operation order the primitive tape ops define
 //! (edge-ascending scatter-adds, dst-then-src logit accumulation, multiply
 //! then add), which `tests/coarse_nodes.rs` pins against those ops.
+//!
+//! **Sigmoid tier contract.** [`sigmoid_in_place`] — an attention layer's
+//! output nonlinearity and its edgeless fallback — returns, for every
+//! element, the bits of the scalar `stable_sigmoid` over the platform's
+//! `expf`. Its AVX-512 tier computes `exp(−|x|)` itself, so it matches
+//! only an `expf` it reproduces: glibc's (2.27 onward, the FMA build its
+//! x86-64 dispatch picks on any AVX-512 CPU) — the same table, constants
+//! and FMA contraction, in f64 lanes, narrowed to f32 — followed by the
+//! scalar function's own f32 `1/(1+e)` or `e/(1+e)`. Lanes outside
+//! `expf`'s main path (`|x| ≥ 88`, NaN) are recomputed by
+//! `stable_sigmoid`. At first use the dispatch runs the tier on a fixed
+//! probe set against `stable_sigmoid`; one differing bit and the process
+//! keeps the scalar loop, so another libm falls back instead of
+//! diverging. Checked on all 2³² inputs by an ignored test that
+//! `scripts/ci.sh` runs in release mode.
 
 use crate::layers::Activation;
 use crate::tape::stable_sigmoid;
@@ -645,8 +660,203 @@ pub fn attend_aggregate(
         let tr = th.row(i);
         let orow = &mut od[i * c..(i + 1) * c];
         for (o, &t) in orow.iter_mut().zip(tr.iter()) {
-            *o = stable_sigmoid(*o + t * m);
+            *o += t * m;
         }
+    }
+    sigmoid_in_place(od);
+}
+
+/// `stable_sigmoid` of every element, in place, bit for bit (the tier
+/// contract in the module doc): the AVX-512 tier if this CPU has it and
+/// its probe passed, the scalar loop otherwise.
+pub fn sigmoid_in_place(xs: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if sigmoid_tier_accepted() {
+        // SAFETY: acceptance implies the CPU reports AVX-512F.
+        unsafe { sigmoid_avx512(xs) };
+        return;
+    }
+    for x in xs {
+        *x = stable_sigmoid(*x);
+    }
+}
+
+/// Inputs the AVX-512 sigmoid must reproduce before the process uses it:
+/// `±63.09946` and `±32.564632`, where an `exp` without glibc's fused
+/// reduction rounds differently (`−63.09946` is the one input whose
+/// sigmoid shows it), then the other regimes — signed zeros, subnormals,
+/// the polynomial range, `expf`'s overflow and underflow edges, infinities
+/// and NaN (the last ones through the scalar recompute). Two full vectors,
+/// so no probe lands in the scalar tail.
+#[cfg(target_arch = "x86_64")]
+const SIGMOID_PROBES: [f32; 32] = [
+    63.09946,
+    -63.09946,
+    32.564632,
+    -32.564632,
+    0.0,
+    -0.0,
+    1.0e-40,
+    -1.0e-40,
+    1.0e-3,
+    -1.0e-3,
+    0.5,
+    -0.5,
+    1.0,
+    -1.0,
+    2.6457513,
+    -3.6055512,
+    10.0,
+    -10.0,
+    17.25,
+    -23.5,
+    41.0,
+    -55.5,
+    87.99999,
+    -87.99999,
+    88.0,
+    -88.0,
+    88.72284,
+    -103.97208,
+    -150.0,
+    f32::INFINITY,
+    f32::NEG_INFINITY,
+    f32::NAN,
+];
+
+/// Whether [`sigmoid_in_place`] runs the AVX-512 tier: the CPU reports
+/// AVX-512F and the tier reproduced `stable_sigmoid` on every probe
+/// (decided once per process).
+#[cfg(target_arch = "x86_64")]
+fn sigmoid_tier_accepted() -> bool {
+    static ACCEPTED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+    *ACCEPTED.get_or_init(|| {
+        if !avx512_available() {
+            return false;
+        }
+        let mut got = SIGMOID_PROBES;
+        // SAFETY: the CPU reports AVX-512F (checked above).
+        unsafe { sigmoid_avx512(&mut got) };
+        // `black_box`: the reference must be the libm call the scalar
+        // loop makes at run time, not a value folded at compile time.
+        let want = SIGMOID_PROBES.map(|x| stable_sigmoid(std::hint::black_box(x)));
+        got.iter()
+            .zip(&want)
+            .all(|(g, w)| g.to_bits() == w.to_bits())
+    })
+}
+
+/// AVX-512 sigmoid, 16 lanes a step: `e = exp(−|x|)` by glibc's `__expf`
+/// main path in two 8-lane f64 halves — `kd = fma(InvLn2N, x, shift)`,
+/// `r = fma(InvLn2N, x, −(kd − shift))`, `s` from the table and the low
+/// bits of `kd`, `y = fma(fma(C0, r, C1), r², fma(C2, r, 1))·s` — the
+/// contraction of glibc's FMA build, instruction for instruction. Then
+/// `(x ≥ 0 ? 1 : e) / (1 + e)` in f32, as `stable_sigmoid` branches.
+/// Lanes with `|x| ≥ 88` or NaN, and the `len % 16` tail, go to
+/// `stable_sigmoid` itself.
+///
+/// # Safety
+///
+/// Requires AVX-512F. Every load and store stays inside one 16-element
+/// chunk of `xs` or eight entries of the table.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn sigmoid_avx512(xs: &mut [f32]) {
+    use std::arch::x86_64::*;
+    // glibc's `__exp2f_data` as f64 bit patterns: the table (`2^(i/32)`
+    // with `i << 47` taken out of its bits), `32/ln 2`, the rounding shift
+    // `0x1.8p52` and the polynomial `C0..C2`, all scaled for `N = 32`.
+    const TAB: [u64; 32] = [
+        0x3ff0000000000000,
+        0x3fefd9b0d3158574,
+        0x3fefb5586cf9890f,
+        0x3fef9301d0125b51,
+        0x3fef72b83c7d517b,
+        0x3fef54873168b9aa,
+        0x3fef387a6e756238,
+        0x3fef1e9df51fdee1,
+        0x3fef06fe0a31b715,
+        0x3feef1a7373aa9cb,
+        0x3feedea64c123422,
+        0x3feece086061892d,
+        0x3feebfdad5362a27,
+        0x3feeb42b569d4f82,
+        0x3feeab07dd485429,
+        0x3feea47eb03a5585,
+        0x3feea09e667f3bcd,
+        0x3fee9f75e8ec5f74,
+        0x3feea11473eb0187,
+        0x3feea589994cce13,
+        0x3feeace5422aa0db,
+        0x3feeb737b0cdc5e5,
+        0x3feec49182a3f090,
+        0x3feed503b23e255d,
+        0x3feee89f995ad3ad,
+        0x3feeff76f2fb5e47,
+        0x3fef199bdd85529c,
+        0x3fef3720dcef9069,
+        0x3fef5818dcfba487,
+        0x3fef7c97337b9b5f,
+        0x3fefa4afa2a490da,
+        0x3fefd0765b6e4540,
+    ];
+    const INV_LN2_N: u64 = 0x40471547652b82fe;
+    const SHIFT: u64 = 0x4338000000000000;
+    const POLY: [u64; 3] = [0x3ebc6af84b912394, 0x3f2ebfce50fac4f3, 0x3f962e42ff0c52d6];
+    let table = |i: usize| _mm512_loadu_si512(TAB[i..i + 8].as_ptr().cast());
+    let (t0, t1, t2, t3) = (table(0), table(8), table(16), table(24));
+    let splat = |bits: u64| _mm512_set1_pd(f64::from_bits(bits));
+    let (inv_ln2_n, shift) = (splat(INV_LN2_N), splat(SHIFT));
+    let [c0, c1, c2] = POLY.map(splat);
+    let (one_d, bit4) = (_mm512_set1_pd(1.0), _mm512_set1_epi64(16));
+    let exp8 = |a: __m256| {
+        let x = _mm512_cvtps_pd(a);
+        let kd = _mm512_fmadd_pd(inv_ln2_n, x, shift);
+        let ki = _mm512_castpd_si512(kd);
+        let r = _mm512_fmsub_pd(inv_ln2_n, x, _mm512_sub_pd(kd, shift));
+        // T[ki % 32]: two 16-entry lookups, picked by bit 4.
+        let low = _mm512_permutex2var_epi64(t0, ki, t1);
+        let high = _mm512_permutex2var_epi64(t2, ki, t3);
+        let t = _mm512_mask_blend_epi64(_mm512_test_epi64_mask(ki, bit4), low, high);
+        let s = _mm512_castsi512_pd(_mm512_add_epi64(t, _mm512_slli_epi64::<47>(ki)));
+        let z = _mm512_fmadd_pd(c0, r, c1);
+        let y = _mm512_fmadd_pd(z, _mm512_mul_pd(r, r), _mm512_fmadd_pd(c2, r, one_d));
+        _mm512_cvtpd_ps(_mm512_mul_pd(y, s))
+    };
+    let (one, sign, limit) = (
+        _mm512_set1_ps(1.0),
+        _mm512_set1_epi32(i32::MIN),
+        _mm512_set1_ps(-88.0),
+    );
+    let mut chunks = xs.chunks_exact_mut(16);
+    for chunk in &mut chunks {
+        let x = _mm512_loadu_ps(chunk.as_ptr());
+        // −|x|: what `stable_sigmoid` hands `exp` on either branch.
+        let a = _mm512_castsi512_ps(_mm512_or_si512(_mm512_castps_si512(x), sign));
+        let halves = _mm512_castps_pd(a);
+        let lo = exp8(_mm256_castpd_ps(_mm512_castpd512_pd256(halves)));
+        let hi = exp8(_mm256_castpd_ps(_mm512_extractf64x4_pd::<1>(halves)));
+        let e = _mm512_castpd_ps(_mm512_insertf64x4::<1>(
+            _mm512_castpd256_pd512(_mm256_castps_pd(lo)),
+            _mm256_castps_pd(hi),
+        ));
+        let nonneg = _mm512_cmp_ps_mask::<_CMP_GE_OQ>(x, _mm512_setzero_ps());
+        let num = _mm512_mask_blend_ps(nonneg, e, one);
+        // `−|x| ≤ −88` or NaN: outside `expf`'s main path. Those lanes are
+        // not stored; they still hold `x` for the scalar function.
+        let slow = _mm512_cmp_ps_mask::<_CMP_NGT_UQ>(a, limit);
+        let sig = _mm512_div_ps(num, _mm512_add_ps(one, e));
+        _mm512_mask_storeu_ps(chunk.as_mut_ptr(), !slow, sig);
+        if slow != 0 {
+            for (lane, v) in chunk.iter_mut().enumerate() {
+                if slow >> lane & 1 == 1 {
+                    *v = stable_sigmoid(*v);
+                }
+            }
+        }
+    }
+    for x in chunks.into_remainder() {
+        *x = stable_sigmoid(*x);
     }
 }
 
@@ -873,6 +1083,170 @@ mod tests {
                     .collect();
                 assert_same(&o, &want, &format!("quad columns {j0}.. {what}"));
             }
+        }
+    }
+
+    /// The sigmoid tier under test: the AVX-512 one whenever the CPU has
+    /// it, whether or not the probe accepted it, else the dispatched kernel.
+    fn sigmoid_tier() -> fn(&mut [f32]) {
+        #[cfg(target_arch = "x86_64")]
+        if avx512_available() {
+            // SAFETY: AVX-512F detected.
+            return |xs| unsafe { sigmoid_avx512(xs) };
+        }
+        sigmoid_in_place
+    }
+
+    /// Slice lengths around the 16-lane step: empty, tail only, one step
+    /// with and without a tail, several steps.
+    const SIGMOID_LENGTHS: [usize; 7] = [0, 1, 15, 16, 17, 33, 128];
+
+    /// Runs `f` over `xs` cut into slices of `len` — for `len = 0`, one
+    /// empty slice and then `xs` whole — and returns the inputs whose
+    /// output bits differ from `stable_sigmoid`'s.
+    fn sigmoid_mismatches(f: fn(&mut [f32]), xs: &[f32], len: usize) -> Vec<f32> {
+        let mut out = xs.to_vec();
+        if len == 0 {
+            f(&mut []);
+            f(&mut out);
+        } else {
+            out.chunks_mut(len).for_each(f);
+        }
+        xs.iter()
+            .zip(&out)
+            .filter(|&(&x, y)| stable_sigmoid(x).to_bits() != y.to_bits())
+            .map(|(&x, _)| x)
+            .collect()
+    }
+
+    #[test]
+    fn sigmoid_tier_matches_stable_sigmoid_on_edge_cases() {
+        let mut xs: Vec<f32> = vec![
+            0.0,
+            -0.0,
+            f32::from_bits(1),
+            f32::from_bits(0x8000_0001),
+            f32::from_bits(0x007f_ffff),
+            f32::from_bits(0x807f_ffff),
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            88.0,
+            -88.0,
+            87.99999,
+            -87.99999,
+            88.72,
+            -88.72,
+            88.72284,
+            -88.72284,
+            88.72285,
+            -103.97,
+            -103.97208,
+            -103.9721,
+            -104.0,
+            -150.0,
+            f32::MIN,
+            f32::MAX,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(0x7fa0_0000), // signalling NaN
+            f32::from_bits(0xffa0_0001),
+            63.09946,
+            -63.09946,
+            32.564632,
+            -32.564632,
+        ];
+        let mut gen = Gen(0x5167_0e1d);
+        for i in 0..10_000 {
+            xs.push(if i % 2 == 0 {
+                f32::from_bits(gen.below(1 << 32) as u32)
+            } else {
+                (gen.below(200_001) as f32 - 100_000.0) / 1000.0
+            });
+        }
+        for (name, f) in [("tier", sigmoid_tier()), ("dispatched", sigmoid_in_place)] {
+            for len in SIGMOID_LENGTHS {
+                let bad = sigmoid_mismatches(f, &xs, len);
+                assert!(
+                    bad.is_empty(),
+                    "{name}, slices of {len}: differs at {bad:?}"
+                );
+            }
+        }
+        // glibc's `expf` on an AVX-512 CPU is the one the tier reproduces:
+        // here the probe must keep it, or the fast path is silently lost.
+        #[cfg(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu"))]
+        assert_eq!(sigmoid_tier_accepted(), avx512_available());
+    }
+
+    #[test]
+    #[ignore = "all 2^32 inputs: ~25 s in release on 2 threads; scripts/ci.sh runs it"]
+    fn sigmoid_tier_matches_stable_sigmoid_on_every_f32() {
+        const BLOCK: u64 = 1 << 16;
+        let tier = sigmoid_tier();
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let bad: Vec<f32> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..threads as u64)
+                .map(|t| {
+                    s.spawn(move || {
+                        let mut bad = Vec::new();
+                        for b in (t..(1 << 32) / BLOCK).step_by(threads) {
+                            let xs: Vec<f32> = (b * BLOCK..(b + 1) * BLOCK)
+                                .map(|bits| f32::from_bits(bits as u32))
+                                .collect();
+                            let len = SIGMOID_LENGTHS[b as usize % SIGMOID_LENGTHS.len()];
+                            bad.extend(sigmoid_mismatches(tier, &xs, len));
+                        }
+                        bad
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().expect("worker panicked"))
+                .collect()
+        });
+        assert!(
+            bad.is_empty(),
+            "{} of 2^32 inputs differ, first {:?}",
+            bad.len(),
+            &bad[..bad.len().min(16)]
+        );
+    }
+
+    #[test]
+    fn attend_aggregate_equals_per_element_sigmoid_reference() {
+        let mut gen = Gen(0xa77e_2d2d);
+        let (n, e) = (9usize, 24usize);
+        for c in [1, 7, 15, 16, 17, 33, 128] {
+            // Values up to ±100, so sums cross `expf`'s ±88 edges too.
+            let mut th = Tensor::from_vec(n, c, (0..n * c).map(|_| gen.value() * 50.0).collect());
+            for poison in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN] {
+                let at = gen.below((n * c) as u64) as usize;
+                th.data_mut()[at] = poison;
+            }
+            let src: Vec<u32> = (0..e).map(|_| gen.below(n as u64) as u32).collect();
+            let dst: Vec<u32> = (0..e).map(|_| gen.below(n as u64) as u32).collect();
+            let alpha: Vec<f32> = (0..e).map(|_| gen.below(1001) as f32 / 1000.0).collect();
+            let has_in: Vec<bool> = (0..n).map(|_| gen.below(2) == 0).collect();
+            let mut out = Tensor::zeros(n, c);
+            attend_aggregate(&th, &alpha, &src, &dst, &has_in, &mut out);
+
+            let t = th.data();
+            let mut o = vec![0.0f32; n * c];
+            for ((&s, &d), &a) in src.iter().zip(&dst).zip(&alpha) {
+                for k in 0..c {
+                    o[d as usize * c + k] += t[s as usize * c + k] * a;
+                }
+            }
+            let want: Vec<f32> = (0..n * c)
+                .map(|i| {
+                    let m = if has_in[i / c] { 0.0 } else { 1.0 };
+                    stable_sigmoid(o[i] + t[i] * m)
+                })
+                .collect();
+            assert_same(out.data(), &want, &format!("attend_aggregate, c = {c}"));
         }
     }
 

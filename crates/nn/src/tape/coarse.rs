@@ -144,7 +144,9 @@ impl Tape {
         let th = self.value(h).matmul(self.value(theta));
         let (n, e) = (th.rows(), src.len());
         let (out, saved) = if e == 0 {
-            (th.map(stable_sigmoid), None)
+            let mut out = th;
+            kernels::sigmoid_in_place(out.data_mut());
+            (out, None)
         } else {
             let ta = self.value(h).matmul(self.value(theta_a));
             let (mut raw, mut alpha) = (vec![0.0; e], vec![0.0; e]);

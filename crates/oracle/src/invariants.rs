@@ -898,13 +898,6 @@ fn check_sampling_coverage(case: &Case, oracle: &Oracle) -> Result<(), Violation
                 ));
             }
         };
-        if exact > 0.0 && d.count == 0.0 {
-            // No walk succeeded: the normal-approximation interval is
-            // meaningless at zero observed successes (documented
-            // Horvitz–Thompson limitation, KNOWN_ISSUES). Coverage says
-            // nothing here; skip the case.
-            return Ok(());
-        }
         let Some(ci) = d.ci else {
             return Err(Violation::new(inv, "sampling result carries no interval"));
         };

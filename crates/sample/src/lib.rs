@@ -24,7 +24,11 @@
 //! embedding contributes `P(drawn) · ∏|pool_i| = 1`. The estimate is the
 //! mean weight over `n` trials; the reported interval is the normal
 //! approximation `mean ± z·√(s²/n)` with the low end clamped at 0
-//! ([`neursc_core::ConfidenceInterval`]).
+//! ([`neursc_core::ConfidenceInterval`]). When no walk completes the
+//! estimate is 0 and that interval would be `[0, 0]`; its upper end is
+//! then `(1 − (1 − confidence)^(1/n)) · ∏_u |CS(u)|` instead — the exact
+//! one-sided binomial bound on the success rate times the largest weight a
+//! completed walk can carry.
 //!
 //! ## Determinism, budgets, faults
 //!
@@ -162,6 +166,18 @@ fn z_value(confidence: f64) -> f64 {
     } else {
         1.281_552 // 0.80
     }
+}
+
+/// Upper end of the interval when none of `trials` walks completed, which
+/// the normal approximation would report as `[0, 0]`. With success
+/// probability `p`, `(1 − p)^n ≥ 1 − confidence` bounds `p` by `1 −
+/// (1 − confidence)^(1/n)` — the exact one-sided binomial bound at zero
+/// successes — and a completed walk weighs `∏ |pool_i| ≤ ∏_u |CS(u)|`, so
+/// `c(q, G) = E[W]` is at most their product.
+fn zero_success_high(candidates: &CandidateSets, trials: usize, confidence: f64) -> f64 {
+    let p = 1.0 - (1.0 - confidence).powf(1.0 / trials as f64);
+    let max_weight: f64 = candidates.sets.iter().map(|s| s.len() as f64).product();
+    p * max_weight
 }
 
 /// SplitMix64 — derives independent per-chunk seeds from the config seed.
@@ -380,6 +396,11 @@ impl SampleEstimator {
         };
         let se = (var / n).sqrt();
         let z = z_value(self.config.confidence);
+        let high = if sum == 0.0 {
+            zero_success_high(&candidates, trials, self.config.confidence)
+        } else {
+            mean + z * se
+        };
         Ok(EstimateDetail {
             count: mean,
             n_substructures: 0,
@@ -387,7 +408,7 @@ impl SampleEstimator {
             degraded,
             ci: Some(ConfidenceInterval {
                 low: (mean - z * se).max(0.0),
-                high: mean + z * se,
+                high,
                 confidence: self.config.confidence,
             }),
             report,
@@ -474,6 +495,23 @@ mod tests {
             assert_eq!(d.count, 0.0);
         } else {
             assert!(d.count >= 0.0);
+        }
+    }
+
+    #[test]
+    fn zero_successes_bound_the_count_by_the_largest_weight() {
+        // A triangle against a 4-cycle: every vertex survives filtering
+        // (same label, degree 2), no triangle exists, every walk dead-ends.
+        let c4 = Graph::from_edges(4, &[0; 4], &[(0, 1), (1, 2), (2, 3), (0, 3)]).unwrap();
+        let q = Graph::from_edges(3, &[0; 3], &[(0, 1), (1, 2), (0, 2)]).unwrap();
+        for trials in [1, 100, 2048] {
+            let est = SampleEstimator::new(SampleConfig::default().with_trials(trials));
+            let d = est.estimate_detailed(&q, &c4).unwrap();
+            assert!(!d.trivially_zero);
+            assert_eq!(d.count, 0.0);
+            let ci = d.ci.unwrap();
+            let p = 1.0 - 0.05f64.powf(1.0 / trials as f64);
+            assert_eq!((ci.low, ci.high), (0.0, p * 4.0 * 4.0 * 4.0));
         }
     }
 
