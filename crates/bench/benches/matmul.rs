@@ -76,6 +76,23 @@ fn bench_matmul_kernels(c: &mut Criterion) {
     group.finish();
 }
 
+/// The dense shapes of the GNN forward: `rows × k` activations (k = 64 or
+/// 128 channels) times a `k × 128` weight. Gflop/s is `2·rows·k·128` over
+/// the printed time; the mul+add peak is `2 FP ports × 16 lanes × clock`.
+fn bench_workload_shapes(c: &mut Criterion) {
+    let mut group = c.benchmark_group("matmul_workload_shapes");
+    group.sample_size(200);
+    for k in [64, 128] {
+        let b = random_matrix(k, 128, 0.0, 5);
+        for rows in [32, 128, 512] {
+            let a = random_matrix(rows, k, 0.0, 6);
+            let id = BenchmarkId::new("zero_row_skip", format!("{rows}x{k}x128"));
+            group.bench_with_input(id, &a, |bch, a| bch.iter(|| a.matmul(&b)));
+        }
+    }
+    group.finish();
+}
+
 fn kernels_agree() {
     // Guard: the two kernels must agree bit-for-bit on both shapes before
     // their timings mean anything.
@@ -95,6 +112,7 @@ fn kernels_agree() {
 fn bench_all(c: &mut Criterion) {
     kernels_agree();
     bench_matmul_kernels(c);
+    bench_workload_shapes(c);
 }
 
 criterion_group!(benches, bench_all);

@@ -4,7 +4,8 @@
 //! precomputations the pipeline repeats across a query batch:
 //!
 //! * [`neursc_match::ProfileCache`] — `all_profiles(G, r)` used by local
-//!   pruning (the `O(|G|)` part of candidate filtering);
+//!   pruning (the `O(|G|)` part of candidate filtering: every vertex's
+//!   profile plus the per-label buckets the admission scan walks);
 //! * [`neursc_gnn::FeatureCache`] — `init_features(G)` used when a variant
 //!   featurizes the whole data graph (`NeurSC w/o SE`).
 //!
@@ -23,7 +24,7 @@ use crate::faults::FaultPlan;
 use crate::obs::{self, ObsSink};
 use neursc_gnn::{FeatureCache, FeatureConfig};
 use neursc_graph::Graph;
-use neursc_match::profile::Profile;
+use neursc_match::profile::Profiles;
 use neursc_match::ProfileCache;
 use neursc_nn::Tensor;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -115,7 +116,7 @@ impl GraphContext {
     /// The radius-`r` profiles of `g` from the cache, with hit/miss
     /// counters (`cache.profile.hit`/`.miss`) and, on a miss, a
     /// `filter.profile_build` span delivered to the sink.
-    pub fn profiles_for(&self, g: &Graph, r: u32) -> (Arc<Vec<Profile>>, bool) {
+    pub fn profiles_for(&self, g: &Graph, r: u32) -> (Arc<Profiles>, bool) {
         let (profiles, hit, build_ns) = self
             .profiles
             .get_or_build(g, &r, || neursc_match::profile::all_profiles(g, r));

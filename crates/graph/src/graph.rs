@@ -254,11 +254,6 @@ impl Graph {
         })
     }
 
-    /// Vertices carrying label `l`.
-    pub fn vertices_with_label(&self, l: Label) -> impl Iterator<Item = VertexId> + '_ {
-        self.vertices().filter(move |&v| self.label(v) == l)
-    }
-
     /// Frequency of each label: `freq[l]` = number of vertices labeled `l`.
     pub fn label_frequencies(&self) -> Vec<usize> {
         let mut freq = vec![0usize; self.n_labels];
@@ -505,13 +500,6 @@ mod tests {
     fn label_frequencies() {
         let g = triangle_with_tail();
         assert_eq!(g.label_frequencies(), vec![2, 2]);
-    }
-
-    #[test]
-    fn vertices_with_label_filters() {
-        let g = triangle_with_tail();
-        let vs: Vec<_> = g.vertices_with_label(1).collect();
-        assert_eq!(vs, vec![1, 2]);
     }
 
     #[test]

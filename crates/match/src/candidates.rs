@@ -4,9 +4,23 @@
 //! participates in any match — filtering may over-approximate but never
 //! under-approximate. Local pruning admits `v` into `CS(u)` iff
 //! `f_l(v) = f_l(u)`, `d(v) ≥ d(u)`, and profile(u) ⊑ profile(v).
+//!
+//! **Admission order.** For each query vertex `u` in id order, the scan
+//! walks the label bucket `f_l(u)` of the data graph's [`Profiles`] — built
+//! once per `(G, r)` with the profiles, never per query — in ascending
+//! vertex id, charges one meter step per vertex it looks at (per vertex
+//! `keep` accepts, when scoped), and tests, cheapest first, `d(v) ≥ d(u)`,
+//! the label signatures (every bit of `sig(u)` set in `sig(v)`) and
+//! `subsumes(profile(v), profile(u))`. The signature test is a necessary
+//! condition of the multiset test, and where
+//! `Profiles::signature_decides` it is the multiset test, so the merge is
+//! skipped there ([`crate::profile`] has both arguments). Either way no
+//! pair is decided differently from the merge: `CS(u)`, its order, the
+//! steps charged and the point where a budget runs out are those of
+//! testing every pair with the merge alone.
 
 use crate::budget::{FilterBudget, FilterError, FilterPhase, WorkMeter};
-use crate::profile::{all_profiles, subsumes, Profile};
+use crate::profile::{all_profiles, profile_lists, subsumes, Profiles, Signature};
 use neursc_graph::types::VertexId;
 use neursc_graph::Graph;
 
@@ -64,18 +78,19 @@ impl CandidateSets {
 }
 
 /// Local pruning: builds `CS(u)` for all query vertices from label, degree
-/// and radius-`r` profile tests. `O(|V(q)|·|V(G)|)` pair tests but each is
-/// cheap and label-partitioned.
+/// and radius-`r` profile tests. `O(Σ_u |bucket(f_l(u))|)` pair tests, each
+/// cheap.
 pub fn local_pruning(q: &Graph, g: &Graph, r: u32) -> CandidateSets {
     local_pruning_with(q, g, r, &all_profiles(g, r))
 }
 
 /// [`local_pruning`] with the data-graph profiles supplied by the caller —
 /// the entry point used with a [`crate::ProfileCache`], which makes
-/// the `all_profiles(G, r)` term (the only `O(|G|)` precomputation here)
-/// amortizable across a query batch. Query profiles are still computed per
-/// call; they are `O(|q|)` and query-specific.
-pub fn local_pruning_with(q: &Graph, g: &Graph, r: u32, g_profiles: &[Profile]) -> CandidateSets {
+/// the `all_profiles(G, r)` term (the only `O(|G|)` precomputation here,
+/// label buckets included) amortizable across a query batch. Query
+/// profiles are still computed per call; they are `O(|q|)` and
+/// query-specific.
+pub fn local_pruning_with(q: &Graph, g: &Graph, r: u32, g_profiles: &Profiles) -> CandidateSets {
     let mut meter = FilterBudget::UNBOUNDED.meter();
     local_pruning_metered(q, g, r, g_profiles, &mut meter)
         .unwrap_or_else(|e| unreachable!("unbounded meter cannot trip: {e}"))
@@ -88,7 +103,7 @@ pub fn local_pruning_metered(
     q: &Graph,
     g: &Graph,
     r: u32,
-    g_profiles: &[Profile],
+    g_profiles: &Profiles,
     meter: &mut WorkMeter,
 ) -> Result<CandidateSets, FilterError> {
     admit_candidates(q, g, r, g_profiles, None, meter)
@@ -105,7 +120,7 @@ pub fn local_pruning_scoped(
     q: &Graph,
     g: &Graph,
     r: u32,
-    g_profiles: &[Profile],
+    g_profiles: &Profiles,
     keep: &dyn Fn(VertexId) -> bool,
 ) -> CandidateSets {
     let mut meter = FilterBudget::UNBOUNDED.meter();
@@ -113,46 +128,40 @@ pub fn local_pruning_scoped(
         .unwrap_or_else(|e| unreachable!("unbounded meter cannot trip: {e}"))
 }
 
-/// The one label-partitioned admission loop behind every `local_pruning*`
-/// door: `v ∈ CS(u)` iff `keep(v)` (when scoped), `f_l(v) = f_l(u)`,
-/// `d(v) ≥ d(u)` and profile(u) ⊑ profile(v); one meter step per pair test.
+/// The one admission loop behind every `local_pruning*` door, in the
+/// order the module doc states: `v ∈ CS(u)` iff `keep(v)` (when scoped),
+/// `v` is in `u`'s label bucket, `d(v) ≥ d(u)`, the signatures pass and
+/// profile(u) ⊑ profile(v) (implied by the signatures where they decide);
+/// one meter step per vertex `keep` accepts.
 fn admit_candidates(
     q: &Graph,
     g: &Graph,
     r: u32,
-    g_profiles: &[Profile],
+    g_profiles: &Profiles,
     keep: Option<&dyn Fn(VertexId) -> bool>,
     meter: &mut WorkMeter,
 ) -> Result<CandidateSets, FilterError> {
     debug_assert_eq!(g_profiles.len(), g.n_vertices());
-    let q_profiles = all_profiles(q, r);
-
-    // Partition data vertices by label once.
-    let n_labels = g.n_labels().max(q.n_labels());
-    let mut by_label: Vec<Vec<VertexId>> = vec![Vec::new(); n_labels];
-    for v in g.vertices() {
-        if keep.is_none_or(|keep| keep(v)) {
-            by_label[g.label(v) as usize].push(v);
-        }
-    }
-
+    let q_profiles = profile_lists(q, r);
     let mut sets = Vec::with_capacity(q.n_vertices());
     for u in q.vertices() {
-        let lu = q.label(u) as usize;
-        if lu >= by_label.len() {
-            sets.push(Vec::new());
-            continue;
-        }
+        let pu = &q_profiles[u as usize];
+        let (du, sig_u) = (q.degree(u), Signature::of(pu));
+        let decided = g_profiles.signature_decides(pu);
         let mut set = Vec::new();
-        for &v in &by_label[lu] {
+        for e in g_profiles.bucket(q.label(u)) {
+            if keep.is_some_and(|keep| !keep(e.id)) {
+                continue;
+            }
             meter.charge(1).map_err(|_| FilterError::BudgetExhausted {
                 phase: FilterPhase::LocalPruning,
                 spent: meter.spent(),
             })?;
-            if g.degree(v) >= q.degree(u)
-                && subsumes(&g_profiles[v as usize], &q_profiles[u as usize])
+            if e.degree as usize >= du
+                && sig_u.within(e.signature)
+                && (decided || subsumes(&g_profiles[e.id as usize], pu))
             {
-                set.push(v);
+                set.push(e.id);
             }
         }
         sets.push(set);
@@ -207,6 +216,29 @@ mod tests {
         assert!(cs.get(1).is_empty());
         assert!(cs.any_empty());
         assert!(cs.is_trivially_zero());
+    }
+
+    #[test]
+    fn absent_labels_below_and_above_64_have_empty_candidate_sets() {
+        // G carries labels 0, 2 and 65. Query labels: 1 (a gap below G's
+        // largest label), 64 (no bucket, shares label 0's signature bit),
+        // 66 (one past G's largest), 129 (shares bit 1 with the gap) and
+        // 1 << 20 (far past every bucket). Each star leaf is labeled 0, so
+        // label 0's bucket is walked and admits vertices.
+        let g = Graph::from_edges(5, &[0, 2, 65, 0, 2], &[(0, 1), (1, 2), (2, 3), (3, 4)]).unwrap();
+        for absent in [1, 64, 66, 129, 1 << 20] {
+            let q = Graph::from_edges(2, &[0, absent], &[(0, 1)]).unwrap();
+            let profiles = all_profiles(&g, 1);
+            let mut meter = FilterBudget::UNBOUNDED.meter();
+            let cs = local_pruning_metered(&q, &g, 1, &profiles, &mut meter).unwrap();
+            assert!(cs.get(1).is_empty(), "label {absent}");
+            assert_eq!(
+                meter.spent(),
+                2,
+                "label {absent}: only label 0's bucket is walked"
+            );
+            assert!(cs.is_trivially_zero());
+        }
     }
 
     #[test]

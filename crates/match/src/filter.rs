@@ -79,7 +79,7 @@ pub fn filter_candidates_budgeted(
     q: &Graph,
     g: &Graph,
     cfg: &FilterConfig,
-    g_profiles: &[crate::profile::Profile],
+    g_profiles: &crate::profile::Profiles,
     budget: &FilterBudget,
 ) -> Result<(FilterOutput, StageBreakdown), FilterError> {
     let mut meter = budget.meter();
@@ -148,7 +148,7 @@ mod tests {
         q: &Graph,
         g: &Graph,
         cfg: &FilterConfig,
-        profiles: &[crate::profile::Profile],
+        profiles: &crate::profile::Profiles,
         budget: &FilterBudget,
     ) -> Result<FilterOutput, FilterError> {
         filter_candidates_budgeted(q, g, cfg, profiles, budget).map(|(out, _)| out)

@@ -9,12 +9,16 @@
 
 use neursc_graph::generate::erdos_renyi;
 use neursc_graph::sample::{sample_query, QuerySampler};
+use neursc_graph::types::VertexId;
 use neursc_graph::{Graph, GraphBuilder};
 use neursc_match::bipartite::{has_left_saturating_matching, BipartiteGraph};
-use neursc_match::budget::FilterBudget;
-use neursc_match::candidates::{local_pruning, CandidateSets};
+use neursc_match::budget::{FilterBudget, FilterError, FilterPhase};
+use neursc_match::candidates::{
+    local_pruning, local_pruning_metered, local_pruning_scoped, local_pruning_with, CandidateSets,
+};
 use neursc_match::enumerate::{brute_force_count, count_embeddings};
 use neursc_match::filter::{filter_candidates, FilterConfig};
+use neursc_match::profile::{all_profiles, subsumes};
 use neursc_match::refinement::global_refinement_metered;
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -82,6 +86,67 @@ fn arb_small_graph(n_min: usize, n_max: usize, n_labels: u32) -> impl Strategy<V
             b.build()
         })
     })
+}
+
+/// `g` with each label `l < 12` moved: onto 0..6 and 64..70 when `wide`, so
+/// that every label shares its signature bit (`l mod 64`) with another one;
+/// onto 0..2 otherwise, so that every label has a bit of its own and
+/// profiles repeat labels two, three and more times.
+fn relabel(g: &Graph, wide: bool) -> Graph {
+    let labels: Vec<u32> = g
+        .labels()
+        .iter()
+        .map(|&l| match (wide, l < 6) {
+            (true, true) => l,
+            (true, false) => l + 58,
+            (false, _) => l % 2,
+        })
+        .collect();
+    let edges: Vec<(u32, u32)> = g.edges().map(|e| (e.u, e.v)).collect();
+    Graph::from_edges(g.n_vertices(), &labels, &edges).unwrap()
+}
+
+/// Local pruning as it was before the label-bucket index: buckets rebuilt
+/// from all of `V(G)` on every call, one step per same-label vertex that
+/// `keep` accepts, the multiset merge alone deciding admission. Returns the
+/// sets (or the exhaustion error) and the steps spent.
+fn reference_local_pruning(
+    q: &Graph,
+    g: &Graph,
+    r: u32,
+    keep: Option<&dyn Fn(VertexId) -> bool>,
+    max_steps: u64,
+) -> (Result<CandidateSets, FilterError>, u64) {
+    let g_profiles = all_profiles(g, r);
+    let q_profiles = all_profiles(q, r);
+    let mut meter = FilterBudget::steps(max_steps).meter();
+    let n_labels = g.n_labels().max(q.n_labels());
+    let mut by_label: Vec<Vec<VertexId>> = vec![Vec::new(); n_labels];
+    for v in g.vertices() {
+        if keep.is_none_or(|keep| keep(v)) {
+            by_label[g.label(v) as usize].push(v);
+        }
+    }
+    let mut sets = Vec::with_capacity(q.n_vertices());
+    for u in q.vertices() {
+        let mut set = Vec::new();
+        for &v in &by_label[q.label(u) as usize] {
+            if meter.charge(1).is_err() {
+                let err = FilterError::BudgetExhausted {
+                    phase: FilterPhase::LocalPruning,
+                    spent: meter.spent(),
+                };
+                return (Err(err), meter.spent());
+            }
+            if g.degree(v) >= q.degree(u)
+                && subsumes(&g_profiles[v as usize], &q_profiles[u as usize])
+            {
+                set.push(v);
+            }
+        }
+        sets.push(set);
+    }
+    (Ok(CandidateSets { sets }), meter.spent())
 }
 
 /// Global refinement as the paper states it, with no label test in the
@@ -201,6 +266,54 @@ proptest! {
             for &v in strong.get(u) {
                 prop_assert!(weak.contains(u, v));
             }
+        }
+    }
+}
+
+proptest! {
+    // Local pruning on graphs this small costs microseconds; the extra
+    // cases reach the rarer label mixes (a query label above 63 that
+    // aliases one of the data graph's, a label three times in a profile).
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Walking the cached label bucket with the degree and signature tests
+    /// ahead of the merge — and in place of it where the signature decides
+    /// — changes nothing observable: candidate sets, the steps charged and
+    /// the exhaustion point equal the reference's, with aliasing labels on
+    /// either side or none, at r = 1 and 2, unbudgeted and under a budget
+    /// that runs out mid-scan.
+    #[test]
+    fn indexed_local_pruning_equals_the_reference(
+        g in arb_small_graph(6, 16, 12),
+        q in arb_small_graph(2, 5, 12),
+        wide in 0u8..4,
+        r in 1u32..=2,
+        tight in 0u64..40,
+        split in 0u32..=16,
+    ) {
+        let (g, q) = (relabel(&g, wide & 1 != 0), relabel(&q, wide & 2 != 0));
+        let profiles = all_profiles(&g, r);
+        for max_steps in [u64::MAX, tight] {
+            let (want, spent) = reference_local_pruning(&q, &g, r, None, max_steps);
+            let mut meter = FilterBudget::steps(max_steps).meter();
+            let got = local_pruning_metered(&q, &g, r, &profiles, &mut meter);
+            prop_assert_eq!(&got, &want);
+            prop_assert_eq!(meter.spent(), spent);
+        }
+
+        // Two scopes split at a random vertex id, concatenated, are the
+        // unscoped sets; each scope equals the reference under its `keep`.
+        let whole = local_pruning_with(&q, &g, r, &profiles);
+        let below = |v: VertexId| v < split;
+        let above = |v: VertexId| v >= split;
+        let lo = local_pruning_scoped(&q, &g, r, &profiles, &below);
+        let hi = local_pruning_scoped(&q, &g, r, &profiles, &above);
+        prop_assert_eq!(Ok(lo.clone()), reference_local_pruning(&q, &g, r, Some(&below), u64::MAX).0);
+        prop_assert_eq!(Ok(hi.clone()), reference_local_pruning(&q, &g, r, Some(&above), u64::MAX).0);
+        for u in q.vertices() {
+            let mut cat = lo.get(u).to_vec();
+            cat.extend_from_slice(hi.get(u));
+            prop_assert_eq!(cat.as_slice(), whole.get(u));
         }
     }
 }
