@@ -135,13 +135,6 @@ impl ResourceBudget {
         }
         b
     }
-
-    /// Whether any limit is active (fast path check).
-    pub fn is_unlimited(&self) -> bool {
-        self.max_query_vertices.is_none()
-            && self.max_filter_steps.is_none()
-            && self.wall_clock_ms.is_none()
-    }
 }
 
 /// Full configuration of a [`crate::NeurSc`] model.
@@ -379,8 +372,6 @@ mod tests {
         assert_eq!(b.max_query_vertices, Some(512));
         assert_eq!(b.max_filter_steps, None);
         assert_eq!(b.wall_clock_ms, None);
-        assert!(!b.is_unlimited());
-        assert!(ResourceBudget::UNLIMITED.is_unlimited());
         assert_eq!(
             b.filter_budget(),
             neursc_match::FilterBudget::UNBOUNDED,

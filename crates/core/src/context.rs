@@ -9,11 +9,12 @@
 //! * [`neursc_gnn::FeatureCache`] — `init_features(G)` used when a variant
 //!   featurizes the whole data graph (`NeurSC w/o SE`).
 //!
-//! Both key by graph content fingerprint, so one context can serve any
-//! number of data graphs and a rebuilt graph can never see stale entries.
-//! The context is `Sync`; the batched entry points
-//! ([`crate::Estimator::estimate_batch`], [`crate::NeurSc::fit`]) share one
-//! across their worker threads.
+//! Both key by graph content fingerprint, so a rebuilt graph can never see
+//! stale entries, and both are unbounded memos: a context is meant for one
+//! data graph (a batch, a training run, a daemon), so each holds one entry
+//! per radius or feature configuration in use. The context is `Sync`; the
+//! batched entry points ([`crate::Estimator::estimate_batch`],
+//! [`crate::NeurSc::fit`]) share one across their worker threads.
 //!
 //! It also carries the two cross-cutting plumbing handles of the pipeline:
 //! a [`FaultPlan`] (deterministic fault injection, PR 2) and an
@@ -27,10 +28,9 @@ use neursc_graph::Graph;
 use neursc_match::profile::Profiles;
 use neursc_match::ProfileCache;
 use neursc_nn::Tensor;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Shared caches for estimation/training against one or more data graphs.
+/// Shared caches for estimation/training against a data graph.
 #[derive(Debug)]
 pub struct GraphContext {
     /// Data-graph vertex-profile cache (local pruning).
@@ -43,10 +43,6 @@ pub struct GraphContext {
     /// Observability sink spans and metrics are delivered to (no-op by
     /// default — see [`crate::obs`]).
     pub obs: Arc<dyn ObsSink>,
-    /// High-water marks of already-reported cache evictions, so the
-    /// `cache.*.evicted` counters advance by exactly the new evictions.
-    profile_evictions_seen: AtomicU64,
-    feature_evictions_seen: AtomicU64,
 }
 
 impl Default for GraphContext {
@@ -56,8 +52,6 @@ impl Default for GraphContext {
             features: FeatureCache::new(),
             faults: FaultPlan::default(),
             obs: Arc::clone(obs::noop()),
-            profile_evictions_seen: AtomicU64::new(0),
-            feature_evictions_seen: AtomicU64::new(0),
         }
     }
 }
@@ -94,25 +88,6 @@ impl GraphContext {
         }
     }
 
-    /// A context whose caches are bounded to `capacity` entries each, with
-    /// least-recently-used eviction — the resident-server configuration,
-    /// where unbounded per-graph state would be a slow leak. Evictions are
-    /// reported on the `cache.profile.evicted` / `cache.feature.evicted`
-    /// counters when a sink is attached.
-    ///
-    /// ```
-    /// use neursc_core::GraphContext;
-    /// let ctx = GraphContext::with_bounded_caches(4);
-    /// assert!(ctx.profiles.is_empty());
-    /// ```
-    pub fn with_bounded_caches(capacity: usize) -> Self {
-        GraphContext {
-            profiles: ProfileCache::with_capacity(capacity),
-            features: FeatureCache::with_capacity(capacity),
-            ..Self::default()
-        }
-    }
-
     /// The radius-`r` profiles of `g` from the cache, with hit/miss
     /// counters (`cache.profile.hit`/`.miss`) and, on a miss, a
     /// `filter.profile_build` span delivered to the sink.
@@ -126,12 +101,6 @@ impl GraphContext {
             self.obs.counter_add("cache.profile.miss", 1);
             self.obs.observe("filter.profile_build.ns", build_ns);
             obs::span_with_ns("filter.profile_build", build_ns);
-            report_evictions(
-                "cache.profile.evicted",
-                self.profiles.evicted_total(),
-                &self.profile_evictions_seen,
-                self.obs.as_ref(),
-            );
         }
         (profiles, hit)
     }
@@ -147,30 +116,8 @@ impl GraphContext {
         } else {
             self.obs.counter_add("cache.feature.miss", 1);
             self.obs.observe("gnn.feature_build.ns", build_ns);
-            report_evictions(
-                "cache.feature.evicted",
-                self.features.evicted_total(),
-                &self.feature_evictions_seen,
-                self.obs.as_ref(),
-            );
         }
         (features, hit)
-    }
-
-    /// Drops all cached entries from both caches.
-    pub fn clear(&self) {
-        self.profiles.clear();
-        self.features.clear();
-    }
-}
-
-/// Advances `counter` by however many evictions happened since the last
-/// report. `fetch_max` keeps the high-water mark monotone under concurrent
-/// misses; each eviction is reported exactly once.
-fn report_evictions(counter: &'static str, total: u64, seen: &AtomicU64, sink: &dyn ObsSink) {
-    let prev = seen.fetch_max(total, Ordering::Relaxed);
-    if total > prev {
-        sink.counter_add(counter, total - prev);
     }
 }
 
@@ -181,37 +128,17 @@ mod tests {
     use neursc_graph::generate::erdos_renyi;
 
     #[test]
-    fn bounded_context_reports_evictions_to_the_sink() {
+    fn context_reports_hits_and_misses_to_the_sink() {
         let rec = Arc::new(Recorder::new());
-        let sink: Arc<dyn ObsSink> = rec.clone();
-        let ctx = GraphContext {
-            profiles: ProfileCache::with_capacity(1),
-            obs: sink,
-            ..GraphContext::default()
-        };
-        let g1 = erdos_renyi(20, 40, 2, 1);
-        let g2 = erdos_renyi(20, 40, 2, 2);
-        let _ = ctx.profiles_for(&g1, 1);
-        let _ = ctx.profiles_for(&g2, 1); // evicts g1's entry
-        let _ = ctx.profiles_for(&g1, 1); // evicts g2's entry
-        let snap = rec.metrics().snapshot();
-        assert_eq!(snap.counter("cache.profile.evicted"), 2);
-        assert_eq!(snap.counter("cache.profile.miss"), 3);
-        assert_eq!(snap.counter("cache.profile.hit"), 0);
-    }
-
-    #[test]
-    fn unbounded_context_reports_no_evictions() {
-        let rec = Arc::new(Recorder::new());
-        let sink: Arc<dyn ObsSink> = rec.clone();
-        let ctx = GraphContext::with_obs(sink);
+        let ctx = GraphContext::with_obs(rec.clone());
         let g1 = erdos_renyi(20, 40, 2, 1);
         let g2 = erdos_renyi(20, 40, 2, 2);
         let _ = ctx.profiles_for(&g1, 1);
         let _ = ctx.profiles_for(&g2, 1);
         let _ = ctx.profiles_for(&g1, 1);
         let snap = rec.metrics().snapshot();
-        assert_eq!(snap.counter("cache.profile.evicted"), 0);
+        assert_eq!(snap.counter("cache.profile.miss"), 2);
         assert_eq!(snap.counter("cache.profile.hit"), 1);
+        assert_eq!(ctx.profiles.len(), 2);
     }
 }

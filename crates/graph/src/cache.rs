@@ -9,16 +9,15 @@
 //!
 //! Entries are keyed by [`Graph::content_fingerprint`], not by pointer or
 //! name: a graph rebuilt with any change to labels or edges hashes to a
-//! different key and can never be served stale data. By default the cache
-//! holds an unbounded list of entries — in practice one data graph × one or
-//! two keys — each behind an `Arc` so concurrent readers share one
-//! allocation. Long-running servers that see many distinct data graphs can
-//! bound it with [`GraphCache::with_capacity`]: over-capacity inserts evict
-//! the least-recently-used entry and count it in
-//! [`GraphCache::evicted_total`].
+//! different key and can never be served stale data. Each entry sits behind
+//! an `Arc` so concurrent readers share one allocation.
+//!
+//! The cache is an unbounded memo, and stays small because its keys are
+//! *data graphs*, never per-query subgraphs: a batch, a training run or a
+//! daemon works against one data graph, so it holds one entry per key in
+//! use (in practice one or two). Never key it by anything a query creates.
 
 use crate::Graph;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 #[derive(Debug)]
@@ -26,9 +25,6 @@ struct Entry<K, V> {
     fingerprint: u64,
     key: K,
     value: Arc<V>,
-    /// Recency stamp from the cache-wide tick, updated on every hit (atomic
-    /// so hits stay on the shared read lock).
-    last_used: AtomicU64,
 }
 
 /// Thread-safe `(graph content, key) → value` cache.
@@ -39,46 +35,20 @@ struct Entry<K, V> {
 #[derive(Debug)]
 pub struct GraphCache<K, V> {
     entries: RwLock<Vec<Entry<K, V>>>,
-    /// Maximum number of entries; 0 = unbounded (the offline default).
-    capacity: usize,
-    /// Monotonic recency clock.
-    tick: AtomicU64,
-    /// Total entries evicted over the cache's lifetime.
-    evicted: AtomicU64,
 }
 
 impl<K, V> Default for GraphCache<K, V> {
     fn default() -> Self {
         GraphCache {
             entries: RwLock::new(Vec::new()),
-            capacity: 0,
-            tick: AtomicU64::new(0),
-            evicted: AtomicU64::new(0),
         }
     }
 }
 
 impl<K: PartialEq + Clone, V> GraphCache<K, V> {
-    /// An empty, unbounded cache (the offline default — nothing is ever
-    /// evicted, preserving bit-determinism of repeated runs).
+    /// An empty cache.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An empty cache bounded to at most `capacity` entries (min 1). When
-    /// an insert exceeds the bound, the least-recently-used entry is
-    /// dropped and counted in [`Self::evicted_total`]; outstanding `Arc`s
-    /// to an evicted value stay valid.
-    pub fn with_capacity(capacity: usize) -> Self {
-        GraphCache {
-            capacity: capacity.max(1),
-            ..Self::default()
-        }
-    }
-
-    /// Total entries evicted since construction (0 while unbounded).
-    pub fn evicted_total(&self) -> u64 {
-        self.evicted.load(Ordering::Relaxed)
     }
 
     /// Returns the value for `(g, key)`, running `build` and memoizing its
@@ -92,7 +62,7 @@ impl<K: PartialEq + Clone, V> GraphCache<K, V> {
         build: impl FnOnce() -> V,
     ) -> (Arc<V>, bool, u64) {
         let fp = g.content_fingerprint();
-        if let Some(hit) = self.lookup(fp, key) {
+        if let Some(hit) = find(&self.read(), fp, key) {
             return (hit, true, 0);
         }
         let t0 = std::time::Instant::now();
@@ -105,11 +75,6 @@ impl<K: PartialEq + Clone, V> GraphCache<K, V> {
         )
     }
 
-    /// Whether `(g, key)` is already memoized, without computing anything.
-    pub fn contains(&self, g: &Graph, key: &K) -> bool {
-        self.lookup(g.content_fingerprint(), key).is_some()
-    }
-
     /// Number of memoized entries.
     pub fn len(&self) -> usize {
         self.read().len()
@@ -120,14 +85,9 @@ impl<K: PartialEq + Clone, V> GraphCache<K, V> {
         self.read().is_empty()
     }
 
-    /// Drops all entries (outstanding `Arc`s stay valid).
-    pub fn clear(&self) {
-        self.write().clear();
-    }
-
     // A panicking lock holder cannot leave the entry list half-updated
-    // (every mutation is a single push / swap_remove / clear), so a
-    // poisoned lock is recovered rather than propagated.
+    // (the only mutation is a single push), so a poisoned lock is
+    // recovered rather than propagated.
     fn read(&self) -> RwLockReadGuard<'_, Vec<Entry<K, V>>> {
         self.entries
             .read()
@@ -140,54 +100,27 @@ impl<K: PartialEq + Clone, V> GraphCache<K, V> {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    fn stamp(&self, e: &Entry<K, V>) {
-        e.last_used
-            .store(self.tick.fetch_add(1, Ordering::Relaxed), Ordering::Relaxed);
-    }
-
-    fn lookup(&self, fp: u64, key: &K) -> Option<Arc<V>> {
-        self.read()
-            .iter()
-            .find(|e| e.fingerprint == fp && e.key == *key)
-            .map(|e| {
-                self.stamp(e);
-                Arc::clone(&e.value)
-            })
-    }
-
     fn insert_or_share(&self, fp: u64, key: K, value: Arc<V>) -> Arc<V> {
         let mut entries = self.write();
         // Another thread may have inserted while we computed; keep the
         // existing entry so all readers share one allocation.
-        if let Some(e) = entries.iter().find(|e| e.fingerprint == fp && e.key == key) {
-            self.stamp(e);
-            return Arc::clone(&e.value);
+        if let Some(existing) = find(&entries, fp, &key) {
+            return existing;
         }
-        let entry = Entry {
+        entries.push(Entry {
             fingerprint: fp,
             key,
             value: Arc::clone(&value),
-            last_used: AtomicU64::new(0),
-        };
-        self.stamp(&entry);
-        entries.push(entry);
-        if self.capacity > 0 {
-            while entries.len() > self.capacity {
-                // Evict the least-recently-used entry (smallest stamp).
-                let Some(victim) = entries
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, e)| e.last_used.load(Ordering::Relaxed))
-                    .map(|(i, _)| i)
-                else {
-                    break;
-                };
-                entries.swap_remove(victim);
-                self.evicted.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        });
         value
     }
+}
+
+fn find<K: PartialEq, V>(entries: &[Entry<K, V>], fp: u64, key: &K) -> Option<Arc<V>> {
+    entries
+        .iter()
+        .find(|e| e.fingerprint == fp && e.key == *key)
+        .map(|e| Arc::clone(&e.value))
 }
 
 #[cfg(test)]
@@ -279,45 +212,5 @@ mod tests {
         // Every later reader shares the one surviving allocation.
         let winner = get(&cache, &g, 2);
         assert!(values.iter().any(|v| Arc::ptr_eq(v, &winner)));
-    }
-
-    #[test]
-    fn bounded_cache_evicts_least_recently_used() {
-        let cache = Cache::with_capacity(2);
-        let g = path3();
-        let k1 = get(&cache, &g, 1);
-        let _k2 = get(&cache, &g, 2);
-        // Touch key 1 so key 2 becomes the LRU victim.
-        assert!(Arc::ptr_eq(&k1, &get(&cache, &g, 1)));
-        let _k3 = get(&cache, &g, 3);
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.evicted_total(), 1);
-        assert!(cache.contains(&g, &1), "recently-used entry survived");
-        assert!(cache.contains(&g, &3), "new entry present");
-        assert!(!cache.contains(&g, &2), "LRU entry evicted");
-        // The evicted value is recomputed on demand, correctly.
-        assert_eq!(*get(&cache, &g, 2), build(&g, 2));
-        assert_eq!(cache.evicted_total(), 2, "recompute evicted the next LRU");
-    }
-
-    #[test]
-    fn unbounded_cache_never_evicts() {
-        let cache = Cache::new();
-        let g = path3();
-        for k in 1..=6 {
-            let _ = get(&cache, &g, k);
-        }
-        assert_eq!(cache.len(), 6);
-        assert_eq!(cache.evicted_total(), 0);
-    }
-
-    #[test]
-    fn clear_empties_but_keeps_outstanding_arcs_valid() {
-        let cache = Cache::new();
-        let g = path3();
-        let v = get(&cache, &g, 1);
-        cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!(v.len(), g.n_vertices()); // still readable
     }
 }

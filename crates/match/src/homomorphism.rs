@@ -8,31 +8,18 @@
 
 use crate::candidates::CandidateSets;
 use crate::enumerate::{CountOutcome, CountResult};
-use crate::filter::{filter_candidates, FilterConfig};
 use crate::ordering::build_order;
 use neursc_graph::types::VertexId;
 use neursc_graph::Graph;
 
 /// Counts label-preserving, edge-preserving (not necessarily injective)
 /// mappings of `q` into `g` with the given expansion budget.
-pub fn count_homomorphisms(q: &Graph, g: &Graph, budget: u64) -> CountResult {
-    let cs = filter_candidates(q, g, &FilterConfig::default());
-    count_homomorphisms_with_candidates(q, g, &cs, budget)
-}
-
-/// Homomorphism counting over precomputed candidate sets.
 ///
-/// Candidate sets produced for isomorphism are safe here too: the local
-/// pruning conditions (label equality, degree, profile subsumption) are
-/// *not* all necessary for homomorphisms (a homomorphism can fold query
-/// vertices together, so `d(v) ≥ d(u)` need not hold). We therefore only
-/// use the label partition for candidates, ignoring degree/profile pruning.
-pub fn count_homomorphisms_with_candidates(
-    q: &Graph,
-    g: &Graph,
-    _cs: &CandidateSets,
-    budget: u64,
-) -> CountResult {
+/// Candidates come from the label partition alone: the local pruning
+/// conditions of the isomorphism filter (degree, profile subsumption) are
+/// *not* necessary for homomorphisms — a homomorphism can fold query
+/// vertices together, so `d(v) ≥ d(u)` need not hold.
+pub fn count_homomorphisms(q: &Graph, g: &Graph, budget: u64) -> CountResult {
     if q.n_vertices() == 0 {
         return CountResult {
             count: 1,
@@ -40,7 +27,6 @@ pub fn count_homomorphisms_with_candidates(
             expansions: 0,
         };
     }
-    // Label-only candidates (safe for homomorphisms).
     let n_labels = g.n_labels().max(q.n_labels());
     let mut by_label: Vec<Vec<VertexId>> = vec![Vec::new(); n_labels];
     for v in g.vertices() {

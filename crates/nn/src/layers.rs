@@ -1,4 +1,4 @@
-//! Neural-network layers: `Linear`, activations, `Mlp`, dropout.
+//! Neural-network layers: `Linear`, activations, `Mlp`.
 //!
 //! `Mlp` is the workhorse of the paper: GIN's COMBINE is an MLP (Eq. 3),
 //! the count head is a 4-layer MLP, and the Wasserstein discriminator is a
@@ -9,7 +9,6 @@ use crate::tape::{Tape, Var};
 use crate::tensor::Tensor;
 use crate::{ParamId, ParamStore};
 use rand::rngs::StdRng;
-use rand::Rng;
 
 /// Pointwise activation functions.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -200,28 +199,6 @@ impl Mlp {
     }
 }
 
-/// Inverted dropout: during training, zeroes each element with probability
-/// `p` and rescales survivors by `1/(1-p)`; at evaluation time it is the
-/// identity.
-pub fn dropout(tape: &mut Tape, x: Var, p: f32, training: bool, rng: &mut StdRng) -> Var {
-    if !training || p <= 0.0 {
-        return x;
-    }
-    assert!(p < 1.0, "dropout probability must be < 1");
-    let (r, c) = tape.value(x).shape();
-    let keep = 1.0 - p;
-    let mask_data = (0..r * c)
-        .map(|_| {
-            if rng.gen::<f32>() < keep {
-                1.0 / keep
-            } else {
-                0.0
-            }
-        })
-        .collect();
-    tape.mul_const(x, Tensor::from_vec(r, c, mask_data))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -304,32 +281,5 @@ mod tests {
             store.zero_grads();
         }
         assert!(last_loss < 0.05, "XOR did not converge: loss {last_loss}");
-    }
-
-    #[test]
-    fn dropout_eval_is_identity() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let mut tape = Tape::new();
-        let x = tape.constant(Tensor::ones(4, 4));
-        let y = dropout(&mut tape, x, 0.5, false, &mut rng);
-        assert_eq!(y, x);
-    }
-
-    #[test]
-    fn dropout_training_scales_survivors() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut tape = Tape::new();
-        let x = tape.constant(Tensor::ones(100, 10));
-        let y = dropout(&mut tape, x, 0.4, true, &mut rng);
-        let vals = tape.value(y).data();
-        assert!(vals
-            .iter()
-            .all(|&v| v == 0.0 || (v - 1.0 / 0.6).abs() < 1e-5));
-        let zeros = vals.iter().filter(|&&v| v == 0.0).count();
-        let frac = zeros as f32 / vals.len() as f32;
-        assert!((frac - 0.4).abs() < 0.1, "dropout rate off: {frac}");
-        // Expected value preserved approximately.
-        let mean = vals.iter().sum::<f32>() / vals.len() as f32;
-        assert!((mean - 1.0).abs() < 0.1);
     }
 }

@@ -22,8 +22,8 @@
 //!   primitive chain's gradient bit for bit.
 //! * [`ParamStore`] — owning store for trainable parameters, shared across
 //!   forward passes; gradients accumulate here after `backward`.
-//! * [`layers`] — `Linear` and `Mlp` (the paper's building blocks),
-//!   activation functions, dropout.
+//! * [`layers`] — `Linear` and `Mlp` (the paper's building blocks) and
+//!   activation functions.
 //! * [`optim`] — SGD and Adam (the paper's optimizer), plus the WGAN-style
 //!   weight clamp the Wasserstein discriminator requires (§5.5).
 //! * [`serialize`] — dependency-free text persistence for parameters.

@@ -363,8 +363,8 @@ impl Tape {
         self.push(out, Op::SliceRows(a.0, start))
     }
 
-    /// Multiplies by a fixed mask tensor that receives no gradient
-    /// (dropout, attention masks).
+    /// Multiplies by a fixed tensor that receives no gradient (masks,
+    /// per-row degree normalisation).
     pub fn mul_const(&mut self, a: Var, mask: Tensor) -> Var {
         assert_eq!(
             self.value(a).shape(),

@@ -56,4 +56,4 @@ pub use client::{Client, RetryClient, RetryPolicy};
 pub use json::Json;
 pub use proto::{parse_request, Request, RequestError};
 pub use router::{route, BackendChoice, Routed, RouterConfig};
-pub use server::{serve, Listen, ServeConfig, Server, DEFAULT_IDEM_CACHE_CAP};
+pub use server::{serve, Listen, ServeConfig, Server};

@@ -47,7 +47,7 @@
 //! collide, and the replay digest covers the per-request budgets so a
 //! resubmission with a different deadline is a fresh request. The dedup
 //! is **best-effort**, bounded by a FIFO cache
-//! ([`DEFAULT_IDEM_CACHE_CAP`]) — sound here because estimate verbs are
+//! (`IDEM_CACHE_CAP`, 1024 frames) — sound here because estimate verbs are
 //! deterministic and read-only.
 
 mod accept;
@@ -61,7 +61,7 @@ use crate::journal::Journal;
 use crate::json::Json;
 use crate::router::{BackendChoice, RouterConfig};
 use neursc_core::persist::{load_model, model_checksum};
-use neursc_core::{GraphContext, NeurSc, NeurScError, ObsSink, Recorder};
+use neursc_core::{GraphContext, NeurSc, NeurScError, Recorder};
 use neursc_graph::Graph;
 use parking_lot::RwLock;
 use std::path::{Path, PathBuf};
@@ -81,8 +81,10 @@ pub enum Listen {
 }
 
 /// Daemon configuration. The defaults favour latency on small hosts:
-/// tiny batch window, bounded queue, unbounded caches (one resident data
-/// graph), no chaos.
+/// tiny batch window, bounded queue, no chaos. The daemon serves the one
+/// data graph it was started on, so its profile/feature caches are plain
+/// memos (one entry each; see `neursc_graph::cache`) with nothing to
+/// configure.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Listen address.
@@ -106,9 +108,6 @@ pub struct ServeConfig {
     /// `ResourceBudget::max_query_vertices`, identical to the offline
     /// path).
     pub max_query_vertices: Option<usize>,
-    /// Capacity bound for the shared profile/feature caches (`None` =
-    /// unbounded, the offline default).
-    pub cache_capacity: Option<usize>,
     /// Admission sequence numbers whose requests get an injected worker
     /// panic (testing; mirrors [`neursc_core::FaultPlan::panic_on`]).
     pub chaos_panic: Vec<u64>,
@@ -136,10 +135,6 @@ pub struct ServeConfig {
     pub backend: BackendChoice,
     /// Cost-model thresholds for `--backend auto`.
     pub router: RouterConfig,
-    /// Idempotency replay cache capacity (`--idem-cache-cap`, entries).
-    /// Must be ≥ 1; evictions are counted under `idem.evicted` so
-    /// eviction-caused re-processing of late retries is observable.
-    pub idem_cache_cap: usize,
 }
 
 impl Default for ServeConfig {
@@ -152,7 +147,6 @@ impl Default for ServeConfig {
             max_pending: 1024,
             max_frame_bytes: 1 << 20,
             max_query_vertices: None,
-            cache_capacity: None,
             chaos_panic: Vec::new(),
             chaos_starve: Vec::new(),
             chaos_abort: Vec::new(),
@@ -161,21 +155,19 @@ impl Default for ServeConfig {
             restarts: 0,
             backend: BackendChoice::West,
             router: RouterConfig::default(),
-            idem_cache_cap: DEFAULT_IDEM_CACHE_CAP,
         }
     }
 }
 
-/// Default bound on `idempotency key → reply frame` cache entries retained
-/// for retry deduplication (`ServeConfig::idem_cache_cap` overrides it).
-/// The bound makes the guarantee best-effort: under sustained load a
-/// cached reply can be evicted before a very late retry arrives, and
-/// that retry is then re-processed — observable via the `idem.evicted`
-/// counter. This is harmless for every current verb (estimates are
+/// Bound on `idempotency key → reply frame` cache entries retained for
+/// retry deduplication (FIFO). The bound makes the guarantee best-effort:
+/// under sustained load a cached reply can be evicted before a very late
+/// retry arrives, and that retry is then re-processed — observable via
+/// the `idem.evicted` counter. This is harmless for every current verb (estimates are
 /// deterministic and read-only — the re-processed reply is
 /// bit-identical), but a future non-idempotent verb must NOT rely on
 /// this cache for exactly-once semantics.
-pub const DEFAULT_IDEM_CACHE_CAP: usize = 1024;
+pub(crate) const IDEM_CACHE_CAP: usize = 1024;
 
 /// Poison-tolerant lock: a panicking holder already contained its panic
 /// (or crashed its own thread); the protected data here (queues, socket
@@ -311,22 +303,11 @@ pub fn serve(
     cfg: ServeConfig,
     recorder: Arc<Recorder>,
 ) -> std::io::Result<Server> {
-    if cfg.idem_cache_cap == 0 {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidInput,
-            "idem-cache-cap must be at least 1",
-        ));
-    }
     model.config.parallelism.threads = cfg.threads.max(1);
     let model_sum = model_checksum(&model);
     let (listener, addr) = accept::bind(&cfg.listen)?;
 
-    let mut ctx = match cfg.cache_capacity {
-        Some(c) => GraphContext::with_bounded_caches(c),
-        None => GraphContext::new(),
-    };
-    let sink: Arc<dyn ObsSink> = recorder.clone();
-    ctx.obs = sink;
+    let ctx = GraphContext::with_obs(recorder.clone());
 
     let journal = match &cfg.journal_path {
         Some(path) => Some(Journal::create(path)?),

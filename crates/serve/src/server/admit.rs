@@ -58,7 +58,7 @@ pub(super) struct IdemCache {
     /// original's reply is in `done`).
     in_flight: HashSet<IdemKey>,
     /// Completed keys with their exact reply frame, FIFO-bounded
-    /// (best-effort; see [`super::DEFAULT_IDEM_CACHE_CAP`]).
+    /// (best-effort; see [`super::IDEM_CACHE_CAP`]).
     done: VecDeque<(IdemKey, String)>,
 }
 
@@ -100,7 +100,7 @@ impl Shared {
         cache.in_flight.remove(&key);
         if let Some(frame) = frame {
             cache.done.push_back((key, frame.to_string()));
-            while cache.done.len() > self.cfg.idem_cache_cap {
+            while cache.done.len() > super::IDEM_CACHE_CAP {
                 cache.done.pop_front();
                 self.recorder.metrics().counter_add("idem.evicted", 1);
             }

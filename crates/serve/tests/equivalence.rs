@@ -706,3 +706,67 @@ fn served_auto_backend_routes_deterministically_and_matches_offline() {
         assert_matches_offline(&offline, &served, &format!("auto threads={threads}"));
     }
 }
+
+#[test]
+fn one_daemon_builds_its_profiles_once_across_a_hot_reload() {
+    // The daemon serves the one data graph it was started on, and every
+    // model it reloads filters at the same radius, so its profile cache
+    // holds one entry for its whole life: one miss, then hits — through a
+    // reload — with every reply still bit-identical to offline.
+    let (g, clean) = workload(7);
+    let offline = NeurSc::new(small_config(1), 42).estimate_batch(&clean, &g, &GraphContext::new());
+    let dir = std::env::temp_dir().join(format!("neursc_serve_one_graph_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("same.model");
+    let reloaded = NeurSc::new(small_config(1), 42);
+    assert_eq!(
+        reloaded.config.filter.profile_radius,
+        small_config(2).filter.profile_radius
+    );
+    save_model(&reloaded, &path).unwrap();
+
+    let recorder = Arc::new(Recorder::new());
+    let model = NeurSc::new(small_config(2), 42);
+    let cfg = ServeConfig {
+        threads: 2,
+        ..ServeConfig::default()
+    };
+    let server = serve(model, g, cfg, recorder.clone()).unwrap();
+    let mut c = Client::connect_tcp(server.local_addr()).unwrap();
+    let pass = |c: &mut Client, first_id: u64| {
+        for (i, q) in clean.iter().enumerate() {
+            c.send_line(&client::estimate_request(first_id + i as u64, q))
+                .unwrap();
+        }
+        let mut by_index = HashMap::new();
+        for _ in 0..clean.len() {
+            let v = neursc_serve::json::parse(&c.recv_line().unwrap()).unwrap();
+            let id = v.get("id").and_then(Json::as_u64).unwrap();
+            by_index.insert(id - first_id, v);
+        }
+        by_index
+    };
+    let before = pass(&mut c, 0);
+    let reply = c.request(&client::reload_request(500, &path)).unwrap();
+    assert!(reply.contains("\"reloaded\":true"), "{reply}");
+    let after = pass(&mut c, 1000);
+    assert_matches_offline(&offline, &before, "before reload");
+    assert_matches_offline(&offline, &after, "after reload");
+
+    let stats = c.request(&client::stats_request(2000)).unwrap();
+    let v = neursc_serve::json::parse(&stats).unwrap();
+    let counters = v
+        .get("stats")
+        .and_then(|s| s.get("metrics"))
+        .and_then(|m| m.get("counters"))
+        .unwrap();
+    assert_eq!(
+        counters.get("cache.profile.miss").and_then(Json::as_u64),
+        Some(1),
+        "{stats}"
+    );
+    c.send_line(&client::shutdown_request(2001)).unwrap();
+    let _ = c.recv_line().unwrap();
+    server.join().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -217,11 +217,10 @@ USAGE:
                       [--router-cands-per-ms N]
                       [--threads T] [--max-batch N] [--batch-wait-us U]
                       [--max-pending N] [--max-frame-bytes B]
-                      [--max-query-vertices V] [--cache-capacity C]
+                      [--max-query-vertices V]
                       [--journal FILE] [--supervise] [--max-restarts N]
                       [--backoff-base-ms MS] [--backoff-cap-ms MS]
                       [--stable-after-ms MS]
-                      [--idem-cache-cap N]
                       [--chaos-panic SEQS] [--chaos-starve SEQS]
                       [--chaos-abort DIGESTS] [OBS]
   neursc-cli graph pack --data FILE --out FILE.nscs
@@ -264,9 +263,6 @@ a request digest implicated in 2 consecutive crashes is quarantined (typed
 crash_suspect rejection). A restarted worker rebuilds its caches from the
 graph it loads. Typed worker exits (codes 1-7) propagate without
 restarting; a clean drain exits 0.
-
---idem-cache-cap bounds the deduplicated-reply cache (default 1024 entries,
-FIFO); evictions are counted under idem.evicted in `stats`.
 
 --max-query-vertices on estimate/evaluate caps the resource budget (exit 6
 when a query exceeds it); --inject-panic I trips a contained panic on item I
@@ -356,9 +352,9 @@ const COMMANDS: &[Command] = &[
         "serve",
         "model data graph-store listen unix backend router-volume-cap router-cands-per-ms \
          threads max-batch batch-wait-us max-pending max-frame-bytes max-query-vertices \
-         cache-capacity journal supervise max-restarts \
+         journal supervise max-restarts \
          backoff-base-ms backoff-cap-ms stable-after-ms quarantine restart-count \
-         idem-cache-cap chaos-panic chaos-starve chaos-abort \
+         chaos-panic chaos-starve chaos-abort \
          trace-json metrics-json trace-time",
         cmd_serve,
     ),
@@ -804,23 +800,19 @@ fn cmd_serve(opts: &Opts) -> Result<(), CliError> {
             RouterConfig::default().cands_per_ms,
         )?,
     };
-    let idem_cache_cap: usize = num(
-        opts,
-        "idem-cache-cap",
-        neursc::serve::DEFAULT_IDEM_CACHE_CAP,
-    )?;
-    if idem_cache_cap == 0 {
-        return Err(CliError::usage("--idem-cache-cap must be at least 1"));
-    }
+    let defaults = ServeConfig::default();
     let cfg = ServeConfig {
         listen,
         threads: model.config.parallelism.threads,
-        max_batch: num(opts, "max-batch", 8)?,
-        batch_wait: std::time::Duration::from_micros(num(opts, "batch-wait-us", 500u64)?),
-        max_pending: num(opts, "max-pending", 1024)?,
-        max_frame_bytes: num(opts, "max-frame-bytes", 1 << 20)?,
+        max_batch: num(opts, "max-batch", defaults.max_batch)?,
+        batch_wait: std::time::Duration::from_micros(num(
+            opts,
+            "batch-wait-us",
+            defaults.batch_wait.as_micros() as u64,
+        )?),
+        max_pending: num(opts, "max-pending", defaults.max_pending)?,
+        max_frame_bytes: num(opts, "max-frame-bytes", defaults.max_frame_bytes)?,
         max_query_vertices: opt_num(opts, "max-query-vertices")?,
-        cache_capacity: opt_num(opts, "cache-capacity")?,
         chaos_panic: num_list(opts, "chaos-panic")?,
         chaos_starve: num_list(opts, "chaos-starve")?,
         chaos_abort: hex_list(opts, "chaos-abort")?,
@@ -829,7 +821,6 @@ fn cmd_serve(opts: &Opts) -> Result<(), CliError> {
         restarts: num(opts, "restart-count", 0u64)?,
         backend,
         router,
-        idem_cache_cap,
     };
 
     // The daemon always records: `stats` exports the metrics registry
@@ -956,5 +947,29 @@ fn cmd_fuzz(opts: &Opts) -> Result<(), CliError> {
             report.outcomes.len(),
             cfg.seed
         )))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeSet;
+
+    /// `USAGE` documents exactly the flags the `COMMANDS` table accepts,
+    /// apart from `quarantine` and `restart-count`, which only the
+    /// supervisor passes to its worker.
+    #[test]
+    fn usage_names_exactly_the_flags_commands_accept() {
+        let accepted: BTreeSet<&str> = COMMANDS
+            .iter()
+            .flat_map(|(_, flags, _)| flags.split_whitespace())
+            .filter(|f| !matches!(*f, "quarantine" | "restart-count"))
+            .collect();
+        let documented: BTreeSet<&str> = USAGE
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter_map(|w| w.strip_prefix("--"))
+            .filter(|f| f.starts_with(|c: char| c.is_ascii_lowercase()))
+            .collect();
+        assert_eq!(accepted, documented);
     }
 }

@@ -183,6 +183,14 @@ fn cli_rejects_bad_usage() {
             "--snapshot",
         ),
         (
+            "serve --model no.model --cache-capacity 4 --data",
+            "--cache-capacity",
+        ),
+        (
+            "serve --model no.model --idem-cache-cap 8 --data",
+            "--idem-cache-cap",
+        ),
+        (
             "estimate --model no.model --query no.graph --max-batch 4 --data",
             "--max-batch",
         ),
