@@ -10,6 +10,11 @@
 //! with `--phase resident|streamed --store PATH`, and the child prints a
 //! one-line JSON report (open time, estimate time, its own peak RSS).
 //!
+//! Before the phases, the parent also saves the graph as `.graph` text and
+//! times `load_graph` on it (median of 3): `text_load_ms`, printed beside
+//! the resident phase's `open_ms`, is what opening the store saves over
+//! parsing the text.
+//!
 //! The headline claim is the memory-budget assertion: the streamed phase
 //! must peak below **50%** of the resident phase. On platforms without
 //! `/proc/self/status` both peaks read 0 and the assertion is skipped
@@ -78,6 +83,22 @@ fn main() {
     let file_bytes = neursc_store::pack_graph(&g, &store_path).expect("pack graph");
     let pack_ms = t.elapsed().as_secs_f64() * 1e3;
     eprintln!("packed {file_bytes} bytes in {pack_ms:.0} ms");
+    // What the store is weighed against: the same graph as `.graph` text,
+    // read back by `load_graph` as `--data` reads it.
+    let text_path = dir.join("bench.graph");
+    neursc_graph::io::save_graph(&g, &text_path).expect("save graph text");
+    let mut loads: Vec<f64> = (0..3)
+        .map(|_| {
+            let t = Instant::now();
+            let loaded = neursc_graph::io::load_graph(&text_path).expect("load graph text");
+            let ms = t.elapsed().as_secs_f64() * 1e3;
+            assert!(loaded == g, "text roundtrip changed the graph");
+            ms
+        })
+        .collect();
+    loads.sort_by(f64::total_cmp);
+    let text_load_ms = loads[1];
+    std::fs::remove_file(&text_path).ok();
     drop(g);
 
     let exe = std::env::current_exe().expect("current_exe");
@@ -137,6 +158,11 @@ fn main() {
     for (name, line) in &phases {
         println!("{name}: {line}");
     }
+    println!(
+        "text_load_ms: {text_load_ms:.1} (load_graph of the same graph as .graph text, \
+         median of 3) beside resident open_ms: {:.1}",
+        field(&phases[0].1, "open_ms")
+    );
     println!("streamed/resident peak RSS: {ratio:.4}");
     std::fs::remove_dir_all(&dir).ok();
 

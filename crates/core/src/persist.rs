@@ -33,7 +33,7 @@ use crate::model::NeurSc;
 use neursc_gnn::{AttentionConfig, FeatureConfig, GinConfig};
 use neursc_graph::hash::fnv1a64;
 use neursc_match::FilterConfig;
-use neursc_nn::serialize::{copy_values, store_from_string, store_to_string, SerializeError};
+use neursc_nn::serialize::{load_values, store_to_string, SerializeError};
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -140,7 +140,7 @@ fn corrupt(detail: impl Into<String>) -> NeurScError {
 
 /// Parses a model back. The checksum is verified before any field is
 /// interpreted; the architecture is rebuilt from the config lines and the
-/// stored parameter values are copied in.
+/// stored parameter values are parsed in place and moved in.
 pub fn model_from_string(text: &str) -> Result<NeurSc, NeurScError> {
     let Some(after_header) = text.strip_prefix("neursc-model v1\n") else {
         return Err(NeurScError::Persist(SerializeError::Parse(
@@ -163,16 +163,21 @@ pub fn model_from_string(text: &str) -> Result<NeurSc, NeurScError> {
         )));
     }
 
+    // Config lines up to `---` (split as `str::lines` splits); the
+    // parameter section is the rest of `body`, parsed where it lies.
     let mut kv = std::collections::HashMap::new();
-    let mut params_text = String::new();
-    let mut in_params = false;
-    for line in body.lines() {
-        if in_params {
-            params_text.push_str(line);
-            params_text.push('\n');
-        } else if line == "---" {
-            in_params = true;
-        } else if let Some((k, v)) = line.split_once('=') {
+    let mut params = "";
+    let mut offset = 0;
+    for raw in body.split_inclusive('\n') {
+        offset += raw.len();
+        let line = raw
+            .strip_suffix('\n')
+            .map_or(raw, |l| l.strip_suffix('\r').unwrap_or(l));
+        if line == "---" {
+            params = &body[offset..];
+            break;
+        }
+        if let Some((k, v)) = line.split_once('=') {
             kv.insert(k.trim().to_string(), v.trim().to_string());
         }
     }
@@ -290,8 +295,7 @@ pub fn model_from_string(text: &str) -> Result<NeurSc, NeurScError> {
     };
 
     let mut model = NeurSc::new(config, seed);
-    let loaded = store_from_string(&params_text)?;
-    copy_values(&mut model.store, &loaded)?;
+    load_values(&mut model.store, params)?;
     Ok(model)
 }
 

@@ -86,7 +86,7 @@ impl Graph {
 
     /// Reassembles a graph from raw CSR arrays — the fast decode path for
     /// binary graph stores, which persist exactly these three arrays.
-    /// Skips the edge-list sort/dedup of [`GraphBuilder::build`] but
+    /// Skips the per-row sort and dedup of [`GraphBuilder::build`] but
     /// validates every invariant [`Graph::check_invariants`] checks
     /// (monotone offsets, sorted strict adjacency, symmetry, no
     /// self-loops, in-range ids), returning a typed error instead of
@@ -374,58 +374,71 @@ impl GraphBuilder {
                 });
             }
         }
-        self.edges.push(if u < v { (u, v) } else { (v, u) });
+        self.edges.push((u, v));
         Ok(())
     }
 
     /// Finalizes into an immutable CSR [`Graph`].
-    pub fn build(mut self) -> Graph {
-        let n = self.labels.len();
-        self.edges.sort_unstable();
-        self.edges.dedup();
-
-        let mut degree = vec![0usize; n];
-        for &(u, v) in &self.edges {
-            degree[u as usize] += 1;
-            degree[v as usize] += 1;
-        }
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0usize);
-        for v in 0..n {
-            offsets.push(offsets[v] + degree[v]);
-        }
-        let mut cursor = offsets.clone();
-        let mut neighbors = vec![0 as VertexId; 2 * self.edges.len()];
-        for &(u, v) in &self.edges {
-            neighbors[cursor[u as usize]] = v;
-            cursor[u as usize] += 1;
-            neighbors[cursor[v as usize]] = u;
-            cursor[v as usize] += 1;
-        }
-        // Edges were inserted in sorted (u, v) order, so each list is already
-        // sorted for the "forward" half, but the mirrored entries interleave;
-        // sort each list to restore the invariant.
-        for v in 0..n {
-            neighbors[offsets[v]..offsets[v + 1]].sort_unstable();
-        }
-        let n_labels = self
-            .labels
-            .iter()
-            .map(|&l| l as usize + 1)
-            .max()
-            .unwrap_or(0);
-        let max_degree = degree.iter().copied().max().unwrap_or(0);
-        let g = Graph {
-            offsets,
-            neighbors,
-            labels: self.labels,
-            n_labels,
-            max_degree,
-            fingerprint: OnceLock::new(),
-        };
-        debug_assert!(g.check_invariants());
-        g
+    pub fn build(self) -> Graph {
+        csr_from_edges(self.labels, &self.edges)
     }
+}
+
+/// The one CSR construction: a counting sort of both endpoints of every
+/// edge into per-vertex rows, then each row sorted and deduplicated in
+/// place (`O(n + m log d_max)`, no global edge sort). `edges` may repeat an
+/// edge in either orientation — repeats collapse to one — but holds no
+/// self-loop or out-of-range endpoint; callers have rejected both.
+pub(crate) fn csr_from_edges(labels: Vec<Label>, edges: &[(VertexId, VertexId)]) -> Graph {
+    let n = labels.len();
+    let mut offsets = vec![0usize; n + 1];
+    for &(u, v) in edges {
+        offsets[u as usize + 1] += 1;
+        offsets[v as usize + 1] += 1;
+    }
+    for v in 0..n {
+        offsets[v + 1] += offsets[v];
+    }
+    let mut cursor = offsets.clone();
+    let mut neighbors = vec![0 as VertexId; 2 * edges.len()];
+    for &(u, v) in edges {
+        neighbors[cursor[u as usize]] = v;
+        cursor[u as usize] += 1;
+        neighbors[cursor[v as usize]] = u;
+        cursor[v as usize] += 1;
+    }
+    // Sort each row and keep its first copy of every neighbor; a row moves
+    // left over the repeats dropped from the rows before it.
+    let mut kept = 0;
+    let mut max_degree = 0;
+    for v in 0..n {
+        let (start, end) = (offsets[v], offsets[v + 1]);
+        neighbors[start..end].sort_unstable();
+        offsets[v] = kept;
+        for i in start..end {
+            if kept == offsets[v] || neighbors[i] != neighbors[kept - 1] {
+                neighbors[kept] = neighbors[i];
+                kept += 1;
+            }
+        }
+        max_degree = max_degree.max(kept - offsets[v]);
+    }
+    offsets[n] = kept;
+    if kept < neighbors.len() {
+        neighbors.truncate(kept);
+        neighbors.shrink_to_fit();
+    }
+    let n_labels = labels.iter().map(|&l| l as usize + 1).max().unwrap_or(0);
+    let g = Graph {
+        offsets,
+        neighbors,
+        labels,
+        n_labels,
+        max_degree,
+        fingerprint: OnceLock::new(),
+    };
+    debug_assert!(g.check_invariants());
+    g
 }
 
 #[cfg(test)]

@@ -139,3 +139,52 @@ fn er_generator_respects_invariants_at_scale() {
     assert!(g.check_invariants());
     assert_eq!(g.n_edges(), 8000);
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The counting-sort build equals one global sort + dedup of the
+    /// canonical edges: few vertices and many draws, so edges repeat in
+    /// both orientations.
+    #[test]
+    fn build_equals_a_global_sort_and_dedup(
+        n in 1usize..12,
+        labels in proptest::collection::vec(0u32..6, 12),
+        draws in proptest::collection::vec((0u32..12, 0u32..12), 0..80),
+    ) {
+        let edges: Vec<(u32, u32)> = draws
+            .into_iter()
+            .map(|(u, v)| (u % n as u32, v % n as u32))
+            .filter(|(u, v)| u != v)
+            .collect();
+        let mut b = GraphBuilder::new(n);
+        for (v, &l) in labels[..n].iter().enumerate() {
+            b.set_label(v as u32, l);
+        }
+        for &(u, v) in &edges {
+            b.add_edge(u, v).unwrap();
+        }
+        let built = b.build();
+
+        let mut canonical: Vec<(u32, u32)> = edges.iter().map(|&(u, v)| (u.min(v), u.max(v))).collect();
+        canonical.sort_unstable();
+        canonical.dedup();
+        let mut rows = vec![Vec::new(); n];
+        for &(u, v) in &canonical {
+            rows[u as usize].push(v);
+            rows[v as usize].push(u);
+        }
+        let mut offsets = vec![0];
+        let mut neighbors = Vec::new();
+        for row in &mut rows {
+            row.sort_unstable();
+            neighbors.extend_from_slice(row);
+            offsets.push(neighbors.len());
+        }
+        let want = Graph::from_csr_parts(labels[..n].to_vec(), offsets, neighbors).unwrap();
+        prop_assert_eq!(&built, &want);
+        prop_assert_eq!(built.n_edges(), canonical.len());
+        prop_assert_eq!(built.max_degree(), want.max_degree());
+        prop_assert_eq!(built.n_labels(), want.n_labels());
+    }
+}

@@ -64,8 +64,35 @@ pub fn store_to_string(store: &ParamStore) -> String {
     out
 }
 
-/// Parses a store previously produced by [`store_to_string`].
-pub fn store_from_string(text: &str) -> Result<ParamStore, SerializeError> {
+/// Parses a store previously produced by [`store_to_string`] and moves its
+/// values into `dst`, whose parameters must match them in number and
+/// pairwise in shape — loads a trained model into a freshly constructed
+/// network whose layers already allocated their parameters. A parse error
+/// comes before a count or shape mismatch.
+pub fn load_values(dst: &mut ParamStore, text: &str) -> Result<(), SerializeError> {
+    let tensors = parse_tensors(text)?;
+    if dst.len() != tensors.len() {
+        return Err(SerializeError::Parse(format!(
+            "parameter count mismatch: {} vs {}",
+            dst.len(),
+            tensors.len()
+        )));
+    }
+    let ids: Vec<_> = dst.ids().collect();
+    for (id, t) in ids.into_iter().zip(tensors) {
+        if dst.value(id).shape() != t.shape() {
+            return Err(SerializeError::Parse(format!(
+                "shape mismatch on parameter {}",
+                id.0
+            )));
+        }
+        *dst.value_mut(id) = t;
+    }
+    Ok(())
+}
+
+/// The tensors of a store's text, in order.
+fn parse_tensors(text: &str) -> Result<Vec<Tensor>, SerializeError> {
     let mut lines = text.lines();
     let header = lines
         .next()
@@ -78,7 +105,7 @@ pub fn store_from_string(text: &str) -> Result<ParamStore, SerializeError> {
         .next()
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| SerializeError::Parse("bad tensor count".into()))?;
-    let mut store = ParamStore::new();
+    let mut tensors = Vec::new();
     for i in 0..n {
         let shape_line = lines
             .next()
@@ -110,33 +137,9 @@ pub fn store_from_string(text: &str) -> Result<ParamStore, SerializeError> {
                 data.len()
             )));
         }
-        store.alloc(Tensor::from_vec(rows, cols, data));
+        tensors.push(Tensor::from_vec(rows, cols, data));
     }
-    Ok(store)
-}
-
-/// Copies parameter *values* from `src` into `dst` (shapes must match
-/// pairwise) — used to load a trained model into a freshly constructed
-/// network whose layers already allocated their parameters.
-pub fn copy_values(dst: &mut ParamStore, src: &ParamStore) -> Result<(), SerializeError> {
-    if dst.len() != src.len() {
-        return Err(SerializeError::Parse(format!(
-            "parameter count mismatch: {} vs {}",
-            dst.len(),
-            src.len()
-        )));
-    }
-    let ids: Vec<_> = dst.ids().collect();
-    for id in ids {
-        if dst.value(id).shape() != src.value(id).shape() {
-            return Err(SerializeError::Parse(format!(
-                "shape mismatch on parameter {}",
-                id.0
-            )));
-        }
-        *dst.value_mut(id) = src.value(id).clone();
-    }
-    Ok(())
+    Ok(tensors)
 }
 
 #[cfg(test)]
@@ -150,12 +153,21 @@ mod tests {
         s
     }
 
+    /// A store shaped like `s`, all zeros.
+    fn zeros_like(s: &ParamStore) -> ParamStore {
+        let mut z = ParamStore::new();
+        for id in s.ids() {
+            z.alloc(Tensor::zeros(s.value(id).rows(), s.value(id).cols()));
+        }
+        z
+    }
+
     #[test]
     fn roundtrip_is_bit_exact() {
         let s = sample_store();
         let text = store_to_string(&s);
-        let s2 = store_from_string(&text).unwrap();
-        assert_eq!(s.len(), s2.len());
+        let mut s2 = zeros_like(&s);
+        load_values(&mut s2, &text).unwrap();
         for id in s.ids() {
             assert_eq!(s.value(id), s2.value(id));
         }
@@ -168,23 +180,42 @@ mod tests {
 
     #[test]
     fn rejects_malformed_input() {
-        assert!(store_from_string("").is_err());
-        assert!(store_from_string("wrong header").is_err());
-        assert!(store_from_string("neursc-params v1 1\ntensor 2 2\n1 2 3").is_err());
-        assert!(store_from_string("neursc-params v1 1\ntensor 1 1\nnot_a_float").is_err());
-        assert!(store_from_string("neursc-params v1 2\ntensor 1 1\n0").is_err());
+        for text in [
+            "",
+            "wrong header",
+            "neursc-params v1 1\ntensor 2 2\n1 2 3",
+            "neursc-params v1 1\ntensor 1 1\nnot_a_float",
+            "neursc-params v1 2\ntensor 1 1\n0",
+        ] {
+            // An empty store matches no well-formed input either, but a
+            // parse error is reported before the count is compared.
+            let err = load_values(&mut ParamStore::new(), text).unwrap_err();
+            assert!(!err.to_string().contains("mismatch"), "{text:?}: {err}");
+        }
     }
 
     #[test]
-    fn copy_values_checks_shapes() {
+    fn load_values_checks_count_and_shapes() {
         let src = sample_store();
+        let text = store_to_string(&src);
         let mut dst = sample_store();
         dst.value_mut(crate::ParamId(0)).fill(9.0);
-        copy_values(&mut dst, &src).unwrap();
-        assert_eq!(dst.value(crate::ParamId(0)), src.value(crate::ParamId(0)));
+        load_values(&mut dst, &text).unwrap();
+        for id in src.ids() {
+            assert_eq!(dst.value(id), src.value(id));
+        }
 
         let mut small = ParamStore::new();
         small.alloc(Tensor::zeros(1, 1));
-        assert!(copy_values(&mut small, &src).is_err());
+        let err = load_values(&mut small, &text).unwrap_err();
+        assert!(err.to_string().contains("count mismatch"), "{err}");
+        let mut reshaped = ParamStore::new();
+        reshaped.alloc(Tensor::zeros(2, 2));
+        reshaped.alloc(Tensor::zeros(3, 1));
+        let err = load_values(&mut reshaped, &text).unwrap_err();
+        assert!(err.to_string().contains("parameter 1"), "{err}");
+        // A parse error wins over the count mismatch.
+        let err = load_values(&mut small, "neursc-params v1 2\ntensor 1 1\nx\n").unwrap_err();
+        assert!(err.to_string().contains("bad float"), "{err}");
     }
 }
