@@ -182,58 +182,49 @@ impl WEst {
         gb_edges: &EdgeList,
     ) -> f32 {
         let nq = x_q.rows();
-        let ns = x_sub.rows();
 
         let hs_intra = {
             let _sp = crate::obs::Span::enter("gnn.intra");
             self.gin.infer_forward(ctx, x_sub, sub_edges)
         };
-
-        // `h_q` is either a fresh concat (Full variant) or the shared
-        // borrowed `hq_intra` (IntraOnly) — track ownership so only arena
-        // tensors are recycled.
-        let (owned_hq, h_sub) = if let Some(inter) = &self.inter {
+        let h_all = self.inter.as_ref().map(|inter| {
             let _sp = crate::obs::Span::enter("gnn.inter");
             let x_all = ctx.concat_rows(x_q, x_sub);
             let h_all = inter.infer_forward(ctx, &x_all, gb_edges);
             ctx.recycle(x_all);
-            let hq_inter = ctx.slice_rows(&h_all, 0, nq);
-            let hs_inter = ctx.slice_rows(&h_all, nq, nq + ns);
-            ctx.recycle(h_all);
-            let hq = ctx.concat_cols(hq_intra, &hq_inter);
-            let hs = ctx.concat_cols(&hs_intra, &hs_inter);
-            ctx.recycle(hq_inter);
-            ctx.recycle(hs_inter);
-            ctx.recycle(hs_intra);
-            (Some(hq), hs)
-        } else {
-            (None, hs_intra)
-        };
-        let h_q: &Tensor = owned_hq.as_ref().map_or(hq_intra, |t| t);
+            h_all
+        });
 
         let z = {
             let _sp = crate::obs::Span::enter("gnn.readout");
-            let mut rq = ctx.sum_rows(h_q);
-            for v in rq.data_mut() {
+            // `hp = [Σ h_q ‖ Σ h_sub]`, where `h_q = [hq_intra ‖ h_all[..nq]]`
+            // and `h_sub = [hs_intra ‖ h_all[nq..]]`: every block's column
+            // sums go straight to their place in `hp`, row-ascending from
+            // `+0.0` as the tape's `sum_rows` adds them, with no block
+            // concatenated or sliced first.
+            let (intra, inter) = (hq_intra.cols(), h_all.as_ref().map_or(0, Tensor::cols));
+            let mut hp = ctx.alloc(1, 2 * (intra + inter));
+            let (rq, rs) = hp.data_mut().split_at_mut(intra + inter);
+            add_rows(&mut rq[..intra], hq_intra.data());
+            add_rows(&mut rs[..intra], hs_intra.data());
+            if let Some(h_all) = &h_all {
+                let (hq_inter, hs_inter) = h_all.data().split_at(nq * inter);
+                add_rows(&mut rq[intra..], hq_inter);
+                add_rows(&mut rs[intra..], hs_inter);
+            }
+            for v in hp.data_mut() {
                 *v = log1p_signed_scalar(*v);
             }
-            let mut rs = ctx.sum_rows(&h_sub);
-            for v in rs.data_mut() {
-                *v = log1p_signed_scalar(*v);
-            }
-            let hp = ctx.concat_cols(&rq, &rs);
-            ctx.recycle(rq);
-            ctx.recycle(rs);
             let zt = self.head.infer_forward(ctx, &hp);
             ctx.recycle(hp);
             let z = clamp_max_scalar(zt.item(), LOG_COUNT_CAP);
             ctx.recycle(zt);
             z
         };
-        if let Some(hq) = owned_hq {
-            ctx.recycle(hq);
+        if let Some(h_all) = h_all {
+            ctx.recycle(h_all);
         }
-        ctx.recycle(h_sub);
+        ctx.recycle(hs_intra);
         z
     }
 
@@ -245,6 +236,19 @@ impl WEst {
         }
         p.extend(self.head.params());
         p
+    }
+}
+
+/// Adds the rows of the row-major matrix `rows` (`out.len()` wide) onto
+/// `out`, row-ascending.
+fn add_rows(out: &mut [f32], rows: &[f32]) {
+    if out.is_empty() {
+        return; // `chunks_exact(0)` would panic
+    }
+    for row in rows.chunks_exact(out.len()) {
+        for (o, &x) in out.iter_mut().zip(row) {
+            *o += x;
+        }
     }
 }
 

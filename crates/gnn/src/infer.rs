@@ -59,13 +59,13 @@ impl AttentionLayer {
         has_in: &[bool],
     ) -> Tensor {
         let n = eff.n_vertices;
-        let mut th = ctx.matmul(h, ctx.param(self.theta)); // [n, out]
+        let mut th = ctx.matmul(h, self.theta); // [n, out]
         if eff.is_empty() {
             // No edges at all: fall back to the transformed self term.
             kernels::sigmoid_in_place(th.data_mut());
             return th;
         }
-        let ta = ctx.matmul(h, ctx.param(self.theta_a)); // [n, out]
+        let ta = ctx.matmul(h, self.theta_a); // [n, out]
         let attn = ctx.param(self.attn).data(); // [2·out, 1], row-major ⇒ flat
 
         // One logit per edge, softmaxed in place into α.

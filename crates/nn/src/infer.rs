@@ -29,6 +29,7 @@
 
 use crate::tensor::Tensor;
 use crate::{ParamId, ParamStore};
+use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
 // Weight snapshot
@@ -47,25 +48,41 @@ pub enum QuantMode {
 
 /// A read-only snapshot of every parameter in a [`ParamStore`]. Taken
 /// once at model load/reload; fused kernels borrow weights from here
-/// instead of cloning them into a tape per forward.
+/// instead of cloning them into a tape per forward. The values are shared
+/// with the store, which copies one only when it next changes it. Each
+/// parameter carries a bit saying it holds no `inf` or NaN, which lets the
+/// matmul skip zero left values (`kernels` module doc) without scanning
+/// the weight on every call.
 #[derive(Debug, Clone)]
 pub struct InferWeights {
-    values: Vec<Tensor>,
+    values: Vec<Arc<Tensor>>,
+    finite: Vec<bool>,
 }
 
 impl InferWeights {
     /// Snapshots every parameter of `store`. The second parameter is
     /// ignored (see [`QuantMode`]).
     pub fn from_store(store: &ParamStore, _: QuantMode) -> Self {
-        InferWeights {
-            values: store.ids().map(|id| store.value(id).clone()).collect(),
-        }
+        let values: Vec<Arc<Tensor>> = store.ids().map(|id| store.shared_value(id)).collect();
+        let finite = values.iter().map(|t| all_finite(t.data())).collect();
+        InferWeights { values, finite }
     }
 
     /// The snapshotted value of a parameter.
     pub fn value(&self, id: ParamId) -> &Tensor {
         &self.values[id.0 as usize]
     }
+
+    /// Whether every element of a parameter is finite.
+    pub fn is_finite(&self, id: ParamId) -> bool {
+        self.finite[id.0 as usize]
+    }
+}
+
+/// Whether no element of `xs` is `inf` or NaN. A fold over every element
+/// rather than a short-circuiting `all`, so it vectorises.
+fn all_finite(xs: &[f32]) -> bool {
+    !xs.iter().fold(false, |bad, x| bad | !x.is_finite())
 }
 
 // ---------------------------------------------------------------------------
@@ -188,9 +205,12 @@ impl<'w> InferCtx<'w> {
         self.arena.alloc_full(rows, cols)
     }
 
-    /// `a × b` into an arena tensor — [`Tensor::matmul`] (the same
-    /// [`crate::kernels`] call) minus the fresh allocation.
-    pub fn matmul(&mut self, a: &Tensor, b: &Tensor) -> Tensor {
+    /// `a × w` into an arena tensor for a parameter `w` — [`Tensor::matmul`]
+    /// (the same [`crate::kernels`] call) minus the fresh allocation, and
+    /// with the snapshot's finiteness bit, so zero values of `a` are
+    /// skipped wherever that is exact.
+    pub fn matmul(&mut self, a: &Tensor, w: ParamId) -> Tensor {
+        let b = self.param(w);
         assert_eq!(
             a.cols(),
             b.rows(),
@@ -198,9 +218,8 @@ impl<'w> InferCtx<'w> {
             a.shape(),
             b.shape()
         );
-        let (n, m) = (a.rows(), b.cols());
-        let mut out = self.arena.alloc_full(n, m);
-        crate::kernels::matmul_into(a, b, &mut out);
+        let mut out = self.arena.alloc_full(a.rows(), b.cols());
+        crate::kernels::matmul_into(a, b, self.weights.is_finite(w), &mut out);
         out
     }
 
@@ -259,6 +278,21 @@ mod tests {
         let id = store.alloc(Tensor::from_vec(1, 3, vec![0.1, -2.5, 3.75]));
         let w = InferWeights::from_store(&store, QuantMode::F32);
         assert_eq!(w.value(id), store.value(id));
+    }
+
+    #[test]
+    fn finiteness_bit_is_per_parameter() {
+        let mut store = ParamStore::new();
+        let mut ids = vec![store.alloc(Tensor::from_vec(1, 3, vec![f32::MAX, -0.0, 1e-45]))];
+        for bad in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN, -f32::NAN] {
+            // 37 elements: the odd one lands past any vector width.
+            let mut v = vec![1.0; 37];
+            v[36] = bad;
+            ids.push(store.alloc(Tensor::from_vec(1, 37, v)));
+        }
+        let w = InferWeights::from_store(&store, QuantMode::F32);
+        let bits: Vec<bool> = ids.iter().map(|&id| w.is_finite(id)).collect();
+        assert_eq!(bits, [true, false, false, false, false]);
     }
 
     #[test]

@@ -25,6 +25,20 @@
 //! inference share them while `tests/infer_equivalence.rs` and the golden
 //! training test stay exact.
 //!
+//! **Zero skips.** Zero left values are skipped when the right operand is
+//! finite; otherwise only whole zero rows are. The chain never holds
+//! `-0.0` — it starts at `+0.0`, and `+0.0 + -0.0` rounds to `+0.0` — so
+//! adding `±0 × b` leaves it unchanged for every finite `b`, and a step
+//! whose left value is zero can be left out without moving a bit. For an
+//! `inf` or NaN in `b` it cannot (`0 × inf` is NaN), so the skip needs
+//! the caller's word that `b` is all finite: the inference path's weight
+//! snapshot records one bit per parameter
+//! ([`crate::infer::InferWeights::is_finite`]). With that bit the AVX-512
+//! kernels run over a list of the `k` steps at which some row of the group
+//! is nonzero (NaN counts as nonzero), built once per group and reused by
+//! every column block. The tape, the `tn` kernels and the AVX2 and scalar
+//! tiers always sweep `0..k`.
+//!
 //! **Layer loops** (the second half of this file): the bias + activation
 //! epilogue of a dense layer (`linear_into`), the GIN neighbour sum and
 //! combine ([`gather_add_into`], [`gin_combine_into`]) and the three stages
@@ -58,16 +72,18 @@ use crate::tape::stable_sigmoid;
 use crate::tensor::Tensor;
 
 /// `a × b` written into a caller-provided output whose contents may be
-/// stale: every row is either computed or explicitly zeroed.
-pub(crate) fn matmul_into(a: &Tensor, b: &Tensor, out: &mut Tensor) {
+/// stale: every row is either computed or explicitly zeroed. `b_finite`
+/// is the caller's word that `b` holds no `inf` or NaN (the zero skips of
+/// the module doc); `false` is always correct.
+pub(crate) fn matmul_into(a: &Tensor, b: &Tensor, b_finite: bool, out: &mut Tensor) {
     let (n, k) = a.shape();
     let m = b.cols();
     debug_assert_eq!(out.shape(), (n, m));
     // Groups of four rows, what the four-row kernel takes; the last may
     // be short. `max(1)`: an empty output has no groups, whatever `m` is.
     for (g, block) in out.data_mut().chunks_mut((4 * m).max(1)).enumerate() {
-        let (i0, nr) = (4 * g, block.len() / m);
-        matmul_rows(&a.data()[i0 * k..(i0 + nr) * k], b.data(), k, m, block);
+        let rows = &a.data()[4 * g * k..(4 * g + block.len() / m) * k];
+        matmul_rows(rows, b.data(), k, m, b_finite, block);
     }
 }
 
@@ -119,24 +135,41 @@ fn matmul_tn_column(a: &[f32], k: usize, g: &[f32], out: &mut [f32]) {
 /// per-element add chain is latency-bound, and interleaving four
 /// independent rows over one sweep of `b` hides that latency without
 /// touching any element's operation order. Short groups, zero rows (the
-/// whole-row skip) and narrower CPUs fall back to the per-row path.
-pub(crate) fn matmul_rows(a_rows: &[f32], bd: &[f32], k: usize, m: usize, o: &mut [f32]) {
+/// whole-row skip) and narrower CPUs fall back to the per-row path. With
+/// `b_finite` (see [`matmul_into`]) and at most [`MAX_LISTED_STEPS`] steps,
+/// the AVX-512 kernels skip zero left values instead
+/// ([`matmul_rows_listed_avx512`]).
+pub(crate) fn matmul_rows(
+    a_rows: &[f32],
+    bd: &[f32],
+    k: usize,
+    m: usize,
+    b_finite: bool,
+    o: &mut [f32],
+) {
     // The SIMD tiers read `bd` and write `o` through raw pointers.
     assert!(o.len().is_multiple_of(m) && a_rows.len() == (o.len() / m) * k && bd.len() >= k * m);
+    debug_assert!(!b_finite || bd[..k * m].iter().all(|x| x.is_finite()));
     if k == 0 {
         o.fill(0.0); // an empty sum; `chunks_exact(0)` below would panic
         return;
     }
     #[cfg(target_arch = "x86_64")]
-    if o.len() == 4 * m
-        && m >= 16
-        && avx512_available()
-        && !a_rows.chunks_exact(k).any(|r| r.iter().all(|&x| x == 0.0))
-    {
-        // SAFETY: the CPU reports AVX-512F (checked above); the lengths
-        // the kernel requires were asserted on entry.
-        unsafe { quad_matmul_avx512::<false>(a_rows, k, bd, k, m, o) };
-        return;
+    if avx512_available() {
+        if b_finite && k <= MAX_LISTED_STEPS {
+            // SAFETY: the CPU reports AVX-512F (checked above); the lengths
+            // the kernel requires were asserted on entry.
+            unsafe { matmul_rows_listed_avx512(a_rows, bd, k, m, o) };
+            return;
+        }
+        if o.len() == 4 * m
+            && m >= 16
+            && !a_rows.chunks_exact(k).any(|r| r.iter().all(|&x| x == 0.0))
+        {
+            // SAFETY: as above.
+            unsafe { quad_matmul_avx512::<false, _>(a_rows, k, bd, k, AllSteps, m, o) };
+            return;
+        }
     }
     for (a_row, o_row) in a_rows.chunks_exact(k).zip(o.chunks_exact_mut(m)) {
         if a_row.iter().all(|&x| x == 0.0) {
@@ -145,6 +178,142 @@ pub(crate) fn matmul_rows(a_rows: &[f32], bd: &[f32], k: usize, m: usize, o: &mu
             row_matmul(a_row, 1, bd, m, o_row);
         }
     }
+}
+
+/// The longest left row [`matmul_rows`] lists the nonzero steps of — the
+/// list lives on the stack. Longer rows sweep `0..k`.
+const MAX_LISTED_STEPS: usize = 1024;
+
+/// [`matmul_rows`] for a right operand that is all finite, on AVX-512: the
+/// same kernels over the `k` steps at which some row of the group is
+/// nonzero, each step kept or left out whole, so every output element is
+/// the contract's chain minus additions of `±0 × b`, which change nothing.
+/// A full group of four rows takes the four-row kernel even if some of its
+/// rows are zero (their outputs stay `+0.0`); other rows go one at a time.
+/// A list that holds every step runs the dense `0..k` loop.
+///
+/// # Safety
+///
+/// Requires AVX-512F and `0 < k <= MAX_LISTED_STEPS`; the lengths
+/// [`matmul_rows`] asserts.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn matmul_rows_listed_avx512(a_rows: &[f32], bd: &[f32], k: usize, m: usize, o: &mut [f32]) {
+    debug_assert!(k > 0 && k <= MAX_LISTED_STEPS);
+    // Every kernel call below meets its contract: `k > 0`, the list holds
+    // `k + 16` entries, each listed step is below `k`, and the lengths of
+    // `a_rows`, `bd` and `o` are the ones `matmul_rows` asserted.
+    let mut list = [const { std::mem::MaybeUninit::<u32>::uninit() }; MAX_LISTED_STEPS + 16];
+    if o.len() == 4 * m && m >= 16 {
+        let steps = nonzero_steps_avx512(a_rows, k, &mut list);
+        if steps.len() == k {
+            quad_matmul_avx512::<false, _>(a_rows, k, bd, k, AllSteps, m, o);
+        } else {
+            quad_matmul_avx512::<false, _>(a_rows, k, bd, k, steps, m, o);
+        }
+        return;
+    }
+    for (a_row, o_row) in a_rows.chunks_exact(k).zip(o.chunks_exact_mut(m)) {
+        let steps = nonzero_steps_avx512(a_row, k, &mut list);
+        if steps.len() == k {
+            row_matmul_avx512(a_row, 1, AllSteps, bd, m, o_row);
+        } else {
+            row_matmul_avx512(a_row, 1, steps, bd, m, o_row);
+        }
+    }
+}
+
+/// The `k` steps an AVX-512 kernel's chains visit, ascending: all of them
+/// ([`AllSteps`]) or those of a list (`&[u32]`). The dense forms are the
+/// loops the kernels ran before there were lists, and [`AllSteps`] holds
+/// no data, so monomorphising for it gives the same code. Defined outside
+/// the `target_feature` kernels, so that both forms inline into them.
+trait Steps: Copy {
+    /// The steps of a `k`-step chain.
+    fn each(self, k: usize) -> impl Iterator<Item = usize> + Clone;
+
+    /// `(kk, &a[kk * step])` for each step `kk`: the values of a left row
+    /// read by stride, as [`row_matmul`] reads it.
+    fn values(self, a: &[f32], step: usize) -> impl Iterator<Item = (usize, &f32)>;
+}
+
+/// Every step of the chain: the dense loop.
+#[derive(Clone, Copy)]
+struct AllSteps;
+
+impl Steps for AllSteps {
+    #[inline(always)]
+    fn each(self, k: usize) -> impl Iterator<Item = usize> + Clone {
+        0..k
+    }
+
+    #[inline(always)]
+    fn values(self, a: &[f32], step: usize) -> impl Iterator<Item = (usize, &f32)> {
+        a.iter().step_by(step).enumerate()
+    }
+}
+
+impl Steps for &[u32] {
+    #[inline(always)]
+    fn each(self, _: usize) -> impl Iterator<Item = usize> + Clone {
+        self.iter().map(|&kk| kk as usize)
+    }
+
+    #[inline(always)]
+    fn values(self, a: &[f32], step: usize) -> impl Iterator<Item = (usize, &f32)> {
+        self.iter()
+            .map(move |&kk| (kk as usize, &a[kk as usize * step]))
+    }
+}
+
+/// The ascending steps `kk < k` at which some row of `a` (`k` values a
+/// row) is nonzero — not `±0.0`; NaN counts as nonzero — written to the
+/// front of `list` and returned. Branch-free: sixteen steps at a time,
+/// an unordered-not-equal compare per row, the rows' masks or-ed, and the
+/// step numbers of the set lanes compressed to the end of the list so far
+/// (compressed in a register and stored whole: the compress with a memory
+/// destination is microcoded, and slow, on some cores).
+///
+/// # Safety
+///
+/// Requires AVX-512F, `a.len()` a multiple of `k > 0` and `list.len() >=
+/// k + 16` (each compress writes a full vector).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn nonzero_steps_avx512<'l>(
+    a: &[f32],
+    k: usize,
+    list: &'l mut [std::mem::MaybeUninit<u32>],
+) -> &'l [u32] {
+    use std::arch::x86_64::{
+        _mm512_add_epi32, _mm512_cmp_ps_mask, _mm512_maskz_compress_epi32, _mm512_maskz_loadu_ps,
+        _mm512_set1_epi32, _mm512_setr_epi32, _mm512_setzero_ps, _mm512_storeu_si512, _CMP_NEQ_UQ,
+    };
+    debug_assert!(k > 0 && a.len().is_multiple_of(k) && list.len() >= k + 16);
+    let lanes = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+    let zero = _mm512_setzero_ps();
+    let out = list.as_mut_ptr().cast::<u32>();
+    let mut len = 0usize;
+    for c in (0..k).step_by(16) {
+        // The lanes inside the row; a masked-off lane loads `+0.0`.
+        let live = if k - c >= 16 {
+            u16::MAX
+        } else {
+            (1u16 << (k - c)) - 1
+        };
+        let mut nonzero = 0u16;
+        for row in a.chunks_exact(k) {
+            let v = _mm512_maskz_loadu_ps(live, row.as_ptr().add(c));
+            nonzero |= _mm512_cmp_ps_mask::<_CMP_NEQ_UQ>(v, zero);
+        }
+        let steps = _mm512_add_epi32(lanes, _mm512_set1_epi32(c as i32));
+        _mm512_storeu_si512(
+            out.add(len).cast(),
+            _mm512_maskz_compress_epi32(nonzero, steps),
+        );
+        len += nonzero.count_ones() as usize;
+    }
+    std::slice::from_raw_parts(out, len)
 }
 
 /// The [`matmul_rows`] of [`matmul_tn_into`]: `o` holds output rows `i0..`
@@ -165,7 +334,7 @@ fn matmul_tn_rows(a: &[f32], lda: usize, i0: usize, bd: &[f32], n: usize, m: usi
         // SAFETY: the CPU reports AVX-512F (checked above); `a[i0..]`
         // reaches element `(n - 1) * lda + 3` because `i0 + 4 <= lda`, and
         // the other lengths were asserted on entry.
-        unsafe { quad_matmul_avx512::<true>(&a[i0..], lda, bd, n, m, o) };
+        unsafe { quad_matmul_avx512::<true, _>(&a[i0..], lda, bd, n, AllSteps, m, o) };
         return;
     }
     for (q, o_row) in o.chunks_exact_mut(m).enumerate() {
@@ -190,7 +359,7 @@ fn row_matmul(a: &[f32], step: usize, bd: &[f32], m: usize, o_row: &mut [f32]) {
         if avx512_available() {
             // SAFETY: the CPU reports AVX-512F (checked above); lengths
             // asserted on entry.
-            unsafe { row_matmul_avx512(a, step, bd, m, o_row) };
+            unsafe { row_matmul_avx512(a, step, AllSteps, bd, m, o_row) };
             return;
         }
         if avx2_available() {
@@ -241,24 +410,37 @@ fn avx512_available() -> bool {
 /// AVX-512 per-row kernel: 16-wide across output columns; otherwise the
 /// same structure and bit-identity argument as [`row_matmul_avx2`]
 /// (lane-wise single-precision multiply then add, ascending `k`, no
-/// FMA).
+/// FMA). The left row is read by stride as in [`row_matmul`]; `steps` are
+/// the `kk` its chains visit: [`AllSteps`], or the listed steps of
+/// [`matmul_rows_listed_avx512`]. One body, monomorphised per kind of
+/// `steps`, so the dense loop is the same code either way.
 ///
 /// # Safety
 ///
-/// Requires AVX-512F. Same bounds argument as [`row_matmul_avx2`].
+/// Requires AVX-512F, every step below `k = a.len().div_ceil(step)`,
+/// `o_row.len() == m` and `bd.len() >= k * m`; otherwise the bounds
+/// argument of [`row_matmul_avx2`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn row_matmul_avx512(a: &[f32], step: usize, bd: &[f32], m: usize, o_row: &mut [f32]) {
+unsafe fn row_matmul_avx512<S: Steps>(
+    a: &[f32],
+    step: usize,
+    steps: S,
+    bd: &[f32],
+    m: usize,
+    o_row: &mut [f32],
+) {
     use std::arch::x86_64::{
         _mm512_add_ps, _mm512_loadu_ps, _mm512_mul_ps, _mm512_set1_ps, _mm512_setzero_ps,
         _mm512_storeu_ps,
     };
-    debug_assert!(bd.len() >= a.len().div_ceil(step) * m && o_row.len() == m);
+    let k = a.len().div_ceil(step);
+    debug_assert!(bd.len() >= k * m && o_row.len() == m && steps.each(k).all(|kk| kk < k));
     let mut j0 = 0usize;
     while j0 + 32 <= m {
         let mut acc0 = _mm512_setzero_ps();
         let mut acc1 = _mm512_setzero_ps();
-        for (kk, &av) in a.iter().step_by(step).enumerate() {
+        for (kk, &av) in steps.values(a, step) {
             let va = _mm512_set1_ps(av);
             let bp = bd.as_ptr().add(kk * m + j0);
             acc0 = _mm512_add_ps(acc0, _mm512_mul_ps(va, _mm512_loadu_ps(bp)));
@@ -271,7 +453,7 @@ unsafe fn row_matmul_avx512(a: &[f32], step: usize, bd: &[f32], m: usize, o_row:
     }
     while j0 + 16 <= m {
         let mut acc = _mm512_setzero_ps();
-        for (kk, &av) in a.iter().step_by(step).enumerate() {
+        for (kk, &av) in steps.values(a, step) {
             let va = _mm512_set1_ps(av);
             acc = _mm512_add_ps(
                 acc,
@@ -284,7 +466,7 @@ unsafe fn row_matmul_avx512(a: &[f32], step: usize, bd: &[f32], m: usize, o_row:
     // Scalar tail: same ascending-k accumulation per element.
     for j in j0..m {
         let mut acc = 0.0f32;
-        for (kk, &av) in a.iter().step_by(step).enumerate() {
+        for (kk, &av) in steps.values(a, step) {
             acc += av * bd[kk * m + j];
         }
         o_row[j] = acc;
@@ -302,21 +484,26 @@ unsafe fn row_matmul_avx512(a: &[f32], step: usize, bd: &[f32], m: usize, o_row:
 ///
 /// Value `kk` of left row `r` is `a[r * lda + kk]` — four rows of a
 /// row-major matrix — or, with `TN`, `a[kk * lda + r]`: four adjacent
-/// columns, i.e. four rows of its transpose.
+/// columns, i.e. four rows of its transpose. `steps` are the `kk` the
+/// chains visit: [`AllSteps`], or the listed steps of
+/// [`matmul_rows_listed_avx512`]. One body, monomorphised per kind of
+/// `steps`, so the dense loop is the same code either way.
 ///
 /// # Safety
 ///
-/// Requires AVX-512F. `a` must reach index `3 * lda + k - 1` (with `TN`:
-/// `(k - 1) * lda + 3`), `o` must hold exactly `4 * m` elements and `bd`
-/// at least `k * m`; all pointer arithmetic stays inside those bounds by
-/// the loop limits (`j0 + width <= m`, `kk < k`).
+/// Requires AVX-512F and every step below `k`. `a` must reach index `3 *
+/// lda + k - 1` (with `TN`: `(k - 1) * lda + 3`), `o` must hold exactly
+/// `4 * m` elements and `bd` at least `k * m`; all pointer arithmetic
+/// stays inside those bounds by the loop limits (`j0 + width <= m`, `kk <
+/// k`).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn quad_matmul_avx512<const TN: bool>(
+unsafe fn quad_matmul_avx512<const TN: bool, S: Steps>(
     a: &[f32],
     lda: usize,
     bd: &[f32],
     k: usize,
+    steps: S,
     m: usize,
     o: &mut [f32],
 ) {
@@ -327,7 +514,7 @@ unsafe fn quad_matmul_avx512<const TN: bool>(
     // Strides between the four left rows and along one of them.
     let (row, step) = if TN { (1, lda) } else { (lda, 1) };
     debug_assert!(k > 0 && a.len() > 3 * row + (k - 1) * step);
-    debug_assert!(o.len() == 4 * m && bd.len() >= k * m);
+    debug_assert!(o.len() == 4 * m && bd.len() >= k * m && steps.each(k).all(|kk| kk < k));
     let ap = a.as_ptr();
     let a = [ap, ap.add(row), ap.add(2 * row), ap.add(3 * row)];
     let op = o.as_mut_ptr();
@@ -337,7 +524,7 @@ unsafe fn quad_matmul_avx512<const TN: bool>(
     while j0 + 32 <= m {
         let mut acc0 = [_mm512_setzero_ps(); 4];
         let mut acc1 = [_mm512_setzero_ps(); 4];
-        for kk in 0..k {
+        for kk in steps.each(k) {
             let bp = bd.as_ptr().add(kk * m + j0);
             let b0 = _mm512_loadu_ps(bp);
             let b1 = _mm512_loadu_ps(bp.add(16));
@@ -355,7 +542,7 @@ unsafe fn quad_matmul_avx512<const TN: bool>(
     }
     while j0 + 16 <= m {
         let mut acc = [_mm512_setzero_ps(); 4];
-        for kk in 0..k {
+        for kk in steps.each(k) {
             let b0 = _mm512_loadu_ps(bd.as_ptr().add(kk * m + j0));
             for r in 0..4 {
                 let av = _mm512_set1_ps(*a[r].add(kk * step));
@@ -371,7 +558,7 @@ unsafe fn quad_matmul_avx512<const TN: bool>(
     for r in 0..4 {
         for j in j0..m {
             let mut acc = 0.0f32;
-            for kk in 0..k {
+            for kk in steps.each(k) {
                 acc += *a[r].add(kk * step) * bd[kk * m + j];
             }
             o[r * m + j] = acc;
@@ -452,8 +639,15 @@ unsafe fn row_matmul_avx2(a: &[f32], step: usize, bd: &[f32], m: usize, o_row: &
 /// over the same rows — one pass per row group. Bit-identical to a matmul,
 /// a broadcast add and an elementwise activation in sequence (same
 /// k-ascending accumulation, same whole-zero-row skip; the epilogue still
-/// runs on skipped rows).
-pub(crate) fn linear_into(x: &Tensor, w: &Tensor, b: &Tensor, act: Activation, out: &mut Tensor) {
+/// runs on skipped rows). `w_finite` as `b_finite` of [`matmul_into`].
+pub(crate) fn linear_into(
+    x: &Tensor,
+    w: &Tensor,
+    w_finite: bool,
+    b: &Tensor,
+    act: Activation,
+    out: &mut Tensor,
+) {
     let (n, k) = x.shape();
     assert_eq!(k, w.rows(), "linear input dim mismatch");
     let m = w.cols();
@@ -461,7 +655,14 @@ pub(crate) fn linear_into(x: &Tensor, w: &Tensor, b: &Tensor, act: Activation, o
     let bias = b.data();
     for (g, block) in out.data_mut().chunks_mut((4 * m).max(1)).enumerate() {
         let (i0, nr) = (4 * g, block.len() / m);
-        matmul_rows(&x.data()[i0 * k..(i0 + nr) * k], w.data(), k, m, block);
+        matmul_rows(
+            &x.data()[i0 * k..(i0 + nr) * k],
+            w.data(),
+            k,
+            m,
+            w_finite,
+            block,
+        );
         // Dispatch on the activation once per block, not per element:
         // with `act` a compile-time constant inside each arm the match
         // in `apply_scalar` folds away and the cheap activations
@@ -949,13 +1150,48 @@ mod tests {
             }
         }
 
-        /// A left operand: a third of its rows and a quarter of its
-        /// columns are entirely (signed) zero.
-        fn left(&mut self, n: usize, k: usize) -> Tensor {
-            let mut t = Tensor::from_vec(n, k, (0..n * k).map(|_| self.value()).collect());
+        /// A left operand with `zero_pct` percent of its values (signed)
+        /// zero, plus structured zeros: a third of its rows, a quarter of
+        /// its full four-row groups and a quarter of its columns are
+        /// entirely zero. Every other one carries two of `-0.0`, a
+        /// subnormal, `±inf` and NaN, which the zero-step lists must keep
+        /// or drop exactly as the chain would add them.
+        fn left(&mut self, n: usize, k: usize, zero_pct: u64) -> Tensor {
+            let values = (0..n * k).map(|_| {
+                if self.below(100) < zero_pct {
+                    self.zero()
+                } else {
+                    self.value()
+                }
+            });
+            let mut t = Tensor::from_vec(n, k, values.collect());
+            if !t.is_empty() && self.below(2) == 0 {
+                for _ in 0..2 {
+                    let special = [
+                        -0.0,
+                        1.0e-40,
+                        -1.0e-40,
+                        f32::INFINITY,
+                        -f32::INFINITY,
+                        f32::NAN,
+                    ][self.below(6) as usize];
+                    let at = self.below(t.len() as u64) as usize;
+                    t.data_mut()[at] = special;
+                }
+            }
+            let mut zero_rows = |rows: std::ops::Range<usize>, gen: &mut Self| {
+                for x in &mut t.data_mut()[rows.start * k..rows.end * k] {
+                    *x = gen.zero();
+                }
+            };
             for i in 0..n {
                 if self.below(3) == 0 {
-                    t.row_mut(i).iter_mut().for_each(|x| *x = self.zero());
+                    zero_rows(i..i + 1, self);
+                }
+            }
+            for i0 in (0..n / 4).map(|g| 4 * g) {
+                if self.below(4) == 0 {
+                    zero_rows(i0..i0 + 4, self);
                 }
             }
             for j in 0..k {
@@ -969,7 +1205,7 @@ mod tests {
         /// A right operand; every other one carries `inf`, `-inf` and NaN,
         /// which only the skip rule keeps out of a zero row's output.
         fn right(&mut self, rows: usize, m: usize) -> Tensor {
-            let mut t = Tensor::from_vec(rows, m, (0..rows * m).map(|_| self.value()).collect());
+            let mut t = self.finite(rows, m);
             if !t.is_empty() && self.below(2) == 0 {
                 for poison in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN] {
                     let at = self.below(t.len() as u64) as usize;
@@ -977,6 +1213,12 @@ mod tests {
                 }
             }
             t
+        }
+
+        /// A right operand with no `inf` or NaN: one the zero steps of a
+        /// left row may be skipped against.
+        fn finite(&mut self, rows: usize, m: usize) -> Tensor {
+            Tensor::from_vec(rows, m, (0..rows * m).map(|_| self.value()).collect())
         }
     }
 
@@ -996,28 +1238,40 @@ mod tests {
             }
             if avx512_available() {
                 tiers.push(("avx512", |a, s, b, m, o| unsafe {
-                    row_matmul_avx512(a, s, b, m, o)
+                    row_matmul_avx512(a, s, AllSteps, b, m, o)
                 }));
             }
         }
         tiers
     }
 
+    /// The steps of a group of left rows that a zero-step list must hold:
+    /// those where some row is not `±0.0` (NaN included).
+    fn live_steps(rows: &[Vec<f32>], k: usize) -> Vec<u32> {
+        let live = |kk: usize| rows.iter().any(|r| r[kk] != 0.0 || r[kk].is_nan());
+        (0..k as u32).filter(|&kk| live(kk as usize)).collect()
+    }
+
     /// `a × b` and `aᵀ × g` for one shape: every caller of the dispatched
     /// family, then every tier called directly, all against the definition
-    /// above.
-    fn check(n: usize, k: usize, m: usize, seed: u64) {
+    /// above — and `a` against a finite right operand with and without its
+    /// finiteness bit, which lets the AVX-512 kernels skip zero steps.
+    fn check(n: usize, k: usize, m: usize, zero_pct: u64, seed: u64) {
         let mut gen = Gen(seed | 1);
-        let a = gen.left(n, k);
-        let (b, g) = (gen.right(k, m), gen.right(n, m));
+        let a = gen.left(n, k, zero_pct);
+        let (b, g, bf) = (gen.right(k, m), gen.right(n, m), gen.finite(k, m));
         let rows: Vec<Vec<f32>> = (0..n).map(|i| a.row(i).to_vec()).collect();
         let cols: Vec<Vec<f32>> = (0..k)
             .map(|j| (0..n).map(|i| a.data()[i * k + j]).collect())
             .collect();
         let (want, want_tn) = (naive(&rows, b.data(), m), naive(&cols, g.data(), m));
-        let what = format!("[{n},{k}] x [..,{m}] seed {seed:#x}");
+        let want_f = naive(&rows, bf.data(), m);
+        let what = format!("[{n},{k}] x [..,{m}] {zero_pct}% zero, seed {seed:#x}");
 
-        let weights = InferWeights::from_store(&crate::ParamStore::new(), QuantMode::F32);
+        let mut store = crate::ParamStore::new();
+        let (b_id, bf_id) = (store.alloc(b.clone()), store.alloc(bf.clone()));
+        let weights = InferWeights::from_store(&store, QuantMode::F32);
+        assert!(weights.is_finite(bf_id));
         let mut ctx = InferCtx::new(&weights, Arena::new());
         assert_same(
             a.matmul(&b).data(),
@@ -1025,10 +1279,24 @@ mod tests {
             &format!("Tensor::matmul {what}"),
         );
         assert_same(
-            ctx.matmul(&a, &b).data(),
+            ctx.matmul(&a, b_id).data(),
             &want,
             &format!("InferCtx::matmul {what}"),
         );
+        assert_same(
+            ctx.matmul(&a, bf_id).data(),
+            &want_f,
+            &format!("InferCtx::matmul, finite {what}"),
+        );
+        for b_finite in [false, true] {
+            let mut out = Tensor::from_vec(n, m, vec![f32::NAN; n * m]);
+            matmul_into(&a, &bf, b_finite, &mut out);
+            assert_same(
+                out.data(),
+                &want_f,
+                &format!("finite, bit {b_finite} {what}"),
+            );
+        }
         let tn = a.matmul_tn(&g);
         assert_same(tn.data(), &want_tn, &format!("matmul_tn {what}"));
         let transposed = a.transpose().matmul(&g);
@@ -1059,24 +1327,58 @@ mod tests {
             }
         }
         #[cfg(target_arch = "x86_64")]
-        if avx512_available() {
+        if avx512_available() && k > 0 {
+            let mut list = vec![std::mem::MaybeUninit::uninit(); k + 16];
+            for (i, row) in rows.iter().enumerate() {
+                // SAFETY: AVX-512F detected; one row of `k > 0` values, a
+                // list of `k + 16`.
+                let steps = unsafe { nonzero_steps_avx512(row, k, &mut list) };
+                assert_eq!(steps, live_steps(&rows[i..=i], k), "row {i} steps {what}");
+                // SAFETY: as above; the steps were just checked to be
+                // below `k`, `bf` is `[k, m]` and `o` is `m` long.
+                unsafe { row_matmul_avx512(row, 1, steps, bf.data(), m, &mut o) };
+                let want = chain(row, bf.data(), m);
+                assert_same(&o, &want, &format!("listed row {i} {what}"));
+            }
             let mut o = vec![f32::NAN; 4 * m];
-            for i0 in (0..(n + 1).saturating_sub(4)).filter(|_| k > 0) {
+            for i0 in 0..(n + 1).saturating_sub(4) {
+                let group = &a.data()[i0 * k..(i0 + 4) * k];
                 // SAFETY: AVX-512F detected; four rows of `k > 0` values,
                 // `b` is `[k, m]`, `o` is `4 * m`.
                 unsafe {
-                    quad_matmul_avx512::<false>(&a.data()[i0 * k..], k, b.data(), k, m, &mut o)
+                    quad_matmul_avx512::<false, _>(group, k, b.data(), k, AllSteps, m, &mut o)
                 };
                 let want: Vec<f32> = rows[i0..i0 + 4]
                     .iter()
                     .flat_map(|r| chain(r, b.data(), m))
                     .collect();
                 assert_same(&o, &want, &format!("quad rows {i0}.. {what}"));
+
+                // SAFETY: as above, with a list of `k + 16`.
+                let steps = unsafe { nonzero_steps_avx512(group, k, &mut list) };
+                assert_eq!(
+                    steps,
+                    live_steps(&rows[i0..i0 + 4], k),
+                    "group {i0} steps {what}"
+                );
+                // SAFETY: as above; the steps were just checked to be below
+                // `k`.
+                unsafe { quad_matmul_avx512::<false, _>(group, k, bf.data(), k, steps, m, &mut o) };
+                let want: Vec<f32> = rows[i0..i0 + 4]
+                    .iter()
+                    .flat_map(|r| chain(r, bf.data(), m))
+                    .collect();
+                assert_same(&o, &want, &format!("listed quad rows {i0}.. {what}"));
             }
-            for j0 in (0..(k + 1).saturating_sub(4)).filter(|_| n > 0) {
-                // SAFETY: as above for four columns of `n > 0` values;
-                // `g` is `[n, m]`.
-                unsafe { quad_matmul_avx512::<true>(&a.data()[j0..], k, g.data(), n, m, &mut o) };
+        }
+        #[cfg(target_arch = "x86_64")]
+        if avx512_available() && n > 0 {
+            let mut o = vec![f32::NAN; 4 * m];
+            for j0 in 0..(k + 1).saturating_sub(4) {
+                // SAFETY: AVX-512F detected; four columns of `n > 0` values,
+                // `g` is `[n, m]`, `o` is `4 * m`.
+                let a = &a.data()[j0..];
+                unsafe { quad_matmul_avx512::<true, _>(a, k, g.data(), n, AllSteps, m, &mut o) };
                 let want: Vec<f32> = cols[j0..j0 + 4]
                     .iter()
                     .flat_map(|c| chain(c, g.data(), m))
@@ -1084,6 +1386,20 @@ mod tests {
                 assert_same(&o, &want, &format!("quad columns {j0}.. {what}"));
             }
         }
+    }
+
+    /// A row longer than the step list runs the dense loops, finite right
+    /// operand or not.
+    #[test]
+    fn rows_past_the_step_list_cap_match_the_definition() {
+        let (n, k, m) = (5, MAX_LISTED_STEPS + 3, 17);
+        let mut gen = Gen(0x1157_ed00);
+        let a = gen.left(n, k, 80);
+        let bf = gen.finite(k, m);
+        let rows: Vec<Vec<f32>> = (0..n).map(|i| a.row(i).to_vec()).collect();
+        let mut out = Tensor::zeros(n, m);
+        matmul_into(&a, &bf, true, &mut out);
+        assert_same(out.data(), &naive(&rows, bf.data(), m), "past the cap");
     }
 
     /// The sigmoid tier under test: the AVX-512 one whenever the CPU has
@@ -1255,13 +1571,17 @@ mod tests {
 
         /// Shapes straddle every block edge of every tier: the 4-row
         /// groups, the 8/16/32-lane column blocks and their scalar tails,
-        /// and the empty sums.
+        /// the 16-step chunks of a zero-step list and their tails, and the
+        /// empty sums — each at 0, 50, 79 and 95% zero left values.
         #[test]
         fn every_tier_and_caller_matches_the_definition(seed in any::<u64>()) {
             for n in [0, 1, 3, 4, 5, 9] {
-                for k in [0, 1, 7, 64] {
+                for k in [0, 1, 7, 17, 64] {
                     for m in [1, 15, 16, 17, 31, 32, 33, 64] {
-                        check(n, k, m, seed ^ ((n * 1000 + k) * 1000 + m) as u64);
+                        for zero_pct in [0, 50, 79, 95] {
+                            let shape = (((n * 1000 + k) * 1000 + m) * 100) as u64 + zero_pct;
+                            check(n, k, m, zero_pct, seed ^ shape);
+                        }
                     }
                 }
             }

@@ -98,16 +98,16 @@ impl Linear {
 
     /// Tape-free `act(x·W + b)` into an arena tensor: the same
     /// `kernels::linear_into` pass [`Tape::linear`] runs — no tape node,
-    /// no per-op allocation.
+    /// no per-op allocation — given the snapshot's finiteness bit of `W`.
     pub fn infer_forward(
         &self,
         ctx: &mut crate::infer::InferCtx<'_>,
         x: &Tensor,
         act: Activation,
     ) -> Tensor {
-        let w = ctx.param(self.w);
+        let (w, w_finite) = (ctx.param(self.w), ctx.weights().is_finite(self.w));
         let mut out = ctx.alloc_full(x.rows(), w.cols());
-        crate::kernels::linear_into(x, w, ctx.param(self.b), act, &mut out);
+        crate::kernels::linear_into(x, w, w_finite, ctx.param(self.b), act, &mut out);
         out
     }
 }

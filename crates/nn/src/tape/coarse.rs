@@ -98,12 +98,12 @@ impl Tape {
         // Only these two derivatives read the pre-activation; the others
         // are functions of the output.
         let pre = if matches!(act, Activation::LeakyRelu(_) | Activation::Softplus) {
-            kernels::linear_into(xv, wv, bv, Activation::Identity, &mut out);
+            kernels::linear_into(xv, wv, false, bv, Activation::Identity, &mut out);
             let pre = out;
             out = pre.map(|v| act.apply_scalar(v));
             Some(pre)
         } else {
-            kernels::linear_into(xv, wv, bv, act, &mut out);
+            kernels::linear_into(xv, wv, false, bv, act, &mut out);
             None
         };
         let (x, w, b) = (x.0, w.0, b.0);

@@ -207,7 +207,7 @@ impl Tensor {
             other.shape()
         );
         let mut out = Tensor::zeros(self.rows, other.cols);
-        crate::kernels::matmul_into(self, other, &mut out);
+        crate::kernels::matmul_into(self, other, false, &mut out);
         out
     }
 

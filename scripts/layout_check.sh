@@ -9,15 +9,19 @@
 # parent/change comparison on it means anything until the loop is found
 # (KNOWN_ISSUES.md, "offline_refine_human was bimodal").
 #
-# Usage: scripts/layout_check.sh <workload> [builds=4] [functions=global_refinement_metered,admit_candidates]
+# Usage: scripts/layout_check.sh <workload> [builds=4] [functions=<the four below>]
 #
 #   <workload>   one of BENCHMARK.json's workloads
 #   [builds]     how many copies to build; add builds until the addresses
 #                printed cover the residues you care about
 #   [functions]  comma-separated substrings of (mangled) symbol names whose
 #                address mod 64 is printed per build; the default names the
-#                two tight loops of filtering: refinement's pair test and
+#                two tight loops of filtering, refinement's pair test and
 #                local pruning's label-bucket scan
+#                (global_refinement_metered, admit_candidates), and the two
+#                AVX-512 matmul kernels (quad_matmul_avx512,
+#                row_matmul_avx512) with the function their zero-step
+#                variants are inlined into (matmul_rows_listed_avx512)
 #
 # Copies go under ${TMPDIR:-/tmp} (without target directories and .git),
 # each with its own CARGO_TARGET_DIR, and are removed on exit. Every build
@@ -28,13 +32,13 @@
 set -euo pipefail
 
 if [[ $# -lt 1 || $# -gt 3 ]]; then
-    sed -n '2,27p' "$0" | sed 's/^# \{0,1\}//'
+    sed -n '2,31p' "$0" | sed 's/^# \{0,1\}//'
     exit 2
 fi
 repo=$(cd "$(dirname "$0")/.." && pwd)
 workload=$1
 builds=${2:-4}
-functions=${3:-global_refinement_metered,admit_candidates}
+functions=${3:-global_refinement_metered,admit_candidates,quad_matmul_avx512,row_matmul_avx512,matmul_rows_listed_avx512}
 command -v python3 >/dev/null || { echo "layout_check.sh needs python3 (JSON)" >&2; exit 2; }
 command -v nm >/dev/null || { echo "layout_check.sh needs nm (binutils)" >&2; exit 2; }
 
