@@ -145,17 +145,6 @@ impl From<SerializeError> for NeurScError {
     }
 }
 
-impl From<neursc_store::StoreError> for NeurScError {
-    fn from(e: neursc_store::StoreError) -> Self {
-        match e {
-            neursc_store::StoreError::Io { path, source } => NeurScError::Io { path, source },
-            neursc_store::StoreError::Corrupt { path, detail } => {
-                NeurScError::Corrupt { path, detail }
-            }
-        }
-    }
-}
-
 impl From<neursc_match::FilterError> for NeurScError {
     fn from(e: neursc_match::FilterError) -> Self {
         NeurScError::Budget {

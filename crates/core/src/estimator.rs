@@ -171,11 +171,10 @@ pub(crate) fn fan_out<E: Estimator + ?Sized, T: Send>(
     })
 }
 
-/// The §6.1 component-product reduction shared by [`Estimator::estimate_routed`]
-/// and the partitioned pipeline ([`crate::partition`]): estimates each
-/// connected component via `each` (in component order) and multiplies
-/// counts, merging diagnostics and composing confidence intervals exactly
-/// as documented on `estimate_routed`.
+/// The §6.1 component-product reduction of [`Estimator::estimate_routed`]:
+/// estimates each connected component via `each` (in component order) and
+/// multiplies counts, merging diagnostics and composing confidence
+/// intervals exactly as documented on `estimate_routed`.
 pub(crate) fn component_product(
     components: &[neursc_graph::induced::InducedSubgraph],
     mut each: impl FnMut(&Graph) -> Result<EstimateDetail, NeurScError>,

@@ -26,11 +26,6 @@ pub struct Substructure {
 }
 
 impl Substructure {
-    /// Whether query vertex `u` has at least one candidate here.
-    pub fn covers(&self, u: VertexId) -> bool {
-        !self.local_cs[u as usize].is_empty()
-    }
-
     /// Whether every query vertex has a candidate in this component — a
     /// necessary condition for any embedding to lie inside it.
     pub fn covers_all(&self) -> bool {
@@ -123,11 +118,9 @@ pub fn extract_substructures_budgeted(
     ))
 }
 
-/// Extraction from already-filtered candidate sets — the stage shared by
-/// the whole-graph pipeline above and the partitioned pipeline
-/// ([`crate::partition`]), which filters against a [`neursc_store`] working
-/// set instead of the full data graph. `g` is whatever graph `candidates`
-/// is expressed in (the data graph here, the working set there).
+/// Extraction from already-filtered candidate sets: the stage after
+/// filtering in the pipeline above. `g` is the graph `candidates` is
+/// expressed in.
 pub(crate) fn extract_from_candidates(
     q: &Graph,
     g: &Graph,

@@ -64,7 +64,6 @@ pub mod loss;
 pub mod model;
 pub mod obs;
 pub mod parallel;
-pub mod partition;
 pub mod persist;
 pub mod sampling;
 pub mod train;
@@ -82,5 +81,4 @@ pub use loss::q_error;
 pub use model::{EstimateDetail, NeurSc};
 pub use obs::{MetricsSnapshot, NoopSink, ObsSink, PipelineReport, Recorder, Span, TraceTime};
 pub use parallel::{parallel_map_caught, parallel_map_indexed, ItemPanic};
-pub use partition::{estimate_partitioned, PartitionBackend};
 pub use train::{validate_query, PreparedQuery, TrainReport};

@@ -111,13 +111,6 @@ pub mod lane {
     pub const fn sub(i: usize) -> u64 {
         (1u64 << 32) + i as u64
     }
-
-    /// Lane of partition `i` in a partitioned estimate
-    /// (`neursc_core::partition`). A third disjoint id range, so partition
-    /// lanes collide with neither items nor substructures.
-    pub const fn part(i: usize) -> u64 {
-        (2u64 << 32) + i as u64
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -668,8 +661,7 @@ impl Metrics {
 /// without procfs (a gauge of 0 means "unavailable", never "no memory").
 ///
 /// The high-water mark is monotone over a process lifetime, so per-phase
-/// attribution needs one process per phase (`bench_store` does exactly
-/// that). Record it with
+/// attribution needs one process per phase. Record it with
 /// `metrics.gauge_set("process.peak_rss_bytes", process_peak_rss_bytes() as f64)`.
 pub fn process_peak_rss_bytes() -> u64 {
     #[cfg(target_os = "linux")]

@@ -163,10 +163,8 @@ pub fn prepare_query_budgeted(
 }
 
 /// Featurizes an [`Extraction`] into a [`PreparedQuery`] — the tail of
-/// query preparation, shared by the whole-graph pipeline above and the
-/// partitioned pipeline ([`crate::partition`]). The bipartite-edge RNG is
-/// (re)seeded here from `cfg.seed`; extraction consumes no randomness, so
-/// this matches the monolithic preparation bit for bit.
+/// query preparation above. The bipartite-edge RNG is (re)seeded here from
+/// `cfg.seed`; extraction consumes no randomness.
 pub(crate) fn prepared_from_extraction(
     q: &Graph,
     cfg: &NeurScConfig,

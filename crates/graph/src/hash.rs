@@ -2,7 +2,7 @@
 //!
 //! Tiny, dependency-free, and plenty to catch truncation and bit rot or to
 //! key a cache by content (an integrity check, not a MAC). Every stored
-//! checksum (model files, `NSCS` graph stores), the
+//! checksum (model files, the admission journal), the
 //! [`crate::Graph::content_fingerprint`] cache key and the serve layer's
 //! request digests are this function over their own byte streams.
 

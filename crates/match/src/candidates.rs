@@ -8,11 +8,10 @@
 //! **Admission order.** For each query vertex `u` in id order, the scan
 //! walks the label bucket `f_l(u)` of the data graph's [`Profiles`] — built
 //! once per `(G, r)` with the profiles, never per query — in ascending
-//! vertex id, charges one meter step per vertex it looks at (per vertex
-//! `keep` accepts, when scoped), and tests, cheapest first, `d(v) ≥ d(u)`,
-//! the label signatures (every bit of `sig(u)` set in `sig(v)`) and
-//! `subsumes(profile(v), profile(u))`. The signature test is a necessary
-//! condition of the multiset test, and where
+//! vertex id, charges one meter step per vertex it looks at, and tests,
+//! cheapest first, `d(v) ≥ d(u)`, the label signatures (every bit of
+//! `sig(u)` set in `sig(v)`) and `subsumes(profile(v), profile(u))`. The
+//! signature test is a necessary condition of the multiset test, and where
 //! `Profiles::signature_decides` it is the multiset test, so the merge is
 //! skipped there ([`crate::profile`] has both arguments). Either way no
 //! pair is decided differently from the merge: `CS(u)`, its order, the
@@ -106,39 +105,19 @@ pub fn local_pruning_metered(
     g_profiles: &Profiles,
     meter: &mut WorkMeter,
 ) -> Result<CandidateSets, FilterError> {
-    admit_candidates(q, g, r, g_profiles, None, meter)
-}
-
-/// [`local_pruning_with`] restricted to the data vertices accepted by
-/// `keep` — the per-partition core filter of the out-of-core store's deep
-/// (radius ≥ 2) path. Admission predicate and per-set ascending-id ordering
-/// are identical to the unscoped pass, so concatenating the results of
-/// `keep`-disjoint scopes that cover ascending ranges of `V(G)` reproduces
-/// `local_pruning_with(q, g, r, g_profiles)` exactly. Work metering is the
-/// caller's responsibility (the store pre-charges the whole-graph cost).
-pub fn local_pruning_scoped(
-    q: &Graph,
-    g: &Graph,
-    r: u32,
-    g_profiles: &Profiles,
-    keep: &dyn Fn(VertexId) -> bool,
-) -> CandidateSets {
-    let mut meter = FilterBudget::UNBOUNDED.meter();
-    admit_candidates(q, g, r, g_profiles, Some(keep), &mut meter)
-        .unwrap_or_else(|e| unreachable!("unbounded meter cannot trip: {e}"))
+    admit_candidates(q, g, r, g_profiles, meter)
 }
 
 /// The one admission loop behind every `local_pruning*` door, in the
-/// order the module doc states: `v ∈ CS(u)` iff `keep(v)` (when scoped),
-/// `v` is in `u`'s label bucket, `d(v) ≥ d(u)`, the signatures pass and
-/// profile(u) ⊑ profile(v) (implied by the signatures where they decide);
-/// one meter step per vertex `keep` accepts.
+/// order the module doc states: `v ∈ CS(u)` iff `v` is in `u`'s label
+/// bucket, `d(v) ≥ d(u)`, the signatures pass and profile(u) ⊑ profile(v)
+/// (implied by the signatures where they decide); one meter step per
+/// vertex looked at.
 fn admit_candidates(
     q: &Graph,
     g: &Graph,
     r: u32,
     g_profiles: &Profiles,
-    keep: Option<&dyn Fn(VertexId) -> bool>,
     meter: &mut WorkMeter,
 ) -> Result<CandidateSets, FilterError> {
     debug_assert_eq!(g_profiles.len(), g.n_vertices());
@@ -150,9 +129,6 @@ fn admit_candidates(
         let decided = g_profiles.signature_decides(pu);
         let mut set = Vec::new();
         for e in g_profiles.bucket(q.label(u)) {
-            if keep.is_some_and(|keep| !keep(e.id)) {
-                continue;
-            }
             meter.charge(1).map_err(|_| FilterError::BudgetExhausted {
                 phase: FilterPhase::LocalPruning,
                 spent: meter.spent(),
@@ -262,23 +238,6 @@ mod tests {
                 assert!(cs1.contains(u, v), "r=2 admitted ({u},{v}) that r=1 pruned");
             }
             assert!(cs2.get(u).len() <= cs1.get(u).len());
-        }
-    }
-
-    #[test]
-    fn scoped_pruning_over_disjoint_ranges_concatenates_to_unscoped() {
-        let q = paper_query_graph();
-        let g = paper_data_graph();
-        let profiles = all_profiles(&g, 1);
-        let whole = local_pruning(&q, &g, 1);
-        for split in 0..=g.n_vertices() as VertexId {
-            let lo = local_pruning_scoped(&q, &g, 1, &profiles, &|v| v < split);
-            let hi = local_pruning_scoped(&q, &g, 1, &profiles, &|v| v >= split);
-            for u in q.vertices() {
-                let mut cat = lo.get(u).to_vec();
-                cat.extend_from_slice(hi.get(u));
-                assert_eq!(cat, whole.get(u), "split at {split}, query vertex {u}");
-            }
         }
     }
 

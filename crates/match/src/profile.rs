@@ -122,9 +122,8 @@ impl Signature {
 }
 
 /// Fills `out` with the radius-1 profile of a vertex given its own label
-/// and its neighbors' labels — the one radius-1 profile definition, shared
-/// by [`all_profiles`] and the out-of-core store's row-streamed filter.
-pub fn profile_r1_into(
+/// and its neighbors' labels — the radius-1 case of [`all_profiles`].
+fn profile_r1_into(
     own: Label,
     neighbor_labels: impl IntoIterator<Item = Label>,
     out: &mut Vec<Label>,

@@ -13,9 +13,7 @@ use neursc_graph::types::VertexId;
 use neursc_graph::{Graph, GraphBuilder};
 use neursc_match::bipartite::{has_left_saturating_matching, BipartiteGraph};
 use neursc_match::budget::{FilterBudget, FilterError, FilterPhase};
-use neursc_match::candidates::{
-    local_pruning, local_pruning_metered, local_pruning_scoped, local_pruning_with, CandidateSets,
-};
+use neursc_match::candidates::{local_pruning, local_pruning_metered, CandidateSets};
 use neursc_match::enumerate::{brute_force_count, count_embeddings};
 use neursc_match::filter::{filter_candidates, FilterConfig};
 use neursc_match::profile::{all_profiles, subsumes};
@@ -107,14 +105,13 @@ fn relabel(g: &Graph, wide: bool) -> Graph {
 }
 
 /// Local pruning as it was before the label-bucket index: buckets rebuilt
-/// from all of `V(G)` on every call, one step per same-label vertex that
-/// `keep` accepts, the multiset merge alone deciding admission. Returns the
-/// sets (or the exhaustion error) and the steps spent.
+/// from all of `V(G)` on every call, one step per same-label vertex, the
+/// multiset merge alone deciding admission. Returns the sets (or the
+/// exhaustion error) and the steps spent.
 fn reference_local_pruning(
     q: &Graph,
     g: &Graph,
     r: u32,
-    keep: Option<&dyn Fn(VertexId) -> bool>,
     max_steps: u64,
 ) -> (Result<CandidateSets, FilterError>, u64) {
     let g_profiles = all_profiles(g, r);
@@ -123,9 +120,7 @@ fn reference_local_pruning(
     let n_labels = g.n_labels().max(q.n_labels());
     let mut by_label: Vec<Vec<VertexId>> = vec![Vec::new(); n_labels];
     for v in g.vertices() {
-        if keep.is_none_or(|keep| keep(v)) {
-            by_label[g.label(v) as usize].push(v);
-        }
+        by_label[g.label(v) as usize].push(v);
     }
     let mut sets = Vec::with_capacity(q.n_vertices());
     for u in q.vertices() {
@@ -289,31 +284,15 @@ proptest! {
         wide in 0u8..4,
         r in 1u32..=2,
         tight in 0u64..40,
-        split in 0u32..=16,
     ) {
         let (g, q) = (relabel(&g, wide & 1 != 0), relabel(&q, wide & 2 != 0));
         let profiles = all_profiles(&g, r);
         for max_steps in [u64::MAX, tight] {
-            let (want, spent) = reference_local_pruning(&q, &g, r, None, max_steps);
+            let (want, spent) = reference_local_pruning(&q, &g, r, max_steps);
             let mut meter = FilterBudget::steps(max_steps).meter();
             let got = local_pruning_metered(&q, &g, r, &profiles, &mut meter);
             prop_assert_eq!(&got, &want);
             prop_assert_eq!(meter.spent(), spent);
-        }
-
-        // Two scopes split at a random vertex id, concatenated, are the
-        // unscoped sets; each scope equals the reference under its `keep`.
-        let whole = local_pruning_with(&q, &g, r, &profiles);
-        let below = |v: VertexId| v < split;
-        let above = |v: VertexId| v >= split;
-        let lo = local_pruning_scoped(&q, &g, r, &profiles, &below);
-        let hi = local_pruning_scoped(&q, &g, r, &profiles, &above);
-        prop_assert_eq!(Ok(lo.clone()), reference_local_pruning(&q, &g, r, Some(&below), u64::MAX).0);
-        prop_assert_eq!(Ok(hi.clone()), reference_local_pruning(&q, &g, r, Some(&above), u64::MAX).0);
-        for u in q.vertices() {
-            let mut cat = lo.get(u).to_vec();
-            cat.extend_from_slice(hi.get(u));
-            prop_assert_eq!(cat.as_slice(), whole.get(u));
         }
     }
 }

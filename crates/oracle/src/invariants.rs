@@ -9,7 +9,7 @@
 //! than a resource artifact.
 
 use crate::gen::{build_graph, Case};
-use neursc_core::{estimate_partitioned, Estimator, GraphContext, NeurSc, NeurScConfig};
+use neursc_core::{Estimator, GraphContext, NeurSc, NeurScConfig};
 use neursc_graph::induced::{connected_components, induced_subgraph};
 use neursc_graph::types::{Label, VertexId};
 use neursc_graph::Graph;
@@ -22,7 +22,6 @@ use neursc_match::{
     FilterConfig,
 };
 use neursc_sample::{SampleConfig, SampleEstimator};
-use neursc_store::{encode_graph, AccessMode, GraphStore, PartitionPlan};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -99,16 +98,11 @@ pub enum Invariant {
     /// the reported confidence interval covers the exact count at (about)
     /// its configured rate.
     SamplingCiCoverage,
-    /// Partitioned estimation over a packed [`GraphStore`] (resident and
-    /// streamed, at several partition counts) reproduces the whole-graph
-    /// estimate **bit for bit** for both backends — and reproduces the
-    /// whole-graph *error* when the whole-graph run fails.
-    PartitionedEquivalence,
 }
 
 impl Invariant {
     /// All invariants, in the order the fuzzer runs them.
-    pub const ALL: [Invariant; 13] = [
+    pub const ALL: [Invariant; 12] = [
         Invariant::FilterSoundness,
         Invariant::DegradedSuperset,
         Invariant::RefinementMonotoneSound,
@@ -121,7 +115,6 @@ impl Invariant {
         Invariant::DisconnectedProduct,
         Invariant::SamplingCrossCheck,
         Invariant::SamplingCiCoverage,
-        Invariant::PartitionedEquivalence,
     ];
 
     /// Stable name used in `.case` files and reports.
@@ -139,7 +132,6 @@ impl Invariant {
             Invariant::DisconnectedProduct => "disconnected_product",
             Invariant::SamplingCrossCheck => "sampling_cross_check",
             Invariant::SamplingCiCoverage => "sampling_ci_coverage",
-            Invariant::PartitionedEquivalence => "partitioned_equivalence",
         }
     }
 
@@ -163,7 +155,6 @@ impl Invariant {
             Invariant::DisconnectedProduct => check_disconnected(case, oracle),
             Invariant::SamplingCrossCheck => check_sampling(case, oracle),
             Invariant::SamplingCiCoverage => check_sampling_coverage(case, oracle),
-            Invariant::PartitionedEquivalence => check_partitioned(case, oracle),
         }
     }
 }
@@ -913,91 +904,6 @@ fn check_sampling_coverage(case: &Case, oracle: &Oracle) -> Result<(), Violation
                  {covered}/{COVERAGE_RUNS} independent runs"
             ),
         ));
-    }
-    Ok(())
-}
-
-/// Streamed-mode chunk size for the partitioned check: small enough that
-/// oracle-sized graphs actually exercise chunk eviction.
-const PART_CHUNK_EDGES: usize = 64;
-
-fn check_partitioned(case: &Case, oracle: &Oracle) -> Result<(), Violation> {
-    let inv = Invariant::PartitionedEquivalence;
-    let (q, g) = (&case.query, &case.data);
-    if g.n_vertices() == 0 {
-        return Ok(());
-    }
-    let bytes = encode_graph(g);
-    // (backend name, monolithic run, partitioned runner) for both backends.
-    // The WEst model and the sampler share the filter configuration, so
-    // both must reproduce exactly — not approximately — under partitioning.
-    let backends: [(&str, &dyn neursc_core::PartitionBackend); 2] =
-        [("west", &oracle.model_t1), ("sample", &oracle.sampler_t1)];
-    for (name, backend) in backends {
-        let mono = backend.estimate_detailed_with(q, g, &GraphContext::new());
-        for mode in [
-            AccessMode::Resident,
-            AccessMode::Streamed {
-                chunk_edges: PART_CHUNK_EDGES,
-                max_chunks: 2,
-            },
-        ] {
-            let store = GraphStore::open_bytes(bytes.clone(), mode)
-                .map_err(|e| Violation::new(inv, format!("packed image failed to open: {e}")))?;
-            for k in [1usize, 2, 3] {
-                let plan = PartitionPlan::contiguous(&store, k);
-                let part =
-                    estimate_partitioned(backend, q, &store, &plan, &GraphContext::new(), None, 2);
-                match (&mono, &part) {
-                    (Ok(a), Ok(b)) => {
-                        let ci_eq = match (a.ci, b.ci) {
-                            (None, None) => true,
-                            (Some(x), Some(y)) => {
-                                x.low.to_bits() == y.low.to_bits()
-                                    && x.high.to_bits() == y.high.to_bits()
-                            }
-                            _ => false,
-                        };
-                        if a.count.to_bits() != b.count.to_bits()
-                            || a.n_substructures != b.n_substructures
-                            || a.trivially_zero != b.trivially_zero
-                            || a.degraded != b.degraded
-                            || !ci_eq
-                        {
-                            return Err(Violation::new(
-                                inv,
-                                format!(
-                                    "{name} backend, {mode:?}, k={k}: partitioned estimate \
-                                     diverges from the whole-graph run: \
-                                     count {} vs {}, subs {} vs {}, tz {} vs {}, \
-                                     degraded {} vs {}, ci {:?} vs {:?}",
-                                    b.count,
-                                    a.count,
-                                    b.n_substructures,
-                                    a.n_substructures,
-                                    b.trivially_zero,
-                                    a.trivially_zero,
-                                    b.degraded,
-                                    a.degraded,
-                                    b.ci,
-                                    a.ci
-                                ),
-                            ));
-                        }
-                    }
-                    (Err(a), Err(b)) if a.to_string() == b.to_string() => {}
-                    (a, b) => {
-                        return Err(Violation::new(
-                            inv,
-                            format!(
-                                "{name} backend, {mode:?}, k={k}: outcome class diverges: \
-                                 whole-graph {a:?} vs partitioned {b:?}"
-                            ),
-                        ));
-                    }
-                }
-            }
-        }
     }
     Ok(())
 }

@@ -69,7 +69,6 @@
 use neursc_core::estimator::{ConfidenceInterval, Estimator};
 use neursc_core::obs::{PipelineReport, Span};
 use neursc_core::parallel::parallel_map_indexed;
-use neursc_core::partition::PartitionBackend;
 use neursc_core::{
     EstimateDetail, GraphContext, NeurScConfig, NeurScError, Parallelism, ResourceBudget,
 };
@@ -308,9 +307,7 @@ impl Estimator for SampleEstimator {
 impl SampleEstimator {
     /// The post-filtering half of [`Estimator::estimate_component`]:
     /// Horvitz–Thompson sampling from already-filtered candidate sets
-    /// against whatever graph they are expressed in (the data graph on the
-    /// monolithic path, a working set on the partitioned path — identical
-    /// estimates either way, since walks only read candidate rows).
+    /// against the data graph `g`.
     #[allow(clippy::too_many_arguments)]
     fn sample_filtered(
         &self,
@@ -413,34 +410,6 @@ impl SampleEstimator {
             }),
             report,
         })
-    }
-}
-
-impl PartitionBackend for SampleEstimator {
-    fn filter_config(&self) -> FilterConfig {
-        self.config.filter
-    }
-
-    fn default_filter_budget(&self) -> FilterBudget {
-        self.config.budget.filter_budget()
-    }
-
-    fn estimate_filtered(
-        &self,
-        q: &Graph,
-        working: &Graph,
-        candidates: CandidateSets,
-        degraded: bool,
-        budget: FilterBudget,
-        steps: u64,
-        threads: usize,
-        _sub_lanes: bool,
-        report: PipelineReport,
-        _ctx: &GraphContext,
-    ) -> Result<EstimateDetail, NeurScError> {
-        self.sample_filtered(
-            q, working, candidates, degraded, budget, steps, threads, report,
-        )
     }
 }
 

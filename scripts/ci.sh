@@ -14,12 +14,12 @@ echo "== cargo clippy (no unwrap/expect in library code) =="
 # Library code on input-dependent paths must return typed errors, never
 # panic (DESIGN.md, "Failure semantics"). Tests/benches/bins are exempt.
 cargo clippy -p neursc-graph -p neursc-match -p neursc-nn -p neursc-core \
-    -p neursc-serve -p neursc-sample -p neursc-oracle -p neursc-store --lib -- \
+    -p neursc-serve -p neursc-sample -p neursc-oracle --lib -- \
     -D warnings -D clippy::unwrap_used -D clippy::expect_used
 
 OUR_CRATES=(-p neursc -p neursc-graph -p neursc-match -p neursc-nn -p neursc-gnn
             -p neursc-core -p neursc-baselines -p neursc-workloads -p neursc-bench
-            -p neursc-serve -p neursc-sample -p neursc-oracle -p neursc-store)
+            -p neursc-serve -p neursc-sample -p neursc-oracle)
 
 echo "== cargo doc (deny warnings, our crates only) =="
 # Vendored stand-ins (vendor/*) are API-subset stubs and are not held to
@@ -66,12 +66,6 @@ echo "== benchmark crate (builds against the public surface, smoke run) =="
 # runs all four workloads briefly and exits non-zero unless ok_share is 1.
 cargo build --release --offline --manifest-path benchmarks/Cargo.toml
 cargo run --release --offline --quiet --manifest-path benchmarks/Cargo.toml -- --smoke
-
-echo "== out-of-core store bench (streamed peak RSS < 50% of resident) =="
-# Packs a 10^6-vertex graph and runs a partitioned estimate resident vs
-# streamed; the binary itself asserts the memory budget and that the two
-# estimates are bit-identical (DESIGN.md §14).
-cargo run --release -q -p neursc-bench --bin bench_store
 
 echo "== differential soundness oracle soak (DESIGN.md §11) =="
 # Fixed seed: deterministic in CI; the corpus replay test (tests/

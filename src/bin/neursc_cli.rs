@@ -110,19 +110,6 @@ impl From<GraphError> for CliError {
     }
 }
 
-impl From<neursc::store::StoreError> for CliError {
-    fn from(e: neursc::store::StoreError) -> Self {
-        let code = match &e {
-            neursc::store::StoreError::Io { .. } => EXIT_IO,
-            neursc::store::StoreError::Corrupt { .. } => EXIT_CORRUPT,
-        };
-        CliError {
-            code,
-            message: chain(&e),
-        }
-    }
-}
-
 impl From<NeurScError> for CliError {
     fn from(e: NeurScError) -> Self {
         let code = if e.is_corruption() {
@@ -150,19 +137,6 @@ fn main() -> ExitCode {
     let Some((cmd, rest)) = args.split_first() else {
         eprintln!("{USAGE}");
         return ExitCode::from(EXIT_USAGE);
-    };
-    // `graph` is a command family: fold the subcommand into the verb so
-    // the remaining arguments parse as ordinary --flags.
-    let (cmd, rest): (String, &[String]) = if cmd == "graph" {
-        match rest.split_first() {
-            Some((sub, r)) => (format!("graph {sub}"), r),
-            None => {
-                eprintln!("error: graph needs a subcommand (pack|info)\n\n{USAGE}");
-                return ExitCode::from(EXIT_USAGE);
-            }
-        }
-    } else {
-        (cmd.clone(), rest)
     };
     let opts = match parse_opts(rest) {
         Ok(o) => o,
@@ -211,7 +185,7 @@ USAGE:
                       [--max-query-vertices V] [--inject-panic I] [OBS]
   neursc-cli evaluate --model FILE --data FILE --queries DIR [--threads T]
                       [--max-query-vertices V] [--inject-panic I] [OBS]
-  neursc-cli serve    --model FILE (--data FILE | --graph-store FILE.nscs)
+  neursc-cli serve    --model FILE --data FILE
                       [--listen ADDR | --unix PATH]
                       [--backend west|sample|auto] [--router-volume-cap N]
                       [--router-cands-per-ms N]
@@ -223,8 +197,6 @@ USAGE:
                       [--stable-after-ms MS]
                       [--chaos-panic SEQS] [--chaos-starve SEQS]
                       [--chaos-abort DIGESTS] [OBS]
-  neursc-cli graph pack --data FILE --out FILE.nscs
-  neursc-cli graph info --store FILE.nscs
   neursc-cli fuzz     [--cases N] [--seed S] [--minimize] [--out-dir DIR]
 
   OBS: [--trace-json FILE] [--metrics-json FILE] [--trace-time canonical|wall]
@@ -267,12 +239,6 @@ restarting; a clean drain exits 0.
 --max-query-vertices on estimate/evaluate caps the resource budget (exit 6
 when a query exceeds it); --inject-panic I trips a contained panic on item I
 (exit 7 on estimate, a reported exclusion on evaluate).
-
-graph pack converts a text .graph file into the binary NSCS store format
-(packed CSR, checksummed, openable memory-resident or chunk-streamed);
-graph info verifies and describes a packed store. serve --graph-store loads
-the data graph from a packed store instead of a text file — the image is
-checksum-verified before the first estimate. A corrupt store exits 5.
 
 fuzz runs the differential soundness oracle: N seeded random cases checked
 against the exact enumerator (filter soundness, extraction count
@@ -350,7 +316,7 @@ const COMMANDS: &[Command] = &[
     ),
     (
         "serve",
-        "model data graph-store listen unix backend router-volume-cap router-cands-per-ms \
+        "model data listen unix backend router-volume-cap router-cands-per-ms \
          threads max-batch batch-wait-us max-pending max-frame-bytes max-query-vertices \
          journal supervise max-restarts \
          backoff-base-ms backoff-cap-ms stable-after-ms quarantine restart-count \
@@ -358,8 +324,6 @@ const COMMANDS: &[Command] = &[
          trace-json metrics-json trace-time",
         cmd_serve,
     ),
-    ("graph pack", "data out", cmd_graph_pack),
-    ("graph info", "store", cmd_graph_info),
     ("fuzz", "cases seed minimize out-dir", cmd_fuzz),
 ];
 
@@ -745,26 +709,7 @@ fn cmd_serve(opts: &Opts) -> Result<(), CliError> {
     }
     let mut model = load_model(Path::new(req(opts, "model")?))?;
     apply_threads(&mut model, opts)?;
-    let g = match (opts.get("data"), opts.get("graph-store")) {
-        (Some(_), Some(_)) => {
-            return Err(CliError::usage(
-                "--data and --graph-store are mutually exclusive",
-            ));
-        }
-        (Some(p), None) => load_graph(Path::new(p))?,
-        (None, Some(p)) => {
-            // Resident mode: the daemon answers from memory; the open
-            // verifies the image checksum before the first estimate.
-            let store =
-                neursc::store::GraphStore::open(Path::new(p), neursc::store::AccessMode::Resident)?;
-            store.to_graph()?
-        }
-        (None, None) => {
-            return Err(CliError::usage(
-                "missing required --data (or --graph-store)",
-            ));
-        }
-    };
+    let g = load_graph(Path::new(req(opts, "data")?))?;
 
     let listen = match opts.get("unix") {
         Some(_) if opts.contains_key("listen") => {
@@ -836,53 +781,6 @@ fn cmd_serve(opts: &Opts) -> Result<(), CliError> {
         .join()
         .map_err(|e| CliError::other(format!("serve: {e}")))?;
     obs.export()?;
-    Ok(())
-}
-
-fn cmd_graph_pack(opts: &Opts) -> Result<(), CliError> {
-    let data = Path::new(req(opts, "data")?);
-    let out = PathBuf::from(req(opts, "out")?);
-    let g = load_graph(data)?;
-    let bytes = neursc::store::pack_graph(&g, &out)?;
-    println!(
-        "packed {} -> {} ({} bytes, |V|={} |E|={} |L|={})",
-        data.display(),
-        out.display(),
-        bytes,
-        g.n_vertices(),
-        g.n_edges(),
-        g.n_labels()
-    );
-    Ok(())
-}
-
-fn cmd_graph_info(opts: &Opts) -> Result<(), CliError> {
-    let path = Path::new(req(opts, "store")?);
-    // Streamed open keeps `graph info` cheap on images larger than RAM;
-    // every open mode still verifies the full checksum first.
-    let store =
-        neursc::store::GraphStore::open(path, neursc::store::AccessMode::streamed_default())?;
-    let file_len = std::fs::metadata(path)
-        .map(|m| m.len())
-        .map_err(|e| CliError::io(format!("{}: {e}", path.display())))?;
-    let mut prefix = vec![0u8; file_len.min(64) as usize];
-    {
-        use std::io::Read as _;
-        let mut f = std::fs::File::open(path)
-            .map_err(|e| CliError::io(format!("{}: {e}", path.display())))?;
-        f.read_exact(&mut prefix)
-            .map_err(|e| CliError::io(format!("{}: {e}", path.display())))?;
-    }
-    let layout = neursc::store::format::parse_header(&prefix, file_len, Some(path))?;
-    println!("{}: NSCS v1, checksum verified", path.display());
-    println!(
-        "  vertices {}  edges {}  labels {}  max-degree {}  checksum {:016x}",
-        store.n_vertices(),
-        store.n_edges(),
-        store.n_labels(),
-        store.max_degree(),
-        layout.checksum
-    );
     Ok(())
 }
 

@@ -20,7 +20,6 @@
 //! | [`serve`] | `neursc-serve` | resident estimator daemon (JSON over TCP/Unix) |
 //! | [`oracle`] | `neursc-oracle` | differential soundness fuzzer + regression corpus |
 //! | [`sample`] | `neursc-sample` | Horvitz–Thompson sampling estimator backend |
-//! | [`store`] | `neursc-store` | binary NSCS graph store, streamed access, partitioning |
 //!
 //! ## Quickstart
 //!
@@ -48,7 +47,6 @@ pub use neursc_nn as nn;
 pub use neursc_oracle as oracle;
 pub use neursc_sample as sample;
 pub use neursc_serve as serve;
-pub use neursc_store as store;
 pub use neursc_workloads as workloads;
 
 /// The common imports for applications.

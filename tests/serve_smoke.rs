@@ -174,54 +174,3 @@ fn serve_daemon_unix_socket() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
-
-/// `--graph-store`: the daemon answers from a packed NSCS image, and the
-/// estimate equals the one a text-loaded daemon (or the library) produces.
-#[test]
-fn serve_daemon_from_packed_store() {
-    let dir = std::env::temp_dir().join("neursc_serve_smoke_store");
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let g = erdos_renyi(100, 300, 3, 7);
-    let store_path = dir.join("data.nscs");
-    neursc::store::pack_graph(&g, &store_path).unwrap();
-    let model_path = dir.join("model.txt");
-    let model = NeurSc::new(NeurScConfig::small(), 42);
-    save_model(&model, &model_path).unwrap();
-
-    let mut child = Command::new(env!("CARGO_BIN_EXE_neursc_cli"))
-        .arg("serve")
-        .arg("--model")
-        .arg(&model_path)
-        .arg("--graph-store")
-        .arg(&store_path)
-        .args(["--listen", "127.0.0.1:0"])
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn neursc-cli serve --graph-store");
-    let stdout = child.stdout.take().expect("piped stdout");
-    let mut banner = String::new();
-    BufReader::new(stdout).read_line(&mut banner).unwrap();
-    let addr = banner
-        .trim()
-        .strip_prefix("listening on ")
-        .unwrap_or_else(|| panic!("unexpected banner: {banner:?}"))
-        .to_string();
-
-    let q = erdos_renyi(4, 4, 3, 11);
-    let expected = model.estimate(&q, &g).unwrap();
-    let mut c = Client::connect_tcp(&addr).expect("connect");
-    let est = expect_ok(&c.request(&client::estimate_request(0, &q)).unwrap());
-    assert_eq!(
-        est.to_bits(),
-        expected.to_bits(),
-        "store-served estimate must equal the in-memory one: {est} vs {expected}"
-    );
-    c.send_line(&client::shutdown_request(1)).unwrap();
-    let _ = c.recv_line().unwrap();
-    let code = wait_for_exit(&mut child, Duration::from_secs(30));
-    assert_eq!(code, 0, "daemon exit code");
-
-    std::fs::remove_dir_all(&dir).ok();
-}
