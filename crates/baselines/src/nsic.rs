@@ -232,16 +232,6 @@ impl Nsic {
         &self.store
     }
 
-    /// The display name reflects the encoder (paper: NSIC-I / NSIC-C).
-    pub fn display_name(&self) -> &'static str {
-        match (self.config.encoder, self.config.with_extraction) {
-            (NsicEncoder::Gin, false) => "NSIC-I",
-            (NsicEncoder::MeanConv, false) => "NSIC-C",
-            (NsicEncoder::Gin, true) => "NSIC w/ SE",
-            (NsicEncoder::MeanConv, true) => "NSIC-C w/ SE",
-        }
-    }
-
     fn encode(&self, tape: &mut Tape, g: &Graph) -> Var {
         let x = tape.constant(init_features(g, &self.config.features));
         let edges = EdgeList::from_graph(g);
@@ -326,8 +316,14 @@ impl Nsic {
 }
 
 impl CountEstimator for Nsic {
+    /// The name reflects the encoder (paper: NSIC-I / NSIC-C).
     fn name(&self) -> &'static str {
-        self.display_name()
+        match (self.config.encoder, self.config.with_extraction) {
+            (NsicEncoder::Gin, false) => "NSIC-I",
+            (NsicEncoder::MeanConv, false) => "NSIC-C",
+            (NsicEncoder::Gin, true) => "NSIC w/ SE",
+            (NsicEncoder::MeanConv, true) => "NSIC-C w/ SE",
+        }
     }
 
     fn fit(&mut self, g: &Graph, train: &[(Graph, u64)]) {

@@ -7,7 +7,6 @@
 //!   "log" mode trains on `|ln ĉ − ln c|` (the same objective through a
 //!   monotone map, numerically tame at initialization), and the exact mode
 //!   reproduces Eq. 10 literally.
-//! * [`total_estimate`] — `ĉ(q) = Σ_i ĉ_i(q)` over substructures (§5.4).
 
 use crate::west::LOG_COUNT_CAP;
 use neursc_nn::{Tape, Var};
@@ -46,23 +45,11 @@ pub fn signed_q_error(estimate: f64, truth: f64) -> f64 {
     }
 }
 
-/// Sums per-substructure estimates on the tape:
-/// `ĉ(q) = Σ_i e^{z_i}` (`[1, 1]`).
-pub fn total_estimate(tape: &mut Tape, log_counts: &[Var]) -> Var {
-    assert!(!log_counts.is_empty(), "no substructure estimates to sum");
-    let mut total = tape.exp(log_counts[0]);
-    for &z in &log_counts[1..] {
-        let e = tape.exp(z);
-        total = tape.add(total, e);
-    }
-    total
-}
-
 /// Stable `ln Σ_i e^{z_i}` on the tape: shifts by the detached maximum so
 /// gradients stay healthy however negative the predictions are. (A naive
 /// `ln(Σe^z + ε)` saturates at `ln ε` with gradient `e^z/ε → 0`, freezing
 /// any query whose initial prediction is far too small.)
-pub fn log_sum_exp(tape: &mut Tape, log_counts: &[Var]) -> Var {
+fn log_sum_exp(tape: &mut Tape, log_counts: &[Var]) -> Var {
     assert!(!log_counts.is_empty(), "no substructure estimates");
     if log_counts.len() == 1 {
         return log_counts[0];
@@ -125,15 +112,6 @@ mod tests {
         assert!(signed_q_error(1.0, 100.0) < 0.0);
         assert!(signed_q_error(100.0, 1.0) > 0.0);
         assert_eq!(signed_q_error(5.0, 5.0), 1.0);
-    }
-
-    #[test]
-    fn total_estimate_sums_exponentials() {
-        let mut tape = Tape::new();
-        let z1 = tape.constant(Tensor::scalar(0.0)); // e^0 = 1
-        let z2 = tape.constant(Tensor::scalar((3.0f32).ln())); // 3
-        let total = total_estimate(&mut tape, &[z1, z2]);
-        assert!((tape.value(total).item() - 4.0).abs() < 1e-5);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!   one boolean test, [`Recorder`] captures everything in memory;
 //! * export — [`Recorder::chrome_trace_json`] (Chrome `trace_event`
 //!   format, loadable in `chrome://tracing` / Perfetto) and
-//!   [`Recorder::metrics_json`] (flat snapshot), both hand-rolled JSON;
+//!   [`MetricsSnapshot::to_json`] (flat snapshot), both hand-rolled JSON;
 //! * [`PipelineReport`] — per-query stage timings attached to
 //!   [`crate::EstimateDetail`] and [`crate::TrainReport`].
 //!
@@ -49,13 +49,33 @@
 //! ```
 
 use crate::error::NeurScError;
-use parking_lot::{Mutex, RwLock};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{
+    Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
+};
 use std::time::Instant;
+
+// ---------------------------------------------------------------------------
+// Locks
+// ---------------------------------------------------------------------------
+
+// Poison-free access: each critical section below is one map or vector
+// update, so a lock poisoned by a panic still guards whole values and
+// recording goes on.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn read<T>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    l.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn write<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    l.write().unwrap_or_else(PoisonError::into_inner)
+}
 
 // ---------------------------------------------------------------------------
 // Clocks
@@ -614,18 +634,17 @@ impl Metrics {
 
     /// Adds `delta` to the named counter (created at 0).
     pub fn counter_add(&self, name: &'static str, delta: u64) {
-        *self.counters.write().entry(name).or_insert(0) += delta;
+        *write(&self.counters).entry(name).or_insert(0) += delta;
     }
 
     /// Sets the named gauge (latest value wins).
     pub fn gauge_set(&self, name: &'static str, value: f64) {
-        self.gauges.write().insert(name, value);
+        write(&self.gauges).insert(name, value);
     }
 
     /// Records one observation into the named histogram.
     pub fn observe(&self, name: &'static str, value: u64) {
-        self.histograms
-            .write()
+        write(&self.histograms)
             .entry(name)
             .or_default()
             .observe(value);
@@ -634,21 +653,15 @@ impl Metrics {
     /// A point-in-time copy of everything.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
-            counters: self
-                .counters
-                .read()
+            counters: read(&self.counters)
                 .iter()
                 .map(|(&k, &v)| (k.to_string(), v))
                 .collect(),
-            gauges: self
-                .gauges
-                .read()
+            gauges: read(&self.gauges)
                 .iter()
                 .map(|(&k, &v)| (k.to_string(), v))
                 .collect(),
-            histograms: self
-                .histograms
-                .read()
+            histograms: read(&self.histograms)
                 .iter()
                 .map(|(&k, v)| (k.to_string(), v.clone()))
                 .collect(),
@@ -793,7 +806,7 @@ impl Recorder {
     /// All finished spans so far, sorted by `(lane, seq)` — a deterministic
     /// order independent of which OS thread drained which lane first.
     pub fn spans(&self) -> Vec<SpanRecord> {
-        let mut spans = self.spans.lock().clone();
+        let mut spans = lock(&self.spans).clone();
         spans.sort_by_key(|s| (s.lane, s.seq));
         spans
     }
@@ -808,12 +821,7 @@ impl Recorder {
     /// assert!(rec.spans().is_empty());
     /// ```
     pub fn reset_spans(&self) {
-        self.spans.lock().clear();
-    }
-
-    /// Shorthand for `metrics().snapshot().to_json()`.
-    pub fn metrics_json(&self) -> String {
-        self.metrics.snapshot().to_json()
+        lock(&self.spans).clear();
     }
 
     /// Exports all spans in Chrome `trace_event` JSON (open the file in
@@ -886,12 +894,12 @@ impl ObsSink for Recorder {
     }
 
     fn lane_open(&self, lane: u64) -> LaneCursor {
-        self.cursors.lock().remove(&lane).unwrap_or_default()
+        lock(&self.cursors).remove(&lane).unwrap_or_default()
     }
 
     fn lane_close(&self, lane: u64, cursor: LaneCursor, spans: Vec<SpanRecord>) {
-        self.cursors.lock().insert(lane, cursor);
-        let mut all = self.spans.lock();
+        lock(&self.cursors).insert(lane, cursor);
+        let mut all = lock(&self.spans);
         let room = SPAN_CAP.saturating_sub(all.len());
         if spans.len() > room {
             self.metrics
@@ -965,7 +973,7 @@ impl TraceTime {
 ///     ..PipelineReport::default()
 /// };
 /// a.merge(&b);
-/// assert_eq!(a.total_ns(), 22);
+/// assert_eq!((a.local_prune_ns, a.refine_ns, a.gnn_ns), (10, 7, 5));
 /// assert!(a.profile_cache_hit);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -988,11 +996,6 @@ pub struct PipelineReport {
 }
 
 impl PipelineReport {
-    /// Sum of every timed stage, in nanoseconds.
-    pub fn total_ns(&self) -> u64 {
-        self.local_prune_ns + self.refine_ns + self.extract_ns + self.featurize_ns + self.gnn_ns
-    }
-
     /// Accumulates another report (used to aggregate a training batch).
     pub fn merge(&mut self, other: &PipelineReport) {
         self.local_prune_ns += other.local_prune_ns;

@@ -7,8 +7,8 @@
 //! the result vector is not — every downstream reduction (summing
 //! per-substructure counts, concatenating per-query estimates) consumes
 //! the indexed vector, so a fixed seed produces bit-identical output at any
-//! thread count. This is the same pattern `neursc_workloads::ground_truth`
-//! uses for exact counting.
+//! thread count. `neursc_workloads::ground_truth` calls it for exact
+//! counting too.
 //!
 //! **Panic containment.** [`parallel_map_caught`] wraps each item in
 //! `catch_unwind`, so one poisoned item yields an [`ItemPanic`] in its slot
@@ -18,9 +18,9 @@
 //! `panic = "abort"` (see KNOWN_ISSUES.md); no profile in this workspace
 //! sets it.
 
-use parking_lot::Mutex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// A contained panic from one work item.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -94,32 +94,29 @@ where
         return (0..n).map(run).collect();
     }
     // One slot per item: workers never contend on a slot, and `Mutex` keeps
-    // the API safe without `unsafe` scatter-writes.
+    // the API safe without `unsafe` scatter-writes. No item panics while it
+    // holds its slot (`run` has caught it), so poisoning cannot occur.
     let slots: Vec<Mutex<Option<Result<T, ItemPanic>>>> =
         (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
-    let scope_result = crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|_| loop {
+            scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 if i >= n {
                     break;
                 }
-                *slots[i].lock() = Some(run(i));
+                *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(run(i));
             });
         }
     });
-    // Workers cannot unwind out of the loop — `run` catches every item
-    // panic — so the scope only errors on catastrophic runtime failures.
-    if scope_result.is_err() {
-        unreachable!("fan-out worker escaped catch_unwind");
-    }
     slots
         .into_iter()
         .enumerate()
-        .map(|(i, slot)| match slot.into_inner() {
-            Some(r) => r,
-            None => unreachable!("work item {i} skipped by the index counter"),
+        .map(|(i, slot)| {
+            slot.into_inner()
+                .unwrap_or_else(PoisonError::into_inner)
+                .unwrap_or_else(|| unreachable!("work item {i} skipped by the index counter"))
         })
         .collect()
 }

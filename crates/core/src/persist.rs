@@ -25,7 +25,7 @@
 //! like the ones above and is persisted all the same. `min_parallel_rows =
 //! 256` is vestigial: the kernel fan-out it tuned is gone, the writer emits
 //! the fixed line, the reader ignores the key whatever it holds. Both leave
-//! with the next format version (ROADMAP item 6(d)).
+//! with the next format version (ROADMAP item 9(b)).
 
 use crate::config::{DiscriminatorMetric, NeurScConfig, Parallelism, Variant};
 use crate::error::NeurScError;
@@ -141,7 +141,7 @@ fn corrupt(detail: impl Into<String>) -> NeurScError {
 /// Parses a model back. The checksum is verified before any field is
 /// interpreted; the architecture is rebuilt from the config lines and the
 /// stored parameter values are parsed in place and moved in.
-pub fn model_from_string(text: &str) -> Result<NeurSc, NeurScError> {
+fn model_from_string(text: &str) -> Result<NeurSc, NeurScError> {
     let Some(after_header) = text.strip_prefix("neursc-model v1\n") else {
         return Err(NeurScError::Persist(SerializeError::Parse(
             "bad model header".into(),

@@ -15,7 +15,7 @@ use rand::seq::SliceRandom;
 /// Chooses which substructure indices to evaluate at rate `r_s`.
 ///
 /// Returns all indices when `r_s ≥ 1` or there is ≤ 1 substructure.
-pub fn sample_indices(n_subs: usize, r_s: f64, rng: &mut StdRng) -> Vec<usize> {
+fn sample_indices(n_subs: usize, r_s: f64, rng: &mut StdRng) -> Vec<usize> {
     if n_subs == 0 {
         return Vec::new();
     }

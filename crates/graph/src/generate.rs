@@ -100,7 +100,7 @@ pub fn generate(spec: &GraphSpec, seed: u64) -> Graph {
 /// Planted-partition generator: `m` edges total, `intra_fraction` of them
 /// between vertices of the same community (communities are contiguous id
 /// ranges of `community_size`), the rest uniform.
-pub fn community_with_labels(
+fn community_with_labels(
     n: usize,
     m: usize,
     community_size: usize,
@@ -159,7 +159,7 @@ pub fn community_with_labels(
 ///
 /// `s = 0` is the uniform distribution. Label ranks are shuffled so that
 /// label ids carry no frequency information.
-pub fn zipf_labels(n: usize, n_labels: usize, s: f64, rng: &mut StdRng) -> Vec<Label> {
+fn zipf_labels(n: usize, n_labels: usize, s: f64, rng: &mut StdRng) -> Vec<Label> {
     assert!(n_labels > 0, "need at least one label");
     // Cumulative Zipf weights over ranks.
     let mut weights: Vec<f64> = (1..=n_labels).map(|k| (k as f64).powf(-s)).collect();
@@ -185,7 +185,7 @@ pub fn zipf_labels(n: usize, n_labels: usize, s: f64, rng: &mut StdRng) -> Vec<L
 }
 
 /// `G(n, m)` Erdős–Rényi with an explicit label array.
-pub fn erdos_renyi_with_labels(n: usize, m: usize, labels: &[Label], rng: &mut StdRng) -> Graph {
+fn erdos_renyi_with_labels(n: usize, m: usize, labels: &[Label], rng: &mut StdRng) -> Graph {
     assert_eq!(labels.len(), n);
     let mut b = GraphBuilder::new(n);
     for (v, &l) in labels.iter().enumerate() {
@@ -229,7 +229,7 @@ pub fn erdos_renyi(n: usize, m: usize, n_labels: usize, seed: u64) -> Graph {
 /// degree-proportionally (implemented with the standard repeated-endpoint
 /// urn: sampling uniformly from the running endpoint list is equivalent to
 /// degree-proportional sampling).
-pub fn preferential_attachment_with_labels(
+fn preferential_attachment_with_labels(
     n: usize,
     m_per: usize,
     labels: &[Label],

@@ -345,12 +345,6 @@ impl GraphBuilder {
         self.labels.len()
     }
 
-    /// Appends a new vertex with the given label, returning its id.
-    pub fn add_vertex(&mut self, label: Label) -> VertexId {
-        self.labels.push(label);
-        (self.labels.len() - 1) as VertexId
-    }
-
     /// Sets the label of an existing vertex.
     ///
     /// # Panics
@@ -513,18 +507,6 @@ mod tests {
     fn label_frequencies() {
         let g = triangle_with_tail();
         assert_eq!(g.label_frequencies(), vec![2, 2]);
-    }
-
-    #[test]
-    fn builder_add_vertex_grows_graph() {
-        let mut b = GraphBuilder::new(0);
-        let a = b.add_vertex(7);
-        let c = b.add_vertex(7);
-        b.add_edge(a, c).unwrap();
-        let g = b.build();
-        assert_eq!(g.n_vertices(), 2);
-        assert_eq!(g.n_labels(), 8);
-        assert!(g.has_edge(a, c));
     }
 
     #[test]

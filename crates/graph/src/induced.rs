@@ -20,22 +20,11 @@ pub struct InducedSubgraph {
     pub origin: Vec<VertexId>,
 }
 
-impl InducedSubgraph {
-    /// Maps a parent-graph vertex to its local id, if present — `O(log k)`.
-    pub fn local_id(&self, parent: VertexId) -> Option<VertexId> {
-        // `origin` is sorted ascending by construction.
-        self.origin
-            .binary_search(&parent)
-            .ok()
-            .map(|i| i as VertexId)
-    }
-}
-
 /// Extracts the subgraph of `g` induced by `vertices` (Definition 3).
 ///
 /// `vertices` may be in any order and contain duplicates; the result's local
-/// ids follow ascending parent-id order, which makes [`InducedSubgraph::local_id`]
-/// a binary search.
+/// ids follow ascending parent-id order, so a binary search of
+/// [`InducedSubgraph::origin`] maps a parent id to its local id.
 pub fn induced_subgraph(g: &Graph, vertices: &[VertexId]) -> InducedSubgraph {
     let mut origin: Vec<VertexId> = vertices.to_vec();
     origin.sort_unstable();
@@ -123,16 +112,6 @@ mod tests {
         assert_eq!(sub.graph.n_vertices(), 3);
         assert_eq!(sub.graph.n_edges(), 3); // whole triangle
         assert_eq!(sub.origin, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn local_id_roundtrip() {
-        let g = sample();
-        let sub = induced_subgraph(&g, &[4, 1, 3]);
-        for (local, &parent) in sub.origin.iter().enumerate() {
-            assert_eq!(sub.local_id(parent), Some(local as VertexId));
-        }
-        assert_eq!(sub.local_id(0), None);
     }
 
     #[test]

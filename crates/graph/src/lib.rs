@@ -23,8 +23,10 @@
 //!   datasets which are not redistributable here (see DESIGN.md §3).
 //! * [`sample`] — random-walk extraction of connected query graphs from a data
 //!   graph, the standard way the paper's query sets (Table 3) were produced.
+//! * [`motifs`] — the closed-form triangle count, an oracle for the
+//!   backtracking counter in tests.
 //! * [`hash`] — FNV-1a-64, the one integrity/fingerprint hash of the
-//!   workspace, and [`cache`] — the content-fingerprint-keyed LRU cache of
+//!   workspace, and [`cache`] — the content-fingerprint-keyed memo of
 //!   per-graph derived data (profiles, feature matrices) built on it.
 
 pub mod cache;

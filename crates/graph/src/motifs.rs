@@ -1,106 +1,24 @@
-//! Exact closed-form counting of elementary motifs.
+//! Exact triangle count by adjacency intersection.
 //!
-//! The paper's motivating applications (network-motif analysis, graphlet
-//! kernels — §1) revolve around small-pattern counts. For the 2–3-vertex
-//! patterns and 4-cycles, exact counts follow from adjacency algebra with
-//! no search; these serve as fast analytics and as independent oracles for
-//! the backtracking counter in tests (a triangle count from intersection
+//! A triangle count needs no search: every edge `{u, v}` closes one
+//! triangle per common neighbour. This is the independent oracle for the
+//! backtracking counter in tests (a triangle count from intersection
 //! merging must match `count_embeddings` on the unlabeled triangle).
 //!
-//! All counts here are over *unlabeled, unordered* occurrences; multiply
-//! by the pattern's automorphism count to compare with embedding counts
-//! (e.g. a triangle has 6 embeddings per occurrence).
+//! The count is over *unlabeled, unordered* occurrences; multiply by 6
+//! (the triangle's automorphisms) to compare with embedding counts.
 
 use crate::graph::Graph;
 use crate::types::VertexId;
 
-/// Number of triangles through each vertex, by sorted-adjacency
+/// Total number of triangles (unordered), by sorted-adjacency
 /// intersection merging — `O(Σ_e (d(u)+d(v)))`.
-pub fn triangles_per_vertex(g: &Graph) -> Vec<u64> {
-    let mut per = vec![0u64; g.n_vertices()];
-    for e in g.edges() {
-        let common = sorted_intersection_count_list(g.neighbors(e.u), g.neighbors(e.v));
-        for w in common {
-            per[e.u as usize] += 1;
-            per[e.v as usize] += 1;
-            per[w as usize] += 1;
-        }
-    }
-    // Each triangle {a,b,c} is visited once per edge = 3 times, adding 1 to
-    // each endpoint each visit; per-vertex counts triple-count.
-    for c in per.iter_mut() {
-        debug_assert_eq!(*c % 3, 0);
-        *c /= 3;
-    }
-    per
-}
-
-/// Total number of triangles (unordered).
 pub fn triangle_count(g: &Graph) -> u64 {
     let mut total = 0u64;
     for e in g.edges() {
         total += sorted_intersection_count(g.neighbors(e.u), g.neighbors(e.v));
     }
     total / 3
-}
-
-/// Number of wedges (paths of length 2, unordered by endpoints): each
-/// vertex with degree `d` centers `C(d, 2)` wedges.
-pub fn wedge_count(g: &Graph) -> u64 {
-    g.vertices()
-        .map(|v| {
-            let d = g.degree(v) as u64;
-            d * d.saturating_sub(1) / 2
-        })
-        .sum()
-}
-
-/// Global clustering coefficient `3·triangles / wedges` (0.0 when the
-/// graph has no wedges).
-pub fn global_clustering(g: &Graph) -> f64 {
-    let w = wedge_count(g);
-    if w == 0 {
-        0.0
-    } else {
-        3.0 * triangle_count(g) as f64 / w as f64
-    }
-}
-
-/// Number of 4-cycles (unordered occurrences), via the standard
-/// common-neighbor pair identity: `Σ_{u<w} C(|N(u)∩N(w)|, 2) / …` — here
-/// computed by counting, for each unordered non-adjacent-or-adjacent pair,
-/// the common-neighbor pairs; every 4-cycle is counted once per diagonal
-/// pair, i.e. twice.
-pub fn four_cycle_count(g: &Graph) -> u64 {
-    let n = g.n_vertices();
-    let mut total = 0u64;
-    // For each pair (u, w) with u < w: c = |N(u) ∩ N(w)|; each pair of
-    // common neighbors forms a 4-cycle with u, w as the diagonal.
-    for u in 0..n as VertexId {
-        for w in (u + 1)..n as VertexId {
-            let c = sorted_intersection_count(g.neighbors(u), g.neighbors(w));
-            total += c * c.saturating_sub(1) / 2;
-        }
-    }
-    // Each 4-cycle has two diagonals.
-    total / 2
-}
-
-/// Per-vertex local clustering coefficients.
-pub fn local_clustering(g: &Graph) -> Vec<f64> {
-    triangles_per_vertex(g)
-        .into_iter()
-        .zip(g.vertices())
-        .map(|(t, v)| {
-            let d = g.degree(v) as u64;
-            let wedges = d * d.saturating_sub(1) / 2;
-            if wedges == 0 {
-                0.0
-            } else {
-                t as f64 / wedges as f64
-            }
-        })
-        .collect()
 }
 
 fn sorted_intersection_count(a: &[VertexId], b: &[VertexId]) -> u64 {
@@ -119,61 +37,27 @@ fn sorted_intersection_count(a: &[VertexId], b: &[VertexId]) -> u64 {
     c
 }
 
-fn sorted_intersection_count_list(a: &[VertexId], b: &[VertexId]) -> Vec<VertexId> {
-    let mut out = Vec::new();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generate::erdos_renyi;
     use crate::graph::Graph;
 
-    fn k4() -> Graph {
-        Graph::from_edges(
+    #[test]
+    fn triangle_counts_of_small_shapes() {
+        let k4 = Graph::from_edges(
             4,
             &[0; 4],
             &[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)],
         )
-        .unwrap()
-    }
-
-    #[test]
-    fn k4_motif_counts() {
-        let g = k4();
-        assert_eq!(triangle_count(&g), 4);
-        assert_eq!(wedge_count(&g), 12); // 4 vertices × C(3,2)
-        assert_eq!(four_cycle_count(&g), 3);
-        assert_eq!(global_clustering(&g), 1.0);
-        assert_eq!(triangles_per_vertex(&g), vec![3, 3, 3, 3]);
-        assert!(local_clustering(&g).iter().all(|&c| c == 1.0));
-    }
-
-    #[test]
-    fn cycle_and_path_counts() {
+        .unwrap();
+        assert_eq!(triangle_count(&k4), 4);
         let c4 = Graph::from_edges(4, &[0; 4], &[(0, 1), (1, 2), (2, 3), (3, 0)]).unwrap();
         assert_eq!(triangle_count(&c4), 0);
-        assert_eq!(four_cycle_count(&c4), 1);
-        assert_eq!(wedge_count(&c4), 4);
-        assert_eq!(global_clustering(&c4), 0.0);
-
         let p4 = Graph::from_edges(4, &[0; 4], &[(0, 1), (1, 2), (2, 3)]).unwrap();
         assert_eq!(triangle_count(&p4), 0);
-        assert_eq!(four_cycle_count(&p4), 0);
-        assert_eq!(wedge_count(&p4), 2);
+        assert_eq!(triangle_count(&Graph::from_edges(0, &[], &[]).unwrap()), 0);
+        assert_eq!(triangle_count(&Graph::from_edges(1, &[0], &[]).unwrap()), 0);
     }
 
     #[test]
@@ -183,83 +67,17 @@ mod tests {
         // (The exact counter lives in neursc-match; here we brute-force.)
         for seed in 0..4u64 {
             let g = erdos_renyi(18, 50, 1, seed);
-            let brute = {
-                let mut t = 0u64;
-                for a in 0..18u32 {
-                    for b in (a + 1)..18 {
-                        for c in (b + 1)..18 {
-                            if g.has_edge(a, b) && g.has_edge(b, c) && g.has_edge(a, c) {
-                                t += 1;
-                            }
-                        }
-                    }
-                }
-                t
-            };
-            assert_eq!(triangle_count(&g), brute, "seed {seed}");
-            let per = triangles_per_vertex(&g);
-            assert_eq!(per.iter().sum::<u64>(), 3 * brute);
-        }
-    }
-
-    #[test]
-    fn four_cycles_match_brute_force() {
-        for seed in 0..4u64 {
-            let g = erdos_renyi(14, 35, 1, seed);
             let mut brute = 0u64;
-            let n = 14u32;
-            for a in 0..n {
-                for b in (a + 1)..n {
-                    for c in (b + 1)..n {
-                        for d in (c + 1)..n {
-                            // A 4-cycle on {a,b,c,d} exists for each of the 3
-                            // pairings with all four cycle edges present.
-                            let cyc = |w: u32, x: u32, y: u32, z: u32| {
-                                g.has_edge(w, x)
-                                    && g.has_edge(x, y)
-                                    && g.has_edge(y, z)
-                                    && g.has_edge(z, w)
-                            };
-                            brute += cyc(a, b, c, d) as u64;
-                            brute += cyc(a, b, d, c) as u64;
-                            brute += cyc(a, c, b, d) as u64;
+            for a in 0..18u32 {
+                for b in (a + 1)..18 {
+                    for c in (b + 1)..18 {
+                        if g.has_edge(a, b) && g.has_edge(b, c) && g.has_edge(a, c) {
+                            brute += 1;
                         }
                     }
                 }
             }
-            assert_eq!(four_cycle_count(&g), brute, "seed {seed}");
+            assert_eq!(triangle_count(&g), brute, "seed {seed}");
         }
-    }
-
-    #[test]
-    fn empty_and_tiny_graphs() {
-        let g = Graph::from_edges(0, &[], &[]).unwrap();
-        assert_eq!(triangle_count(&g), 0);
-        assert_eq!(wedge_count(&g), 0);
-        assert_eq!(four_cycle_count(&g), 0);
-        assert_eq!(global_clustering(&g), 0.0);
-        let single = Graph::from_edges(1, &[0], &[]).unwrap();
-        assert_eq!(triangle_count(&single), 0);
-        assert!(local_clustering(&single).iter().all(|&c| c == 0.0));
-    }
-
-    #[test]
-    fn community_graphs_are_more_clustered_than_er() {
-        use crate::generate::{generate, DegreeModel, GraphSpec};
-        let comm = generate(
-            &GraphSpec {
-                n_vertices: 500,
-                avg_degree: 10.0,
-                n_labels: 3,
-                label_zipf: 0.0,
-                model: DegreeModel::Community {
-                    community_size: 20,
-                    intra_fraction: 0.85,
-                },
-            },
-            2,
-        );
-        let er = generate(&GraphSpec::uniform(500, 10.0, 3), 2);
-        assert!(global_clustering(&comm) > 2.0 * global_clustering(&er));
     }
 }

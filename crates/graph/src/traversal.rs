@@ -28,7 +28,7 @@ pub fn bfs(g: &Graph, source: VertexId) -> BfsResult {
 }
 
 /// BFS from `source` that stops expanding beyond `max_depth` hops.
-pub fn bfs_bounded(g: &Graph, source: VertexId, max_depth: u32) -> BfsResult {
+fn bfs_bounded(g: &Graph, source: VertexId, max_depth: u32) -> BfsResult {
     let n = g.n_vertices();
     let mut dist = vec![UNREACHABLE; n];
     let mut queue = std::collections::VecDeque::new();

@@ -14,7 +14,7 @@ use std::collections::HashMap;
 /// Two graphs are *1-WL-distinguishable within k rounds* iff their
 /// histograms differ after some round `≤ k`; [`wl_distinguishes`] implements
 /// that test. Colors are canonicalized per call, so histograms are only
-/// comparable when computed by the same [`wl_histograms`] invocation.
+/// comparable when computed by one joint refinement of both graphs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WlHistogram {
     /// Sorted `(color, multiplicity)` pairs.
@@ -26,11 +26,7 @@ pub struct WlHistogram {
 ///
 /// `result.0[r]` / `result.1[r]` are the histograms of `g1` / `g2` after
 /// round `r` (round 0 = initial labels).
-pub fn wl_histograms(
-    g1: &Graph,
-    g2: &Graph,
-    rounds: usize,
-) -> (Vec<WlHistogram>, Vec<WlHistogram>) {
+fn wl_histograms(g1: &Graph, g2: &Graph, rounds: usize) -> (Vec<WlHistogram>, Vec<WlHistogram>) {
     let mut colors1: Vec<u64> = g1.vertices().map(|v| g1.label(v) as u64).collect();
     let mut colors2: Vec<u64> = g2.vertices().map(|v| g2.label(v) as u64).collect();
     let mut hist1 = vec![histogram(&colors1)];

@@ -39,7 +39,7 @@ use std::sync::Arc;
 /// benchmark (`benchmarks/src/{harness,offline}.rs`, which a feature PR
 /// may not edit) still passes `QuantMode::F32` to
 /// [`InferWeights::from_store`]. Leaves, with that parameter, when
-/// ROADMAP item 1(d) drops the argument at those two call sites.
+/// ROADMAP item 1(e) drops the argument at those two call sites.
 #[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QuantMode {

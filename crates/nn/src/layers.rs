@@ -85,7 +85,7 @@ impl Linear {
     /// `act(x·W + b)` as one tape node ([`Tape::linear`]) over two
     /// parameter leaves, bound here — once per call, so every use of the
     /// layer deposits its own gradient.
-    pub fn forward_act(&self, tape: &mut Tape, store: &ParamStore, x: Var, act: Activation) -> Var {
+    fn forward_act(&self, tape: &mut Tape, store: &ParamStore, x: Var, act: Activation) -> Var {
         let w = tape.param(store, self.w);
         let b = tape.param(store, self.b);
         tape.linear(x, w, b, act)

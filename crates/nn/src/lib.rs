@@ -120,7 +120,7 @@ impl ParamStore {
     }
 
     /// Total number of scalar parameters.
-    pub fn n_scalars(&self) -> usize {
+    fn n_scalars(&self) -> usize {
         self.values.iter().map(|t| t.len()).sum()
     }
 

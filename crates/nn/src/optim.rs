@@ -134,7 +134,7 @@ pub fn clamp_params(store: &mut ParamStore, params: &[ParamId], lo: f32, hi: f32
 /// Global L2 norm of the gradients of the listed parameters. Non-finite
 /// gradient entries make the result non-finite, which callers treat as a
 /// divergence signal.
-pub fn global_grad_norm(store: &ParamStore, params: &[ParamId]) -> f32 {
+fn global_grad_norm(store: &ParamStore, params: &[ParamId]) -> f32 {
     let mut sq = 0.0f32;
     for &p in params {
         for &g in store.grad(p).data() {

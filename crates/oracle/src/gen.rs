@@ -130,7 +130,7 @@ fn single_vertex(n_labels: usize, rng: &mut StdRng) -> Result<Graph, GraphError>
 }
 
 /// Disjoint union `a ⊎ b` (b's ids shifted past a's).
-pub fn disjoint_union(a: &Graph, b: &Graph) -> Result<Graph, GraphError> {
+fn disjoint_union(a: &Graph, b: &Graph) -> Result<Graph, GraphError> {
     let off = a.n_vertices() as VertexId;
     let labels: Vec<Label> = a
         .labels()

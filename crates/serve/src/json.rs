@@ -142,7 +142,7 @@ impl Json {
 
 /// Appends a number; non-finite values (which JSON cannot express) render
 /// as `null`.
-pub fn write_num(v: f64, out: &mut String) {
+fn write_num(v: f64, out: &mut String) {
     if v.is_finite() {
         // Rust's Display is shortest-roundtrip decimal, valid JSON except
         // for negative zero's sign, which also parses fine.
@@ -153,7 +153,7 @@ pub fn write_num(v: f64, out: &mut String) {
 }
 
 /// Appends a quoted, escaped JSON string.
-pub fn write_str(s: &str, out: &mut String) {
+fn write_str(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {

@@ -213,7 +213,7 @@ fn opt_u64(v: &Json, key: &str) -> Result<Option<u64>, (&'static str, String)> {
 /// Structural validation (label count matches `n`, endpoints in range, no
 /// self-loops) happens before any `O(n)` allocation beyond what the frame
 /// size already bounds, so a hostile frame cannot cause amplification.
-pub fn graph_from_json(v: &Json) -> Result<Graph, (&'static str, String)> {
+fn graph_from_json(v: &Json) -> Result<Graph, (&'static str, String)> {
     let n = v
         .get("n")
         .and_then(Json::as_u64)
@@ -264,7 +264,7 @@ pub fn graph_from_json(v: &Json) -> Result<Graph, (&'static str, String)> {
     Graph::from_edges(n as usize, &labels, &edges).map_err(|e| ("invalid_query", e.to_string()))
 }
 
-/// Encodes a graph in the wire shape (the inverse of [`graph_from_json`]).
+/// Encodes a graph in the wire shape (the inverse of `graph_from_json`).
 pub fn graph_to_json(g: &Graph) -> Json {
     let labels = g.labels().iter().map(|&l| Json::Num(l as f64)).collect();
     let edges = g

@@ -63,10 +63,11 @@ use crate::router::{BackendChoice, RouterConfig};
 use neursc_core::persist::{load_model, model_checksum};
 use neursc_core::{GraphContext, NeurSc, NeurScError, Recorder};
 use neursc_graph::Graph;
-use parking_lot::RwLock;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{
+    Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
+};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -173,7 +174,18 @@ pub(crate) const IDEM_CACHE_CAP: usize = 1024;
 /// (or crashed its own thread); the protected data here (queues, socket
 /// writers) stays structurally valid, so we keep serving.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// [`lock`] for the model/checksum `RwLock`s, shared access. Every write to
+/// them is one assignment, so a poisoned lock still holds a whole value.
+fn read<T>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    l.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// [`read`], exclusive access.
+fn write<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    l.write().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Shared writer half of one client connection.
@@ -360,13 +372,13 @@ pub fn serve(
 fn reload(shared: &Shared, path: &str) -> Result<u64, NeurScError> {
     let mut new_model = load_model(Path::new(path))?;
     {
-        let current = shared.model.read();
+        let current = read(&shared.model);
         new_model.config.parallelism = current.config.parallelism;
         new_model.config.budget = current.config.budget;
     }
     let checksum = model_checksum(&new_model);
-    *shared.model.write() = Arc::new(new_model);
-    *shared.model_sum.write() = checksum;
+    *write(&shared.model) = Arc::new(new_model);
+    *write(&shared.model_sum) = checksum;
     Ok(checksum)
 }
 
@@ -375,10 +387,10 @@ fn stats_frame(shared: &Shared, id: &Json) -> String {
         let q = lock(&shared.queue);
         (q.items.len(), q.served)
     };
-    let checksum = *shared.model_sum.read();
+    let checksum = *read(&shared.model_sum);
     // The registry export is pretty-printed (it is also written to files);
     // re-render it compactly so the frame stays a single line.
-    let metrics = crate::json::parse(&shared.recorder.metrics_json())
+    let metrics = crate::json::parse(&shared.recorder.metrics().snapshot().to_json())
         .map(|v| v.render())
         .unwrap_or_else(|_| "null".to_string());
     let mut frame = String::from("{\"ok\":true,\"id\":");

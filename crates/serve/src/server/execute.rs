@@ -4,7 +4,7 @@
 
 use super::batcher::Pending;
 use super::reply::finish_slot;
-use super::{lock, Shared};
+use super::{lock, read, Shared};
 use crate::proto;
 use crate::router::{route, sampler_for_model, Routed};
 use neursc_core::{EstimateDetail, Estimator, FaultPlan, GraphContext, NeurScError};
@@ -15,7 +15,7 @@ use std::time::Instant;
 pub(super) fn run_batch(shared: &Shared, ctx: &mut GraphContext, batch: Vec<Pending>) {
     // Snapshot the model once per batch: a concurrent reload swaps the
     // Arc for the *next* batch; this one finishes on its snapshot.
-    let model = shared.model.read().clone();
+    let model = read(&shared.model).clone();
     for p in &batch {
         // Digest-keyed hard kill: unlike a contained panic this takes the
         // whole process down, deterministically, in every incarnation —

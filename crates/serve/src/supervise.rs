@@ -63,7 +63,7 @@ impl Default for SuperviseConfig {
 
 /// Backoff before restart number `attempt` (1-based): `base · 2^(attempt-1)`,
 /// capped.
-pub fn backoff_for(cfg: &SuperviseConfig, attempt: u32) -> Duration {
+fn backoff_for(cfg: &SuperviseConfig, attempt: u32) -> Duration {
     let factor = 1u32
         .checked_shl(attempt.saturating_sub(1))
         .unwrap_or(u32::MAX);

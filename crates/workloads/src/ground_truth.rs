@@ -5,13 +5,14 @@
 //! computed within 30 minutes"; here the cutoff is a deterministic
 //! expansion budget per query, and queries exceeding it are dropped from
 //! the workload, producing the same "solvable queries only" selection.
-//! Counting runs in parallel across queries with `crossbeam` scoped
-//! threads; results are cached on disk (CSV, one line per query) because
-//! graph and query generation are deterministic in their seeds.
+//! Counting runs in parallel across queries on
+//! `neursc_core::parallel::parallel_map_indexed`; results are cached on
+//! disk (CSV, one line per query) because graph and query generation are
+//! deterministic in their seeds.
 
+use neursc_core::parallel::parallel_map_indexed;
 use neursc_graph::Graph;
 use neursc_match::count_embeddings;
-use parking_lot::Mutex;
 use std::path::PathBuf;
 
 /// Ground-truth generation settings.
@@ -39,7 +40,7 @@ impl Default for GroundTruthConfig {
 }
 
 /// The default cache directory: `$NEURSC_CACHE` or `target/neursc-cache`.
-pub fn default_cache_dir() -> PathBuf {
+fn default_cache_dir() -> PathBuf {
     std::env::var_os("NEURSC_CACHE")
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from("target/neursc-cache"))
@@ -64,24 +65,9 @@ pub fn count_all(g: &Graph, queries: &[Graph], cfg: &GroundTruthConfig) -> Vec<O
             return cached;
         }
     }
-    let results = Mutex::new(vec![None; queries.len()]);
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let threads = cfg.threads.max(1);
-    crossbeam::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|_| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= queries.len() {
-                    break;
-                }
-                let r = count_embeddings(&queries[i], g, cfg.budget);
-                let value = r.exact();
-                results.lock()[i] = value;
-            });
-        }
-    })
-    .expect("ground-truth worker panicked");
-    let results = results.into_inner();
+    let results = parallel_map_indexed(queries.len(), cfg.threads, |i| {
+        count_embeddings(&queries[i], g, cfg.budget).exact()
+    });
     if let Some(path) = cache_path(cfg, queries.len()) {
         write_cache(&path, &results);
     }

@@ -14,7 +14,7 @@ echo "== cargo clippy (no unwrap/expect in library code) =="
 # Library code on input-dependent paths must return typed errors, never
 # panic (DESIGN.md, "Failure semantics"). Tests/benches/bins are exempt.
 cargo clippy -p neursc-graph -p neursc-match -p neursc-nn -p neursc-core \
-    -p neursc-serve -p neursc-sample -p neursc-oracle --lib -- \
+    -p neursc-serve -p neursc-sample -p neursc-oracle -p neursc-workloads --lib -- \
     -D warnings -D clippy::unwrap_used -D clippy::expect_used
 
 OUR_CRATES=(-p neursc -p neursc-graph -p neursc-match -p neursc-nn -p neursc-gnn

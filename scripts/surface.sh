@@ -11,6 +11,8 @@
 #   tests    lines of every *.rs under tests/ and benches/ (a line moved
 #            from src to tests is not a reduction; the columns are apart)
 #   pub fn   lines matching `pub fn ` under src/
+# Then the lines of each vendored offline stand-in under vendor/ (outside
+# crates/ and src/, so a dropped dependency shows here and nowhere above).
 # Then the `pub` fields of every `*Config`, `Parallelism` and `*Budget`
 # struct (each one is an independently settable value), and every `static`
 # under crates/*/src that some code in its file stores to, swaps, locks or
@@ -44,6 +46,17 @@ for root in crates/*/ ./; do
 done
 printf '%-12s %8d %8d %8d\n' total "$total_src" "$total_tests" "$total_fns"
 echo "Rust lines under crates/ + src/ (tests included): $(lines crates src)"
+
+echo
+echo "vendored stub crates (lines of *.rs):"
+total_vendor=0 n_vendor=0
+for d in vendor/*/; do
+    [[ -d $d ]] || continue
+    v=$(lines "$d")
+    printf '  %-12s %8d\n' "$(basename "$d")" "$v"
+    total_vendor=$((total_vendor + v)) n_vendor=$((n_vendor + 1))
+done
+printf '  %-12s %8d  (%d crates)\n' total "$total_vendor" "$n_vendor"
 
 echo
 echo "pub fields of *Config / Parallelism / *Budget structs:"

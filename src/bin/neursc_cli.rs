@@ -417,7 +417,7 @@ impl ObsSetup {
             eprintln!("wrote trace to {}", path.display());
         }
         if let Some(path) = &self.metrics_out {
-            std::fs::write(path, rec.metrics_json())
+            std::fs::write(path, rec.metrics().snapshot().to_json())
                 .map_err(|e| CliError::io(format!("{}: {e}", path.display())))?;
             eprintln!("wrote metrics to {}", path.display());
         }
