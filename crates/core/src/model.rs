@@ -68,8 +68,12 @@ pub struct NeurSc {
 }
 
 /// The per-model tape-free inference state: a weight snapshot shared by
-/// all estimate workers, plus a pool of recycled per-lane [`Arena`]s so
-/// warm estimates allocate nothing.
+/// all estimate workers, plus a pool of recycled per-lane [`Arena`]s.
+/// Every tensor of the forward comes from, and goes back to, one of those
+/// arenas (the query's intra-GIN output too), and each arena hands out
+/// its buffers best fit, so a warm estimate allocates no tensor storage:
+/// `tests/warm_estimate_memory.rs` counts it. Featurization's matrices
+/// belong to the [`PreparedQuery`] and are outside that count.
 struct InferState {
     weights: InferWeights,
     arenas: Mutex<Vec<Arena>>,
@@ -305,6 +309,9 @@ impl NeurSc {
                 run()
             }
         });
+        let mut arena = st.checkout();
+        arena.recycle(hq_intra);
+        st.checkin(arena);
         let mut report = pq.report.clone();
         for &(_, ns) in &logs {
             sink.observe("gnn.forward.ns", ns);

@@ -387,6 +387,15 @@ pub fn run_training_obs(
 /// several trainers side by side — this crate's and others that build their
 /// own tapes — and wants all of them under one policy from the start, not
 /// from whenever the first NeurSC model happens to train.
+///
+/// **The policy per process kind.** Training runs under this one.
+/// Estimating and serving processes make no `mallopt` call and keep
+/// glibc's adaptive defaults: their tensors come from per-lane arenas that
+/// keep their buffers ([`neursc_nn::infer::Arena`]), so a warm estimate
+/// allocates no tensor storage and its peak is single-mode under the defaults.
+/// What a pinned low `mmap` threshold would still take off that peak is
+/// featurization's per-query matrices, which a pool could keep the same
+/// way (KNOWN_ISSUES.md, "Training changes glibc's allocator policy").
 pub fn keep_freed_heap() {
     #[cfg(all(target_os = "linux", target_env = "gnu"))]
     {

@@ -8,8 +8,8 @@
 //! module is the inference-only substitute (DESIGN.md §15):
 //!
 //! * [`Arena`] — a per-lane buffer pool. Kernels allocate outputs by
-//!   recycling the `Vec<f32>` of a tensor the caller has finished with,
-//!   so a warm lane performs no heap allocation at all.
+//!   recycling, best fit, the `Vec<f32>` of a tensor the caller has
+//!   finished with, so a warm lane allocates no tensor storage.
 //! * [`InferWeights`] — a read-only snapshot of a [`ParamStore`], taken
 //!   once per model (not once per bind).
 //! * [`InferCtx`] — the handle fused kernels run against: borrowed
@@ -90,9 +90,22 @@ fn all_finite(xs: &[f32]) -> bool {
 // ---------------------------------------------------------------------------
 
 /// A pool of reusable `f32` buffers backing one inference lane's
-/// intermediate tensors. `alloc` pops a recycled buffer (or allocates on
-/// a cold lane), `recycle` returns a finished tensor's storage; a warm
-/// lane therefore runs the whole WEst forward without touching the heap.
+/// intermediate tensors. `alloc` takes the pooled buffer that fits best
+/// (or allocates on a cold lane), `recycle` returns a finished tensor's
+/// storage; a warm lane therefore runs the whole WEst forward without
+/// allocating tensor storage.
+///
+/// **Best fit.** A request takes the smallest pooled buffer whose capacity
+/// holds it, so a small tensor never claims the buffer a large one needs
+/// next. Only when no pooled buffer is large enough is one grown: the
+/// largest, the one that needs the fewest extra bytes. Substructures of
+/// one query differ in size by 10× and more, so a buffer picked by recency
+/// alone would be grown in place (`realloc` of up to a MiB) while a large
+/// one sat idle in the pool. `neursc-core`'s
+/// `tests/warm_estimate_memory.rs` pins that a warm estimate allocates no
+/// buffer of tensor size. The input matrices a `PreparedQuery` owns
+/// (featurization's per-substructure `x`) are not arena tensors and stay
+/// outside that guarantee.
 #[derive(Debug, Default)]
 pub struct Arena {
     pool: Vec<Vec<f32>>,
@@ -104,17 +117,28 @@ impl Arena {
         Arena::default()
     }
 
+    /// Removes and returns the pooled buffer that best fits a `len`-element
+    /// request: the smallest whose capacity holds it, else the largest (the
+    /// caller grows it), else, on a cold lane, a new one.
+    fn take(&mut self, len: usize) -> Vec<f32> {
+        let caps = self.pool.iter().map(Vec::capacity).enumerate();
+        let best = caps
+            .clone()
+            .filter(|&(_, cap)| cap >= len)
+            .min_by_key(|&(_, cap)| cap)
+            .or_else(|| caps.max_by_key(|&(_, cap)| cap));
+        match best {
+            Some((i, _)) => self.pool.swap_remove(i),
+            None => Vec::with_capacity(len),
+        }
+    }
+
     /// A zeroed `[rows, cols]` tensor backed by a pooled buffer.
     pub fn alloc(&mut self, rows: usize, cols: usize) -> Tensor {
         let len = rows * cols;
-        let buf = match self.pool.pop() {
-            Some(mut v) => {
-                v.clear();
-                v.resize(len, 0.0);
-                v
-            }
-            None => vec![0.0; len],
-        };
+        let mut buf = self.take(len);
+        buf.clear();
+        buf.resize(len, 0.0);
         Tensor::from_vec(rows, cols, buf)
     }
 
@@ -124,31 +148,21 @@ impl Arena {
     /// concats, slices). Never hand one to an accumulating kernel.
     pub fn alloc_full(&mut self, rows: usize, cols: usize) -> Tensor {
         let len = rows * cols;
-        let buf = match self.pool.pop() {
-            Some(mut v) => {
-                // Adjust the length without touching retained elements:
-                // truncate keeps a stale prefix, resize fills only the
-                // grown tail — either way no O(len) clear.
-                if v.len() > len {
-                    v.truncate(len);
-                } else {
-                    v.resize(len, 0.0);
-                }
-                v
-            }
-            None => vec![0.0; len],
-        };
+        let mut buf = self.take(len);
+        // Adjust the length without touching retained elements: truncate
+        // keeps a stale prefix, resize fills only the grown tail — either
+        // way no O(len) clear.
+        if buf.len() > len {
+            buf.truncate(len);
+        } else {
+            buf.resize(len, 0.0);
+        }
         Tensor::from_vec(rows, cols, buf)
     }
 
     /// Returns a tensor's storage to the pool.
     pub fn recycle(&mut self, t: Tensor) {
         self.pool.push(t.into_vec());
-    }
-
-    /// Number of pooled buffers (diagnostics/tests).
-    pub fn pooled(&self) -> usize {
-        self.pool.len()
     }
 }
 
@@ -295,20 +309,79 @@ mod tests {
         assert_eq!(bits, [true, false, false, false, false]);
     }
 
-    #[test]
-    fn arena_recycles_buffers() {
+    /// An arena holding one buffer of each capacity, recycled in the given
+    /// order.
+    fn arena_of(caps: &[usize]) -> Arena {
         let mut a = Arena::new();
-        let t = a.alloc(4, 4);
-        assert_eq!(t.data(), &[0.0; 16]);
+        for &c in caps {
+            a.recycle(Tensor::from_vec(1, c, vec![7.0; c]));
+        }
+        a
+    }
+
+    /// Capacities of the pooled buffers, ascending.
+    fn pooled_caps(a: &Arena) -> Vec<usize> {
+        let mut caps: Vec<usize> = a.pool.iter().map(Vec::capacity).collect();
+        caps.sort_unstable();
+        caps
+    }
+
+    #[test]
+    fn a_large_request_takes_the_large_buffer_in_any_recycle_order() {
+        for caps in [[16, 1000], [1000, 16]] {
+            let mut a = arena_of(&caps);
+            let t = a.alloc(20, 50);
+            assert_eq!(t.into_vec().capacity(), 1000, "recycled {caps:?}");
+            assert_eq!(pooled_caps(&a), [16], "recycled {caps:?}");
+        }
+    }
+
+    #[test]
+    fn a_small_request_leaves_the_large_buffer_pooled() {
+        for caps in [[1000, 64, 16], [16, 1000, 64], [64, 16, 1000]] {
+            let mut a = arena_of(&caps);
+            let t = a.alloc_full(2, 20);
+            assert_eq!(t.into_vec().capacity(), 64, "recycled {caps:?}");
+            assert_eq!(pooled_caps(&a), [16, 1000], "recycled {caps:?}");
+        }
+    }
+
+    #[test]
+    fn the_pool_grows_only_when_nothing_fits() {
+        let mut a = arena_of(&[16, 100]);
+        // Requests that fit leave the pooled capacities as they were.
+        for (rows, cols) in [(1, 16), (10, 10), (3, 5)] {
+            let t = a.alloc(rows, cols);
+            a.recycle(t);
+            assert_eq!(pooled_caps(&a), [16, 100]);
+        }
+        // One that does not grows the largest buffer; the smaller one
+        // stays for what it fits.
+        let t = a.alloc_full(5, 40);
+        assert!(t.into_vec().capacity() >= 200);
+        assert_eq!(pooled_caps(&a), [16]);
+        // A cold arena allocates exactly what is asked.
+        assert_eq!(Arena::new().alloc(3, 3).into_vec().capacity(), 9);
+    }
+
+    #[test]
+    fn alloc_zero_fills_a_dirtied_buffer() {
+        let mut a = arena_of(&[16]);
+        assert_eq!(a.alloc(3, 2).data(), &[0.0; 6]);
+        let mut a = arena_of(&[4]);
+        assert_eq!(a.alloc(4, 4).data(), &[0.0; 16]);
+    }
+
+    #[test]
+    fn alloc_full_keeps_stale_contents() {
+        let mut a = arena_of(&[16]);
+        let t = a.alloc_full(2, 4);
+        // The buffer came back as it was recycled: no O(len) clear.
+        assert_eq!(t.data(), &[7.0; 8]);
         a.recycle(t);
-        assert_eq!(a.pooled(), 1);
-        let mut t2 = a.alloc(2, 3);
-        assert_eq!(a.pooled(), 0);
-        assert_eq!(t2.shape(), (2, 3));
-        t2.fill(7.0);
-        a.recycle(t2);
-        // A dirtied recycled buffer comes back zeroed.
-        let t3 = a.alloc(3, 2);
-        assert_eq!(t3.data(), &[0.0; 6]);
+        // Lengthening within the capacity fills only the new tail.
+        let t = a.alloc_full(3, 4);
+        assert_eq!(t.data()[..8], [7.0; 8]);
+        assert_eq!(t.data()[8..], [0.0; 4]);
     }
 }

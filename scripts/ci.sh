@@ -51,6 +51,10 @@ cargo test -q --release -p neursc-nn -p neursc-gnn -p neursc-match
 # inputs (~25 s on 2 threads; KNOWN_ISSUES.md, "The vectorised sigmoid").
 cargo test -q --release -p neursc-nn --lib -- --ignored sigmoid_tier_matches_stable_sigmoid_on_every_f32
 cargo test -q --release -p neursc-core --test train_golden --test parallel_determinism
+# The two process-wide memory tests: a warm estimate allocates no tensor
+# storage, a warm training step faults in no new pages. Allocation and
+# page reuse must hold at the optimisation level the benchmark measures.
+cargo test -q --release -p neursc-core --test warm_estimate_memory --test train_steady_memory
 cargo test -q --release -p neursc-baselines --test train_golden
 
 echo "== no-op sink overhead gate (DESIGN.md §8: < 2%) =="

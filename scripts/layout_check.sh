@@ -7,7 +7,8 @@
 # loop across a 32- or 64-byte boundary. If the builds disagree by more
 # than run-to-run spread, the workload measures code placement, and no
 # parent/change comparison on it means anything until the loop is found
-# (KNOWN_ISSUES.md, "offline_refine_human was bimodal").
+# (KNOWN_ISSUES.md, "A tight loop can tie a build's speed to its code
+# placement").
 #
 # Usage: scripts/layout_check.sh <workload> [builds=4] [functions=<the four below>]
 #
