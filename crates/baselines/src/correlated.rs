@@ -45,14 +45,9 @@ impl CorrelatedSampling {
         }
     }
 
-    /// SplitMix64-style hash of a vertex id to `[0, 1)`.
+    /// SplitMix64 hash of a vertex id to `[0, 1)`.
     fn hash01(&self, v: VertexId) -> f64 {
-        let mut x = (v as u64)
-            .wrapping_add(self.seed)
-            .wrapping_add(0x9e3779b97f4a7c15);
-        x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
-        x ^= x >> 31;
+        let x = rand::splitmix64((v as u64).wrapping_add(self.seed));
         (x >> 11) as f64 / (1u64 << 53) as f64
     }
 }

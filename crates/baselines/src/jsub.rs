@@ -14,7 +14,7 @@ use crate::CountEstimator;
 use neursc_graph::types::VertexId;
 use neursc_graph::Graph;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// The JSUB estimator.
 #[derive(Debug)]

@@ -14,7 +14,7 @@ use crate::CountEstimator;
 use neursc_graph::types::{Label, VertexId};
 use neursc_graph::Graph;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// The WJ estimator.
 #[derive(Debug)]

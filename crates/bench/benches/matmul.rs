@@ -29,7 +29,6 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use neursc_nn::infer::{Arena, InferCtx, InferWeights, QuantMode};
 use neursc_nn::{ParamId, ParamStore, Tensor};
-use rand::Rng;
 use rand::SeedableRng;
 
 /// The seed's kernel, kept verbatim for comparison: skips every zero

@@ -11,7 +11,6 @@ use crate::extraction::Substructure;
 use neursc_gnn::EdgeList;
 use neursc_graph::Graph;
 use rand::rngs::StdRng;
-use rand::Rng;
 
 /// Builds the directed message edges of `G_B` for one `(q, G_sub)` pair.
 ///

@@ -11,7 +11,7 @@
 use crate::graph::{Graph, GraphBuilder};
 use crate::types::{Label, VertexId};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// Random-graph family to generate.
 #[derive(Debug, Clone, Copy, PartialEq)]

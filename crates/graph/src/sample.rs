@@ -13,7 +13,6 @@ use crate::induced::induced_subgraph;
 use crate::traversal::is_connected;
 use crate::types::VertexId;
 use rand::rngs::StdRng;
-use rand::Rng;
 
 /// Controls query sampling.
 #[derive(Debug, Clone)]

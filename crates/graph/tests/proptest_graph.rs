@@ -113,7 +113,7 @@ proptest! {
     #[test]
     fn wl_never_distinguishes_graph_from_relabeled_self(g in arb_graph(20), perm_seed in any::<u64>()) {
         // Build an isomorphic copy by permuting vertex ids.
-        use rand::{Rng, SeedableRng};
+        use rand::SeedableRng;
         let n = g.n_vertices();
         let mut perm: Vec<u32> = (0..n as u32).collect();
         let mut rng = rand::rngs::StdRng::seed_from_u64(perm_seed);

@@ -2,7 +2,6 @@
 
 use crate::tensor::Tensor;
 use rand::rngs::StdRng;
-use rand::Rng;
 
 /// Xavier/Glorot uniform initialization: `U(−a, a)` with
 /// `a = sqrt(6 / (fan_in + fan_out))` — the standard choice for the

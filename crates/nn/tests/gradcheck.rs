@@ -9,7 +9,7 @@ use neursc_nn::layers::Activation;
 use neursc_nn::{ParamStore, Tape, Tensor, Var};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 const H: f32 = 1e-3;
 const TOL: f32 = 2e-2; // f32 finite differences are noisy; relative check below

@@ -13,7 +13,7 @@ use neursc_graph::sample::{sample_query, QuerySampler};
 use neursc_graph::types::{Label, VertexId};
 use neursc_graph::{Graph, GraphError};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{splitmix64, SeedableRng};
 
 /// One fuzz case: a data graph and a query, plus the seed that made them.
 #[derive(Debug, Clone)]
@@ -37,13 +37,10 @@ pub fn build_graph(
     Graph::from_edges(n, labels, edges)
 }
 
-/// SplitMix64 — decorrelates per-case seeds drawn from one run seed.
+/// Seed of case `index`: output `index` (from 0) of the SplitMix64 stream
+/// started at `run_seed`, which decorrelates the cases of one run.
 pub fn mix_seed(run_seed: u64, index: u64) -> u64 {
-    let mut z =
-        run_seed.wrapping_add(0x9e37_79b9_7f4a_7c15_u64.wrapping_mul(index.wrapping_add(1)));
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    splitmix64(run_seed.wrapping_add(0x9e37_79b9_7f4a_7c15_u64.wrapping_mul(index)))
 }
 
 /// Generates the case for `seed`.

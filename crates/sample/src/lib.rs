@@ -77,7 +77,7 @@ use neursc_graph::Graph;
 use neursc_match::ordering::{build_order, MatchingOrder};
 use neursc_match::{filter_candidates_budgeted, CandidateSets, FilterBudget, FilterConfig};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{splitmix64, SeedableRng};
 
 /// Trials per chunk: the unit of parallel fan-out *and* of seeding, so the
 /// trial→random-stream mapping is independent of the thread count.
@@ -177,14 +177,6 @@ fn zero_success_high(candidates: &CandidateSets, trials: usize, confidence: f64)
     let p = 1.0 - (1.0 - confidence).powf(1.0 / trials as f64);
     let max_weight: f64 = candidates.sets.iter().map(|s| s.len() as f64).product();
     p * max_weight
-}
-
-/// SplitMix64 — derives independent per-chunk seeds from the config seed.
-fn mix_seed(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// The filtering–sampling estimator. Stateless between queries (no
@@ -367,7 +359,8 @@ impl SampleEstimator {
         // `seed ^ c` alone maps small seeds onto permutations of the same
         // chunk-seed set, which cancels the seed out of the total sum.
         let stats = parallel_map_indexed(n_chunks, threads, |c| {
-            let mut rng = StdRng::seed_from_u64(mix_seed(self.config.seed ^ mix_seed(c as u64)));
+            let mut rng =
+                StdRng::seed_from_u64(splitmix64(self.config.seed ^ splitmix64(c as u64)));
             let lo = c * CHUNK;
             let hi = (lo + CHUNK).min(trials);
             let mut sum = 0.0f64;

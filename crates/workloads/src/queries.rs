@@ -8,7 +8,7 @@
 use neursc_graph::sample::{sample_query, QuerySampler};
 use neursc_graph::Graph;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// Parameters of one query set `Q_i`.
 #[derive(Debug, Clone)]
