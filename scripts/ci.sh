@@ -14,7 +14,7 @@ echo "== cargo clippy (no unwrap/expect in library code) =="
 # Library code on input-dependent paths must return typed errors, never
 # panic (DESIGN.md, "Failure semantics"). Tests/benches/bins are exempt.
 cargo clippy -p neursc-graph -p neursc-match -p neursc-nn -p neursc-core \
-    -p neursc-serve -p neursc-sample -p neursc-oracle -p neursc-workloads --lib -- \
+    -p neursc-serve -p neursc-sample -p neursc-oracle -p neursc-workloads -p rand --lib -- \
     -D warnings -D clippy::unwrap_used -D clippy::expect_used
 
 OUR_CRATES=(-p neursc -p neursc-graph -p neursc-match -p neursc-nn -p neursc-gnn
@@ -22,9 +22,11 @@ OUR_CRATES=(-p neursc -p neursc-graph -p neursc-match -p neursc-nn -p neursc-gnn
             -p neursc-serve -p neursc-sample -p neursc-oracle)
 
 echo "== cargo doc (deny warnings, our crates only) =="
-# Vendored stand-ins (vendor/*) are API-subset stubs and are not held to
-# the documentation bar; every first-party crate is.
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps "${OUR_CRATES[@]}"
+# Every first-party crate is held to the documentation bar, the generator
+# under vendor/rand included; the proptest and criterion stand-ins are
+# API-subset stubs and are not. `rand` sets `doctest = false`, so it is
+# documented here but not in the doc-test run below.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps "${OUR_CRATES[@]}" -p rand
 
 echo "== cargo test (unit + integration + doc-tests) =="
 # One workspace run executes every suite once (the one #[ignore]d test is
