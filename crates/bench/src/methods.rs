@@ -18,7 +18,7 @@ pub fn neursc_config(cfg: &HarnessConfig) -> NeurScConfig {
     c.pretrain_epochs = cfg.epochs;
     c.adversarial_epochs = (cfg.epochs / 3).max(2);
     c.batch_size = 8;
-    c.parallelism.threads = cfg.threads;
+    c.threads = cfg.threads;
     c
 }
 

@@ -17,17 +17,6 @@ use rand::rngs::StdRng;
 /// Every candidate edge contributes both directions. Returns the edge list
 /// over `|V(q)| + |V(G_sub)|` combined vertices.
 pub fn build_bipartite_edges(q: &Graph, sub: &Substructure, rng: &mut StdRng) -> EdgeList {
-    build_bipartite_edges_with(q, sub, rng, true)
-}
-
-/// [`build_bipartite_edges`] with the component-connection step optional
-/// (the `gb_connect_components` ablation).
-pub fn build_bipartite_edges_with(
-    q: &Graph,
-    sub: &Substructure,
-    rng: &mut StdRng,
-    connect: bool,
-) -> EdgeList {
     let nq = q.n_vertices();
     let ns = sub.graph.n_vertices();
     let n = nq + ns;
@@ -47,9 +36,7 @@ pub fn build_bipartite_edges_with(
         dst,
         n_vertices: n,
     };
-    if connect {
-        connect_components(&mut edges, nq, ns, rng);
-    }
+    connect_components(&mut edges, nq, ns, rng);
     edges
 }
 
@@ -270,28 +257,5 @@ mod tests {
             build_bipartite_edges(&q, &sub, &mut r1),
             build_bipartite_edges(&q, &sub, &mut r2)
         );
-    }
-}
-
-#[cfg(test)]
-mod ablation_tests {
-    use super::*;
-    use crate::extraction::Substructure;
-    use rand::SeedableRng;
-
-    #[test]
-    fn unconnected_variant_skips_connector_edges() {
-        let q = neursc_graph::Graph::from_edges(2, &[0, 1], &[(0, 1)]).unwrap();
-        let sub = Substructure {
-            graph: neursc_graph::Graph::from_edges(4, &[0, 0, 1, 1], &[(0, 1), (2, 3)]).unwrap(),
-            origin: vec![10, 11, 12, 13],
-            local_cs: vec![vec![0, 1], vec![2, 3]],
-        };
-        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        let plain = build_bipartite_edges_with(&q, &sub, &mut rng, false);
-        assert_eq!(plain.len(), 8, "candidate edges only");
-        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        let connected = build_bipartite_edges_with(&q, &sub, &mut rng, true);
-        assert!(connected.len() > plain.len());
     }
 }

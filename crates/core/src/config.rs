@@ -32,44 +32,6 @@ pub enum Variant {
     NoExtraction,
 }
 
-/// Worker threads of the estimation pipeline's one level of parallelism:
-/// the fan-out over the queries of a batch and over the substructures of a
-/// query ([`crate::parallel`]). The tensor kernels below it run on the
-/// thread that calls them.
-///
-/// Parallelism never changes results: with a fixed seed, estimates are
-/// bit-identical at any `threads` value (work is reduced in index order —
-/// see DESIGN.md "Concurrency & caching architecture").
-///
-/// ```
-/// use neursc_core::{NeurScConfig, Parallelism};
-/// let mut cfg = NeurScConfig::small();
-/// cfg.parallelism = Parallelism::with_threads(4);
-/// assert_eq!(cfg.parallelism.threads, 4);
-/// assert_eq!(Parallelism::default().threads, 1);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Parallelism {
-    /// Worker threads for query-batch and per-substructure fan-out.
-    /// 1 = fully sequential.
-    pub threads: usize,
-}
-
-impl Default for Parallelism {
-    fn default() -> Self {
-        Parallelism { threads: 1 }
-    }
-}
-
-impl Parallelism {
-    /// A given thread count, at least 1.
-    pub fn with_threads(threads: usize) -> Self {
-        Parallelism {
-            threads: threads.max(1),
-        }
-    }
-}
-
 /// Resource budgets for the estimation pipeline (DESIGN.md, "Failure
 /// semantics"). These are *runtime* knobs of the serving process, not part
 /// of the learned model, so they are deliberately **not** persisted in
@@ -100,9 +62,6 @@ pub struct ResourceBudget {
     /// (`None` = unlimited). See [`neursc_match::FilterBudget`] for the
     /// degradation ladder.
     pub max_filter_steps: Option<u64>,
-    /// Wall-clock cutoff for filtering, per query (`None` = disabled).
-    /// Unlike step budgets this is nondeterministic — off by default.
-    pub wall_clock_ms: Option<u64>,
 }
 
 impl Default for ResourceBudget {
@@ -110,7 +69,6 @@ impl Default for ResourceBudget {
         ResourceBudget {
             max_query_vertices: Some(512),
             max_filter_steps: None,
-            wall_clock_ms: None,
         }
     }
 }
@@ -120,20 +78,14 @@ impl ResourceBudget {
     pub const UNLIMITED: ResourceBudget = ResourceBudget {
         max_query_vertices: None,
         max_filter_steps: None,
-        wall_clock_ms: None,
     };
 
-    /// Materializes the filtering budget, anchoring the wall-clock deadline
-    /// (if any) at the moment of the call.
+    /// Materializes the filtering budget.
     pub fn filter_budget(&self) -> neursc_match::FilterBudget {
-        let mut b = match self.max_filter_steps {
+        match self.max_filter_steps {
             Some(s) => neursc_match::FilterBudget::steps(s),
             None => neursc_match::FilterBudget::UNBOUNDED,
-        };
-        if let Some(ms) = self.wall_clock_ms {
-            b = b.with_deadline(std::time::Instant::now() + std::time::Duration::from_millis(ms));
         }
-        b
     }
 }
 
@@ -173,17 +125,10 @@ pub struct NeurScConfig {
     pub adversarial_epochs: usize,
     /// Weight-clamp box for the critic (paper: 0.01).
     pub clamp: f32,
-    /// Substructure sample rate `r_s ∈ (0, 1]` at *query* time (§5.8);
-    /// 1.0 = use all substructures.
-    pub sample_rate: f64,
     /// Whether correspondence pairs are restricted to candidate sets
     /// (§5.5, the paper's improvement) or chosen unconstrained as in
     /// Gao et al. \[21\] (`false` — the `NeurSC-UNC` ablation).
     pub candidate_guided_correspondence: bool,
-    /// Whether to add random query–data edges linking `G_B`'s connected
-    /// components (§5.3; `false` is the ablation of DESIGN.md §5 —
-    /// attention messages then stay within components).
-    pub gb_connect_components: bool,
     /// Cap on candidate-substructure size (vertices) fed to the GNNs; the
     /// largest substructures are truncated to their highest-degree
     /// candidate vertices. `None` = no cap. This guards the CPU-only
@@ -191,8 +136,13 @@ pub struct NeurScConfig {
     pub max_substructure_vertices: Option<usize>,
     /// RNG seed for weight init, batching and `G_B` connector edges.
     pub seed: u64,
-    /// Estimation-pipeline parallelism (bit-deterministic at any setting).
-    pub parallelism: Parallelism,
+    /// Worker threads of the estimation pipeline's one level of
+    /// parallelism: the fan-out over the queries of a batch and over the
+    /// substructures of a query ([`crate::parallel`]); 1 = sequential. The
+    /// tensor kernels below it run on the thread that calls them. With a
+    /// fixed seed, estimates are bit-identical at any value (work is reduced
+    /// in index order — DESIGN.md "Concurrency & caching architecture").
+    pub threads: usize,
     /// Per-query resource budgets (runtime knob, not persisted).
     pub budget: ResourceBudget,
     /// Global-norm gradient clip for the estimation network (`None` =
@@ -235,12 +185,10 @@ impl Default for NeurScConfig {
             pretrain_epochs: 20,
             adversarial_epochs: 10,
             clamp: 0.01,
-            sample_rate: 1.0,
             candidate_guided_correspondence: true,
-            gb_connect_components: true,
             max_substructure_vertices: Some(4096),
             seed: 0,
-            parallelism: Parallelism::default(),
+            threads: 1,
             budget: ResourceBudget::default(),
             grad_clip: Some(100.0),
             fail_on_divergence: false,
@@ -298,9 +246,17 @@ impl NeurScConfig {
         self
     }
 
-    /// Sets the pipeline thread count (estimates stay bit-identical).
+    /// Sets the pipeline thread count, at least 1 (estimates stay
+    /// bit-identical).
+    ///
+    /// ```
+    /// use neursc_core::NeurScConfig;
+    /// assert_eq!(NeurScConfig::small().with_threads(4).threads, 4);
+    /// assert_eq!(NeurScConfig::small().with_threads(0).threads, 1);
+    /// assert_eq!(NeurScConfig::default().threads, 1);
+    /// ```
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.parallelism.threads = threads.max(1);
+        self.threads = threads.max(1);
         self
     }
 
@@ -371,7 +327,6 @@ mod tests {
         let b = ResourceBudget::default();
         assert_eq!(b.max_query_vertices, Some(512));
         assert_eq!(b.max_filter_steps, None);
-        assert_eq!(b.wall_clock_ms, None);
         assert_eq!(
             b.filter_budget(),
             neursc_match::FilterBudget::UNBOUNDED,

@@ -76,9 +76,7 @@ impl NeurScError {
     pub fn is_io(&self) -> bool {
         matches!(
             self,
-            NeurScError::Io { .. }
-                | NeurScError::Graph(GraphError::Io { .. })
-                | NeurScError::Persist(SerializeError::Io(_))
+            NeurScError::Io { .. } | NeurScError::Graph(GraphError::Io { .. })
         )
     }
 

@@ -69,7 +69,7 @@ pub mod sampling;
 pub mod train;
 pub mod west;
 
-pub use config::{DiscriminatorMetric, NeurScConfig, Parallelism, ResourceBudget, Variant};
+pub use config::{DiscriminatorMetric, NeurScConfig, ResourceBudget, Variant};
 pub use context::GraphContext;
 pub use error::NeurScError;
 pub use estimator::{ConfidenceInterval, Estimator};

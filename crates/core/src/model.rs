@@ -131,9 +131,8 @@ impl NeurSc {
 
     /// Trains on `(query, exact count)` pairs against `g` (both phases of
     /// §5.6). Query preparation (filtering, extraction, featurization) runs
-    /// through a shared [`GraphContext`] and fans out over
-    /// `config.parallelism.threads` workers; the result is independent of
-    /// the thread count.
+    /// through a shared [`GraphContext`] and fans out over `config.threads`
+    /// workers; the result is independent of the thread count.
     ///
     /// Queries whose preparation fails (panic, budget, invalid query) are
     /// dropped from the training set and counted in
@@ -251,11 +250,11 @@ impl NeurSc {
 
     /// Estimation over a prepared query. Per-substructure WEst forwards are
     /// independent (each runs in its own arena), so they fan out over
-    /// `config.parallelism.threads` workers; the per-substructure log
-    /// counts are reduced in substructure order, making the sum — and hence
-    /// `ĉ(q)` — bit-identical at any thread count.
+    /// `config.threads` workers; the per-substructure log counts are reduced
+    /// in substructure order, making the sum — and hence `ĉ(q)` —
+    /// bit-identical at any thread count.
     pub fn estimate_prepared(&self, pq: &PreparedQuery) -> EstimateDetail {
-        self.estimate_prepared_obs(pq, self.config.parallelism.threads, obs::noop(), true)
+        self.estimate_prepared_obs(pq, self.config.threads, obs::noop(), true)
     }
 
     /// [`NeurSc::estimate_prepared`] with an explicit thread count and
@@ -349,7 +348,7 @@ impl Estimator for NeurSc {
     }
 
     fn threads(&self) -> usize {
-        self.config.parallelism.threads
+        self.config.threads
     }
 
     fn validate(&self, q: &Graph) -> Result<(), NeurScError> {

@@ -20,14 +20,25 @@
 //! `fail_on_divergence`) are deliberately not persisted: they describe the
 //! serving environment, not the model.
 //!
-//! Two lines are here only so that v1 files keep their bytes — checksums
-//! and every file already written stay valid. `threads` is a runtime knob
-//! like the ones above and is persisted all the same. `min_parallel_rows =
-//! 256` is vestigial: the kernel fan-out it tuned is gone, the writer emits
-//! the fixed line, the reader ignores the key whatever it holds. Both leave
-//! with the next format version (ROADMAP item 9(b)).
+//! Four lines are here only so that v1 files keep their bytes: the
+//! checksum of a model — pinned by the training golden and by the
+//! benchmark's reference outputs — covers every config line, so dropping
+//! one would move it. `threads` is a runtime knob like the ones above and
+//! is persisted all the same. Three lines are fixed and stand for no
+//! setting at all; the writer always emits them as they are here:
+//!
+//! - `sample_rate = 1` — §5.8's query-time substructure rate is an argument
+//!   of [`crate::sampling::estimate_with_sample_rate`], never a model
+//!   setting; the reader ignores the key whatever it holds, or its absence.
+//! - `gb_connect_components = true` — `G_B`'s components are always
+//!   connected (§5.3); the reader rejects `false` with a parse error
+//!   rather than load a model that would silently behave otherwise.
+//! - `min_parallel_rows = 256` — the kernel fan-out it tuned is gone; the
+//!   reader ignores the key whatever it holds.
+//!
+//! All four leave with the next format version (ROADMAP item 9(b)).
 
-use crate::config::{DiscriminatorMetric, NeurScConfig, Parallelism, Variant};
+use crate::config::{DiscriminatorMetric, NeurScConfig, Variant};
 use crate::error::NeurScError;
 use crate::model::NeurSc;
 use neursc_gnn::{AttentionConfig, FeatureConfig, GinConfig};
@@ -93,8 +104,8 @@ fn model_body(model: &NeurSc) -> String {
     kv("pretrain_epochs", c.pretrain_epochs.to_string());
     kv("adversarial_epochs", c.adversarial_epochs.to_string());
     kv("clamp", c.clamp.to_string());
-    kv("sample_rate", c.sample_rate.to_string());
-    kv("gb_connect_components", c.gb_connect_components.to_string());
+    kv("sample_rate", "1".to_string()); // fixed, see the module doc
+    kv("gb_connect_components", "true".to_string()); // fixed, see the module doc
     kv(
         "candidate_guided_correspondence",
         c.candidate_guided_correspondence.to_string(),
@@ -106,7 +117,7 @@ fn model_body(model: &NeurSc) -> String {
             .unwrap_or_else(|| "none".into()),
     );
     kv("seed", c.seed.to_string());
-    kv("threads", c.parallelism.threads.to_string());
+    kv("threads", c.threads.to_string());
     kv("min_parallel_rows", "256".to_string()); // vestigial, see the module doc
     body.push_str("---\n");
     body.push_str(&store_to_string(&model.store));
@@ -233,10 +244,16 @@ fn model_from_string(text: &str) -> Result<NeurSc, NeurScError> {
     let seed: u64 = get("seed")?
         .parse()
         .map_err(|_| SerializeError::Parse("bad seed".into()))?;
+    if kv.get("gb_connect_components").is_some_and(|v| v != "true") {
+        return Err(NeurScError::Persist(SerializeError::Parse(
+            "gb_connect_components must be true: G_B's components are always connected".into(),
+        )));
+    }
 
     // Runtime-only knobs are not persisted; a loaded model gets fresh
     // defaults for them.
     let NeurScConfig {
+        threads: default_threads,
         budget,
         grad_clip,
         fail_on_divergence,
@@ -272,8 +289,6 @@ fn model_from_string(text: &str) -> Result<NeurSc, NeurScError> {
         pretrain_epochs: parse_num("pretrain_epochs")?,
         adversarial_epochs: parse_num("adversarial_epochs")?,
         clamp: parse_f("clamp")?,
-        sample_rate: parse_f("sample_rate")? as f64,
-        gb_connect_components: kv.get("gb_connect_components").is_none_or(|v| v == "true"),
         candidate_guided_correspondence: kv
             .get("candidate_guided_correspondence")
             .is_none_or(|v| v == "true"),
@@ -281,14 +296,10 @@ fn model_from_string(text: &str) -> Result<NeurSc, NeurScError> {
         seed,
         // Pre-parallelism model files carry no `threads` key; fall back to
         // the sequential default rather than rejecting them.
-        parallelism: Parallelism {
-            threads: kv
-                .get("threads")
-                .map_or(Ok(Parallelism::default().threads), |v| {
-                    v.parse()
-                        .map_err(|_| SerializeError::Parse("bad threads".into()))
-                })?,
-        },
+        threads: kv.get("threads").map_or(Ok(default_threads), |v| {
+            v.parse()
+                .map_err(|_| SerializeError::Parse("bad threads".into()))
+        })?,
         budget,
         grad_clip,
         fail_on_divergence,
@@ -365,13 +376,20 @@ mod tests {
 
     #[test]
     fn threads_roundtrip_and_files_of_every_age_load() {
-        use crate::config::Parallelism;
-        let mut cfg = NeurScConfig::small();
-        cfg.parallelism = Parallelism::with_threads(4);
-        let text = model_to_string(&NeurSc::new(cfg, 13));
+        let model = NeurSc::new(NeurScConfig::small().with_threads(4), 13);
+        let text = model_to_string(&model);
         let restored = model_from_string(&text).unwrap();
-        assert_eq!(restored.config.parallelism.threads, 4);
-        assert!(text.contains("\nmin_parallel_rows = 256\n"), "v1 line kept");
+        assert_eq!(restored.config.threads, 4);
+        for fixed in [
+            "sample_rate = 1",
+            "gb_connect_components = true",
+            "min_parallel_rows = 256",
+        ] {
+            assert!(
+                text.contains(&format!("\n{fixed}\n")),
+                "v1 line {fixed} kept"
+            );
+        }
 
         let rewritten = |edit: &dyn Fn(&str) -> Option<String>| {
             let body: String = text.lines().skip(2).filter_map(edit).collect();
@@ -379,20 +397,32 @@ mod tests {
                 "neursc-model v1\nchecksum {:016x}\n{body}",
                 fnv1a64(body.as_bytes())
             );
-            model_from_string(&text).unwrap().config.parallelism
+            model_from_string(&text)
+        };
+        let replaced = |from: &str, to: &str| rewritten(&|l| Some(l.replace(from, to) + "\n"));
+        let without = |keys: &[&str]| {
+            rewritten(&|l| (!keys.iter().any(|k| l.starts_with(k))).then(|| format!("{l}\n")))
         };
         // A file the parent commit wrote with the knob off its default: the
         // key is read past.
-        let tuned = rewritten(&|l| {
-            Some(l.replace("min_parallel_rows = 256", "min_parallel_rows = 64") + "\n")
-        });
-        assert_eq!(tuned, Parallelism::with_threads(4));
+        let tuned = replaced("min_parallel_rows = 256", "min_parallel_rows = 64");
+        assert_eq!(tuned.unwrap().config.threads, 4);
         // A file written before either key existed loads sequential.
-        let oldest = rewritten(&|l| {
-            let keyed = l.starts_with("threads") || l.starts_with("min_parallel_rows");
-            (!keyed).then(|| format!("{l}\n"))
-        });
-        assert_eq!(oldest, Parallelism::default());
+        let oldest = without(&["threads", "min_parallel_rows"]);
+        assert_eq!(oldest.unwrap().config.threads, 1);
+        // `sample_rate` never had an effect: any value, or none, loads to
+        // the model that was saved.
+        let sum = model_checksum(&model);
+        let half = replaced("sample_rate = 1", "sample_rate = 0.5");
+        assert_eq!(model_checksum(&half.unwrap()), sum);
+        assert_eq!(model_checksum(&without(&["sample_rate"]).unwrap()), sum);
+        // An unconnected `G_B` is not a model this code can run.
+        let unconnected = replaced(
+            "gb_connect_components = true",
+            "gb_connect_components = false",
+        );
+        let err = unconnected.err().unwrap();
+        assert!(err.is_parse(), "expected a parse error, got: {err}");
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! the two-player game; Eq. 11's sign reads as the critic's slot of the
 //! unified objective.
 
-use crate::bipartite::build_bipartite_edges_with;
+use crate::bipartite::build_bipartite_edges;
 use crate::config::{DiscriminatorMetric, NeurScConfig};
 use crate::context::GraphContext;
 use crate::discriminator::{
@@ -184,7 +184,7 @@ pub(crate) fn prepared_from_extraction(
             .map(|s| PreparedSub {
                 x: init_features(&s.graph, &cfg.features),
                 edges: EdgeList::from_graph(&s.graph),
-                gb: build_bipartite_edges_with(q, s, &mut rng, cfg.gb_connect_components),
+                gb: build_bipartite_edges(q, s, &mut rng),
                 local_cs: s.local_cs.clone(),
             })
             .collect();
@@ -253,17 +253,12 @@ pub struct TrainReport {
     /// divergence (always true when `diverged_at` is set — the initial
     /// weights are the fallback checkpoint).
     pub rolled_back: bool,
-    /// Mean count loss of every executed epoch, both phases in order
-    /// (deterministic for fixed inputs — included in equality).
+    /// Mean count loss of every executed epoch, both phases in order.
     pub epoch_losses: Vec<f64>,
-    /// Aggregated per-stage preparation timings over the whole training set
-    /// (wall clock — **excluded from equality**; see [`crate::obs`]).
-    pub report: PipelineReport,
 }
 
-/// Equality deliberately ignores `report`: nanosecond timings differ run to
-/// run, while everything else (including `epoch_losses`) is bit-reproducible
-/// for fixed inputs.
+/// Every field is bit-reproducible for fixed inputs; a NaN `final_loss`
+/// (nothing trained) equals another NaN.
 impl PartialEq for TrainReport {
     fn eq(&self, other: &Self) -> bool {
         self.pretrain_epochs == other.pretrain_epochs
@@ -431,10 +426,6 @@ fn run_training_inner(
         .collect();
     let skipped = prepared.len() - usable.len();
     sink.counter_add("train.skipped_queries", skipped as u64);
-    let mut agg_report = PipelineReport::default();
-    for p in prepared {
-        agg_report.merge(&p.report);
-    }
     if usable.is_empty() {
         return TrainReport {
             pretrain_epochs: 0,
@@ -445,7 +436,6 @@ fn run_training_inner(
             diverged_at: None,
             rolled_back: false,
             epoch_losses: Vec::new(),
-            report: agg_report,
         };
     }
 
@@ -602,7 +592,6 @@ fn run_training_inner(
         diverged_at: guard.diverged_at,
         rolled_back: guard.rolled_back,
         epoch_losses,
-        report: agg_report,
     }
 }
 
@@ -923,12 +912,7 @@ pub fn prepare_query_perfect(
         subs.push(PreparedSub {
             x: init_features(&sub.graph, &cfg.features),
             edges: EdgeList::from_graph(&sub.graph),
-            gb: crate::bipartite::build_bipartite_edges_with(
-                q,
-                &sub,
-                &mut rng,
-                cfg.gb_connect_components,
-            ),
+            gb: build_bipartite_edges(q, &sub, &mut rng),
             local_cs: sub.local_cs,
         });
     }

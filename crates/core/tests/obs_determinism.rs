@@ -12,8 +12,7 @@
 
 use neursc_core::obs::TraceTime;
 use neursc_core::{
-    Estimator, FaultPlan, GraphContext, MetricsSnapshot, NeurSc, NeurScConfig, ObsSink,
-    Parallelism, Recorder,
+    Estimator, FaultPlan, GraphContext, MetricsSnapshot, NeurSc, NeurScConfig, ObsSink, Recorder,
 };
 use neursc_graph::generate::erdos_renyi;
 use neursc_graph::sample::{sample_query, QuerySampler};
@@ -23,9 +22,7 @@ use rand::SeedableRng;
 use std::sync::Arc;
 
 fn tiny_config(threads: usize) -> NeurScConfig {
-    let mut c = NeurScConfig::small();
-    c.parallelism = Parallelism::with_threads(threads);
-    c
+    NeurScConfig::small().with_threads(threads)
 }
 
 fn workload(seed: u64) -> (Graph, Vec<Graph>) {

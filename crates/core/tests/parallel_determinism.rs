@@ -9,7 +9,7 @@
 //! * query preparation derives its RNG per query from the config seed, not
 //!   from shared mutable state.
 
-use neursc_core::{Estimator, GraphContext, NeurSc, NeurScConfig, Parallelism};
+use neursc_core::{Estimator, GraphContext, NeurSc, NeurScConfig};
 use neursc_graph::generate::erdos_renyi;
 use neursc_graph::sample::{sample_query, QuerySampler};
 use neursc_graph::Graph;
@@ -18,11 +18,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn tiny_config(threads: usize) -> NeurScConfig {
-    let mut c = NeurScConfig::small();
+    let mut c = NeurScConfig::small().with_threads(threads);
     c.pretrain_epochs = 4;
     c.adversarial_epochs = 2;
     c.batch_size = 8;
-    c.parallelism = Parallelism::with_threads(threads);
     c
 }
 

@@ -100,7 +100,7 @@ fn a_warm_estimate_allocates_no_tensor_storage() {
     let sizes = [40, 700, 90, 300, 160];
     let g = data_graph(&sizes);
     let mut cfg = NeurScConfig::small();
-    cfg.parallelism.threads = 1;
+    cfg.threads = 1;
     let model = NeurSc::new(cfg, 5);
     let labeled: Vec<(Graph, u64)> = [[12u32, 13, 14, 21], [6, 7, 13, 14], [0, 1, 2, 9]]
         .iter()

@@ -21,26 +21,17 @@ use std::fmt::Write as _;
 pub enum SerializeError {
     /// Malformed input text.
     Parse(String),
-    /// Underlying I/O failure.
-    Io(std::io::Error),
 }
 
 impl std::fmt::Display for SerializeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SerializeError::Parse(m) => write!(f, "parse error: {m}"),
-            SerializeError::Io(e) => write!(f, "i/o error: {e}"),
         }
     }
 }
 
 impl std::error::Error for SerializeError {}
-
-impl From<std::io::Error> for SerializeError {
-    fn from(e: std::io::Error) -> Self {
-        SerializeError::Io(e)
-    }
-}
 
 /// Serializes all parameter values (not gradients) to text.
 pub fn store_to_string(store: &ParamStore) -> String {

@@ -182,7 +182,7 @@ impl Oracle {
         config.max_substructure_vertices = None;
         let model_t1 = NeurSc::new(config.clone(), 0x0f_ace5);
         let mut cfg2 = config.clone();
-        cfg2.parallelism.threads = 2;
+        cfg2.threads = 2;
         let model_t2 = NeurSc::new(cfg2, 0x0f_ace5);
         // Sampling backends share the model's filter configuration (so
         // both agree on candidate sets and `trivially_zero`), with a
@@ -191,7 +191,7 @@ impl Oracle {
         let scfg = SampleConfig::from_model_config(&config).with_trials(256);
         let sampler_t1 = SampleEstimator::new(scfg.clone());
         let mut scfg2 = scfg;
-        scfg2.parallelism.threads = 2;
+        scfg2.threads = 2;
         let sampler_t2 = SampleEstimator::new(scfg2);
         Oracle {
             config,

@@ -69,9 +69,7 @@
 use neursc_core::estimator::{ConfidenceInterval, Estimator};
 use neursc_core::obs::{PipelineReport, Span};
 use neursc_core::parallel::parallel_map_indexed;
-use neursc_core::{
-    EstimateDetail, GraphContext, NeurScConfig, NeurScError, Parallelism, ResourceBudget,
-};
+use neursc_core::{EstimateDetail, GraphContext, NeurScConfig, NeurScError, ResourceBudget};
 use neursc_graph::types::VertexId;
 use neursc_graph::Graph;
 use neursc_match::ordering::{build_order, MatchingOrder};
@@ -107,7 +105,7 @@ pub struct SampleConfig {
     /// Per-query resource budgets (same ladder as WEst).
     pub budget: ResourceBudget,
     /// Batch fan-out threads (results are thread-count invariant).
-    pub parallelism: Parallelism,
+    pub threads: usize,
 }
 
 impl Default for SampleConfig {
@@ -118,21 +116,21 @@ impl Default for SampleConfig {
             confidence: 0.95,
             filter: FilterConfig::default(),
             budget: ResourceBudget::default(),
-            parallelism: Parallelism::default(),
+            threads: 1,
         }
     }
 }
 
 impl SampleConfig {
     /// Derives a sampling config that shares a [`NeurScConfig`]'s filter
-    /// settings, budgets, parallelism and seed — the construction the serve
+    /// settings, budgets, thread count and seed — the construction the serve
     /// router uses, so routed backends agree on candidate sets, budget
     /// semantics and thread count.
     pub fn from_model_config(cfg: &NeurScConfig) -> Self {
         SampleConfig {
             filter: cfg.filter,
             budget: cfg.budget,
-            parallelism: cfg.parallelism,
+            threads: cfg.threads,
             seed: cfg.seed,
             ..SampleConfig::default()
         }
@@ -236,7 +234,7 @@ impl Estimator for SampleEstimator {
     }
 
     fn threads(&self) -> usize {
-        self.config.parallelism.threads
+        self.config.threads
     }
 
     fn validate(&self, q: &Graph) -> Result<(), NeurScError> {

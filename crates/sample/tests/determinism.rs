@@ -20,7 +20,7 @@ fn workload(seed: u64) -> (Graph, Vec<Graph>) {
 
 fn estimator(threads: usize) -> SampleEstimator {
     let mut cfg = SampleConfig::default().with_trials(512).with_seed(9);
-    cfg.parallelism.threads = threads;
+    cfg.threads = threads;
     SampleEstimator::new(cfg)
 }
 

@@ -145,7 +145,7 @@ pub fn route(
 
 /// Builds the daemon's sampling backend from the resident model's
 /// configuration, so both backends share filter settings, budgets,
-/// parallelism and seed (and therefore agree on candidate sets,
+/// thread count and seed (and therefore agree on candidate sets,
 /// `trivially_zero` verdicts and budget semantics).
 pub fn sampler_for_model(cfg: &NeurScConfig) -> SampleEstimator {
     SampleEstimator::new(SampleConfig::from_model_config(cfg))

@@ -315,7 +315,7 @@ pub fn serve(
     cfg: ServeConfig,
     recorder: Arc<Recorder>,
 ) -> std::io::Result<Server> {
-    model.config.parallelism.threads = cfg.threads.max(1);
+    model.config.threads = cfg.threads.max(1);
     let model_sum = model_checksum(&model);
     let (listener, addr) = accept::bind(&cfg.listen)?;
 
@@ -366,14 +366,14 @@ pub fn serve(
     })
 }
 
-/// Checksum-verified hot reload. Runtime knobs (parallelism, budgets) are
+/// Checksum-verified hot reload. Runtime knobs (threads, budgets) are
 /// not persisted in model files; carry the active ones over so a reload
 /// swaps weights without silently resetting serving policy.
 fn reload(shared: &Shared, path: &str) -> Result<u64, NeurScError> {
     let mut new_model = load_model(Path::new(path))?;
     {
         let current = read(&shared.model);
-        new_model.config.parallelism = current.config.parallelism;
+        new_model.config.threads = current.config.threads;
         new_model.config.budget = current.config.budget;
     }
     let checksum = model_checksum(&new_model);

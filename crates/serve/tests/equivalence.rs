@@ -40,7 +40,7 @@ fn workload(seed: u64) -> (Graph, Vec<Graph>) {
 
 fn small_config(threads: usize) -> NeurScConfig {
     let mut cfg = NeurScConfig::small();
-    cfg.parallelism.threads = threads;
+    cfg.threads = threads;
     cfg.budget.max_query_vertices = Some(16);
     cfg
 }

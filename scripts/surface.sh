@@ -13,8 +13,8 @@
 #   pub fn   lines matching `pub fn ` under src/
 # Then the lines of each vendored offline stand-in under vendor/ (outside
 # crates/ and src/, so a dropped dependency shows here and nowhere above).
-# Then the `pub` fields of every `*Config`, `Parallelism` and `*Budget`
-# struct (each one is an independently settable value), and every `static`
+# Then the `pub` fields of every `*Config` and `*Budget` struct (each one
+# is an independently settable value), and every `static`
 # under crates/*/src that some code in its file stores to, swaps, locks or
 # write-locks: process-global state a caller can set. Then the distinct
 # `--flag` tokens of the CLI's USAGE text and the verbs the daemon's
@@ -59,9 +59,9 @@ done
 printf '  %-12s %8d  (%d crates)\n' total "$total_vendor" "$n_vendor"
 
 echo
-echo "pub fields of *Config / Parallelism / *Budget structs:"
+echo "pub fields of *Config / *Budget structs:"
 find crates/*/src src -name '*.rs' -print0 | sort -z | xargs -0 awk '
-    /^pub struct ([A-Za-z]*Config|Parallelism|[A-Za-z]*Budget)[ <{]/ { name = $3; sub(/[^A-Za-z].*/, "", name); n = 0; next }
+    /^pub struct ([A-Za-z]*Config|[A-Za-z]*Budget)[ <{]/ { name = $3; sub(/[^A-Za-z].*/, "", name); n = 0; next }
     name != "" && /^    pub [a-z_0-9]+:/ { n++ }
     name != "" && /^}/ { printf "  %-24s %3d  %s\n", name, n, FILENAME; total += n; name = "" }
     END { printf "  %-24s %3d\n", "total", total }'

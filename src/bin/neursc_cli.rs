@@ -425,14 +425,14 @@ impl ObsSetup {
     }
 }
 
-/// Applies `--threads` to a model's parallelism config. Defaults to
+/// Applies `--threads` to a model's thread count. Defaults to
 /// sequential execution.
 fn apply_threads(model: &mut NeurSc, opts: &Opts) -> Result<(), CliError> {
-    let threads: usize = num(opts, "threads", model.config.parallelism.threads)?;
+    let threads: usize = num(opts, "threads", model.config.threads)?;
     if threads == 0 {
         return Err(CliError::usage("--threads must be at least 1"));
     }
-    model.config.parallelism.threads = threads;
+    model.config.threads = threads;
     Ok(())
 }
 
@@ -748,7 +748,7 @@ fn cmd_serve(opts: &Opts) -> Result<(), CliError> {
     let defaults = ServeConfig::default();
     let cfg = ServeConfig {
         listen,
-        threads: model.config.parallelism.threads,
+        threads: model.config.threads,
         max_batch: num(opts, "max-batch", defaults.max_batch)?,
         batch_wait: std::time::Duration::from_micros(num(
             opts,

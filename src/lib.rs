@@ -51,7 +51,7 @@ pub use neursc_workloads as workloads;
 
 /// The common imports for applications.
 pub mod prelude {
-    pub use neursc_core::{GraphContext, NeurSc, NeurScConfig, Parallelism, Variant};
+    pub use neursc_core::{GraphContext, NeurSc, NeurScConfig, Variant};
     pub use neursc_graph::sample::{sample_query, QuerySampler};
     pub use neursc_graph::{Graph, GraphBuilder};
     pub use neursc_match::{count_embeddings, filter_candidates, FilterConfig};

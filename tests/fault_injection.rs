@@ -24,7 +24,7 @@ fn workload(seed: u64) -> (Graph, Vec<Graph>) {
 
 fn small_config(threads: usize) -> NeurScConfig {
     let mut cfg = NeurScConfig::small();
-    cfg.parallelism.threads = threads;
+    cfg.threads = threads;
     // A size cap the oversized poison query will violate.
     cfg.budget.max_query_vertices = Some(16);
     cfg
