@@ -1,7 +1,7 @@
 //! Figure 14 — the efficiency/accuracy trade-off of §5.8: sweep the
-//! substructure sample rate `r_s ∈ {0.1 … 0.5, 1.0}` on Youtube Q16 and
-//! EU2005 Q8, reporting q-error distributions and per-query time, with
-//! LSS as the reference line.
+//! substructure sample rate `r_s ∈ {0.1 … 0.5, 1.0}` on Youtube Q4 and
+//! DBLP Q4 (for the paper's Youtube Q16 / EU2005 Q8, see `main`): q-error
+//! distributions and per-query time, with LSS as the reference line.
 
 use neursc_bench::harness::{build_workload_sizes, fit_and_evaluate, header, HarnessConfig};
 use neursc_bench::methods;

@@ -4,7 +4,7 @@
 use neursc_bench::boxplot::bucketed_stats;
 use neursc_bench::harness::{build_workload, fit_and_evaluate, header, HarnessConfig};
 use neursc_bench::methods;
-use neursc_graph::properties;
+use neursc_graph::{properties, traversal};
 use neursc_workloads::datasets::DatasetId;
 
 fn main() {
@@ -31,7 +31,7 @@ fn main() {
         ("degree entropy", |q| properties::degree_entropy(q)),
         ("density", |q| properties::density(q)),
         ("diameter", |q| {
-            properties::diameter(q).map_or(0.0, |d| d as f64)
+            traversal::diameter(q).map_or(0.0, |d| d as f64)
         }),
     ];
 

@@ -278,10 +278,32 @@ impl NeurSc {
                 report: pq.report.clone(),
             };
         }
-        // Tape-free fused forward: snapshot weights once, precompute the
-        // query's intra-GIN once (it is substructure-independent), then run
-        // each pair through arena-backed kernels. The tape forward lives on
-        // in training ([`crate::train::forward_prepared`]).
+        let all: Vec<usize> = (0..pq.subs.len()).collect();
+        let (count, gnn_ns) = self.forward_subs(pq, &all, threads, sink, sub_lanes);
+        let mut report = pq.report.clone();
+        report.gnn_ns += gnn_ns;
+        EstimateDetail {
+            count,
+            n_substructures: all.len(),
+            trivially_zero: false,
+            degraded: pq.degraded,
+            ci: None,
+            report,
+        }
+    }
+
+    /// The tape-free fused forward of `pq.subs[i]` for each `i` in `idx` (all,
+    /// or §5.8's sample): one weight snapshot and one query intra-GIN, then each
+    /// pair on arena-backed kernels. Returns `Σ exp(log count)` in `idx` order,
+    /// bit-identical at any `threads`, and the forwards' ns (each observed).
+    pub(crate) fn forward_subs(
+        &self,
+        pq: &PreparedQuery,
+        idx: &[usize],
+        threads: usize,
+        sink: &Arc<dyn ObsSink>,
+        sub_lanes: bool,
+    ) -> (f64, u64) {
         let st = self.infer_state();
         let hq_intra = {
             let mut ictx = InferCtx::new(&st.weights, st.checkout());
@@ -289,7 +311,8 @@ impl NeurSc {
             st.checkin(ictx.into_arena());
             hq
         };
-        let logs = crate::parallel::parallel_map_indexed(pq.subs.len(), threads, |i| {
+        let logs = crate::parallel::parallel_map_indexed(idx.len(), threads, |j| {
+            let i = idx[j];
             let run = || {
                 let _sp = Span::enter("gnn.forward");
                 let t0 = std::time::Instant::now();
@@ -311,19 +334,11 @@ impl NeurSc {
         let mut arena = st.checkout();
         arena.recycle(hq_intra);
         st.checkin(arena);
-        let mut report = pq.report.clone();
         for &(_, ns) in &logs {
             sink.observe("gnn.forward.ns", ns);
-            report.gnn_ns += ns;
         }
-        EstimateDetail {
-            count: logs.iter().map(|&(z, _)| z.exp()).sum(),
-            n_substructures: logs.len(),
-            trivially_zero: false,
-            degraded: pq.degraded,
-            ci: None,
-            report,
-        }
+        let ns = logs.iter().map(|&(_, ns)| ns).sum();
+        (logs.iter().map(|&(z, _)| z.exp()).sum(), ns)
     }
 
     /// Mean q-error over a labeled test set (evaluation convenience).

@@ -149,6 +149,18 @@ fn corrupt(detail: impl Into<String>) -> NeurScError {
     }
 }
 
+/// The value of config key `k`, parsed by `T::from_str`: a `bool` is
+/// exactly `true` or `false`, so a hand-edited `True` fails to load.
+fn parse<T: std::str::FromStr>(
+    kv: &std::collections::HashMap<String, String>,
+    k: &str,
+) -> Result<T, SerializeError> {
+    kv.get(k)
+        .ok_or_else(|| SerializeError::Parse(format!("missing config key {k}")))?
+        .parse()
+        .map_err(|_| SerializeError::Parse(format!("bad value for {k}")))
+}
+
 /// Parses a model back. The checksum is verified before any field is
 /// interpreted; the architecture is rebuilt from the config lines and the
 /// stored parameter values are parsed in place and moved in.
@@ -192,25 +204,12 @@ fn model_from_string(text: &str) -> Result<NeurSc, NeurScError> {
             kv.insert(k.trim().to_string(), v.trim().to_string());
         }
     }
-    let get = |k: &str| -> Result<&String, SerializeError> {
-        kv.get(k)
-            .ok_or_else(|| SerializeError::Parse(format!("missing config key {k}")))
-    };
-    let parse_num = |k: &str| -> Result<usize, SerializeError> {
-        get(k)?
-            .parse()
-            .map_err(|_| SerializeError::Parse(format!("bad value for {k}")))
-    };
-    let parse_f = |k: &str| -> Result<f32, SerializeError> {
-        get(k)?
-            .parse()
-            .map_err(|_| SerializeError::Parse(format!("bad value for {k}")))
-    };
+    let get = |k: &str| parse::<String>(&kv, k);
 
     let features = FeatureConfig {
-        degree_bits: parse_num("degree_bits")?,
-        label_bits: parse_num("label_bits")?,
-        k_hops: parse_num("k_hops")? as u32,
+        degree_bits: parse(&kv, "degree_bits")?,
+        label_bits: parse(&kv, "label_bits")?,
+        k_hops: parse::<usize>(&kv, "k_hops")? as u32,
     };
     let variant = match get("variant")?.as_str() {
         "full" => Variant::Full,
@@ -241,9 +240,7 @@ fn model_from_string(text: &str) -> Result<NeurSc, NeurScError> {
                 .map_err(|_| SerializeError::Parse("bad max_substructure_vertices".into()))?,
         ),
     };
-    let seed: u64 = get("seed")?
-        .parse()
-        .map_err(|_| SerializeError::Parse("bad seed".into()))?;
+    let seed: u64 = parse(&kv, "seed")?;
     if kv.get("gb_connect_components").is_some_and(|v| v != "true") {
         return Err(NeurScError::Persist(SerializeError::Parse(
             "gb_connect_components must be true: G_B's components are always connected".into(),
@@ -264,42 +261,41 @@ fn model_from_string(text: &str) -> Result<NeurSc, NeurScError> {
         features,
         gin: GinConfig {
             in_dim: features.dim(),
-            hidden_dim: parse_num("gin_hidden")?,
-            n_layers: parse_num("gin_layers")?,
+            hidden_dim: parse(&kv, "gin_hidden")?,
+            n_layers: parse(&kv, "gin_layers")?,
         },
         attention: AttentionConfig {
             in_dim: features.dim(),
-            hidden_dim: parse_num("attn_hidden")?,
-            n_layers: parse_num("attn_layers")?,
-            self_term: get("attn_self_term")? == "true",
+            hidden_dim: parse(&kv, "attn_hidden")?,
+            n_layers: parse(&kv, "attn_layers")?,
+            self_term: parse(&kv, "attn_self_term")?,
         },
-        head_hidden: parse_num("head_hidden")?,
-        disc_hidden: parse_num("disc_hidden")?,
+        head_hidden: parse(&kv, "head_hidden")?,
+        disc_hidden: parse(&kv, "disc_hidden")?,
         filter: FilterConfig {
-            profile_radius: parse_num("profile_radius")? as u32,
-            refinement_rounds: parse_num("refinement_rounds")?,
+            profile_radius: parse::<usize>(&kv, "profile_radius")? as u32,
+            refinement_rounds: parse(&kv, "refinement_rounds")?,
         },
         variant,
         metric,
-        beta: parse_f("beta")?,
-        lr_est: parse_f("lr_est")?,
-        lr_disc: parse_f("lr_disc")?,
-        batch_size: parse_num("batch_size")?,
-        iter_disc: parse_num("iter_disc")?,
-        pretrain_epochs: parse_num("pretrain_epochs")?,
-        adversarial_epochs: parse_num("adversarial_epochs")?,
-        clamp: parse_f("clamp")?,
-        candidate_guided_correspondence: kv
-            .get("candidate_guided_correspondence")
-            .is_none_or(|v| v == "true"),
+        beta: parse(&kv, "beta")?,
+        lr_est: parse(&kv, "lr_est")?,
+        lr_disc: parse(&kv, "lr_disc")?,
+        batch_size: parse(&kv, "batch_size")?,
+        iter_disc: parse(&kv, "iter_disc")?,
+        pretrain_epochs: parse(&kv, "pretrain_epochs")?,
+        adversarial_epochs: parse(&kv, "adversarial_epochs")?,
+        clamp: parse(&kv, "clamp")?,
+        // Files from before the ablation switch existed load guided.
+        candidate_guided_correspondence: !kv.contains_key("candidate_guided_correspondence")
+            || parse(&kv, "candidate_guided_correspondence")?,
         max_substructure_vertices: max_sub,
         seed,
         // Pre-parallelism model files carry no `threads` key; fall back to
         // the sequential default rather than rejecting them.
-        threads: kv.get("threads").map_or(Ok(default_threads), |v| {
-            v.parse()
-                .map_err(|_| SerializeError::Parse("bad threads".into()))
-        })?,
+        threads: kv
+            .get("threads")
+            .map_or(Ok(default_threads), |_| parse(&kv, "threads"))?,
         budget,
         grad_clip,
         fail_on_divergence,
@@ -423,6 +419,17 @@ mod tests {
         );
         let err = unconnected.err().unwrap();
         assert!(err.is_parse(), "expected a parse error, got: {err}");
+        // Booleans are `true` or `false`; a file from before
+        // `candidate_guided_correspondence` existed loads guided.
+        for k in ["attn_self_term", "candidate_guided_correspondence"] {
+            let saved = text.lines().find(|l| l.starts_with(k)).unwrap();
+            for bad in ["True", "maybe"] {
+                let err = replaced(saved, &format!("{k} = {bad}")).err().unwrap();
+                assert!(err.is_parse(), "{k} = {bad} loaded");
+            }
+        }
+        let guided = without(&["candidate_guided_correspondence"]).unwrap();
+        assert!(guided.config.candidate_guided_correspondence);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! probability gives an unbiased estimator of `Σ_i ĉ_i(q)` (Eq. 12).
 
 use crate::model::NeurSc;
+use crate::obs;
 use crate::train::PreparedQuery;
-use neursc_nn::Tape;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 
@@ -31,7 +31,8 @@ fn sample_indices(n_subs: usize, r_s: f64, rng: &mut StdRng) -> Vec<usize> {
     idx
 }
 
-/// Runs WEst on the sampled substructures only and rescales (Eq. 12).
+/// Runs WEst's fused forward on the sampled substructures only and rescales
+/// (Eq. 12); at `r_s ≥ 1` it is [`NeurSc::estimate_prepared`] bit for bit.
 pub fn estimate_with_sample_rate(
     model: &NeurSc,
     pq: &PreparedQuery,
@@ -42,26 +43,9 @@ pub fn estimate_with_sample_rate(
         return 0.0;
     }
     let chosen = sample_indices(pq.subs.len(), r_s, rng);
-    if chosen.is_empty() {
-        return 0.0;
-    }
     let scale = pq.subs.len() as f64 / chosen.len() as f64;
-    let mut tape = Tape::new();
-    let mut total = 0.0;
-    for &i in &chosen {
-        let sub = &pq.subs[i];
-        let out = model.west.forward_pair(
-            &mut tape,
-            &model.store,
-            &pq.x_q,
-            &pq.q_edges,
-            &sub.x,
-            &sub.edges,
-            &sub.gb,
-        );
-        total += (tape.value(out.log_count).item() as f64).exp();
-    }
-    total * scale
+    let (sum, _) = model.forward_subs(pq, &chosen, model.config.threads, obs::noop(), false);
+    sum * scale
 }
 
 #[cfg(test)]

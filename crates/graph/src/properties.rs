@@ -2,10 +2,9 @@
 //!
 //! Figure 9 buckets Yeast queries by *label entropy*, *degree entropy*,
 //! *density* and *diameter*; Table 2 reports `|V|`, `|E|`, `|L|` and average
-//! degree `d` per dataset. This module computes all of them.
+//! degree `d` per dataset; all but the diameter ([`crate::traversal`]) are here.
 
 use crate::graph::Graph;
-use crate::traversal;
 
 /// Shannon entropy (natural log) of a discrete empirical distribution given
 /// by raw counts. Zero-count entries are ignored; an empty or single-class
@@ -50,11 +49,6 @@ pub fn density(g: &Graph) -> f64 {
     } else {
         2.0 * g.n_edges() as f64 / (n * (n - 1.0))
     }
-}
-
-/// Diameter (see [`traversal::diameter`]); `None` if disconnected/empty.
-pub fn diameter(g: &Graph) -> Option<u32> {
-    traversal::diameter(g)
 }
 
 /// One-line statistics record for a data graph, mirroring a Table 2 row.

@@ -1,10 +1,11 @@
 //! The cross-backend budget contract (DESIGN.md "Failure semantics",
-//! KNOWN_ISSUES "budget ladder"): a starved filtering budget is a typed
-//! `NeurScError::Budget`; a budget that survives filtering but cannot
-//! afford the full trial count *degrades* (fewer trials, `degraded:
-//! true`, wider interval — never a wrong answer); an unbounded budget is
-//! clean. Identical in shape to the WEst contract so the serve router can
-//! swap backends without changing client-visible failure semantics.
+//! KNOWN_ISSUES.md "Sampling-backend caveats"): a starved filtering
+//! budget is a typed `NeurScError::Budget`; a budget that survives
+//! filtering but cannot afford the full trial count *degrades* (fewer
+//! trials, `degraded: true`, wider interval — never a wrong answer); an
+//! unbounded budget is clean. Identical in shape to the WEst contract so
+//! the serve router can swap backends without changing client-visible
+//! failure semantics.
 
 use neursc_core::{Estimator, GraphContext, NeurScError};
 use neursc_graph::generate::erdos_renyi;

@@ -1,7 +1,7 @@
 #!/bin/bash
 # Regenerates every paper artifact into results/*.txt (see README).
 set -u
-cd /root/repo
+cd "$(dirname "$0")/.."
 run() {
   name="$1"; shift
   suffix=""

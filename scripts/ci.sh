@@ -7,6 +7,9 @@ cd "$(dirname "$0")/.."
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 
+echo "== doc references (every path and --flag the root docs name exists) =="
+scripts/doc_refs.sh
+
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
