@@ -388,9 +388,9 @@ pub fn run_training_obs(
 /// glibc's adaptive defaults: their tensors come from per-lane arenas that
 /// keep their buffers ([`neursc_nn::infer::Arena`]), so a warm estimate
 /// allocates no tensor storage and its peak is single-mode under the defaults.
-/// What a pinned low `mmap` threshold would still take off that peak is
-/// featurization's per-query matrices, which a pool could keep the same
-/// way (KNOWN_ISSUES.md, "Training changes glibc's allocator policy").
+/// What a pinned low `mmap` threshold still takes off that peak is heap
+/// fragmentation by blocks ≥ 0.5 MiB; a pool of featurization matrices
+/// does not (KNOWN_ISSUES.md, "Training changes glibc's allocator policy").
 pub fn keep_freed_heap() {
     #[cfg(all(target_os = "linux", target_env = "gnu"))]
     {

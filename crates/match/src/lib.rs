@@ -12,10 +12,10 @@
 //!    standing in for the paper's 30-minute GraphQL cutoff, plus a
 //!    homomorphism-counting variant ([`homomorphism`]) since the paper notes
 //!    NeurSC handles that semantics too.
-//! 3. **Bipartite matching** ([`bipartite`], Hopcroft–Karp) — the engine
-//!    behind semi-perfect matching checks.
+//! 3. **Bipartite matching** (Hopcroft–Karp, private to the crate) — the
+//!    engine behind refinement's semi-perfect matching checks.
 
-pub mod bipartite;
+mod bipartite;
 pub mod budget;
 pub mod candidates;
 pub mod enumerate;

@@ -8,7 +8,7 @@
 //! fixed point or the round budget is hit (the paper: "could be conducted
 //! multiple times to obtain a more compact candidate set").
 
-use crate::bipartite::{has_left_saturating_matching, BipartiteGraph};
+use crate::bipartite::PairGraph;
 use crate::candidates::CandidateSets;
 use neursc_graph::types::VertexId;
 use neursc_graph::Graph;
@@ -24,6 +24,10 @@ pub fn global_refinement(q: &Graph, g: &Graph, cs: &mut CandidateSets, max_round
 
 /// [`global_refinement`] charging one step per candidate-pair test to the
 /// supplied meter. Returns `(rounds completed, budget exhausted)`.
+///
+/// Every pair test of the call writes its `B_v^u` into one scratch graph
+/// and matches it in that graph's buffers, so past the first few tests the
+/// only allocation is each round's survivor list per query vertex.
 ///
 /// Exhaustion here degrades gracefully instead of erroring: refinement only
 /// removes provably-impossible candidates, so stopping at any point leaves
@@ -49,6 +53,7 @@ pub fn global_refinement_metered(
             .all(|u| cs.get(u).iter().all(|&v| g.label(v) == q.label(u))),
         "candidate sets must be label-consistent"
     );
+    let mut b = PairGraph::default();
     for round in 0..max_rounds {
         let mut changed = false;
         for u in q.vertices() {
@@ -59,7 +64,7 @@ pub fn global_refinement_metered(
                     // must be retained, so leave CS(u) as-is and stop.
                     return (round, true);
                 }
-                if pair_passes(q, g, cs, u, v) {
+                if pair_passes(q, g, cs, u, v, &mut b) {
                     survivors.push(v);
                 }
             }
@@ -75,23 +80,32 @@ pub fn global_refinement_metered(
     (max_rounds, false)
 }
 
-/// The semi-perfect-matching test for one candidate pair `(u, v)`.
-fn pair_passes(q: &Graph, g: &Graph, cs: &CandidateSets, u: VertexId, v: VertexId) -> bool {
+/// The semi-perfect-matching test for one candidate pair `(u, v)`, with
+/// `B_v^u` written into `b`.
+fn pair_passes(
+    q: &Graph,
+    g: &Graph,
+    cs: &CandidateSets,
+    u: VertexId,
+    v: VertexId,
+    b: &mut PairGraph,
+) -> bool {
     let nu = q.neighbors(u);
     let nv = g.neighbors(v);
     if nv.len() < nu.len() {
         return false;
     }
-    let mut b = BipartiteGraph::new(nu.len(), nv.len());
-    for (i, &u2) in nu.iter().enumerate() {
+    b.reset(nv.len());
+    for &u2 in nu {
         let lu2 = q.label(u2);
         for (j, &v2) in nv.iter().enumerate() {
             if g.label(v2) == lu2 && cs.contains(u2, v2) {
-                b.add_edge(i, j);
+                b.push_edge(j);
             }
         }
+        b.end_row();
     }
-    has_left_saturating_matching(&b)
+    b.left_saturated()
 }
 
 #[cfg(test)]

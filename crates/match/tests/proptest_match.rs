@@ -11,7 +11,6 @@ use neursc_graph::generate::erdos_renyi;
 use neursc_graph::sample::{sample_query, QuerySampler};
 use neursc_graph::types::VertexId;
 use neursc_graph::{Graph, GraphBuilder};
-use neursc_match::bipartite::{has_left_saturating_matching, BipartiteGraph};
 use neursc_match::budget::{FilterBudget, FilterError, FilterPhase};
 use neursc_match::candidates::{local_pruning, local_pruning_metered, CandidateSets};
 use neursc_match::enumerate::{brute_force_count, count_embeddings};
@@ -144,6 +143,27 @@ fn reference_local_pruning(
     (Ok(CandidateSets { sets }), meter.spent())
 }
 
+/// Whether the bipartite graph with left rows `adj` over right vertices
+/// `0..n_right` has a matching saturating its left side: Kuhn's augmenting
+/// paths, one search per left vertex. It shares no code with refinement's
+/// Hopcroft–Karp, so the reference below is independent of it.
+fn kuhn_saturates(adj: &[Vec<usize>], n_right: usize) -> bool {
+    fn try_augment(l: usize, adj: &[Vec<usize>], seen: &mut [bool], owner: &mut [usize]) -> bool {
+        for &r in &adj[l] {
+            if !seen[r] {
+                seen[r] = true;
+                if owner[r] == usize::MAX || try_augment(owner[r], adj, seen, owner) {
+                    owner[r] = l;
+                    return true;
+                }
+            }
+        }
+        false
+    }
+    let mut owner = vec![usize::MAX; n_right];
+    (0..adj.len()).all(|l| try_augment(l, adj, &mut vec![false; n_right], &mut owner))
+}
+
 /// Global refinement as the paper states it, with no label test in the
 /// pair loop: `B_v^u` has an edge `(u', v')` iff `v' ∈ CS(u')`. One step per
 /// pair test against `max_steps`; returns `(rounds, exhausted, spent)`.
@@ -165,15 +185,11 @@ fn reference_refinement(
                     return (round, true, spent);
                 }
                 let (nu, nv) = (q.neighbors(u), g.neighbors(v));
-                let mut b = BipartiteGraph::new(nu.len(), nv.len());
-                for (i, &u2) in nu.iter().enumerate() {
-                    for (j, &v2) in nv.iter().enumerate() {
-                        if cs.contains(u2, v2) {
-                            b.add_edge(i, j);
-                        }
-                    }
-                }
-                if has_left_saturating_matching(&b) {
+                let adj: Vec<Vec<usize>> = nu
+                    .iter()
+                    .map(|&u2| (0..nv.len()).filter(|&j| cs.contains(u2, nv[j])).collect())
+                    .collect();
+                if kuhn_saturates(&adj, nv.len()) {
                     survivors.push(v);
                 }
             }

@@ -1,4 +1,4 @@
-//! The seeded fuzz driver behind `neursc-cli fuzz`.
+//! The seeded fuzz driver behind `neursc_cli fuzz`.
 //!
 //! Each case index is mixed with the run seed (SplitMix64) into an
 //! independent case seed, generated, and run through every invariant.

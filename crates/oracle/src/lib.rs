@@ -17,7 +17,7 @@
 //!    the violation still reproduces.
 //! 4. [`case`] serializes minimized cases to replayable `.case` files —
 //!    the regression corpus under `tests/corpus/`.
-//! 5. [`fuzz`] is the seeded driver behind `neursc-cli fuzz`.
+//! 5. [`fuzz`] is the seeded driver behind `neursc_cli fuzz`.
 //!
 //! Everything is deterministic in the seed: a reported case seed always
 //! reproduces the violation.

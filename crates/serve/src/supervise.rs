@@ -1,7 +1,7 @@
 //! Worker supervision: restart-on-crash with exponential backoff and
 //! crash-loop quarantine.
 //!
-//! `neursc-cli serve --supervise` does not serve traffic itself — it
+//! `neursc_cli serve --supervise` does not serve traffic itself — it
 //! respawns the current executable as a **worker** child (same args minus
 //! `--supervise`) and watches it. The split keeps the failure domains
 //! honest: the worker holds all the mutable state and takes all the risk

@@ -17,9 +17,10 @@
 #                printed cover the residues you care about
 #   [functions]  comma-separated substrings of (mangled) symbol names whose
 #                address mod 64 is printed per build; the default names the
-#                two tight loops of filtering, refinement's pair test and
-#                local pruning's label-bucket scan
-#                (global_refinement_metered, admit_candidates), and the two
+#                two tight loops of filtering, refinement's pair test with
+#                its Hopcroft–Karp search and local pruning's label-bucket
+#                scan (global_refinement_metered, left_saturated,
+#                admit_candidates), and the two
 #                AVX-512 matmul kernels (quad_matmul_avx512,
 #                row_matmul_avx512) with the function their zero-step
 #                variants are inlined into (matmul_rows_listed_avx512)
@@ -33,13 +34,13 @@
 set -euo pipefail
 
 if [[ $# -lt 1 || $# -gt 3 ]]; then
-    sed -n '2,31p' "$0" | sed 's/^# \{0,1\}//'
+    sed -n '2,33p' "$0" | sed 's/^# \{0,1\}//'
     exit 2
 fi
 repo=$(cd "$(dirname "$0")/.." && pwd)
 workload=$1
 builds=${2:-4}
-functions=${3:-global_refinement_metered,admit_candidates,quad_matmul_avx512,row_matmul_avx512,matmul_rows_listed_avx512}
+functions=${3:-global_refinement_metered,left_saturated,admit_candidates,quad_matmul_avx512,row_matmul_avx512,matmul_rows_listed_avx512}
 command -v python3 >/dev/null || { echo "layout_check.sh needs python3 (JSON)" >&2; exit 2; }
 command -v nm >/dev/null || { echo "layout_check.sh needs nm (binutils)" >&2; exit 2; }
 

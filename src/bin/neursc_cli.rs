@@ -1,15 +1,15 @@
-//! `neursc-cli` — command-line front end for the NeurSC library.
+//! `neursc_cli` — command-line front end for the NeurSC library.
 //!
 //! Lets a downstream user run the full workflow on `.graph` files without
 //! writing Rust:
 //!
 //! ```text
-//! neursc-cli generate --dataset yeast --out data.graph
-//! neursc-cli queries  --data data.graph --size 8 --count 20 --out-dir qs/
-//! neursc-cli count    --data data.graph --query qs/q0.graph
-//! neursc-cli train    --data data.graph --queries qs/ --out model.txt
-//! neursc-cli estimate --model model.txt --data data.graph --query qs/q0.graph
-//! neursc-cli evaluate --model model.txt --data data.graph --queries qs/
+//! neursc_cli generate --dataset yeast --out data.graph
+//! neursc_cli queries  --data data.graph --size 8 --count 20 --out-dir qs/
+//! neursc_cli count    --data data.graph --query qs/q0.graph
+//! neursc_cli train    --data data.graph --queries qs/ --out model.txt
+//! neursc_cli estimate --model model.txt --data data.graph --query qs/q0.graph
+//! neursc_cli evaluate --model model.txt --data data.graph --queries qs/
 //! ```
 //!
 //! `queries` writes one `q<i>.graph` per query plus a `counts.csv`
@@ -174,18 +174,18 @@ fn main() -> ExitCode {
 }
 
 const USAGE: &str = "\
-neursc-cli — neural subgraph counting (NeurSC, SIGMOD 2022)
+neursc_cli — neural subgraph counting (NeurSC, SIGMOD 2022)
 
 USAGE:
-  neursc-cli generate --dataset <name>|--vertices N --degree D --labels L [--seed S] --out FILE
-  neursc-cli queries  --data FILE --size N --count K [--seed S] [--budget B] --out-dir DIR
-  neursc-cli count    --data FILE --query FILE [--budget B]
-  neursc-cli train    --data FILE --queries DIR [--epochs N] [--seed S] [--threads T] [OBS] --out FILE
-  neursc-cli estimate --model FILE --data FILE --query FILE [--threads T]
+  neursc_cli generate --dataset <name>|--vertices N --degree D --labels L [--seed S] --out FILE
+  neursc_cli queries  --data FILE --size N --count K [--seed S] [--budget B] --out-dir DIR
+  neursc_cli count    --data FILE --query FILE [--budget B]
+  neursc_cli train    --data FILE --queries DIR [--epochs N] [--seed S] [--threads T] [OBS] --out FILE
+  neursc_cli estimate --model FILE --data FILE --query FILE [--threads T]
                       [--max-query-vertices V] [--inject-panic I] [OBS]
-  neursc-cli evaluate --model FILE --data FILE --queries DIR [--threads T]
+  neursc_cli evaluate --model FILE --data FILE --queries DIR [--threads T]
                       [--max-query-vertices V] [--inject-panic I] [OBS]
-  neursc-cli serve    --model FILE --data FILE
+  neursc_cli serve    --model FILE --data FILE
                       [--listen ADDR | --unix PATH]
                       [--backend west|sample|auto] [--router-volume-cap N]
                       [--router-cands-per-ms N]
@@ -197,7 +197,7 @@ USAGE:
                       [--stable-after-ms MS]
                       [--chaos-panic SEQS] [--chaos-starve SEQS]
                       [--chaos-abort DIGESTS] [OBS]
-  neursc-cli fuzz     [--cases N] [--seed S] [--minimize] [--out-dir DIR]
+  neursc_cli fuzz     [--cases N] [--seed S] [--minimize] [--out-dir DIR]
 
   OBS: [--trace-json FILE] [--metrics-json FILE] [--trace-time canonical|wall]
 
@@ -841,7 +841,7 @@ fn cmd_fuzz(opts: &Opts) -> Result<(), CliError> {
         Ok(())
     } else {
         Err(CliError::other(format!(
-            "{} invariant violations (run `neursc-cli fuzz --seed {} --minimize` to shrink)",
+            "{} invariant violations (run `neursc_cli fuzz --seed {} --minimize` to shrink)",
             report.outcomes.len(),
             cfg.seed
         )))

@@ -1,4 +1,4 @@
-//! Smoke test of `neursc-cli serve`: spawns the real binary as a daemon
+//! Smoke test of `neursc_cli serve`: spawns the real binary as a daemon
 //! on loopback, runs a mixed script (valid estimates, chaos-poisoned
 //! requests, an over-cap query, a malformed frame, `stats`), asserts the
 //! per-request outcomes, and verifies a clean drain (exit code 0).
@@ -71,7 +71,7 @@ fn serve_daemon_smoke() {
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
         .spawn()
-        .expect("spawn neursc-cli serve");
+        .expect("spawn neursc_cli serve");
 
     let stdout = child.stdout.take().expect("piped stdout");
     let mut first_line = String::new();
@@ -157,7 +157,7 @@ fn serve_daemon_unix_socket() {
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
         .spawn()
-        .expect("spawn neursc-cli serve --unix");
+        .expect("spawn neursc_cli serve --unix");
     let stdout = child.stdout.take().expect("piped stdout");
     let mut banner = String::new();
     BufReader::new(stdout).read_line(&mut banner).unwrap();

@@ -1,4 +1,4 @@
-//! Kill drill for `neursc-cli serve --supervise`: SIGKILL the worker
+//! Kill drill for `neursc_cli serve --supervise`: SIGKILL the worker
 //! mid-traffic and assert the whole recovery story end to end —
 //! supervised restart, bit-identical results across the crash, crash-loop
 //! quarantine of a poison query after two consecutive aborts, and a clean
