@@ -7,7 +7,7 @@ use crate::error::NeurScError;
 use crate::estimator::{fan_out, ConfidenceInterval, Estimator};
 use crate::loss::q_error;
 use crate::obs::{self, ObsSink, PipelineReport, Span};
-use crate::train::{prepare_query_budgeted, run_training_obs, PreparedQuery, TrainReport};
+use crate::train::{prepare_query_budgeted, run_training, PreparedQuery, TrainReport};
 use crate::west::WEst;
 use neursc_graph::Graph;
 use neursc_match::FilterBudget;
@@ -169,7 +169,7 @@ impl NeurSc {
             if prepared.is_empty() {
                 return Err(NeurScError::NoTrainingData);
             }
-            let mut report = run_training_obs(self, &prepared, &ctx.obs);
+            let mut report = run_training(self, &prepared, &ctx.obs);
             self.infer_state = OnceLock::new(); // weights changed
             report.failed_queries = failed;
             self.check_divergence(&report)?;
@@ -207,7 +207,7 @@ impl NeurSc {
         if prepared.is_empty() {
             return Err(NeurScError::NoTrainingData);
         }
-        let report = crate::train::run_training(self, prepared);
+        let report = run_training(self, prepared, obs::noop());
         self.infer_state = OnceLock::new(); // weights changed
         self.check_divergence(&report)?;
         Ok(report)

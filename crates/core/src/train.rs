@@ -336,24 +336,195 @@ impl DivergenceGuard {
     }
 }
 
-/// Runs both training phases over prepared queries.
-pub fn run_training(model: &mut NeurSc, prepared: &[PreparedQuery]) -> TrainReport {
-    run_training_obs(model, prepared, crate::obs::noop())
-}
-
-/// [`run_training`] with observability: phase/epoch spans
-/// (`train.pretrain`, `train.adversarial`, `train.epoch`,
+/// Runs both training phases over prepared queries, with observability:
+/// phase/epoch spans (`train.pretrain`, `train.adversarial`, `train.epoch`,
 /// `train.discriminator`), a `train.epoch_loss` gauge, `train.epoch.ns`
 /// histogram, `train.grad_norm` gauge (pre-clip, when clipping is on) and a
-/// `train.divergence.rollback` counter delivered to `sink`. Identical
-/// training behavior by construction.
-pub fn run_training_obs(
+/// `train.divergence.rollback` counter delivered to `sink`
+/// ([`crate::obs::noop`] for none). Identical training behavior whatever the
+/// sink.
+pub fn run_training(
     model: &mut NeurSc,
     prepared: &[PreparedQuery],
     sink: &std::sync::Arc<dyn ObsSink>,
 ) -> TrainReport {
     crate::obs::scope(sink, crate::obs::lane::ROOT, || {
-        run_training_inner(model, prepared, sink)
+        keep_freed_heap();
+        let cfg = model.config.clone();
+        let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x0074_7261_696e);
+        let usable: Vec<&PreparedQuery> = prepared
+            .iter()
+            .filter(|p| !p.trivially_zero && !p.subs.is_empty())
+            .collect();
+        let skipped = prepared.len() - usable.len();
+        sink.counter_add("train.skipped_queries", skipped as u64);
+        if usable.is_empty() {
+            return TrainReport {
+                pretrain_epochs: 0,
+                adversarial_epochs: 0,
+                skipped_queries: skipped,
+                failed_queries: 0,
+                final_loss: f64::NAN,
+                diverged_at: None,
+                rolled_back: false,
+                epoch_losses: Vec::new(),
+            };
+        }
+
+        let est_params = model.west.params();
+        let disc_params = model.disc.as_ref().map(|d| d.params()).unwrap_or_default();
+        let mut opt_est = Adam::new(cfg.lr_est);
+        let mut opt_disc = Adam::new(cfg.lr_disc);
+        let mut final_loss = f64::NAN;
+        let mut guard = DivergenceGuard::new(model);
+        let mut pre_done = 0;
+        let mut adv_done = 0;
+        let mut stopped = false;
+        let mut epoch_losses = Vec::with_capacity(cfg.pretrain_epochs + cfg.adversarial_epochs);
+
+        // ---- Phase 1: count-loss pre-training --------------------------------
+        let mut order: Vec<usize> = (0..usable.len()).collect();
+        // One accumulator for the run: `step` leaves it zeroed for the next batch.
+        let mut acc = GradAccum::new(model, &est_params);
+        {
+            let _phase = Span::enter("train.pretrain");
+            for _epoch in 0..cfg.pretrain_epochs {
+                let _ep = Span::enter("train.epoch");
+                let t0 = std::time::Instant::now();
+                order.shuffle(&mut rng);
+                let mut epoch_loss = 0.0;
+                for chunk in order.chunks(cfg.batch_size.max(1)) {
+                    for &qi in chunk {
+                        let pq = usable[qi];
+                        model.store.zero_grads();
+                        let mut tape = Tape::new();
+                        let Some((_, zs)) = forward_prepared(model, &mut tape, pq) else {
+                            continue;
+                        };
+                        let lc = count_loss(&mut tape, &zs, pq.truth, CountLossMode::LogQError);
+                        let l = tape.value(lc).item() as f64;
+                        epoch_loss += l;
+                        if !l.is_finite() {
+                            // A non-finite loss has no usable gradient; the epoch
+                            // total is already poisoned and the guard will catch it.
+                            continue;
+                        }
+                        tape.backward(lc, &mut model.store);
+                        acc.absorb(model);
+                    }
+                    acc.step(model, &mut opt_est, cfg.grad_clip, sink.as_ref());
+                }
+                final_loss = epoch_loss / usable.len() as f64;
+                epoch_losses.push(final_loss);
+                sink.gauge_set("train.epoch_loss", final_loss);
+                sink.observe("train.epoch.ns", t0.elapsed().as_nanos() as u64);
+                if guard.observe_epoch(model, final_loss) {
+                    stopped = true;
+                    break;
+                }
+                pre_done += 1;
+            }
+        }
+
+        // ---- Phase 2: adversarial fine-tuning (Algorithm 3) ------------------
+        let _phase = Span::enter("train.adversarial");
+        for _epoch in 0..cfg.adversarial_epochs {
+            if stopped {
+                break;
+            }
+            let _ep = Span::enter("train.epoch");
+            let t0 = std::time::Instant::now();
+            order.shuffle(&mut rng);
+            let mut epoch_loss = 0.0;
+            for chunk in order.chunks(cfg.batch_size.max(1)) {
+                for &qi in chunk {
+                    let pq = usable[qi];
+                    let mut tape = Tape::new();
+                    let Some((outs, zs)) = forward_prepared(model, &mut tape, pq) else {
+                        continue;
+                    };
+
+                    // Lines 10–12: critic updates on detached representations
+                    // (these zero/overwrite store grads; θ grads live in `acc`).
+                    if cfg.uses_discriminator() {
+                        let _disc_sp = Span::enter("train.discriminator");
+                        for (out, sub) in outs.iter().zip(&pq.subs) {
+                            let hq_val = tape.value(out.h_q).clone();
+                            let hs_val = tape.value(out.h_sub).clone();
+                            for _ in 0..cfg.iter_disc {
+                                train_discriminator_once(
+                                    model,
+                                    &hq_val,
+                                    &hs_val,
+                                    &sub.local_cs,
+                                    &disc_params,
+                                    &mut opt_disc,
+                                );
+                                sink.counter_add("train.critic_steps", 1);
+                            }
+                        }
+                    }
+
+                    // Lines 13–15: joint loss for θ.
+                    let lc = count_loss(&mut tape, &zs, pq.truth, CountLossMode::LogQError);
+                    epoch_loss += tape.value(lc).item() as f64;
+                    let n_subs = outs.len() as f32;
+                    let mut adv_terms: Option<Var> = None;
+                    for (out, sub) in outs.iter().zip(&pq.subs) {
+                        let term = adversarial_term(model, &mut tape, out, &sub.local_cs);
+                        if let Some(t) = term {
+                            adv_terms = Some(match adv_terms {
+                                Some(acc_t) => tape.add(acc_t, t),
+                                None => t,
+                            });
+                        }
+                    }
+                    let total = match adv_terms {
+                        Some(adv) => {
+                            let lc_w = tape.scale(lc, 1.0 - cfg.beta);
+                            let adv_w = tape.scale(adv, cfg.beta / n_subs);
+                            tape.add(lc_w, adv_w)
+                        }
+                        None => lc,
+                    };
+                    if !(tape.value(total).item() as f64).is_finite() {
+                        continue;
+                    }
+                    model.store.zero_grads();
+                    tape.backward(total, &mut model.store);
+                    // Only θ gradients are absorbed; ω gradients from L_w are
+                    // dropped (ω is stepped exclusively by its own optimizer).
+                    acc.absorb(model);
+                }
+                acc.step(model, &mut opt_est, cfg.grad_clip, sink.as_ref());
+            }
+            final_loss = epoch_loss / usable.len() as f64;
+            epoch_losses.push(final_loss);
+            sink.gauge_set("train.epoch_loss", final_loss);
+            sink.observe("train.epoch.ns", t0.elapsed().as_nanos() as u64);
+            if guard.observe_epoch(model, final_loss) {
+                break;
+            }
+            adv_done += 1;
+        }
+
+        if guard.rolled_back {
+            // The reported loss is the checkpoint actually left in the model;
+            // the diverged value travels in `NeurScError::Divergence` when the
+            // caller asked to fail hard.
+            final_loss = guard.diverged_loss;
+            sink.counter_add("train.divergence.rollback", 1);
+        }
+        TrainReport {
+            pretrain_epochs: pre_done,
+            adversarial_epochs: adv_done,
+            skipped_queries: skipped,
+            failed_queries: 0,
+            final_loss,
+            diverged_at: guard.diverged_at,
+            rolled_back: guard.rolled_back,
+            epoch_losses,
+        }
     })
 }
 
@@ -409,189 +580,6 @@ pub fn keep_freed_heap() {
             mallopt(M_MMAP_THRESHOLD, 32 << 20);
             mallopt(M_TRIM_THRESHOLD, 1 << 30);
         });
-    }
-}
-
-fn run_training_inner(
-    model: &mut NeurSc,
-    prepared: &[PreparedQuery],
-    sink: &std::sync::Arc<dyn ObsSink>,
-) -> TrainReport {
-    keep_freed_heap();
-    let cfg = model.config.clone();
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x0074_7261_696e);
-    let usable: Vec<&PreparedQuery> = prepared
-        .iter()
-        .filter(|p| !p.trivially_zero && !p.subs.is_empty())
-        .collect();
-    let skipped = prepared.len() - usable.len();
-    sink.counter_add("train.skipped_queries", skipped as u64);
-    if usable.is_empty() {
-        return TrainReport {
-            pretrain_epochs: 0,
-            adversarial_epochs: 0,
-            skipped_queries: skipped,
-            failed_queries: 0,
-            final_loss: f64::NAN,
-            diverged_at: None,
-            rolled_back: false,
-            epoch_losses: Vec::new(),
-        };
-    }
-
-    let est_params = model.west.params();
-    let disc_params = model.disc.as_ref().map(|d| d.params()).unwrap_or_default();
-    let mut opt_est = Adam::new(cfg.lr_est);
-    let mut opt_disc = Adam::new(cfg.lr_disc);
-    let mut final_loss = f64::NAN;
-    let mut guard = DivergenceGuard::new(model);
-    let mut pre_done = 0;
-    let mut adv_done = 0;
-    let mut stopped = false;
-    let mut epoch_losses = Vec::with_capacity(cfg.pretrain_epochs + cfg.adversarial_epochs);
-
-    // ---- Phase 1: count-loss pre-training --------------------------------
-    let mut order: Vec<usize> = (0..usable.len()).collect();
-    // One accumulator for the run: `step` leaves it zeroed for the next batch.
-    let mut acc = GradAccum::new(model, &est_params);
-    {
-        let _phase = Span::enter("train.pretrain");
-        for _epoch in 0..cfg.pretrain_epochs {
-            let _ep = Span::enter("train.epoch");
-            let t0 = std::time::Instant::now();
-            order.shuffle(&mut rng);
-            let mut epoch_loss = 0.0;
-            for chunk in order.chunks(cfg.batch_size.max(1)) {
-                for &qi in chunk {
-                    let pq = usable[qi];
-                    model.store.zero_grads();
-                    let mut tape = Tape::new();
-                    let Some((_, zs)) = forward_prepared(model, &mut tape, pq) else {
-                        continue;
-                    };
-                    let lc = count_loss(&mut tape, &zs, pq.truth, CountLossMode::LogQError);
-                    let l = tape.value(lc).item() as f64;
-                    epoch_loss += l;
-                    if !l.is_finite() {
-                        // A non-finite loss has no usable gradient; the epoch
-                        // total is already poisoned and the guard will catch it.
-                        continue;
-                    }
-                    tape.backward(lc, &mut model.store);
-                    acc.absorb(model);
-                }
-                acc.step(model, &mut opt_est, cfg.grad_clip, sink.as_ref());
-            }
-            final_loss = epoch_loss / usable.len() as f64;
-            epoch_losses.push(final_loss);
-            sink.gauge_set("train.epoch_loss", final_loss);
-            sink.observe("train.epoch.ns", t0.elapsed().as_nanos() as u64);
-            if guard.observe_epoch(model, final_loss) {
-                stopped = true;
-                break;
-            }
-            pre_done += 1;
-        }
-    }
-
-    // ---- Phase 2: adversarial fine-tuning (Algorithm 3) ------------------
-    let _phase = Span::enter("train.adversarial");
-    for _epoch in 0..cfg.adversarial_epochs {
-        if stopped {
-            break;
-        }
-        let _ep = Span::enter("train.epoch");
-        let t0 = std::time::Instant::now();
-        order.shuffle(&mut rng);
-        let mut epoch_loss = 0.0;
-        for chunk in order.chunks(cfg.batch_size.max(1)) {
-            for &qi in chunk {
-                let pq = usable[qi];
-                let mut tape = Tape::new();
-                let Some((outs, zs)) = forward_prepared(model, &mut tape, pq) else {
-                    continue;
-                };
-
-                // Lines 10–12: critic updates on detached representations
-                // (these zero/overwrite store grads; θ grads live in `acc`).
-                if cfg.uses_discriminator() {
-                    let _disc_sp = Span::enter("train.discriminator");
-                    for (out, sub) in outs.iter().zip(&pq.subs) {
-                        let hq_val = tape.value(out.h_q).clone();
-                        let hs_val = tape.value(out.h_sub).clone();
-                        for _ in 0..cfg.iter_disc {
-                            train_discriminator_once(
-                                model,
-                                &hq_val,
-                                &hs_val,
-                                &sub.local_cs,
-                                &disc_params,
-                                &mut opt_disc,
-                            );
-                            sink.counter_add("train.critic_steps", 1);
-                        }
-                    }
-                }
-
-                // Lines 13–15: joint loss for θ.
-                let lc = count_loss(&mut tape, &zs, pq.truth, CountLossMode::LogQError);
-                epoch_loss += tape.value(lc).item() as f64;
-                let n_subs = outs.len() as f32;
-                let mut adv_terms: Option<Var> = None;
-                for (out, sub) in outs.iter().zip(&pq.subs) {
-                    let term = adversarial_term(model, &mut tape, out, &sub.local_cs);
-                    if let Some(t) = term {
-                        adv_terms = Some(match adv_terms {
-                            Some(acc_t) => tape.add(acc_t, t),
-                            None => t,
-                        });
-                    }
-                }
-                let total = match adv_terms {
-                    Some(adv) => {
-                        let lc_w = tape.scale(lc, 1.0 - cfg.beta);
-                        let adv_w = tape.scale(adv, cfg.beta / n_subs);
-                        tape.add(lc_w, adv_w)
-                    }
-                    None => lc,
-                };
-                if !(tape.value(total).item() as f64).is_finite() {
-                    continue;
-                }
-                model.store.zero_grads();
-                tape.backward(total, &mut model.store);
-                // Only θ gradients are absorbed; ω gradients from L_w are
-                // dropped (ω is stepped exclusively by its own optimizer).
-                acc.absorb(model);
-            }
-            acc.step(model, &mut opt_est, cfg.grad_clip, sink.as_ref());
-        }
-        final_loss = epoch_loss / usable.len() as f64;
-        epoch_losses.push(final_loss);
-        sink.gauge_set("train.epoch_loss", final_loss);
-        sink.observe("train.epoch.ns", t0.elapsed().as_nanos() as u64);
-        if guard.observe_epoch(model, final_loss) {
-            break;
-        }
-        adv_done += 1;
-    }
-
-    if guard.rolled_back {
-        // The reported loss is the checkpoint actually left in the model;
-        // the diverged value travels in `NeurScError::Divergence` when the
-        // caller asked to fail hard.
-        final_loss = guard.diverged_loss;
-        sink.counter_add("train.divergence.rollback", 1);
-    }
-    TrainReport {
-        pretrain_epochs: pre_done,
-        adversarial_epochs: adv_done,
-        skipped_queries: skipped,
-        failed_queries: 0,
-        final_loss,
-        diverged_at: guard.diverged_at,
-        rolled_back: guard.rolled_back,
-        epoch_losses,
     }
 }
 

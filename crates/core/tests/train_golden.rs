@@ -19,7 +19,7 @@
 
 use neursc_core::obs::{ObsSink, Recorder};
 use neursc_core::persist::model_checksum;
-use neursc_core::train::{forward_prepared, run_training_obs, PreparedQuery, PreparedSub};
+use neursc_core::train::{forward_prepared, run_training, PreparedQuery, PreparedSub};
 use neursc_core::{DiscriminatorMetric, GraphContext, NeurSc, NeurScConfig, Variant};
 use neursc_gnn::{init_features, EdgeList};
 use neursc_graph::induced::induced_subgraph;
@@ -225,7 +225,7 @@ fn trained_weights_and_losses_match_the_golden() {
 
         let rec = Arc::new(Recorder::new());
         let sink: Arc<dyn ObsSink> = rec.clone();
-        let report = run_training_obs(&mut model, &prepared, &sink);
+        let report = run_training(&mut model, &prepared, &sink);
         assert_eq!(
             (report.pretrain_epochs, report.adversarial_epochs),
             (1, 1),

@@ -5,10 +5,11 @@
 //! under-approximate. Local pruning admits `v` into `CS(u)` iff
 //! `f_l(v) = f_l(u)`, `d(v) ≥ d(u)`, and profile(u) ⊑ profile(v).
 //!
-//! **Admission order.** For each query vertex `u` in id order, the scan
-//! walks the label bucket `f_l(u)` of the data graph's [`Profiles`] — built
-//! once per `(G, r)` with the profiles, never per query — in ascending
-//! vertex id, charges one meter step per vertex it looks at, and tests,
+//! **Admission order.** [`local_pruning_metered`] holds the one admission
+//! loop behind every `local_pruning*` door. For each query vertex `u` in
+//! id order, it walks the label bucket `f_l(u)` of the data graph's
+//! [`Profiles`] — built once per `(G, r)` with the profiles, never per
+//! query — in ascending vertex id, charges one meter step per vertex it looks at, and tests,
 //! cheapest first, `d(v) ≥ d(u)`, the label signatures (every bit of
 //! `sig(u)` set in `sig(v)`) and `subsumes(profile(v), profile(u))`. The
 //! signature test is a necessary condition of the multiset test, and where
@@ -99,21 +100,6 @@ pub fn local_pruning_with(q: &Graph, g: &Graph, r: u32, g_profiles: &Profiles) -
 /// supplied meter. Exhaustion aborts with an error: a partially-built set
 /// is not *complete* (Definition 2), so no sound estimate can follow.
 pub fn local_pruning_metered(
-    q: &Graph,
-    g: &Graph,
-    r: u32,
-    g_profiles: &Profiles,
-    meter: &mut WorkMeter,
-) -> Result<CandidateSets, FilterError> {
-    admit_candidates(q, g, r, g_profiles, meter)
-}
-
-/// The one admission loop behind every `local_pruning*` door, in the
-/// order the module doc states: `v ∈ CS(u)` iff `v` is in `u`'s label
-/// bucket, `d(v) ≥ d(u)`, the signatures pass and profile(u) ⊑ profile(v)
-/// (implied by the signatures where they decide); one meter step per
-/// vertex looked at.
-fn admit_candidates(
     q: &Graph,
     g: &Graph,
     r: u32,

@@ -20,7 +20,7 @@
 #                two tight loops of filtering, refinement's pair test with
 #                its Hopcroft–Karp search and local pruning's label-bucket
 #                scan (global_refinement_metered, left_saturated,
-#                admit_candidates), and the two
+#                local_pruning_metered), and the two
 #                AVX-512 matmul kernels (quad_matmul_avx512,
 #                row_matmul_avx512) with the function their zero-step
 #                variants are inlined into (matmul_rows_listed_avx512)
@@ -30,17 +30,20 @@
 # runs the workload twice for 5 s with the BENCHMARK.json command. Prints
 # per build: lat_p50_ms and cpu_ms_per_op of both runs and the address of
 # each function; then the spread of lat_p50_ms (best run of each build)
-# over the builds.
+# over the builds. Last, a warning for each blind spot of that spread: two
+# builds with every printed function at the same address (they differ by
+# host drift only, not by placement), and a build whose own two runs
+# differ by more than the spread (the host moved more than the builds did).
 set -euo pipefail
 
 if [[ $# -lt 1 || $# -gt 3 ]]; then
-    sed -n '2,33p' "$0" | sed 's/^# \{0,1\}//'
+    sed -n '2,36p' "$0" | sed 's/^# \{0,1\}//'
     exit 2
 fi
 repo=$(cd "$(dirname "$0")/.." && pwd)
 workload=$1
 builds=${2:-4}
-functions=${3:-global_refinement_metered,left_saturated,admit_candidates,quad_matmul_avx512,row_matmul_avx512,matmul_rows_listed_avx512}
+functions=${3:-global_refinement_metered,left_saturated,local_pruning_metered,quad_matmul_avx512,row_matmul_avx512,matmul_rows_listed_avx512}
 command -v python3 >/dev/null || { echo "layout_check.sh needs python3 (JSON)" >&2; exit 2; }
 command -v nm >/dev/null || { echo "layout_check.sh needs nm (binutils)" >&2; exit 2; }
 
@@ -58,7 +61,7 @@ import json, sys
 print(json.loads(sys.argv[1])["metrics"][sys.argv[2]]["value"])' "$1" "$2"
 }
 
-best=()
+runs=()
 for ((i = 1; i <= builds; i++)); do
     # Names of different lengths: a one-character difference in the path
     # changes every crate hash and the length of every embedded file name.
@@ -77,20 +80,39 @@ for ((i = 1; i <= builds; i++)); do
         cpu+=("$(metric "$line" cpu_ms_per_op)")
     done
     printf 'build %d  lat_p50_ms %s %s  cpu_ms_per_op %s %s\n' "$i" "${lat[@]}" "${cpu[@]}"
+    # The addresses also go to $base/addrs.<build>, keyed by the symbol
+    # without its hash (which differs between builds), for the warnings.
     nm "$CARGO_TARGET_DIR/release/neursc-benchmarks" | python3 -c '
-import sys
+import re, sys
 wanted = sys.argv[1].split(",")
-for line in sys.stdin:
-    fields = line.split()
-    if len(fields) == 3 and any(name in fields[2] for name in wanted):
-        addr = int(fields[0], 16)
-        print(f"         {fields[2]}  {addr:#x}  mod 64 = {addr % 64}  mod 32 = {addr % 32}")' "$functions"
-    best+=("$(python3 -c 'import sys; print(min(map(float, sys.argv[1:])))' "${lat[@]}")")
+with open(sys.argv[2], "w") as out:
+    for line in sys.stdin:
+        fields = line.split()
+        if len(fields) == 3 and any(name in fields[2] for name in wanted):
+            addr = int(fields[0], 16)
+            print(f"         {fields[2]}  {addr:#x}  mod 64 = {addr % 64}  mod 32 = {addr % 32}")
+            out.write(re.sub(r"17h[0-9a-f]{16}E$", "", fields[2]) + f" {addr:#x}\n")' \
+        "$functions" "$base/addrs.$i"
+    runs+=("${lat[0]},${lat[1]}")
     rm -rf "$dir"
 done
 
 python3 -c '
 import sys
-xs = list(map(float, sys.argv[1:]))
-print(f"lat_p50_ms, best run of each build: min {min(xs):.4g}  max {max(xs):.4g}  "
-      f"spread (max-min)/min {100 * (max(xs) - min(xs)) / min(xs):.1f}%")' "${best[@]}"
+base, runs = sys.argv[1], [tuple(map(float, r.split(","))) for r in sys.argv[2:]]
+best = [min(r) for r in runs]
+spread = 100 * (max(best) - min(best)) / min(best)
+print(f"lat_p50_ms, best run of each build: min {min(best):.4g}  max {max(best):.4g}  "
+      f"spread (max-min)/min {spread:.1f}%")
+addrs = [sorted(open(f"{base}/addrs.{i}").read().splitlines()) for i in range(1, len(runs) + 1)]
+for i in range(len(runs)):
+    for j in range(i + 1, len(runs)):
+        if addrs[i] and addrs[i] == addrs[j]:
+            print(f"WARNING: builds {i + 1} and {j + 1} have every printed function at the "
+                  f"same address: their difference is host drift, not placement")
+for i, (a, b) in enumerate(runs):
+    own = 100 * abs(a - b) / min(a, b)
+    if own > spread:
+        print(f"WARNING: build {i + 1}: its two runs differ by {own:.1f}%, more than the "
+              f"{spread:.1f}% spread over the builds: the host moved more than the placement")' \
+    "$base" "${runs[@]}"
