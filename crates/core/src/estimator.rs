@@ -293,9 +293,7 @@ pub trait Estimator: Send + Sync {
 
     /// Estimation with diagnostics against a throwaway context.
     fn estimate_detailed(&self, q: &Graph, g: &Graph) -> Result<EstimateDetail, NeurScError> {
-        // A throwaway context: identical values, no shared caches.
-        let ctx = GraphContext::new();
-        self.estimate_routed(q, g, &ctx, None, self.threads(), true)
+        self.estimate_detailed_with(q, g, &GraphContext::new())
     }
 
     /// [`Estimator::estimate_detailed`] against a caller-provided

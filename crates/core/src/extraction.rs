@@ -11,7 +11,10 @@ use crate::obs::{self, PipelineReport, Span};
 use neursc_graph::induced::{connected_components, induced_subgraph};
 use neursc_graph::types::VertexId;
 use neursc_graph::Graph;
-use neursc_match::{filter_candidates_budgeted, CandidateSets, FilterBudget, FilterError};
+use neursc_match::{
+    filter_candidates_budgeted, CandidateSets, FilterBudget, FilterConfig, FilterError,
+    FilterOutput,
+};
 
 /// One connected candidate substructure with local candidate sets.
 #[derive(Debug, Clone)]
@@ -28,7 +31,7 @@ pub struct Substructure {
 impl Substructure {
     /// Whether every query vertex has a candidate in this component — a
     /// necessary condition for any embedding to lie inside it.
-    pub fn covers_all(&self) -> bool {
+    fn covers_all(&self) -> bool {
         self.local_cs.iter().all(|s| !s.is_empty())
     }
 }
@@ -77,30 +80,51 @@ pub fn extract_substructures_with(
 }
 
 /// The extraction stage: filtering under a [`FilterBudget`] against cached
-/// profiles, then the component split. [`FilterBudget::UNBOUNDED`] and a
-/// context without a sink are the plain case.
+/// profiles ([`filter_stage`]), then the component split.
+/// [`FilterBudget::UNBOUNDED`] and a context without a sink are the plain
+/// case.
 ///
 /// Budget exhaustion during refinement degrades gracefully — the returned
 /// extraction is built from sound-but-looser candidate sets and carries
 /// `degraded: true`. Exhaustion during local pruning is a typed error (no
 /// sound partial result exists at that point).
-pub fn extract_substructures_budgeted(
+pub(crate) fn extract_substructures_budgeted(
     q: &Graph,
     g: &Graph,
     cfg: &NeurScConfig,
     ctx: &GraphContext,
     budget: &FilterBudget,
 ) -> Result<Extraction, FilterError> {
-    let (profiles, hit) = ctx.profiles_for(g, cfg.filter.profile_radius);
-    let (out, stages) = {
-        let _sp = Span::enter("filter.candidates");
-        let (out, stages) = filter_candidates_budgeted(q, g, &cfg.filter, &profiles, budget)?;
-        // The filter crate's plain-data timings become child spans of the
-        // open `filter.candidates` span.
-        obs::span_with_ns("filter.local_prune", stages.local_prune_ns);
-        obs::span_with_ns("filter.refine", stages.refine_ns);
-        (out, stages)
-    };
+    let (out, report) = filter_stage(q, g, &cfg.filter, ctx, budget)?;
+    Ok(extract_from_candidates(
+        q,
+        g,
+        cfg.max_substructure_vertices,
+        out.candidates,
+        out.degraded,
+        report,
+    ))
+}
+
+/// The filtering stage every backend runs: GraphQL candidate filtering of
+/// `q` against `g` under `budget`, with the data-graph profiles served
+/// from `ctx`. Traced as a `filter.candidates` span with `filter.local_prune`
+/// and `filter.refine` children; the returned report carries the stage
+/// timings, the metered step count and whether the profiles were cached.
+pub fn filter_stage(
+    q: &Graph,
+    g: &Graph,
+    filter: &FilterConfig,
+    ctx: &GraphContext,
+    budget: &FilterBudget,
+) -> Result<(FilterOutput, PipelineReport), FilterError> {
+    let (profiles, hit) = ctx.profiles_for(g, filter.profile_radius);
+    let _sp = Span::enter("filter.candidates");
+    let (out, stages) = filter_candidates_budgeted(q, g, filter, &profiles, budget)?;
+    // The filter crate's plain-data timings become child spans of the
+    // open `filter.candidates` span.
+    obs::span_with_ns("filter.local_prune", stages.local_prune_ns);
+    obs::span_with_ns("filter.refine", stages.refine_ns);
     let report = PipelineReport {
         local_prune_ns: stages.local_prune_ns,
         refine_ns: stages.refine_ns,
@@ -108,23 +132,16 @@ pub fn extract_substructures_budgeted(
         profile_cache_hit: hit,
         ..PipelineReport::default()
     };
-    Ok(extract_from_candidates(
-        q,
-        g,
-        cfg,
-        out.candidates,
-        out.degraded,
-        report,
-    ))
+    Ok((out, report))
 }
 
 /// Extraction from already-filtered candidate sets: the stage after
 /// filtering in the pipeline above. `g` is the graph `candidates` is
-/// expressed in.
+/// expressed in; a component over `cap` vertices is truncated to it.
 pub(crate) fn extract_from_candidates(
     q: &Graph,
     g: &Graph,
-    cfg: &NeurScConfig,
+    cap: Option<usize>,
     candidates: CandidateSets,
     degraded: bool,
     mut report: PipelineReport,
@@ -168,7 +185,7 @@ pub(crate) fn extract_from_candidates(
         if !sub.covers_all() {
             continue;
         }
-        if let Some(cap) = cfg.max_substructure_vertices {
+        if let Some(cap) = cap {
             if sub.graph.n_vertices() > cap {
                 sub = truncate_substructure(&sub, q, cap);
                 if !sub.covers_all() {

@@ -73,9 +73,7 @@ pub use config::{DiscriminatorMetric, NeurScConfig, ResourceBudget, Variant};
 pub use context::GraphContext;
 pub use error::NeurScError;
 pub use estimator::{ConfidenceInterval, Estimator};
-pub use extraction::{
-    extract_substructures_budgeted, extract_substructures_with, Extraction, Substructure,
-};
+pub use extraction::{extract_substructures_with, filter_stage, Extraction, Substructure};
 pub use faults::FaultPlan;
 pub use loss::q_error;
 pub use model::{EstimateDetail, NeurSc};

@@ -2,29 +2,15 @@
 //!
 //! * [`q_error`] — the evaluation metric
 //!   `max( max(1,c)/max(1,ĉ), max(1,ĉ)/max(1,c) )`.
-//! * [`count_loss`] — Eq. 10's ratio loss. With the log-count head
-//!   (`ĉ = e^z`), `max(c/ĉ, ĉ/c) = exp(|ln ĉ − ln c|)`; the default
-//!   "log" mode trains on `|ln ĉ − ln c|` (the same objective through a
-//!   monotone map, numerically tame at initialization), and the exact mode
-//!   reproduces Eq. 10 literally.
+//! * [`count_loss`] — Eq. 10's ratio loss in log form. With the log-count
+//!   head (`ĉ = e^z`), `max(c/ĉ, ĉ/c) = exp(|ln ĉ − ln c|)`; training runs
+//!   on `|ln ĉ − ln c|`, the same objective through a monotone map (so the
+//!   same minimizer as Eq. 10), with bounded gradients at initialization.
 
-use crate::west::LOG_COUNT_CAP;
 use neursc_nn::{Tape, Var};
 
 /// The paper's ε guarding division by a near-zero estimate (Eq. 10).
 pub const LOSS_EPS: f32 = 1e-9;
-
-/// Which form of the Eq. 10 objective to optimize.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CountLossMode {
-    /// `|ln(ĉ+ε) − ln max(1,c)|` — log of the q-error; same minimizer,
-    /// bounded gradients (default).
-    #[default]
-    LogQError,
-    /// Eq. 10 exactly: `max(c/(ĉ+ε), ĉ/c)` computed as
-    /// `exp(|ln ĉ − ln c|)` (capped to avoid overflow at initialization).
-    ExactQError,
-}
 
 /// Evaluation q-error (§2.2). Always ≥ 1; equals 1 on a perfect estimate.
 pub fn q_error(estimate: f64, truth: f64) -> f64 {
@@ -75,21 +61,14 @@ fn log_sum_exp(tape: &mut Tape, log_counts: &[Var]) -> Var {
     tape.add_scalar(ln, m)
 }
 
-/// Eq. 10 on the tape: builds the count loss from per-substructure
-/// log-count predictions and the ground truth `c`.
-pub fn count_loss(tape: &mut Tape, log_counts: &[Var], truth: u64, mode: CountLossMode) -> Var {
+/// Eq. 10 on the tape, in log form: `|ln ĉ − ln max(1,c)|` — the log of
+/// the q-error — from per-substructure log-count predictions and the
+/// ground truth `c`.
+pub fn count_loss(tape: &mut Tape, log_counts: &[Var], truth: u64) -> Var {
     let log_total = log_sum_exp(tape, log_counts);
     let target = (truth.max(1) as f32).ln();
     let diff = tape.add_scalar(log_total, -target);
-    let abs = tape.abs(diff);
-    match mode {
-        CountLossMode::LogQError => abs,
-        CountLossMode::ExactQError => {
-            // exp(|Δ|) with the same overflow cap as the head.
-            let capped = crate::west::clamp_max(tape, abs, LOG_COUNT_CAP);
-            tape.exp(capped)
-        }
-    }
+    tape.abs(diff)
 }
 
 #[cfg(test)]
@@ -118,19 +97,8 @@ mod tests {
     fn count_loss_zero_at_perfect_prediction() {
         let mut tape = Tape::new();
         let z = tape.constant(Tensor::scalar((42.0f32).ln()));
-        let l = count_loss(&mut tape, &[z], 42, CountLossMode::LogQError);
+        let l = count_loss(&mut tape, &[z], 42);
         assert!(tape.value(l).item().abs() < 1e-4);
-        let l2 = count_loss(&mut tape, &[z], 42, CountLossMode::ExactQError);
-        assert!((tape.value(l2).item() - 1.0).abs() < 1e-4);
-    }
-
-    #[test]
-    fn exact_mode_equals_q_error() {
-        let mut tape = Tape::new();
-        let z = tape.constant(Tensor::scalar((10.0f32).ln()));
-        let l = count_loss(&mut tape, &[z], 1000, CountLossMode::ExactQError);
-        // ĉ = 10, c = 1000 → q-error = 100.
-        assert!((tape.value(l).item() - 100.0).abs() / 100.0 < 1e-3);
     }
 
     #[test]
@@ -138,8 +106,8 @@ mod tests {
         let mut tape = Tape::new();
         let near = tape.constant(Tensor::scalar((90.0f32).ln()));
         let far = tape.constant(Tensor::scalar((2.0f32).ln()));
-        let l_near = count_loss(&mut tape, &[near], 100, CountLossMode::LogQError);
-        let l_far = count_loss(&mut tape, &[far], 100, CountLossMode::LogQError);
+        let l_near = count_loss(&mut tape, &[near], 100);
+        let l_far = count_loss(&mut tape, &[far], 100);
         assert!(tape.value(l_near).item() < tape.value(l_far).item());
     }
 
@@ -149,7 +117,7 @@ mod tests {
         let p = store.alloc(Tensor::scalar(0.0)); // ĉ = 1
         let mut tape = Tape::new();
         let z = tape.param(&store, p);
-        let l = count_loss(&mut tape, &[z], 1000, CountLossMode::LogQError);
+        let l = count_loss(&mut tape, &[z], 1000);
         tape.backward(l, &mut store);
         // Underestimate → gradient negative (increase z to reduce loss).
         assert!(store.grad(p).item() < 0.0);
@@ -159,7 +127,7 @@ mod tests {
     fn truth_zero_treated_as_one() {
         let mut tape = Tape::new();
         let z = tape.constant(Tensor::scalar(0.0)); // ĉ = 1
-        let l = count_loss(&mut tape, &[z], 0, CountLossMode::LogQError);
+        let l = count_loss(&mut tape, &[z], 0);
         assert!(tape.value(l).item().abs() < 1e-5);
     }
 }
@@ -198,7 +166,7 @@ mod lse_tests {
         let p = store.alloc(Tensor::scalar(-100.0));
         let mut tape = Tape::new();
         let z = tape.param(&store, p);
-        let l = count_loss(&mut tape, &[z], 1000, CountLossMode::LogQError);
+        let l = count_loss(&mut tape, &[z], 1000);
         tape.backward(l, &mut store);
         let g = store.grad(p).item();
         assert!(

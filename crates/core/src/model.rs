@@ -367,7 +367,7 @@ impl Estimator for NeurSc {
     }
 
     fn validate(&self, q: &Graph) -> Result<(), NeurScError> {
-        crate::train::validate_query(q, &self.config)
+        crate::train::validate_query(q, &self.config.budget)
     }
 
     fn warm(&self, g: &Graph, ctx: &GraphContext) {

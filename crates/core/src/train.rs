@@ -19,14 +19,15 @@
 //! unified objective.
 
 use crate::bipartite::build_bipartite_edges;
-use crate::config::{DiscriminatorMetric, NeurScConfig};
+use crate::config::{DiscriminatorMetric, NeurScConfig, ResourceBudget};
 use crate::context::GraphContext;
 use crate::discriminator::{
     select_correspondence, select_correspondence_unconstrained, wasserstein_loss,
 };
 use crate::distances::{metric_loss, select_nearest_pairs};
 use crate::error::NeurScError;
-use crate::loss::{count_loss, CountLossMode};
+use crate::extraction::{extract_from_candidates, Extraction};
+use crate::loss::count_loss;
 use crate::model::NeurSc;
 use crate::obs::{ObsSink, PipelineReport, Span};
 use crate::west::WestOutput;
@@ -76,14 +77,15 @@ pub struct PreparedQuery {
 }
 
 /// Rejects queries the pipeline must not attempt: empty graphs (no vertex
-/// to featurize) and queries over the configured size cap.
-pub fn validate_query(q: &Graph, cfg: &NeurScConfig) -> Result<(), NeurScError> {
+/// to featurize) and queries over the budget's size cap. Every backend's
+/// [`crate::Estimator::validate`] is this check.
+pub fn validate_query(q: &Graph, budget: &ResourceBudget) -> Result<(), NeurScError> {
     if q.n_vertices() == 0 {
         return Err(NeurScError::InvalidQuery {
             reason: "query has no vertices".into(),
         });
     }
-    if let Some(cap) = cfg.budget.max_query_vertices {
+    if let Some(cap) = budget.max_query_vertices {
         if q.n_vertices() > cap {
             return Err(NeurScError::Budget {
                 detail: format!(
@@ -122,7 +124,7 @@ pub fn prepare_query_budgeted(
     ctx: &GraphContext,
     budget: &FilterBudget,
 ) -> Result<PreparedQuery, NeurScError> {
-    validate_query(q, cfg)?;
+    validate_query(q, &cfg.budget)?;
     if !cfg.uses_extraction() {
         // NeurSC w/o SE: the "substructure" is the entire data graph.
         let sub = PreparedSub {
@@ -159,19 +161,26 @@ pub fn prepare_query_budgeted(
         });
     }
     let ex = crate::extraction::extract_substructures_budgeted(q, g, cfg, ctx, budget)?;
-    Ok(prepared_from_extraction(q, cfg, &ex, truth))
+    Ok(prepared_from_extraction(
+        q,
+        cfg,
+        &ex,
+        truth,
+        0x6e75_7263_7363,
+    ))
 }
 
 /// Featurizes an [`Extraction`] into a [`PreparedQuery`] — the tail of
 /// query preparation above. The bipartite-edge RNG is (re)seeded here from
-/// `cfg.seed`; extraction consumes no randomness.
-pub(crate) fn prepared_from_extraction(
+/// `cfg.seed ^ salt`; extraction consumes no randomness.
+fn prepared_from_extraction(
     q: &Graph,
     cfg: &NeurScConfig,
-    ex: &crate::extraction::Extraction,
+    ex: &Extraction,
     truth: u64,
+    salt: u64,
 ) -> PreparedQuery {
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x6e75_7263_7363_u64);
+    let mut rng = StdRng::seed_from_u64(cfg.seed ^ salt);
     let x_q = init_features(q, &cfg.features);
     let q_edges = EdgeList::from_graph(q);
     let mut report = ex.report.clone();
@@ -382,13 +391,20 @@ pub fn run_training(
         let mut stopped = false;
         let mut epoch_losses = Vec::with_capacity(cfg.pretrain_epochs + cfg.adversarial_epochs);
 
-        // ---- Phase 1: count-loss pre-training --------------------------------
         let mut order: Vec<usize> = (0..usable.len()).collect();
         // One accumulator for the run: `step` leaves it zeroed for the next batch.
         let mut acc = GradAccum::new(model, &est_params);
-        {
-            let _phase = Span::enter("train.pretrain");
-            for _epoch in 0..cfg.pretrain_epochs {
+        // Phase 1 is count-loss pre-training; phase 2 is adversarial
+        // fine-tuning (Algorithm 3), the same epoch plus the critic.
+        for (phase, epochs, adversarial) in [
+            ("train.pretrain", cfg.pretrain_epochs, false),
+            ("train.adversarial", cfg.adversarial_epochs, true),
+        ] {
+            let _phase = Span::enter(phase);
+            for _epoch in 0..epochs {
+                if stopped {
+                    break;
+                }
                 let _ep = Span::enter("train.epoch");
                 let t0 = std::time::Instant::now();
                 order.shuffle(&mut rng);
@@ -396,20 +412,50 @@ pub fn run_training(
                 for chunk in order.chunks(cfg.batch_size.max(1)) {
                     for &qi in chunk {
                         let pq = usable[qi];
-                        model.store.zero_grads();
                         let mut tape = Tape::new();
-                        let Some((_, zs)) = forward_prepared(model, &mut tape, pq) else {
+                        let Some((outs, zs)) = forward_prepared(model, &mut tape, pq) else {
                             continue;
                         };
-                        let lc = count_loss(&mut tape, &zs, pq.truth, CountLossMode::LogQError);
-                        let l = tape.value(lc).item() as f64;
-                        epoch_loss += l;
-                        if !l.is_finite() {
-                            // A non-finite loss has no usable gradient; the epoch
-                            // total is already poisoned and the guard will catch it.
+
+                        // Lines 10–12: critic updates on detached representations
+                        // (these zero/overwrite store grads; θ grads live in `acc`).
+                        if adversarial && cfg.uses_discriminator() {
+                            let _disc_sp = Span::enter("train.discriminator");
+                            for (out, sub) in outs.iter().zip(&pq.subs) {
+                                let hq_val = tape.value(out.h_q).clone();
+                                let hs_val = tape.value(out.h_sub).clone();
+                                for _ in 0..cfg.iter_disc {
+                                    train_discriminator_once(
+                                        model,
+                                        &hq_val,
+                                        &hs_val,
+                                        &sub.local_cs,
+                                        &disc_params,
+                                        &mut opt_disc,
+                                    );
+                                    sink.counter_add("train.critic_steps", 1);
+                                }
+                            }
+                        }
+
+                        // Lines 13–15: joint loss for θ (the count loss alone
+                        // while pre-training).
+                        let lc = count_loss(&mut tape, &zs, pq.truth);
+                        epoch_loss += tape.value(lc).item() as f64;
+                        let total = if adversarial {
+                            joint_loss(model, &mut tape, lc, &outs, &pq.subs)
+                        } else {
+                            lc
+                        };
+                        if !(tape.value(total).item() as f64).is_finite() {
+                            // A non-finite loss has no usable gradient; a poisoned
+                            // epoch total is caught by the guard.
                             continue;
                         }
-                        tape.backward(lc, &mut model.store);
+                        model.store.zero_grads();
+                        tape.backward(total, &mut model.store);
+                        // Only θ gradients are absorbed; ω gradients from L_w are
+                        // dropped (ω is stepped exclusively by its own optimizer).
                         acc.absorb(model);
                     }
                     acc.step(model, &mut opt_est, cfg.grad_clip, sink.as_ref());
@@ -422,90 +468,12 @@ pub fn run_training(
                     stopped = true;
                     break;
                 }
-                pre_done += 1;
-            }
-        }
-
-        // ---- Phase 2: adversarial fine-tuning (Algorithm 3) ------------------
-        let _phase = Span::enter("train.adversarial");
-        for _epoch in 0..cfg.adversarial_epochs {
-            if stopped {
-                break;
-            }
-            let _ep = Span::enter("train.epoch");
-            let t0 = std::time::Instant::now();
-            order.shuffle(&mut rng);
-            let mut epoch_loss = 0.0;
-            for chunk in order.chunks(cfg.batch_size.max(1)) {
-                for &qi in chunk {
-                    let pq = usable[qi];
-                    let mut tape = Tape::new();
-                    let Some((outs, zs)) = forward_prepared(model, &mut tape, pq) else {
-                        continue;
-                    };
-
-                    // Lines 10–12: critic updates on detached representations
-                    // (these zero/overwrite store grads; θ grads live in `acc`).
-                    if cfg.uses_discriminator() {
-                        let _disc_sp = Span::enter("train.discriminator");
-                        for (out, sub) in outs.iter().zip(&pq.subs) {
-                            let hq_val = tape.value(out.h_q).clone();
-                            let hs_val = tape.value(out.h_sub).clone();
-                            for _ in 0..cfg.iter_disc {
-                                train_discriminator_once(
-                                    model,
-                                    &hq_val,
-                                    &hs_val,
-                                    &sub.local_cs,
-                                    &disc_params,
-                                    &mut opt_disc,
-                                );
-                                sink.counter_add("train.critic_steps", 1);
-                            }
-                        }
-                    }
-
-                    // Lines 13–15: joint loss for θ.
-                    let lc = count_loss(&mut tape, &zs, pq.truth, CountLossMode::LogQError);
-                    epoch_loss += tape.value(lc).item() as f64;
-                    let n_subs = outs.len() as f32;
-                    let mut adv_terms: Option<Var> = None;
-                    for (out, sub) in outs.iter().zip(&pq.subs) {
-                        let term = adversarial_term(model, &mut tape, out, &sub.local_cs);
-                        if let Some(t) = term {
-                            adv_terms = Some(match adv_terms {
-                                Some(acc_t) => tape.add(acc_t, t),
-                                None => t,
-                            });
-                        }
-                    }
-                    let total = match adv_terms {
-                        Some(adv) => {
-                            let lc_w = tape.scale(lc, 1.0 - cfg.beta);
-                            let adv_w = tape.scale(adv, cfg.beta / n_subs);
-                            tape.add(lc_w, adv_w)
-                        }
-                        None => lc,
-                    };
-                    if !(tape.value(total).item() as f64).is_finite() {
-                        continue;
-                    }
-                    model.store.zero_grads();
-                    tape.backward(total, &mut model.store);
-                    // Only θ gradients are absorbed; ω gradients from L_w are
-                    // dropped (ω is stepped exclusively by its own optimizer).
-                    acc.absorb(model);
+                if adversarial {
+                    adv_done += 1;
+                } else {
+                    pre_done += 1;
                 }
-                acc.step(model, &mut opt_est, cfg.grad_clip, sink.as_ref());
             }
-            final_loss = epoch_loss / usable.len() as f64;
-            epoch_losses.push(final_loss);
-            sink.gauge_set("train.epoch_loss", final_loss);
-            sink.observe("train.epoch.ns", t0.elapsed().as_nanos() as u64);
-            if guard.observe_epoch(model, final_loss) {
-                break;
-            }
-            adv_done += 1;
         }
 
         if guard.rolled_back {
@@ -583,6 +551,34 @@ pub fn keep_freed_heap() {
     }
 }
 
+/// Eq. 11's θ objective, `(1−β)L_c + β·L̄_w`, with `L̄_w` the mean of the
+/// substructures' distance terms; `lc` alone when no term has a
+/// correspondence pair.
+fn joint_loss(
+    model: &NeurSc,
+    tape: &mut Tape,
+    lc: Var,
+    outs: &[WestOutput],
+    subs: &[PreparedSub],
+) -> Var {
+    let mut adv_terms: Option<Var> = None;
+    for (out, sub) in outs.iter().zip(subs) {
+        if let Some(t) = adversarial_term(model, tape, out, &sub.local_cs) {
+            adv_terms = Some(match adv_terms {
+                Some(acc_t) => tape.add(acc_t, t),
+                None => t,
+            });
+        }
+    }
+    let Some(adv) = adv_terms else {
+        return lc;
+    };
+    let beta = model.config.beta;
+    let lc_w = tape.scale(lc, 1.0 - beta);
+    let adv_w = tape.scale(adv, beta / outs.len() as f32);
+    tape.add(lc_w, adv_w)
+}
+
 /// The differentiable distance term added to the θ loss (the `L̄_w` slot of
 /// Eq. 11). Returns `None` when no correspondence pairs exist.
 fn adversarial_term(
@@ -591,25 +587,9 @@ fn adversarial_term(
     out: &WestOutput,
     local_cs: &[Vec<u32>],
 ) -> Option<Var> {
-    let cfg = &model.config;
-    match cfg.metric {
-        DiscriminatorMetric::Wasserstein => {
-            let disc = model.disc.as_ref()?;
-            // Critic scores with current ω (ω grads discarded at step time).
-            let f_q = disc.score(tape, &model.store, out.h_q);
-            let f_s = disc.score(tape, &model.store, out.h_sub);
-            let fq_vals: Vec<f32> = tape.value(f_q).data().to_vec();
-            let fs_vals: Vec<f32> = tape.value(f_s).data().to_vec();
-            let (qs, ds) = if cfg.candidate_guided_correspondence {
-                select_correspondence(&fq_vals, &fs_vals, local_cs)
-            } else {
-                select_correspondence_unconstrained(&fq_vals, &fs_vals)
-            };
-            if qs.is_empty() {
-                return None;
-            }
-            Some(wasserstein_loss(tape, f_q, f_s, &qs, &ds))
-        }
+    match model.config.metric {
+        // Critic scores with current ω (ω grads discarded at step time).
+        DiscriminatorMetric::Wasserstein => critic_loss(model, tape, out.h_q, out.h_sub, local_cs),
         metric => {
             let (qs, ds) =
                 select_nearest_pairs(tape.value(out.h_q), tape.value(out.h_sub), local_cs, metric);
@@ -619,6 +599,32 @@ fn adversarial_term(
             Some(metric_loss(tape, out.h_q, out.h_sub, &qs, &ds, metric))
         }
     }
+}
+
+/// `L_w` between the critic's scores of `h_q` and `h_sub` over the chosen
+/// correspondence (candidate-guided or unconstrained, as configured).
+/// `None` without a critic or without a correspondence pair.
+fn critic_loss(
+    model: &NeurSc,
+    tape: &mut Tape,
+    h_q: Var,
+    h_sub: Var,
+    local_cs: &[Vec<u32>],
+) -> Option<Var> {
+    let disc = model.disc.as_ref()?;
+    let f_q = disc.score(tape, &model.store, h_q);
+    let f_s = disc.score(tape, &model.store, h_sub);
+    let fq_vals: Vec<f32> = tape.value(f_q).data().to_vec();
+    let fs_vals: Vec<f32> = tape.value(f_s).data().to_vec();
+    let (qs, ds) = if model.config.candidate_guided_correspondence {
+        select_correspondence(&fq_vals, &fs_vals, local_cs)
+    } else {
+        select_correspondence_unconstrained(&fq_vals, &fs_vals)
+    };
+    if qs.is_empty() {
+        return None;
+    }
+    Some(wasserstein_loss(tape, f_q, f_s, &qs, &ds))
 }
 
 /// One critic ascent step on detached representations: maximize `L_w`
@@ -631,25 +637,15 @@ fn train_discriminator_once(
     disc_params: &[neursc_nn::ParamId],
     opt_disc: &mut Adam,
 ) {
-    let Some(disc) = model.disc.as_ref() else {
+    let Some(clamp) = model.disc.as_ref().map(|d| d.clamp) else {
         return;
     };
     let mut tape = Tape::new();
     let hq = tape.constant(hq_val.clone());
     let hs = tape.constant(hs_val.clone());
-    let f_q = disc.score(&mut tape, &model.store, hq);
-    let f_s = disc.score(&mut tape, &model.store, hs);
-    let fq_vals: Vec<f32> = tape.value(f_q).data().to_vec();
-    let fs_vals: Vec<f32> = tape.value(f_s).data().to_vec();
-    let (qs, ds) = if model.config.candidate_guided_correspondence {
-        select_correspondence(&fq_vals, &fs_vals, local_cs)
-    } else {
-        select_correspondence_unconstrained(&fq_vals, &fs_vals)
-    };
-    if qs.is_empty() {
+    let Some(lw) = critic_loss(model, &mut tape, hq, hs, local_cs) else {
         return;
-    }
-    let lw = wasserstein_loss(&mut tape, f_q, f_s, &qs, &ds);
+    };
     let neg = tape.neg(lw);
     // Use a dedicated grad pass: zero, backward, step ω, clamp, re-zero.
     model.store.zero_grads();
@@ -658,7 +654,6 @@ fn train_discriminator_once(
     // step changes them, or each would be copied first.
     drop(tape);
     opt_disc.step_subset(&mut model.store, disc_params);
-    let clamp = disc.clamp;
     neursc_nn::optim::clamp_params(&mut model.store, disc_params, -clamp, clamp);
     model.store.zero_grads();
 }
@@ -850,69 +845,20 @@ pub fn prepare_query_perfect(
     truth: u64,
     oracle_budget: u64,
 ) -> Result<PreparedQuery, NeurScError> {
-    validate_query(q, cfg)?;
+    validate_query(q, &cfg.budget)?;
     let Some(matched) = neursc_match::enumerate::matched_vertex_set(q, g, oracle_budget) else {
         return prepare_query_with(q, g, cfg, truth, &GraphContext::new()); // oracle too expensive
     };
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x7065_7266);
-    let x_q = init_features(q, &cfg.features);
-    let q_edges = EdgeList::from_graph(q);
-    if matched.is_empty() {
-        return Ok(PreparedQuery {
-            x_q,
-            q_edges,
-            subs: Vec::new(),
-            truth,
-            trivially_zero: true,
-            degraded: false,
-            report: PipelineReport::default(),
-        });
+    // Candidates restricted to the matched vertices. Filtering is complete,
+    // so their union is exactly the matched set, and every component of the
+    // substructure induced on it hosts a whole embedding: extraction's size
+    // skip rule never fires, and nothing is truncated.
+    let mut cs = neursc_match::filter_candidates(q, g, &cfg.filter);
+    for set in &mut cs.sets {
+        set.retain(|v| matched.binary_search(v).is_ok());
     }
-    // Perfect substructure(s): induced on the matched set, split into
-    // components; candidates restricted to the matched vertices.
-    let cs = neursc_match::filter_candidates(q, g, &cfg.filter);
-    let induced = neursc_graph::induced::induced_subgraph(g, &matched);
-    let comps = neursc_graph::induced::connected_components(&induced.graph);
-    let mut subs = Vec::new();
-    for comp in comps {
-        let origin: Vec<u32> = comp
-            .origin
-            .iter()
-            .map(|&mid| induced.origin[mid as usize])
-            .collect();
-        let local_cs: Vec<Vec<u32>> = cs
-            .sets
-            .iter()
-            .map(|set| {
-                set.iter()
-                    .filter_map(|&v| origin.binary_search(&v).ok().map(|i| i as u32))
-                    .collect()
-            })
-            .collect();
-        let sub = crate::extraction::Substructure {
-            graph: comp.graph,
-            origin,
-            local_cs,
-        };
-        if !sub.covers_all() {
-            continue;
-        }
-        subs.push(PreparedSub {
-            x: init_features(&sub.graph, &cfg.features),
-            edges: EdgeList::from_graph(&sub.graph),
-            gb: build_bipartite_edges(q, &sub, &mut rng),
-            local_cs: sub.local_cs,
-        });
-    }
-    Ok(PreparedQuery {
-        x_q,
-        q_edges,
-        subs,
-        truth,
-        trivially_zero: false,
-        degraded: false,
-        report: PipelineReport::default(),
-    })
+    let ex = extract_from_candidates(q, g, None, cs, false, PipelineReport::default());
+    Ok(prepared_from_extraction(q, cfg, &ex, truth, 0x7065_7266))
 }
 
 #[cfg(test)]

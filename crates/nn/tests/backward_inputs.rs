@@ -9,7 +9,7 @@
 //! live all the way down), and every model parameter must receive
 //! bit-equal gradients from both.
 
-use neursc_core::loss::{count_loss, CountLossMode};
+use neursc_core::loss::count_loss;
 use neursc_core::train::{prepare_query_with, PreparedQuery};
 use neursc_core::west::{clamp_max, log1p_signed, LOG_COUNT_CAP};
 use neursc_core::{GraphContext, NeurSc, NeurScConfig};
@@ -111,18 +111,8 @@ fn model_gradients_do_not_depend_on_inputs_being_parameters() {
         let real_z = tape.value(real.log_count).item();
         assert_eq!(const_tape.value(z).item().to_bits(), real_z.to_bits());
     }
-    let const_loss = count_loss(
-        &mut const_tape,
-        &const_zs,
-        pq.truth,
-        CountLossMode::LogQError,
-    );
-    let param_loss = count_loss(
-        &mut param_tape,
-        &param_zs,
-        pq.truth,
-        CountLossMode::LogQError,
-    );
+    let const_loss = count_loss(&mut const_tape, &const_zs, pq.truth);
+    let param_loss = count_loss(&mut param_tape, &param_zs, pq.truth);
     const_tape.backward(const_loss, &mut const_store);
     param_tape.backward(param_loss, &mut param_store);
 

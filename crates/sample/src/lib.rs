@@ -1,9 +1,9 @@
 //! `neursc-sample` — a filtering–sampling cardinality estimator backend.
 //!
 //! A model-free alternative to WEst in the style of FaSTest (Shin & Song,
-//! arXiv:2309.15433): reuse the *same* GraphQL candidate filtering the
-//! neural pipeline runs (`neursc_match`), then estimate the count by
-//! drawing partial embeddings **from the filtered candidate sets** and
+//! arXiv:2309.15433): run the *same* GraphQL candidate filtering stage as
+//! the neural pipeline ([`neursc_core::filter_stage`]), then estimate the
+//! count by drawing partial embeddings **from the filtered candidate sets** and
 //! scaling each completed draw by the inverse of its sampling probability
 //! (Horvitz–Thompson). Because filtering is complete — no true match is
 //! ever dropped, even under a degraded refinement budget — the estimator
@@ -69,11 +69,14 @@
 use neursc_core::estimator::{ConfidenceInterval, Estimator};
 use neursc_core::obs::{PipelineReport, Span};
 use neursc_core::parallel::parallel_map_indexed;
-use neursc_core::{EstimateDetail, GraphContext, NeurScConfig, NeurScError, ResourceBudget};
+use neursc_core::{
+    filter_stage, validate_query, EstimateDetail, GraphContext, NeurScConfig, NeurScError,
+    ResourceBudget,
+};
 use neursc_graph::types::VertexId;
 use neursc_graph::Graph;
 use neursc_match::ordering::{build_order, MatchingOrder};
-use neursc_match::{filter_candidates_budgeted, CandidateSets, FilterBudget, FilterConfig};
+use neursc_match::{CandidateSets, FilterBudget, FilterConfig};
 use rand::rngs::StdRng;
 use rand::{splitmix64, SeedableRng};
 
@@ -238,22 +241,7 @@ impl Estimator for SampleEstimator {
     }
 
     fn validate(&self, q: &Graph) -> Result<(), NeurScError> {
-        if q.n_vertices() == 0 {
-            return Err(NeurScError::InvalidQuery {
-                reason: "query has no vertices".into(),
-            });
-        }
-        if let Some(cap) = self.config.budget.max_query_vertices {
-            if q.n_vertices() > cap {
-                return Err(NeurScError::Budget {
-                    detail: format!(
-                        "query has {} vertices, max_query_vertices is {cap}",
-                        q.n_vertices()
-                    ),
-                });
-            }
-        }
-        Ok(())
+        validate_query(q, &self.config.budget)
     }
 
     fn warm(&self, g: &Graph, ctx: &GraphContext) {
@@ -269,18 +257,8 @@ impl Estimator for SampleEstimator {
         threads: usize,
         _sub_lanes: bool,
     ) -> Result<EstimateDetail, NeurScError> {
-        let (profiles, cache_hit) = ctx.profiles_for(g, self.config.filter.profile_radius);
         let fb = budget.unwrap_or_else(|| self.config.budget.filter_budget());
-        let filter_span = Span::enter("filter.candidates");
-        let (fo, stages) = filter_candidates_budgeted(q, g, &self.config.filter, &profiles, &fb)?;
-        drop(filter_span);
-        let report = PipelineReport {
-            local_prune_ns: stages.local_prune_ns,
-            refine_ns: stages.refine_ns,
-            filter_steps: fo.steps,
-            profile_cache_hit: cache_hit,
-            ..PipelineReport::default()
-        };
+        let (fo, report) = filter_stage(q, g, &self.config.filter, ctx, &fb)?;
         self.sample_filtered(
             q,
             g,

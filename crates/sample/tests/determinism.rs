@@ -2,12 +2,15 @@
 //! produces byte-identical estimates and intervals at any thread count,
 //! and the batch entry point contains per-item faults exactly like WEst.
 
-use neursc_core::{Estimator, FaultPlan, GraphContext, NeurScError};
+use neursc_core::{
+    Estimator, FaultPlan, GraphContext, NeurSc, NeurScConfig, NeurScError, ObsSink, Recorder,
+};
 use neursc_graph::generate::erdos_renyi;
 use neursc_graph::sample::{sample_query, QuerySampler};
 use neursc_graph::Graph;
 use neursc_sample::{SampleConfig, SampleEstimator};
 use rand::SeedableRng;
+use std::sync::Arc;
 
 fn workload(seed: u64) -> (Graph, Vec<Graph>) {
     let g = erdos_renyi(120, 360, 4, seed);
@@ -114,4 +117,41 @@ fn different_seeds_give_different_draws_same_seed_gives_same() {
         any_differ |= a.count.to_bits() != c.count.to_bits();
     }
     assert!(any_differ, "seed 1 and seed 2 agreed on every query");
+}
+
+/// The child span names under each `filter.candidates` span `est` emits
+/// while estimating `q`.
+fn filter_subtrees(est: &impl Estimator, q: &Graph, g: &Graph) -> Vec<Vec<&'static str>> {
+    let rec = Arc::new(Recorder::new());
+    let sink: Arc<dyn ObsSink> = rec.clone();
+    est.estimate_detailed_with(q, g, &GraphContext::with_obs(sink))
+        .unwrap();
+    let spans = rec.spans();
+    spans
+        .iter()
+        .filter(|f| f.name == "filter.candidates")
+        .map(|f| {
+            spans
+                .iter()
+                .filter(|c| c.lane == f.lane && c.parent == Some(f.seq))
+                .map(|c| c.name)
+                .collect()
+        })
+        .collect()
+}
+
+#[test]
+fn filtering_is_traced_with_the_same_subtree_as_west() {
+    let (g, queries) = workload(29);
+    let cfg = NeurScConfig::small();
+    let west = NeurSc::new(cfg.clone(), 29);
+    let sample = SampleEstimator::new(SampleConfig::from_model_config(&cfg).with_trials(64));
+    for q in &queries[..4] {
+        let got = filter_subtrees(&sample, q, &g);
+        assert!(!got.is_empty(), "no filter.candidates span");
+        for children in &got {
+            assert_eq!(children, &["filter.local_prune", "filter.refine"]);
+        }
+        assert_eq!(got, filter_subtrees(&west, q, &g));
+    }
 }

@@ -16,12 +16,12 @@ set -euo pipefail
 cd "${1:-$(dirname "$0")/..}"
 
 DOCS=(README.md DESIGN.md KNOWN_ISSUES.md EXPERIMENTS.md)
-# Flags the CLI's USAGE does not list: cargo's, the benchmark driver's
-# (benchmarks/src/main.rs), and the two a serve supervisor passes to its
-# worker (the `serve` row of COMMANDS in src/bin/neursc_cli.rs).
+# Flags the CLI's USAGE does not list: cargo's and libtest's, the benchmark
+# driver's (benchmarks/src/main.rs), and the two a serve supervisor passes
+# to its worker (the `serve` row of COMMANDS in src/bin/neursc_cli.rs).
 ALLOWED_FLAGS=(
-    --bench --bin --doc --example --ignored --lib --manifest-path --offline
-    --release --test --workspace
+    --bench --bin --doc --example --ignored --lib --manifest-path --nocapture
+    --offline --release --test --workspace
     --repeat --seconds --smoke --trace --workload
     --quarantine --restart-count
 )
