@@ -32,7 +32,8 @@ use crate::model::NeurSc;
 use crate::obs::{ObsSink, PipelineReport, Span};
 use crate::west::WestOutput;
 use neursc_gnn::{init_features, EdgeList};
-use neursc_graph::Graph;
+use neursc_graph::induced::InducedComponents;
+use neursc_graph::{Graph, VertexId};
 use neursc_match::FilterBudget;
 use neursc_nn::optim::Adam;
 use neursc_nn::{ParamId, Tape, Tensor, Var};
@@ -143,14 +144,27 @@ pub fn prepare_query_budgeted(
             report: PipelineReport::default(),
         });
     }
-    // Extraction's component-split count arithmetic (skip rule,
-    // `covers_all`) assumes every embedding lives inside one connected
-    // substructure — true only for connected queries. Estimation entry
-    // points split disconnected queries into components *before* preparing
-    // (paper §6.1, `Estimator::estimate_routed`); reaching here with one is
-    // a caller error, reported as a typed rejection rather than silently
-    // producing an unsound preparation.
-    let n_components = neursc_graph::induced::connected_components(q).len();
+    reject_disconnected(q)?;
+    let ex = crate::extraction::extract_substructures_budgeted(q, g, cfg, ctx, budget)?;
+    Ok(prepared_from_extraction(
+        q,
+        cfg,
+        ex,
+        truth,
+        0x6e75_7263_7363,
+    ))
+}
+
+/// Extraction's component-split count arithmetic (skip rule, `covers_all`)
+/// assumes every embedding lives inside one connected substructure — true
+/// only for connected queries. Estimation entry points split disconnected
+/// queries into components *before* preparing (paper §6.1,
+/// `Estimator::estimate_routed`); reaching extraction with one is a caller
+/// error, reported as a typed rejection rather than silently producing an
+/// unsound preparation.
+fn reject_disconnected(q: &Graph) -> Result<(), NeurScError> {
+    let all: Vec<VertexId> = q.vertices().collect();
+    let n_components = InducedComponents::new(q, &all).len();
     if n_components > 1 {
         return Err(NeurScError::InvalidQuery {
             reason: format!(
@@ -160,14 +174,7 @@ pub fn prepare_query_budgeted(
             ),
         });
     }
-    let ex = crate::extraction::extract_substructures_budgeted(q, g, cfg, ctx, budget)?;
-    Ok(prepared_from_extraction(
-        q,
-        cfg,
-        &ex,
-        truth,
-        0x6e75_7263_7363,
-    ))
+    Ok(())
 }
 
 /// Featurizes an [`Extraction`] into a [`PreparedQuery`] — the tail of
@@ -176,25 +183,25 @@ pub fn prepare_query_budgeted(
 fn prepared_from_extraction(
     q: &Graph,
     cfg: &NeurScConfig,
-    ex: &Extraction,
+    ex: Extraction,
     truth: u64,
     salt: u64,
 ) -> PreparedQuery {
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ salt);
     let x_q = init_features(q, &cfg.features);
     let q_edges = EdgeList::from_graph(q);
-    let mut report = ex.report.clone();
+    let mut report = ex.report;
     let subs = {
         let _sp = Span::enter("extract.featurize");
         let t0 = std::time::Instant::now();
         let subs: Vec<PreparedSub> = ex
             .substructures
-            .iter()
+            .into_iter()
             .map(|s| PreparedSub {
                 x: init_features(&s.graph, &cfg.features),
                 edges: EdgeList::from_graph(&s.graph),
-                gb: build_bipartite_edges(q, s, &mut rng),
-                local_cs: s.local_cs.clone(),
+                gb: build_bipartite_edges(q, &s, &mut rng),
+                local_cs: s.local_cs,
             })
             .collect();
         report.featurize_ns = t0.elapsed().as_nanos() as u64;
@@ -837,7 +844,8 @@ mod tests {
 /// vertices participating in ground-truth matches, instead of the filtered
 /// candidate union. Falls back to regular extraction when the enumeration
 /// exceeds `oracle_budget` — this is why the paper calls the variant "time
-/// consuming to obtain".
+/// consuming to obtain". A disconnected query is an `InvalidQuery` error
+/// whatever the budget, as in [`prepare_query_budgeted`].
 pub fn prepare_query_perfect(
     q: &Graph,
     g: &Graph,
@@ -846,6 +854,7 @@ pub fn prepare_query_perfect(
     oracle_budget: u64,
 ) -> Result<PreparedQuery, NeurScError> {
     validate_query(q, &cfg.budget)?;
+    reject_disconnected(q)?;
     let Some(matched) = neursc_match::enumerate::matched_vertex_set(q, g, oracle_budget) else {
         return prepare_query_with(q, g, cfg, truth, &GraphContext::new()); // oracle too expensive
     };
@@ -858,7 +867,7 @@ pub fn prepare_query_perfect(
         set.retain(|v| matched.binary_search(v).is_ok());
     }
     let ex = extract_from_candidates(q, g, None, cs, false, PipelineReport::default());
-    Ok(prepared_from_extraction(q, cfg, &ex, truth, 0x7065_7266))
+    Ok(prepared_from_extraction(q, cfg, ex, truth, 0x7065_7266))
 }
 
 #[cfg(test)]
@@ -896,6 +905,25 @@ mod perfect_tests {
         let q = neursc_graph::Graph::from_edges(2, &[0, 42], &[(0, 1)]).unwrap();
         let pq = prepare_query_perfect(&q, &g, &NeurScConfig::small(), 0, 1_000_000).unwrap();
         assert!(pq.trivially_zero);
+    }
+
+    #[test]
+    fn perfect_rejects_a_disconnected_query_at_any_oracle_budget() {
+        // A triangle and a separate edge: two components, five vertices.
+        let q =
+            neursc_graph::Graph::from_edges(5, &[0, 1, 0, 1, 0], &[(0, 1), (1, 2), (0, 2), (3, 4)])
+                .unwrap();
+        let cfg = NeurScConfig::small();
+        for seed in 1..=5 {
+            let g = erdos_renyi(40, 70, 2, seed);
+            for oracle_budget in [100_000_000, 0] {
+                let r = prepare_query_perfect(&q, &g, &cfg, 0, oracle_budget);
+                assert!(
+                    matches!(r, Err(NeurScError::InvalidQuery { .. })),
+                    "seed {seed}, oracle budget {oracle_budget}: prepared a disconnected query"
+                );
+            }
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! neighborhood ring) the feature dimension is 64 — the paper's `dim_0`.
 
 use neursc_graph::traversal::khop_rings;
-use neursc_graph::Graph;
+use neursc_graph::{Graph, VertexId};
 use neursc_nn::Tensor;
 
 /// Configuration of the Eq. 1 feature encoder.
@@ -93,29 +93,44 @@ pub fn init_features(g: &Graph, cfg: &FeatureConfig) -> Tensor {
     let mut pooled = vec![0.0f32; unit];
     for v in g.vertices() {
         // The 1-hop ring is the adjacency list itself (sorted, no self
-        // loop); `khop_rings` would run a BFS and an `O(n)` scan per vertex.
-        let rings = match cfg.k_hops {
-            1 => vec![g.neighbors(v).to_vec()],
-            k => khop_rings(g, v, k),
-        };
-        for (i, ring) in rings.iter().enumerate() {
-            if ring.is_empty() {
-                continue; // mean over an empty ring stays zero
-            }
-            pooled.fill(0.0);
-            for &u in ring {
-                for (s, &b) in pooled.iter_mut().zip(&x.row(u as usize)[..unit]) {
-                    *s += b;
-                }
-            }
-            let inv = 1.0 / ring.len() as f32;
-            let seg = &mut x.row_mut(v as usize)[unit * (1 + i)..unit * (2 + i)];
-            for (o, &s) in seg.iter_mut().zip(&pooled) {
-                *o = s * inv;
+        // loop), pooled in place; `khop_rings` would run a BFS and an
+        // `O(n)` scan per vertex.
+        if cfg.k_hops == 1 {
+            pool_ring(&mut x, v, 0, g.neighbors(v), unit, &mut pooled);
+        } else {
+            for (i, ring) in khop_rings(g, v, cfg.k_hops).iter().enumerate() {
+                pool_ring(&mut x, v, i, ring, unit, &mut pooled);
             }
         }
     }
     x
+}
+
+/// Writes ring `i` of `v` — the mean of the `unit`-wide own encodings of
+/// `ring`'s vertices — into `v`'s segment `1 + i`. An empty ring's mean
+/// stays zero.
+fn pool_ring(
+    x: &mut Tensor,
+    v: VertexId,
+    i: usize,
+    ring: &[VertexId],
+    unit: usize,
+    pooled: &mut [f32],
+) {
+    if ring.is_empty() {
+        return;
+    }
+    pooled.fill(0.0);
+    for &u in ring {
+        for (s, &b) in pooled.iter_mut().zip(&x.row(u as usize)[..unit]) {
+            *s += b;
+        }
+    }
+    let inv = 1.0 / ring.len() as f32;
+    let seg = &mut x.row_mut(v as usize)[unit * (1 + i)..unit * (2 + i)];
+    for (o, &s) in seg.iter_mut().zip(pooled.iter()) {
+        *o = s * inv;
+    }
 }
 
 #[cfg(test)]

@@ -157,16 +157,33 @@ impl Graph {
                 }
             }
         }
-        let n_labels = labels.iter().map(|&l| l as usize + 1).max().unwrap_or(0);
         let max_degree = offsets.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
-        Ok(Graph {
+        Ok(Graph::from_sorted_rows(
+            labels, offsets, neighbors, max_degree,
+        ))
+    }
+
+    /// Wraps CSR arrays that already hold every invariant
+    /// [`Graph::check_invariants`] checks (rows sorted, duplicate-free,
+    /// symmetric, in range, no self-loop); `max_degree` is the longest
+    /// row. Checked in debug builds only.
+    pub(crate) fn from_sorted_rows(
+        labels: Vec<Label>,
+        offsets: Vec<usize>,
+        neighbors: Vec<VertexId>,
+        max_degree: usize,
+    ) -> Graph {
+        let n_labels = labels.iter().map(|&l| l as usize + 1).max().unwrap_or(0);
+        let g = Graph {
             offsets,
             neighbors,
             labels,
             n_labels,
             max_degree,
             fingerprint: OnceLock::new(),
-        })
+        };
+        debug_assert!(g.check_invariants());
+        g
     }
 
     /// Number of vertices `|V|`.
@@ -422,17 +439,7 @@ pub(crate) fn csr_from_edges(labels: Vec<Label>, edges: &[(VertexId, VertexId)])
         neighbors.truncate(kept);
         neighbors.shrink_to_fit();
     }
-    let n_labels = labels.iter().map(|&l| l as usize + 1).max().unwrap_or(0);
-    let g = Graph {
-        offsets,
-        neighbors,
-        labels,
-        n_labels,
-        max_degree,
-        fingerprint: OnceLock::new(),
-    };
-    debug_assert!(g.check_invariants());
-    g
+    Graph::from_sorted_rows(labels, offsets, neighbors, max_degree)
 }
 
 #[cfg(test)]

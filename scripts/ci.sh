@@ -59,10 +59,12 @@ cargo test -q --release -p neursc-nn --lib -- --ignored sigmoid_tier_matches_sta
 # opt-level that ships; in debug a query is slow enough to hide a costly span.
 cargo test -q --release -p neursc-core --test train_golden --test parallel_determinism \
     --test obs_overhead
-# The two process-wide memory tests: a warm estimate allocates no tensor
-# storage, a warm training step faults in no new pages. Allocation and
-# page reuse must hold at the optimisation level the benchmark measures.
-cargo test -q --release -p neursc-core --test warm_estimate_memory --test train_steady_memory
+# The process-wide memory tests: a warm estimate allocates no tensor
+# storage, a warm training step faults in no new pages, a component
+# extraction skips allocates nothing. Allocation and page reuse must hold
+# at the optimisation level the benchmark measures.
+cargo test -q --release -p neursc-core --test warm_estimate_memory --test train_steady_memory \
+    --test extraction_allocations
 cargo test -q --release -p neursc-baselines --test train_golden
 
 echo "== benchmark crate (builds against the public surface, smoke run) =="

@@ -10,7 +10,7 @@
 # (KNOWN_ISSUES.md, "A tight loop can tie a build's speed to its code
 # placement").
 #
-# Usage: scripts/layout_check.sh <workload> [builds=4] [functions=<the four below>]
+# Usage: scripts/layout_check.sh <workload> [builds=4] [functions=<the list below>]
 #
 #   <workload>   one of BENCHMARK.json's workloads
 #   [builds]     how many copies to build; add builds until the addresses
@@ -23,7 +23,13 @@
 #                local_pruning_metered), and the two
 #                AVX-512 matmul kernels (quad_matmul_avx512,
 #                row_matmul_avx512) with the function their zero-step
-#                variants are inlined into (matmul_rows_listed_avx512)
+#                variants are inlined into (matmul_rows_listed_avx512),
+#                and the loops of substructure preparation: the component
+#                DFS and the CSR writer of graph::induced
+#                (InducedComponents3new, InducedComponents5build), the
+#                skip and localisation passes (extract_from_candidates),
+#                the G_B connector (build_bipartite_edges) and Eq. 1's
+#                ring pooling (pool_ring)
 #
 # Copies go under ${TMPDIR:-/tmp} (without target directories and .git),
 # each with its own CARGO_TARGET_DIR, and are removed on exit. Every build
@@ -37,13 +43,13 @@
 set -euo pipefail
 
 if [[ $# -lt 1 || $# -gt 3 ]]; then
-    sed -n '2,36p' "$0" | sed 's/^# \{0,1\}//'
+    sed -n '2,42p' "$0" | sed 's/^# \{0,1\}//'
     exit 2
 fi
 repo=$(cd "$(dirname "$0")/.." && pwd)
 workload=$1
 builds=${2:-4}
-functions=${3:-global_refinement_metered,left_saturated,local_pruning_metered,quad_matmul_avx512,row_matmul_avx512,matmul_rows_listed_avx512}
+functions=${3:-global_refinement_metered,left_saturated,local_pruning_metered,quad_matmul_avx512,row_matmul_avx512,matmul_rows_listed_avx512,InducedComponents3new,InducedComponents5build,extract_from_candidates,build_bipartite_edges,pool_ring}
 command -v python3 >/dev/null || { echo "layout_check.sh needs python3 (JSON)" >&2; exit 2; }
 command -v nm >/dev/null || { echo "layout_check.sh needs nm (binutils)" >&2; exit 2; }
 
