@@ -40,6 +40,7 @@ use neursc_nn::{ParamId, Tape, Tensor, Var};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 /// One substructure, featurized and ready for the GNNs.
 #[derive(Debug, Clone)]
@@ -292,11 +293,14 @@ impl PartialEq for TrainReport {
 /// Best-checkpoint snapshot + non-finite detection across epochs.
 ///
 /// Seeded with the *initial* parameters at loss `+∞`, so even a run that
-/// diverges in its very first epoch rolls back to finite weights.
+/// diverges in its very first epoch rolls back to finite weights. A
+/// snapshot shares the store's tensors instead of copying them: the store
+/// copies a value only when it next changes while a snapshot still holds
+/// it, and a snapshot that no step outlives costs no copy at all.
 struct DivergenceGuard {
     params: Vec<ParamId>,
     best_loss: f64,
-    best_snapshot: Vec<Tensor>,
+    best_snapshot: Vec<Arc<Tensor>>,
     diverged_at: Option<usize>,
     diverged_loss: f64,
     rolled_back: bool,
@@ -308,7 +312,7 @@ impl DivergenceGuard {
         let params: Vec<ParamId> = model.store.ids().collect();
         let best_snapshot = params
             .iter()
-            .map(|&p| model.store.value(p).clone())
+            .map(|&p| model.store.shared_value(p))
             .collect();
         DivergenceGuard {
             params,
@@ -334,7 +338,7 @@ impl DivergenceGuard {
             self.diverged_at = Some(self.epoch);
             self.diverged_loss = epoch_loss;
             for (&p, snap) in self.params.iter().zip(&self.best_snapshot) {
-                *model.store.value_mut(p) = snap.clone();
+                *model.store.value_mut(p) = (**snap).clone();
             }
             self.rolled_back = true;
             return true;
@@ -344,7 +348,7 @@ impl DivergenceGuard {
             self.best_snapshot = self
                 .params
                 .iter()
-                .map(|&p| model.store.value(p).clone())
+                .map(|&p| model.store.shared_value(p))
                 .collect();
         }
         self.epoch += 1;
@@ -362,7 +366,7 @@ impl DivergenceGuard {
 pub fn run_training(
     model: &mut NeurSc,
     prepared: &[PreparedQuery],
-    sink: &std::sync::Arc<dyn ObsSink>,
+    sink: &Arc<dyn ObsSink>,
 ) -> TrainReport {
     crate::obs::scope(sink, crate::obs::lane::ROOT, || {
         keep_freed_heap();
@@ -389,18 +393,24 @@ pub fn run_training(
 
         let est_params = model.west.params();
         let disc_params = model.disc.as_ref().map(|d| d.params()).unwrap_or_default();
-        let mut opt_est = Adam::new(cfg.lr_est);
-        let mut opt_disc = Adam::new(cfg.lr_disc);
+        let (mut opt_est, mut opt_disc, mut guard, mut acc) = {
+            let _sp = Span::enter("train.setup");
+            (
+                Adam::new(cfg.lr_est),
+                Adam::new(cfg.lr_disc),
+                DivergenceGuard::new(model),
+                // One accumulator for the run: `step` leaves it zeroed for
+                // the next batch.
+                GradAccum::new(model, &est_params),
+            )
+        };
         let mut final_loss = f64::NAN;
-        let mut guard = DivergenceGuard::new(model);
         let mut pre_done = 0;
         let mut adv_done = 0;
         let mut stopped = false;
         let mut epoch_losses = Vec::with_capacity(cfg.pretrain_epochs + cfg.adversarial_epochs);
 
         let mut order: Vec<usize> = (0..usable.len()).collect();
-        // One accumulator for the run: `step` leaves it zeroed for the next batch.
-        let mut acc = GradAccum::new(model, &est_params);
         // Phase 1 is count-loss pre-training; phase 2 is adversarial
         // fine-tuning (Algorithm 3), the same epoch plus the critic.
         for (phase, epochs, adversarial) in [
@@ -425,7 +435,7 @@ pub fn run_training(
                         };
 
                         // Lines 10–12: critic updates on detached representations
-                        // (these zero/overwrite store grads; θ grads live in `acc`).
+                        // (they write only ω's gradient slots).
                         if adversarial && cfg.uses_discriminator() {
                             let _disc_sp = Span::enter("train.discriminator");
                             for (out, sub) in outs.iter().zip(&pq.subs) {
@@ -447,26 +457,35 @@ pub fn run_training(
 
                         // Lines 13–15: joint loss for θ (the count loss alone
                         // while pre-training).
-                        let lc = count_loss(&mut tape, &zs, pq.truth);
-                        epoch_loss += tape.value(lc).item() as f64;
-                        let total = if adversarial {
-                            joint_loss(model, &mut tape, lc, &outs, &pq.subs)
-                        } else {
-                            lc
+                        let total = {
+                            let _sp = Span::enter("train.loss");
+                            let lc = count_loss(&mut tape, &zs, pq.truth);
+                            epoch_loss += tape.value(lc).item() as f64;
+                            let total = if adversarial {
+                                joint_loss(model, &mut tape, lc, &outs, &pq.subs)
+                            } else {
+                                lc
+                            };
+                            // A non-finite loss has no usable gradient; a
+                            // poisoned epoch total is caught by the guard.
+                            (tape.value(total).item() as f64)
+                                .is_finite()
+                                .then_some(total)
                         };
-                        if !(tape.value(total).item() as f64).is_finite() {
-                            // A non-finite loss has no usable gradient; a poisoned
-                            // epoch total is caught by the guard.
-                            continue;
+                        let _sp = Span::enter("train.backward");
+                        if let Some(total) = total {
+                            model.store.zero_grads();
+                            tape.backward(total, &mut model.store);
+                            // The loss bound ω as constants: the store holds
+                            // θ gradients only.
+                            acc.absorb(model);
                         }
-                        model.store.zero_grads();
-                        tape.backward(total, &mut model.store);
-                        // Only θ gradients are absorbed; ω gradients from L_w are
-                        // dropped (ω is stepped exclusively by its own optimizer).
-                        acc.absorb(model);
+                        drop(tape);
                     }
+                    let _sp = Span::enter("train.optim");
                     acc.step(model, &mut opt_est, cfg.grad_clip, sink.as_ref());
                 }
+                let _sp = Span::enter("train.guard");
                 final_loss = epoch_loss / usable.len() as f64;
                 epoch_losses.push(final_loss);
                 sink.gauge_set("train.epoch_loss", final_loss);
@@ -595,8 +614,12 @@ fn adversarial_term(
     local_cs: &[Vec<u32>],
 ) -> Option<Var> {
     match model.config.metric {
-        // Critic scores with current ω (ω grads discarded at step time).
-        DiscriminatorMetric::Wasserstein => critic_loss(model, tape, out.h_q, out.h_sub, local_cs),
+        // The critic scores with its current ω, bound as constants: ω is
+        // stepped by its own optimizer only, so θ's backward computes no
+        // gradient for it.
+        DiscriminatorMetric::Wasserstein => {
+            tape.frozen(|tape| critic_loss(model, tape, out.h_q, out.h_sub, local_cs))
+        }
         metric => {
             let (qs, ds) =
                 select_nearest_pairs(tape.value(out.h_q), tape.value(out.h_sub), local_cs, metric);
@@ -654,20 +677,26 @@ fn train_discriminator_once(
         return;
     };
     let neg = tape.neg(lw);
-    // Use a dedicated grad pass: zero, backward, step ω, clamp, re-zero.
-    model.store.zero_grads();
+    // A dedicated grad pass over ω's slots alone: zero them, backward, step
+    // ω, clamp. The representations are constants, so no other slot is
+    // written; θ's loop zeroes every slot before its own backward.
+    for &p in disc_params {
+        model.store.grad_mut(p).fill(0.0);
+    }
     tape.backward(neg, &mut model.store);
     // The tape shares ω's values with the store; let go of them before the
     // step changes them, or each would be copied first.
     drop(tape);
     opt_disc.step_subset(&mut model.store, disc_params);
     neursc_nn::optim::clamp_params(&mut model.store, disc_params, -clamp, clamp);
-    model.store.zero_grads();
 }
 
-/// Out-of-store gradient accumulator for the estimation parameters: keeps
-/// θ gradients safe while the critic's interleaved updates clobber the
-/// store's gradient slots.
+/// Out-of-store gradient accumulator for the estimation parameters: each
+/// query's θ gradient is completed in the store's slots (one deposit per
+/// bind), then added into a buffer of its own that began at `+0.0`.
+/// Summing a batch's deposits straight into the slots would add each
+/// bind's deposit onto the running batch sum instead — another
+/// association, other bits.
 struct GradAccum {
     params: Vec<neursc_nn::ParamId>,
     bufs: Vec<Tensor>,
@@ -820,6 +849,54 @@ mod tests {
         assert_eq!(report.skipped_queries, 1);
         assert!(report.final_loss.is_nan());
         assert_eq!(report.pretrain_epochs, 0);
+    }
+
+    /// The spans inside `train.epoch` account for it, as
+    /// `core.stage_coverage` does for an estimate: summed over every epoch
+    /// of a run with both phases and the critic, its direct children cover
+    /// at least nine tenths of its wall time.
+    #[test]
+    fn epoch_children_cover_the_epoch() {
+        use crate::obs::{ObsSink, Recorder};
+        let g = erdos_renyi(100, 300, 3, 10);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(10);
+        let mut labeled = Vec::new();
+        while labeled.len() < 6 {
+            let q = sample_query(&g, &QuerySampler::induced(4), &mut rng).unwrap();
+            if let Some(c) = count_embeddings(&q, &g, 50_000_000).exact() {
+                labeled.push((q, c));
+            }
+        }
+        let rec = Arc::new(Recorder::new());
+        let sink: Arc<dyn ObsSink> = rec.clone();
+        let mut model = NeurSc::new(quick_cfg(), 10);
+        model
+            .fit_with(&g, &labeled, &GraphContext::with_obs(sink))
+            .unwrap();
+        let spans = rec.spans();
+        let (mut epochs, mut children, mut n) = (0u64, 0u64, 0);
+        for ep in spans.iter().filter(|s| s.name == "train.epoch") {
+            n += 1;
+            epochs += ep.dur_ns;
+            children += spans
+                .iter()
+                .filter(|s| s.lane == ep.lane && s.parent == Some(ep.seq))
+                .map(|s| s.dur_ns)
+                .sum::<u64>();
+        }
+        assert_eq!(n, 3, "two pre-training epochs and one adversarial");
+        for name in [
+            "train.setup",
+            "train.discriminator",
+            "train.loss",
+            "train.backward",
+            "train.optim",
+            "train.guard",
+        ] {
+            assert!(spans.iter().any(|s| s.name == name), "no {name} span");
+        }
+        let coverage = children as f64 / epochs as f64;
+        assert!(coverage >= 0.90, "epoch children cover {coverage:.3}");
     }
 
     #[test]

@@ -33,11 +33,12 @@
 //! `inf` or NaN in `b` it cannot (`0 × inf` is NaN), so the skip needs
 //! the caller's word that `b` is all finite: the inference path's weight
 //! snapshot records one bit per parameter
-//! ([`crate::infer::InferWeights::is_finite`]). With that bit the AVX-512
-//! kernels run over a list of the `k` steps at which some row of the group
-//! is nonzero (NaN counts as nonzero), built once per group and reused by
-//! every column block. The tape, the `tn` kernels and the AVX2 and scalar
-//! tiers always sweep `0..k`.
+//! ([`crate::infer::InferWeights::is_finite`]), and the tape's backward
+//! keeps one with each `Wᵀ` it multiplies a gradient by. With that bit the
+//! AVX-512 kernels run over a list of the `k` steps at which some row of
+//! the group is nonzero (NaN counts as nonzero), built once per group and
+//! reused by every column block. The tape's forward, the `tn` kernels and
+//! the AVX2 and scalar tiers always sweep `0..k`.
 //!
 //! **Layer loops** (the second half of this file): the bias + activation
 //! epilogue of a dense layer (`linear_into`), the GIN neighbour sum and
@@ -101,9 +102,25 @@ pub(crate) fn matmul_tn_into(a: &Tensor, g: &Tensor, out: &mut Tensor) {
         matmul_tn_column(a.data(), k, g.data(), out.data_mut());
         return;
     }
+    let zero = zero_columns(a.data(), k);
     for (i, block) in out.data_mut().chunks_mut((4 * m).max(1)).enumerate() {
-        matmul_tn_rows(a.data(), k, 4 * i, g.data(), n, m, block);
+        matmul_tn_rows(a.data(), k, 4 * i, &zero[4 * i..], g.data(), n, m, block);
     }
+}
+
+/// Which columns of the row-major `[·, k]` matrix `a` are entirely `±0.0`
+/// (NaN is not zero): one contiguous pass over `a`, row by row, instead of
+/// a strided scan per column. Every column of an empty `a` is zero.
+fn zero_columns(a: &[f32], k: usize) -> Vec<bool> {
+    let mut zero = vec![true; k];
+    if k > 0 {
+        for row in a.chunks_exact(k) {
+            for (z, &x) in zero.iter_mut().zip(row) {
+                *z &= x == 0.0;
+            }
+        }
+    }
+    zero
 }
 
 /// [`matmul_tn_into`] for a single output column (`g` is `[n, 1]`: score
@@ -319,26 +336,36 @@ unsafe fn nonzero_steps_avx512<'l>(
 /// The [`matmul_rows`] of [`matmul_tn_into`]: `o` holds output rows `i0..`
 /// of `aᵀ × b`, whose left rows are the columns `i0..` of the row-major
 /// `[n, lda]` matrix `a` — element `r` of left row `i` is `a[r * lda + i]`.
-/// Same grouping, same skip rule (an all-zero column), same tiers.
-fn matmul_tn_rows(a: &[f32], lda: usize, i0: usize, bd: &[f32], n: usize, m: usize, o: &mut [f32]) {
+/// Same grouping, same skip rule (an all-zero column, `zero[q]` for column
+/// `i0 + q`), same tiers.
+#[allow(clippy::too_many_arguments)] // the row kernel's operands plus the skip mask
+fn matmul_tn_rows(
+    a: &[f32],
+    lda: usize,
+    i0: usize,
+    zero: &[bool],
+    bd: &[f32],
+    n: usize,
+    m: usize,
+    o: &mut [f32],
+) {
     // The SIMD tiers read `bd` and write `o` through raw pointers.
     assert!(o.len().is_multiple_of(m) && i0 + o.len() / m <= lda);
-    assert!(a.len() == n * lda && bd.len() >= n * m);
+    assert!(a.len() == n * lda && bd.len() >= n * m && zero.len() >= o.len() / m);
     if n == 0 {
         o.fill(0.0); // an empty sum
         return;
     }
-    let column_is_zero = |i: usize| a[i..].iter().step_by(lda).all(|&x| x == 0.0);
     #[cfg(target_arch = "x86_64")]
-    if o.len() == 4 * m && m >= 16 && avx512_available() && !(i0..i0 + 4).any(column_is_zero) {
+    if o.len() == 4 * m && m >= 16 && avx512_available() && !zero[..4].contains(&true) {
         // SAFETY: the CPU reports AVX-512F (checked above); `a[i0..]`
         // reaches element `(n - 1) * lda + 3` because `i0 + 4 <= lda`, and
         // the other lengths were asserted on entry.
         unsafe { quad_matmul_avx512::<true, _>(&a[i0..], lda, bd, n, AllSteps, m, o) };
         return;
     }
-    for (q, o_row) in o.chunks_exact_mut(m).enumerate() {
-        if column_is_zero(i0 + q) {
+    for ((q, o_row), &zero) in o.chunks_exact_mut(m).enumerate().zip(zero) {
+        if zero {
             o_row.fill(0.0); // whole-column skip
         } else {
             row_matmul(&a[i0 + q..], lda, bd, m, o_row);
@@ -402,7 +429,7 @@ fn avx2_available() -> bool {
 
 /// Whether this CPU supports AVX-512F (cached after the first query).
 #[cfg(target_arch = "x86_64")]
-fn avx512_available() -> bool {
+pub(crate) fn avx512_available() -> bool {
     static AVX512: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
     *AVX512.get_or_init(|| std::arch::is_x86_feature_detected!("avx512f"))
 }
@@ -1563,6 +1590,78 @@ mod tests {
                 })
                 .collect();
             assert_same(out.data(), &want, &format!("attend_aggregate, c = {c}"));
+        }
+    }
+
+    /// `aᵀ × g` through the `tn` kernels, into a stale output, against
+    /// `a.transpose().matmul(g)` and the definition: `a` has no zero value
+    /// except in column `zero_col` (if any), which is all `±0.0`, and `g`
+    /// carries `inf`, `-inf` and NaN in every row, so that every output
+    /// row of a zero column sums `0 × inf` or `0 × NaN` unless skipped.
+    fn check_tn(n: usize, k: usize, m: usize, zero_col: Option<usize>, seed: u64) {
+        let mut gen = Gen(seed | 1);
+        let mut nonzero = || loop {
+            let x = gen.value();
+            if x != 0.0 {
+                return x;
+            }
+        };
+        let mut a = Tensor::from_vec(n, k, (0..n * k).map(|_| nonzero()).collect());
+        let mut g = Tensor::from_vec(n, m, (0..n * m).map(|_| nonzero()).collect());
+        if let Some(j) = zero_col {
+            for i in 0..n {
+                a.data_mut()[i * k + j] = [0.0, -0.0][i % 2];
+            }
+        }
+        for i in 0..n {
+            for (t, poison) in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN]
+                .into_iter()
+                .enumerate()
+            {
+                if m > 0 {
+                    g.data_mut()[i * m + (i + t) % m] = poison;
+                }
+            }
+        }
+        let cols: Vec<Vec<f32>> = (0..k)
+            .map(|j| (0..n).map(|i| a.data()[i * k + j]).collect())
+            .collect();
+        let what = format!("tn [{n},{k}]ᵀ x [{n},{m}], zero column {zero_col:?}, seed {seed:#x}");
+        let mut out = Tensor::from_vec(k, m, vec![f32::NAN; k * m]);
+        matmul_tn_into(&a, &g, &mut out);
+        assert_same(out.data(), a.transpose().matmul(&g).data(), &what);
+        assert_same(out.data(), &naive(&cols, g.data(), m), &what);
+        if let Some(j) = zero_col {
+            assert!(
+                out.row(j).iter().all(|x| x.to_bits() == 0),
+                "{what}: skipped row"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4))]
+
+        /// The `tn` zero-column mask: empty operands (`n`, `k` or `m` 0), a
+        /// zero column at each position of the first and the second
+        /// four-column group and in the tail past the last full group, at
+        /// widths that take the four-row kernel (`m ≥ 16`), the per-row
+        /// kernels and the single-column path.
+        #[test]
+        fn tn_zero_columns_match_the_transposed_product(seed in any::<u64>()) {
+            for (n, k, m) in [(0, 0, 0), (0, 6, 17), (3, 0, 17), (3, 6, 0), (0, 5, 1), (4, 0, 1)] {
+                check_tn(n, k, m, None, seed);
+            }
+            for n in [1, 5] {
+                for k in [4, 8, 11] {
+                    for m in [1, 7, 16, 33] {
+                        check_tn(n, k, m, None, seed);
+                        for zero_col in 0..k {
+                            check_tn(n, k, m, Some(zero_col), seed ^ zero_col as u64);
+                        }
+                    }
+                }
+            }
         }
     }
 

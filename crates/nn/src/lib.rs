@@ -89,10 +89,10 @@ pub struct ParamStore {
     /// data); a value a tape still holds is copied when it is next changed.
     values: Vec<Arc<Tensor>>,
     grads: Vec<Tensor>,
-    /// Counts the mutable borrows of any value: two reads of a parameter
-    /// that saw one version saw one value, which lets a tape share work
-    /// between binds of the same parameter without comparing tensors.
-    version: u64,
+    /// `Wᵀ` of the values backward passes have met as a matmul's right
+    /// operand, kept between passes: the tapes that bind a parameter at one
+    /// value (a batch's tapes, until the optimizer steps it) share one.
+    transposed: tape::Transposes,
 }
 
 impl ParamStore {
@@ -138,18 +138,13 @@ impl ParamStore {
     /// optimizer step reads and writes, without copying the gradient out.
     pub(crate) fn value_mut_and_grad(&mut self, id: ParamId) -> (&mut Tensor, &Tensor) {
         let i = id.0 as usize;
-        self.version += 1;
         (Arc::make_mut(&mut self.values[i]), &self.grads[i])
     }
 
-    /// A parameter's current value, shared instead of copied.
-    pub(crate) fn shared_value(&self, id: ParamId) -> Arc<Tensor> {
+    /// A parameter's current value, shared instead of copied: the store
+    /// copies it only if it changes while the returned handle is alive.
+    pub fn shared_value(&self, id: ParamId) -> Arc<Tensor> {
         Arc::clone(&self.values[id.0 as usize])
-    }
-
-    /// How often [`ParamStore::value_mut`] has lent a value out.
-    pub(crate) fn version(&self) -> u64 {
-        self.version
     }
 
     /// Immutable view of the accumulated gradient of a parameter.

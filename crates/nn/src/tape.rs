@@ -22,7 +22,7 @@ mod coarse;
 use crate::tensor::Tensor;
 use crate::{ParamId, ParamStore};
 use coarse::{AttentionOp, GinCombineOp, LinearOp, Pass};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// Handle to a node on a [`Tape`]. Cheap to copy; only valid for the tape
 /// that created it.
@@ -32,9 +32,12 @@ pub struct Var(u32);
 #[derive(Debug)]
 enum Op {
     Leaf {
-        /// The bound parameter and the store version its value was copied
-        /// at (`None` for a constant).
-        param: Option<(ParamId, u64)>,
+        /// The bound parameter (`None` for a constant tensor); its value
+        /// is the store's, shared.
+        param: Option<ParamId>,
+        /// Whether backward takes a gradient for it: a parameter bound
+        /// outside [`Tape::frozen`].
+        grad: bool,
     },
     MatMul(u32, u32),
     Add(u32, u32),
@@ -103,6 +106,8 @@ struct Node {
 pub struct Tape {
     nodes: Vec<Node>,
     grads: Vec<Option<Tensor>>,
+    /// Inside [`Tape::frozen`]: [`Tape::param`] binds constants.
+    frozen: bool,
 }
 
 impl Tape {
@@ -148,15 +153,35 @@ impl Tape {
     /// Introduces a constant: a value the loss is not differentiated by.
     /// Backward computes and keeps no gradient for it.
     pub fn constant(&mut self, t: Tensor) -> Var {
-        self.push(t, Op::Leaf { param: None })
+        let leaf = Op::Leaf {
+            param: None,
+            grad: false,
+        };
+        self.push(t, leaf)
     }
 
     /// Binds parameter `pid` at its current value — shared with the store,
     /// which copies it only if it changes while this tape is alive — so
-    /// that `backward` accumulates its gradient into the store.
+    /// that `backward` accumulates its gradient into the store. Inside
+    /// [`Tape::frozen`] the value is bound as a constant instead.
     pub fn param(&mut self, store: &ParamStore, pid: ParamId) -> Var {
-        let param = Some((pid, store.version()));
-        self.push_node(Value::Param(store.shared_value(pid)), Op::Leaf { param })
+        let leaf = Op::Leaf {
+            param: Some(pid),
+            grad: !self.frozen,
+        };
+        self.push_node(Value::Param(store.shared_value(pid)), leaf)
+    }
+
+    /// Runs `f` with every parameter it binds bound as a constant: the
+    /// value is still the store's own, shared rather than copied, but
+    /// backward computes no gradient for it and deposits nothing in the
+    /// store. For a loss that scores with a network another optimizer
+    /// steps (the critic inside the estimator's loss).
+    pub fn frozen<R>(&mut self, f: impl FnOnce(&mut Tape) -> R) -> R {
+        let outer = std::mem::replace(&mut self.frozen, true);
+        let r = f(self);
+        self.frozen = outer;
+        r
     }
 
     // ----- arithmetic ------------------------------------------------------
@@ -424,7 +449,7 @@ impl Tape {
         }
         self.grads[loss.0 as usize] = Some(Tensor::scalar(1.0));
 
-        let mut transposed = TransposedParams::new();
+        let mut transposed = std::mem::take(&mut store.transposed);
         for i in (0..self.nodes.len()).rev() {
             // Inputs precede their node, so slot `i` is never written while
             // it is out.
@@ -434,19 +459,24 @@ impl Tape {
             self.propagate(i, &gout, &mut transposed);
             self.grads[i] = Some(gout);
         }
+        store.transposed = transposed;
         // Deposit parameter gradients.
         for (node, g) in self.nodes.iter().zip(&self.grads) {
-            let (Op::Leaf { param }, Some(g)) = (&node.op, g) else {
-                continue;
-            };
-            if let Some((pid, _)) = *param {
-                store.accumulate_grad(pid, g);
+            if let (
+                Op::Leaf {
+                    param: Some(pid),
+                    grad: true,
+                },
+                Some(g),
+            ) = (&node.op, g)
+            {
+                store.accumulate_grad(*pid, g);
             }
         }
     }
 
-    fn propagate(&mut self, i: usize, gout: &Tensor, transposed: &mut TransposedParams) {
-        let Tape { nodes, grads } = self;
+    fn propagate(&mut self, i: usize, gout: &Tensor, transposed: &mut Transposes) {
+        let Tape { nodes, grads, .. } = self;
         let grads = &mut Slots { grads, nodes };
         let value = |v: u32| -> &Tensor { &nodes[v as usize].value };
         match &nodes[i].op {
@@ -611,9 +641,52 @@ impl Tape {
     }
 }
 
-/// `Wᵀ` of each parameter value — keyed like [`Op::Leaf`] — a backward pass
-/// has met as a matmul's right operand.
-type TransposedParams = std::collections::HashMap<(ParamId, u64), Tensor>;
+/// `Wᵀ` per parameter, of the value beside it, with whether it is all
+/// finite (the `b_finite` of [`crate::kernels::matmul_into`], which lets a
+/// product with it skip zero gradient values): what backward passes have
+/// met as a matmul's right operand. The store keeps it between passes
+/// ([`ParamStore`]). An entry names its value by a [`Weak`] handle, so it
+/// holds no value alive and blocks no in-place step: a step of a value no
+/// tape shares moves the tensor — its header, not its data — into a new
+/// `Arc` allocation ([`Arc::make_mut`] with only weak handles left), and
+/// one a tape shares is copied to one. Either way the stepped value has
+/// another address, and while the entry's weak handle lives, no other
+/// value can take the old one. A pass that meets another value of the
+/// parameter replaces the entry.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Transposes(Vec<Option<Transposed>>);
+
+/// One entry of [`Transposes`].
+#[derive(Debug, Clone)]
+struct Transposed {
+    of: Weak<Tensor>,
+    t: Tensor,
+    finite: bool,
+}
+
+impl Transposes {
+    /// `valueᵀ` for parameter `pid` bound at `value`, built on a miss, and
+    /// whether it is all finite.
+    fn get(&mut self, pid: ParamId, value: &Arc<Tensor>) -> (&Tensor, bool) {
+        let i = pid.0 as usize;
+        if self.0.len() <= i {
+            self.0.resize_with(i + 1, || None);
+        }
+        let slot = &mut self.0[i];
+        if slot
+            .as_ref()
+            .is_some_and(|e| !std::ptr::eq(e.of.as_ptr(), Arc::as_ptr(value)))
+        {
+            *slot = None;
+        }
+        let e = slot.get_or_insert_with(|| Transposed {
+            of: Arc::downgrade(value),
+            t: value.transpose(),
+            finite: value.data().iter().all(|x| x.is_finite()),
+        });
+        (&e.t, e.finite)
+    }
+}
 
 /// The gradient slots of a pass. A constant's slot is closed: nothing reads
 /// a constant's gradient, so a contribution to one is dropped — and where it
@@ -627,7 +700,7 @@ struct Slots<'a> {
 impl Slots<'_> {
     /// Whether `idx` takes gradient: anything but a constant leaf.
     fn wants(&self, idx: u32) -> bool {
-        !matches!(self.nodes[idx as usize].op, Op::Leaf { param: None })
+        !matches!(self.nodes[idx as usize].op, Op::Leaf { grad: false, .. })
     }
 
     /// `idx`'s slot, or `None` for a closed one.
@@ -812,6 +885,29 @@ mod tests {
     }
 
     #[test]
+    fn a_weight_stepped_between_tapes_gets_a_new_transpose() {
+        // dL/dx of x·W on two tapes, W stepped in place in between: the
+        // second pass must not reuse the first pass's Wᵀ.
+        let mut store = ParamStore::new();
+        let x = store.alloc(Tensor::from_rows(&[&[1.0, 1.0]]));
+        let w = store.alloc(Tensor::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]));
+        let mut grads = Vec::new();
+        for _ in 0..3 {
+            let mut t = Tape::new();
+            let xv = t.param(&store, x);
+            let wv = t.param(&store, w);
+            let y = t.matmul(xv, wv);
+            let loss = t.sum(y);
+            t.backward(loss, &mut store);
+            drop(t);
+            grads.push(store.grad(x).data().to_vec());
+            store.zero_grads();
+            store.value_mut(w).scale_assign(10.0);
+        }
+        assert_eq!(grads, [[3.0, 7.0], [30.0, 70.0], [300.0, 700.0]]);
+    }
+
+    #[test]
     fn broadcast_add_row_reduces_gradient() {
         let mut store = ParamStore::new();
         let b = store.alloc(Tensor::zeros(1, 2));
@@ -961,6 +1057,41 @@ mod tests {
             .data()
             .iter()
             .all(|&g| (g - 0.25).abs() < 1e-6));
+    }
+
+    #[test]
+    fn a_frozen_parameter_gets_no_gradient_and_shares_its_value() {
+        let mut store = ParamStore::new();
+        let (p, w) = (
+            store.alloc(Tensor::scalar(2.0)),
+            store.alloc(Tensor::scalar(5.0)),
+        );
+        let stored = store.value(w).data().as_ptr();
+        let mut t = Tape::new();
+        let x = t.param(&store, p);
+        let wv = t.frozen(|t| t.param(&store, w));
+        assert_eq!(t.value(wv).data().as_ptr(), stored, "bound without a copy");
+        let y = t.mul(x, wv);
+        let loss = t.sum(y);
+        t.backward(loss, &mut store);
+        // The slot stays closed, the store's gradient untouched; the other
+        // factor still gets its gradient through the frozen value.
+        assert!(t.grad(wv).is_none());
+        assert_eq!(store.grad(w).item(), 0.0);
+        assert_eq!(store.grad(p).item(), 5.0);
+        // A later bind outside `frozen` is a parameter again.
+        let again = t.param(&store, w);
+        assert!(matches!(
+            t.nodes[again.0 as usize].op,
+            Op::Leaf { grad: true, .. }
+        ));
+        // Once the tape is gone the store holds the only reference, so a
+        // step changes the value in place.
+        drop(t);
+        store.grad_mut(w).fill(1.0);
+        crate::optim::Sgd::new(1.0).step_subset(&mut store, &[w]);
+        assert_eq!(store.value(w).data().as_ptr(), stored, "stepped in place");
+        assert_eq!(store.value(w).item(), 4.0);
     }
 
     #[test]

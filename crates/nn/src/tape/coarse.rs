@@ -29,7 +29,7 @@
 
 use super::{
     add_grad, elementwise2, pass_grad, reduce_broadcast, stable_sigmoid, Node, Op, Slots, Tape,
-    TransposedParams, Var,
+    Transposes, Value, Var,
 };
 use crate::kernels::{self, SOFTMAX_EPS};
 use crate::layers::Activation;
@@ -197,13 +197,16 @@ impl Tape {
 /// `out[j] = a.row(ia[j]) · b.row(ib[j])`, each dot product summed the way
 /// `Iterator::sum` sums a row — from `-0.0`, ascending — four at a time so
 /// the four add chains overlap.
+#[inline(always)]
 fn row_dots(a: &Tensor, ia: &[u32], b: &Tensor, ib: &[u32], out: &mut [f32]) {
+    let c = a.cols();
     let mut j = 0;
     while j + 4 <= out.len() {
-        let ra = std::array::from_fn::<_, 4, _>(|t| a.row(ia[j + t] as usize));
-        let rb = std::array::from_fn::<_, 4, _>(|t| b.row(ib[j + t] as usize));
+        // Cut to `c` up front, so that no read below needs a bounds check.
+        let ra = std::array::from_fn::<_, 4, _>(|t| &a.row(ia[j + t] as usize)[..c]);
+        let rb = std::array::from_fn::<_, 4, _>(|t| &b.row(ib[j + t] as usize)[..c]);
         let mut acc = [-0.0f32; 4];
-        for k in 0..a.cols() {
+        for k in 0..c {
             for t in 0..4 {
                 acc[t] += ra[t][k] * rb[t][k];
             }
@@ -218,30 +221,32 @@ fn row_dots(a: &Tensor, ia: &[u32], b: &Tensor, ib: &[u32], out: &mut [f32]) {
 }
 
 /// `g · valueᵀ(b)`: the input-side gradient of a product with `b` on the
-/// right. `bᵀ` is built once per bound parameter value, however many binds
-/// and products share the weight.
-fn times_transposed(
-    nodes: &[Node],
-    transposed: &mut TransposedParams,
-    g: &Tensor,
-    b: u32,
-) -> Tensor {
+/// right. `bᵀ` is built once per parameter value, however many binds,
+/// products and tapes share the weight, and so is the check that it is
+/// finite, which lets the kernel skip `g`'s zeros.
+fn times_transposed(nodes: &[Node], transposed: &mut Transposes, g: &Tensor, b: u32) -> Tensor {
     let node = &nodes[b as usize];
-    match node.op {
-        Op::Leaf { param: Some(key) } => g.matmul(
-            transposed
-                .entry(key)
-                .or_insert_with(|| node.value.transpose()),
-        ),
+    match (&node.op, &node.value) {
+        (
+            &Op::Leaf {
+                param: Some(pid), ..
+            },
+            Value::Param(w),
+        ) => {
+            let (wt, finite) = transposed.get(pid, w);
+            let mut out = Tensor::zeros(g.rows(), wt.cols());
+            kernels::matmul_into(g, wt, finite, &mut out);
+            out
+        }
         _ => g.matmul(&node.value.transpose()),
     }
 }
 
 /// The state a VJP works on: the gradient slots (which know the nodes, for
-/// values) and the pass's `Wᵀ` cache.
+/// values) and the store's `Wᵀ` per parameter value.
 pub(super) struct Pass<'a, 's> {
     pub grads: &'s mut Slots<'a>,
-    pub transposed: &'s mut TransposedParams,
+    pub transposed: &'s mut Transposes,
 }
 
 impl<'a> Pass<'a, '_> {
@@ -354,6 +359,28 @@ impl<'a> Pass<'a, '_> {
     /// `Θh`, `· α` (column broadcast), `segment_sum`; `Θh ⊙ mask`, `add`,
     /// sigmoid. Without edges: `Θh`, `Θ_a h` (unused), sigmoid.
     fn attention(&mut self, y: &Tensor, gout: &Tensor, op: &AttentionOp) {
+        #[cfg(target_arch = "x86_64")]
+        if kernels::avx512_available() {
+            // SAFETY: the CPU reports AVX-512F (checked above).
+            unsafe { self.attention_avx512(y, gout, op) };
+            return;
+        }
+        self.attention_body(y, gout, op);
+    }
+
+    /// The attention VJP compiled for AVX-512F, so that its per-edge and
+    /// per-row loops vectorise sixteen lanes wide instead of four. Each lane
+    /// is an element of its own: the compiler reassociates no sum and fuses
+    /// no multiply-add, so the bits are the portable build's.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    fn attention_avx512(&mut self, y: &Tensor, gout: &Tensor, op: &AttentionOp) {
+        self.attention_body(y, gout, op);
+    }
+
+    /// The attention VJP, inlined into both builds of [`Pass::attention`].
+    #[inline(always)]
+    fn attention_body(&mut self, y: &Tensor, gout: &Tensor, op: &AttentionOp) {
         let AttentionOp {
             h,
             params: [theta, theta_a, attn],
@@ -426,24 +453,26 @@ impl<'a> Pass<'a, '_> {
         // `g_raw[j] · aᵀ` (a one-term sum from `+0.0`, a zero `g_raw[j]`
         // skipped) scatter to Θ_a h — src half first, then dst half, each
         // from zero; `a` gets `Σ_j row_j · g_raw[j]` per column.
-        let a: &[f32] = self.value(*attn).data();
+        let (a_dst, a_src) = self.value(*attn).data().split_at(c);
         let mut g_attn = vec![0.0f32; 2 * c];
+        let (g_attn_dst, g_attn_src) = g_attn.split_at_mut(c);
         let mut g_ta = Tensor::zeros(n, c);
         let mut g_ta_dst = Tensor::zeros(n, c);
         for (j, (s, d)) in edges().enumerate() {
             let g = g_raw[j];
-            let (row_d, row_s) = (ta.row(d), ta.row(s));
-            for k in 0..c {
-                g_attn[k] += row_d[k] * g;
-                g_attn[c + k] += row_s[k] * g;
+            for (o, &x) in g_attn_dst.iter_mut().zip(ta.row(d)) {
+                *o += x * g;
+            }
+            for (o, &x) in g_attn_src.iter_mut().zip(ta.row(s)) {
+                *o += x * g;
             }
             // A skipped row is `+0.0`: nothing to add to sums that began at
             // `+0.0` and so never hold a `-0.0`.
             if g != 0.0 {
-                for (o, &a) in g_ta_dst.row_mut(d).iter_mut().zip(&a[..c]) {
+                for (o, &a) in g_ta_dst.row_mut(d).iter_mut().zip(a_dst) {
                     *o += 0.0 + g * a;
                 }
-                for (o, &a) in g_ta.row_mut(s).iter_mut().zip(&a[c..]) {
+                for (o, &a) in g_ta.row_mut(s).iter_mut().zip(a_src) {
                     *o += 0.0 + g * a;
                 }
             }

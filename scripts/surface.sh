@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # How much there is: lines, public functions, options, global state.
-# ROADMAP item 6 asks every simplification for "LoC and `pub fn` count
+# ROADMAP item 9 asks every simplification for "LoC and `pub fn` count
 # down"; this counts them, the same way on any commit, so a PR can print
 # the parent's table next to its own. Information, not a gate.
 #
