@@ -155,7 +155,7 @@ pub(crate) fn extract_from_candidates(
 ) -> Extraction {
     let _sp = Span::enter("extract.components");
     let t0 = std::time::Instant::now();
-    if candidates.is_trivially_zero() {
+    let Some(union) = candidates.union_unless_trivially_zero() else {
         return Extraction {
             candidates,
             substructures: Vec::new(),
@@ -163,8 +163,8 @@ pub(crate) fn extract_from_candidates(
             degraded,
             report,
         };
-    }
-    let mut substructures = kept_components(q, g, &candidates);
+    };
+    let mut substructures = kept_components(q, g, &candidates, &union);
     if let Some(cap) = cap {
         for sub in &mut substructures {
             if sub.graph.n_vertices() > cap {
@@ -185,18 +185,21 @@ pub(crate) fn extract_from_candidates(
     }
 }
 
-/// The components of the subgraph of `g` induced by `∪_u CS(u)` that can
-/// host an embedding of `q`, with their local candidate sets, in
+/// The components of the subgraph of `g` induced by `union = ∪_u CS(u)`
+/// (sorted) that can host an embedding of `q`, with their local candidate sets, in
 /// order of smallest data id. A component is skipped, before anything of
 /// it is allocated, when it is smaller than the query in vertices or edges
 /// (paper §4(2)) or when some query vertex has no candidate inside it (it
 /// then contributes 0).
-fn kept_components(q: &Graph, g: &Graph, candidates: &CandidateSets) -> Vec<Substructure> {
+fn kept_components(
+    q: &Graph,
+    g: &Graph,
+    candidates: &CandidateSets,
+    union: &[VertexId],
+) -> Vec<Substructure> {
     const SKIPPED: u32 = u32::MAX;
     let nq = q.n_vertices();
-    let mut union = Vec::new();
-    candidates.union_into(&mut union);
-    let comps = InducedComponents::new(g, &union);
+    let comps = InducedComponents::new(g, union);
     // `row[c]`: component `c`'s row of `counts` (later its index in the
     // result), or SKIPPED.
     let mut row = vec![SKIPPED; comps.len()];
@@ -621,7 +624,7 @@ mod tests {
             // The tail itself, also on inputs extraction short-circuits
             // before reaching it (an empty union, `|∪CS| < |V(q)|`).
             if cap.is_none() {
-                assert_same_substructures(&kept_components(&q, &g, &cs), &want);
+                assert_same_substructures(&kept_components(&q, &g, &cs, &cs.union()), &want);
             }
             if !cs.is_trivially_zero() {
                 let ex =

@@ -16,9 +16,21 @@
 //! most common corruption of an interrupted write — changes the covered
 //! bytes and fails verification, instead of silently removing a trailer.
 //! The line is mandatory: a file without it is rejected as corrupt, never
-//! loaded unverified. Runtime knobs (`budget`, `grad_clip`,
-//! `fail_on_divergence`) are deliberately not persisted: they describe the
-//! serving environment, not the model.
+//! loaded unverified.
+//!
+//! Loading overlaps verification with parsing: the calling thread hashes
+//! the body while a second thread parses the parameter values, and the
+//! calling thread joins the parsing when the hash is done (a thread the
+//! scheduler starts late leaves it more tensors to parse, never idle time).
+//! "Never loaded unverified" still holds: a mismatch is reported ahead of
+//! any parse error, nothing parsed from the body leaves the loader unless
+//! the hash matched, and the network is only constructed from a verified
+//! config. Parsing an unverified body is bounded by the body itself: no
+//! buffer is sized from a count in the text before that count is checked.
+//!
+//! Runtime knobs (`budget`, `grad_clip`, `fail_on_divergence`) are
+//! deliberately not persisted: they describe the serving environment, not
+//! the model.
 //!
 //! Four lines are here only so that v1 files keep their bytes: the
 //! checksum of a model — pinned by the training golden and by the
@@ -41,10 +53,11 @@
 use crate::config::{DiscriminatorMetric, NeurScConfig, Variant};
 use crate::error::NeurScError;
 use crate::model::NeurSc;
+use crate::obs::Span;
 use neursc_gnn::{AttentionConfig, FeatureConfig, GinConfig};
 use neursc_graph::hash::fnv1a64;
 use neursc_match::FilterConfig;
-use neursc_nn::serialize::{load_values, store_to_string, SerializeError};
+use neursc_nn::serialize::{move_values, parse_tensors_alongside, store_to_string, SerializeError};
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -161,9 +174,11 @@ fn parse<T: std::str::FromStr>(
         .map_err(|_| SerializeError::Parse(format!("bad value for {k}")))
 }
 
-/// Parses a model back. The checksum is verified before any field is
-/// interpreted; the architecture is rebuilt from the config lines and the
-/// stored parameter values are parsed in place and moved in.
+/// Parses a model back. The calling thread hashes the body while a second
+/// one parses its parameter values, then joins the parsing; the checksum is
+/// compared before anything is built from the body, so a mismatch is
+/// reported ahead of any parse error and no model is constructed from an
+/// unverified body.
 fn model_from_string(text: &str) -> Result<NeurSc, NeurScError> {
     let Some(after_header) = text.strip_prefix("neursc-model v1\n") else {
         return Err(NeurScError::Persist(SerializeError::Parse(
@@ -178,14 +193,31 @@ fn model_from_string(text: &str) -> Result<NeurSc, NeurScError> {
     };
     let stored = u64::from_str_radix(hex.trim(), 16)
         .map_err(|_| corrupt(format!("unreadable checksum {hex:?}")))?;
-    let actual = fnv1a64(body.as_bytes());
+    let (config, params) = parse_config(body);
+    let (actual, tensors) = {
+        let _sp = Span::enter("persist.parse");
+        parse_tensors_alongside(params, || {
+            let _sp = Span::enter("persist.hash");
+            fnv1a64(body.as_bytes())
+        })
+    };
     if stored != actual {
         return Err(corrupt(format!(
             "checksum mismatch: file says {stored:016x}, contents hash to {actual:016x} \
              (truncated or bit-flipped?)"
         )));
     }
+    let config = config?;
+    let tensors = tensors?;
+    let seed = config.seed;
+    let mut model = NeurSc::new(config, seed);
+    move_values(&mut model.store, tensors)?;
+    Ok(model)
+}
 
+/// The config of a model body, checksum aside, and the parameter section
+/// that follows it.
+fn parse_config(body: &str) -> (Result<NeurScConfig, NeurScError>, &str) {
     // Config lines up to `---` (split as `str::lines` splits); the
     // parameter section is the rest of `body`, parsed where it lies.
     let mut kv = std::collections::HashMap::new();
@@ -204,6 +236,11 @@ fn model_from_string(text: &str) -> Result<NeurSc, NeurScError> {
             kv.insert(k.trim().to_string(), v.trim().to_string());
         }
     }
+    (config_from(kv), params)
+}
+
+/// The config the key/value lines describe.
+fn config_from(kv: std::collections::HashMap<String, String>) -> Result<NeurScConfig, NeurScError> {
     let get = |k: &str| parse::<String>(&kv, k);
 
     let features = FeatureConfig {
@@ -301,9 +338,7 @@ fn model_from_string(text: &str) -> Result<NeurSc, NeurScError> {
         fail_on_divergence,
     };
 
-    let mut model = NeurSc::new(config, seed);
-    load_values(&mut model.store, params)?;
-    Ok(model)
+    Ok(config)
 }
 
 fn attach_path(e: NeurScError, path: &Path) -> NeurScError {
@@ -327,8 +362,12 @@ pub fn save_model(model: &NeurSc, path: &Path) -> Result<(), NeurScError> {
     })
 }
 
-/// Loads a model from a file, verifying its checksum first.
+/// Loads a model from a file, verifying its checksum. Traced as a
+/// `persist.load_model` span around `persist.parse`, in which the calling
+/// thread's `persist.hash` runs while a second thread parses (see the
+/// module doc).
 pub fn load_model(path: &Path) -> Result<NeurSc, NeurScError> {
+    let _sp = Span::enter("persist.load_model");
     let text = std::fs::read_to_string(path).map_err(|e| NeurScError::Io {
         path: Some(path.to_path_buf()),
         source: e,
@@ -492,6 +531,87 @@ mod tests {
         let text = String::from_utf8(bytes).unwrap();
         let err = model_from_string(&text).err().unwrap();
         assert!(err.is_corruption(), "expected corruption, got: {err}");
+    }
+
+    /// `text` with the first `from` replaced by `to` in its body, under
+    /// the edited body's own checksum when `rehash`, else under the
+    /// original's.
+    fn edited(text: &str, from: &str, to: &str, rehash: bool) -> String {
+        let body = text.splitn(3, '\n').nth(2).unwrap();
+        assert!(body.contains(from), "{from:?} not in the body");
+        let new_body = body.replacen(from, to, 1);
+        let sum = fnv1a64(if rehash { &new_body } else { body }.as_bytes());
+        format!("neursc-model v1\nchecksum {sum:016x}\n{new_body}")
+    }
+
+    #[test]
+    fn a_body_failing_checksum_and_parse_is_reported_corrupt() {
+        let text = model_to_string(&NeurSc::new(NeurScConfig::small(), 26));
+        // A bad float, an unknown variant, an impossible tensor shape and
+        // a dimension that would take all memory to build: under the
+        // checksum of the body they came from each is corruption, under
+        // their own checksum each is a parse error.
+        let last = text.lines().last().unwrap();
+        let bad_float = format!("x{last}");
+        let first_shape = text.lines().find(|l| l.starts_with("tensor ")).unwrap();
+        for (from, to) in [
+            (last, bad_float.as_str()),
+            ("variant = full", "variant = alien"),
+            (first_shape, "tensor 1048576 1048576"),
+            ("gin_hidden = ", "gin_hidden = 9999999999"),
+        ] {
+            let err = model_from_string(&edited(&text, from, to, false))
+                .err()
+                .unwrap();
+            assert!(err.is_corruption(), "{to}: expected corruption, got: {err}");
+            assert!(err.to_string().contains("checksum mismatch"), "{err}");
+            if to.starts_with("gin_hidden") {
+                continue; // with a valid checksum it is a model to build
+            }
+            let err = model_from_string(&edited(&text, from, to, true))
+                .err()
+                .unwrap();
+            assert!(err.is_parse(), "{to}: expected a parse error, got: {err}");
+        }
+    }
+
+    #[test]
+    fn loads_the_bits_from_str_reads() {
+        // The values `f32::from_str` reads from each token of the file:
+        // what the loader returned before values were parsed as bytes.
+        for (cfg, seed) in [
+            (NeurScConfig::small(), 1),
+            (NeurScConfig::small(), 2),
+            (NeurScConfig::default(), 1),
+            (NeurScConfig::default(), 2),
+        ] {
+            let model = NeurSc::new(cfg, seed);
+            let text = model_to_string(&model);
+            let restored = model_from_string(&text).unwrap();
+            let params = &text[text.find("\n---\n").unwrap() + 5..];
+            let want: Vec<u32> = params
+                .lines()
+                .skip(2)
+                .step_by(2)
+                .flat_map(|l| {
+                    l.split_whitespace()
+                        .map(|t| t.parse::<f32>().unwrap().to_bits())
+                })
+                .collect();
+            let got: Vec<u32> = restored
+                .store
+                .ids()
+                .flat_map(|id| restored.store.value(id).data().iter().map(|v| v.to_bits()))
+                .collect();
+            assert_eq!(got, want, "seed {seed}");
+            assert_eq!(
+                format!("{:?}", restored.config),
+                format!("{:?}", model.config),
+                "seed {seed}"
+            );
+            assert_eq!(model_checksum(&restored), model_checksum(&model));
+            assert_eq!(model_to_string(&restored), text);
+        }
     }
 
     #[test]

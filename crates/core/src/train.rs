@@ -749,8 +749,9 @@ impl GradAccum {
             let norm = neursc_nn::optim::clip_grad_norm(&mut model.store, &self.params, max_norm);
             sink.gauge_set("train.grad_norm", norm as f64);
         }
+        // The slots keep the step's gradients: θ's loop zeroes every slot
+        // before each backward, and the critic zeroes ω's before its own.
         opt.step_subset(&mut model.store, &self.params);
-        model.store.zero_grads();
         for buf in &mut self.bufs {
             buf.fill(0.0);
         }

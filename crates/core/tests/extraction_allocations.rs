@@ -62,9 +62,10 @@ static GLOBAL: Counting = Counting;
 /// candidate sets (one per query vertex, plus the outer list) and a growth
 /// of the result list.
 const PER_KEPT: usize = 6 + QUERY_VERTICES;
-/// Per call: the candidate union (twice: once for the trivially-zero test),
-/// the per-component row map and count table, and the result list.
-const FIXED: usize = 8;
+/// Per call: the candidate union (built once, for the trivially-zero test
+/// and the components both), the per-component row map and count table,
+/// and the result list.
+const FIXED: usize = 7;
 const QUERY_VERTICES: usize = 4;
 
 fn allocations(f: impl FnOnce()) -> usize {

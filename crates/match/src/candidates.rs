@@ -44,19 +44,11 @@ impl CandidateSets {
 
     /// `CS(q) = ∪_u CS(u)`, sorted and deduplicated.
     pub fn union(&self) -> Vec<VertexId> {
-        let mut out = Vec::new();
-        self.union_into(&mut out);
-        out
-    }
-
-    /// [`CandidateSets::union`] into a caller-owned buffer, so repeated
-    /// unions (one per query in a batch) reuse one allocation.
-    pub fn union_into(&self, out: &mut Vec<VertexId>) {
-        out.clear();
-        out.reserve(self.total_size());
+        let mut out = Vec::with_capacity(self.total_size());
         out.extend(self.sets.iter().flatten().copied());
         out.sort_unstable();
         out.dedup();
+        out
     }
 
     /// Σ_u |CS(u)| — the filtering-power metric of \[89\].
@@ -73,7 +65,18 @@ impl CandidateSets {
     /// NeurSC's early-termination test (paper §4): estimation can stop when
     /// some `CS(u)` is empty or `|∪ CS(u)| < |V(q)|`.
     pub fn is_trivially_zero(&self) -> bool {
-        self.any_empty() || self.union().len() < self.sets.len()
+        self.union_unless_trivially_zero().is_none()
+    }
+
+    /// [`CandidateSets::union`], or `None` where
+    /// [`CandidateSets::is_trivially_zero`] holds: the test needs the union
+    /// built, so a caller that goes on to use it builds it once.
+    pub fn union_unless_trivially_zero(&self) -> Option<Vec<VertexId>> {
+        if self.any_empty() {
+            return None;
+        }
+        let union = self.union();
+        (union.len() >= self.sets.len()).then_some(union)
     }
 }
 

@@ -15,6 +15,11 @@
 # run_seconds. SEED (default 1) is passed on as --seed: re-run with a second
 # value before claiming anything.
 #
+# Each side's benchmark binary is hashed after the warm-up build and checked
+# before and after every measured run: a checkout edited mid-series makes
+# `cargo run` rebuild it, and the series aborts naming that side instead of
+# mixing two builds' runs.
+#
 # Prints, per end-to-end metric: both medians, both quartile ranges, the
 # change's median over the parent's, and how many pairs the change won out
 # of those that did not tie (0/0: every pair read exactly the same, which
@@ -24,7 +29,7 @@
 set -euo pipefail
 
 if [[ $# -lt 2 || $# -gt 3 ]]; then
-    sed -n '2,23p' "$0" | sed 's/^# \{0,1\}//'
+    sed -n '2,28p' "$0" | sed 's/^# \{0,1\}//'
     exit 2
 fi
 change=$(cd "$(dirname "$0")/.." && pwd)
@@ -48,20 +53,32 @@ print(json.load(open(sys.argv[1]))["run_seconds"])' "$change/BENCHMARK.json")
 out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
 
+binary() { echo "$1/.bench_build/release/neursc-benchmarks"; }
+digest() { sha256sum "$(binary "$1")" | cut -d' ' -f1; }
+declare -A built
+unchanged() { # unchanged <side> <checkout>: abort if the side's binary was rebuilt
+    [[ $(digest "$2") == "${built[$1]}" ]] ||
+        { echo "the $1 side's benchmark binary changed mid-series ($2 was rebuilt); aborting" >&2; exit 1; }
+}
+
 run() { # run <side> <checkout> <pair>: one run, its result line to $out/<side>.jsonl
     local side=$1 checkout=$2 pair=$3
     echo "pair $pair: $side" >&2
+    unchanged "$side" "$checkout"
     (cd "$checkout" && CARGO_TARGET_DIR="$checkout/.bench_build" "${cmd[@]}" \
         --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0) \
         2>"$out/stderr" | tail -n 1 >>"$out/$side.jsonl" || { cat "$out/stderr" >&2; exit 1; }
+    unchanged "$side" "$checkout"
 }
 
 # Build both sides (and their fixtures, with a short first run) before any
 # measured run, so that no build shares the machine with a measurement.
-for checkout in "$parent" "$change"; do
+for side in parent change; do
+    checkout=${!side}
     (cd "$checkout" && CARGO_TARGET_DIR="$checkout/.bench_build" "${cmd[@]}" \
         --workload "$workload" --seed "$seed" --seconds 1 --trace 0) >/dev/null 2>"$out/stderr" ||
         { cat "$out/stderr" >&2; exit 1; }
+    built[$side]=$(digest "$checkout")
 done
 
 for ((pair = 1; pair <= pairs; pair++)); do

@@ -32,9 +32,9 @@ echo "== cargo doc (deny warnings, our crates only) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps "${OUR_CRATES[@]}" -p rand
 
 echo "== cargo test (unit + integration + doc-tests) =="
-# One workspace run executes every suite once (the one #[ignore]d test is
-# the exhaustive sigmoid check, run in release below); these used to be
-# re-run as stages of their own:
+# One workspace run executes every suite once (the two #[ignore]d tests are
+# the exhaustive sigmoid and value-parsing checks, run in release below);
+# these used to be re-run as stages of their own:
 #   fault-injection suite                  (--test fault_injection)
 #   serve smoke (daemon over loopback via the real CLI binary)
 #                                          (--test serve_smoke)
@@ -55,6 +55,9 @@ cargo test -q --release -p neursc-nn -p neursc-gnn -p neursc-match
 # The AVX-512 sigmoid against the scalar `stable_sigmoid` on all 2^32
 # inputs (~25 s on 2 threads; KNOWN_ISSUES.md, "The vectorised sigmoid").
 cargo test -q --release -p neursc-nn --lib -- --ignored sigmoid_tier_matches_stable_sigmoid_on_every_f32
+# The model loader's value parsing against `f32::from_str` on the `Display`
+# spelling of all 2^32 f32s (DESIGN.md, "Cold start").
+cargo test -q --release -p neursc-nn --lib -- --ignored value_parsing_equals_from_str_on_every_f32
 # The no-op sink's overhead bound (DESIGN.md §8: < 2%) bites at the
 # opt-level that ships; in debug a query is slow enough to hide a costly span.
 cargo test -q --release -p neursc-core --test train_golden --test parallel_determinism \

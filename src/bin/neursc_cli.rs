@@ -18,7 +18,7 @@
 
 use neursc::core::persist::{load_model, save_model};
 use neursc::core::{
-    Estimator, FaultPlan, GraphContext, NeurSc, NeurScConfig, NeurScError, Recorder, TraceTime,
+    obs, Estimator, FaultPlan, GraphContext, NeurSc, NeurScConfig, NeurScError, Recorder, TraceTime,
 };
 use neursc::graph::io::{load_graph, save_graph};
 use neursc::graph::{Graph, GraphError};
@@ -404,6 +404,15 @@ impl ObsSetup {
         })
     }
 
+    /// Loads `--model` on the coordinating lane, so that a trace starts
+    /// with the cold load (`persist.load_model`).
+    fn load_model(&self, opts: &Opts) -> Result<NeurSc, CliError> {
+        let path = Path::new(req(opts, "model")?);
+        Ok(obs::scope(&self.ctx.obs, obs::lane::ROOT, || {
+            load_model(path)
+        })?)
+    }
+
     /// Writes whichever exports were requested. Called after the command's
     /// pipeline work finishes (including on the success path only — a
     /// failed run exits through `CliError` before reaching this).
@@ -575,12 +584,12 @@ fn apply_budget_cap(model: &mut NeurSc, opts: &Opts) -> Result<(), CliError> {
 }
 
 fn cmd_estimate(opts: &Opts) -> Result<(), CliError> {
-    let mut model = load_model(Path::new(req(opts, "model")?))?;
+    let mut obs = ObsSetup::from_opts(opts)?;
+    let mut model = obs.load_model(opts)?;
     apply_threads(&mut model, opts)?;
     apply_budget_cap(&mut model, opts)?;
     let g = load_graph(Path::new(req(opts, "data")?))?;
     let q = load_graph(Path::new(req(opts, "query")?))?;
-    let mut obs = ObsSetup::from_opts(opts)?;
     // --inject-panic routes through the batch pipeline (fault plans are
     // keyed by batch slot), proving panic containment maps to exit 7.
     let d = match opt_num::<usize>(opts, "inject-panic")? {
@@ -608,7 +617,8 @@ fn cmd_estimate(opts: &Opts) -> Result<(), CliError> {
 }
 
 fn cmd_evaluate(opts: &Opts) -> Result<(), CliError> {
-    let mut model = load_model(Path::new(req(opts, "model")?))?;
+    let mut obs = ObsSetup::from_opts(opts)?;
+    let mut model = obs.load_model(opts)?;
     apply_threads(&mut model, opts)?;
     apply_budget_cap(&mut model, opts)?;
     let g = load_graph(Path::new(req(opts, "data")?))?;
@@ -621,7 +631,6 @@ fn cmd_evaluate(opts: &Opts) -> Result<(), CliError> {
     // queries are isolated per item: they are reported to stderr and
     // excluded from aggregation instead of aborting the run.
     let queries: Vec<Graph> = labeled.iter().map(|(q, _)| q.clone()).collect();
-    let mut obs = ObsSetup::from_opts(opts)?;
     if let Some(slot) = opt_num::<usize>(opts, "inject-panic")? {
         obs.ctx.faults = FaultPlan::new().panic_on(slot);
     }
